@@ -18,10 +18,11 @@
 // point (fanin/depth) — the banyan and the multi-stage fabrics pick
 // different fan-in from their zero-load distances at 1024 nodes.
 //
-// The sharded engine is honored through the ambient CNI_SIM_SHARDS /
-// CNI_SIM_FUSION / CNI_SIM_PAIR_LOOKAHEAD knobs, so the parsim-identity CI
-// row can diff this binary's artifacts across K and fusion settings. Every
-// simulated number is shard-count independent.
+// The engine's shard count comes from the ambient CNI_SIM_SHARDS, so the
+// parsim-identity CI row can diff this binary's artifacts across K. Every
+// simulated number is shard-count independent. Contention at the switch
+// resolves first come, first served by head arrival (DESIGN.md §12), which
+// is what the centralized baselines' O(N) message storms stress hardest.
 //
 // Usage: fig_barrier_scaling [--json] [--fast] [--nodes=N] [--rounds=N]
 //                            [--topology=banyan|clos|torus] [report flags]

@@ -1,7 +1,6 @@
 // Parallel-in-run simulation benchmark (DESIGN.md §12).
 //
-// Two 256-processor points, each run under the legacy single-engine mode and
-// the sharded mode at K = 1, 2, 4:
+// Two 256-processor points, each run on the epoch scheduler at K = 1, 2, 4:
 //
 //   * pingpong — every node exchanges request/reply frames with a neighbour
 //     (handler-serviced, no DSM), with a small deterministic per-round
@@ -25,8 +24,7 @@
 //     CPUs the wall numbers had to work with).
 //
 // The binary also cross-checks the headline determinism claim: the simulated
-// elapsed cycles must be identical for every K (legacy may differ in the
-// last digits; see SimParams::sim_shards).
+// elapsed cycles must be identical for every K.
 //
 // Usage: micro_parsim [--json] [--fast] [--procs=N] [--n=N] [--iters=N]
 //        [--rounds=N]
@@ -49,28 +47,21 @@
 
 namespace {
 
-/// One benchmark configuration: `k4-nofuse` re-creates the PR-5 epoch
-/// schedule (no fusion, single global lookahead) so BENCH_parsim.json holds
-/// the machine-independent before/after epoch counts side by side.
+/// One benchmark configuration: a shard count.
 struct ModeSpec {
   const char* name;
   std::uint32_t shards;
-  bool fuse;
-  bool pair;
 };
 
-constexpr ModeSpec kModes[] = {
-    {"legacy", 0, true, true}, {"k1", 1, true, true},      {"k2", 2, true, true},
-    {"k4", 4, true, true},     {"k4-nofuse", 4, false, false},
-};
+constexpr ModeSpec kModes[] = {{"k1", 1}, {"k2", 2}, {"k4", 4}};
 
 struct ModeResult {
   std::string name;
   std::uint32_t shards = 0;
   double wall_ms = 0;
   std::uint64_t elapsed_cycles = 0;
-  cni::sim::EpochStats stats;  // zeros in legacy mode
-  std::vector<cni::sim::ShardProfile> profile;  // empty in legacy mode
+  cni::sim::EpochStats stats;
+  std::vector<cni::sim::ShardProfile> profile;
 };
 
 cni::cluster::SimParams mode_params(const ModeSpec& spec, std::uint32_t processors) {
@@ -78,8 +69,6 @@ cni::cluster::SimParams mode_params(const ModeSpec& spec, std::uint32_t processo
       cni::apps::make_params(cni::cluster::BoardKind::kCni, processors);
   params.fabric.switch_ports = processors;
   params.sim_shards = spec.shards;
-  params.sim_fusion = spec.fuse;
-  params.sim_pair_lookahead = spec.pair;
   return params;
 }
 
@@ -89,7 +78,7 @@ ModeResult run_jacobi_mode(const ModeSpec& spec, std::uint32_t processors,
   cni::sim::ShardProfiler prof;
   const auto t0 = std::chrono::steady_clock::now();
   const cni::apps::RunResult r =
-      cni::apps::run_jacobi_profiled(params, cfg, spec.shards > 0 ? &prof : nullptr);
+      cni::apps::run_jacobi_profiled(params, cfg, &prof);
   const auto t1 = std::chrono::steady_clock::now();
 
   ModeResult m;
@@ -111,7 +100,7 @@ ModeResult run_pingpong_mode(const ModeSpec& spec, std::uint32_t processors,
   CNI_CHECK(processors % 2 == 0);
   cluster::Cluster cl(mode_params(spec, processors));
   sim::ShardProfiler prof;
-  if (spec.shards > 0) cl.set_shard_profiler(&prof);
+  cl.set_shard_profiler(&prof);
 
   // Request service on every board: bump a header field, reply. On a CNI
   // board this runs on the network processor, so the whole exchange is
@@ -190,37 +179,19 @@ struct Point {
     return modes.front();
   }
 
-  /// Sharded runs must agree exactly — whatever K, and with or without
-  /// epoch fusion and the per-pair lookahead matrix.
+  /// Runs must agree exactly, whatever K.
   void check_determinism() const {
-    const ModeResult* first_sharded = nullptr;
     for (const ModeResult& m : modes) {
-      if (m.name == "legacy") continue;
-      if (first_sharded == nullptr) first_sharded = &m;
-      CNI_CHECK_MSG(m.elapsed_cycles == first_sharded->elapsed_cycles,
-                    "sharded runs diverged across K");
+      CNI_CHECK_MSG(m.elapsed_cycles == modes.front().elapsed_cycles,
+                    "runs diverged across K");
     }
   }
 };
 
-/// Renders a stat that only exists for sharded modes: legacy mode has no
-/// epochs, so `0` would read like a measurement — emit JSON null instead.
-std::string u64_or_null(std::uint64_t v, bool sharded) {
-  return sharded ? std::to_string(v) : "null";
-}
-
-std::string parallelism_or_null(const ModeResult& m, bool sharded) {
-  if (!sharded) return "null";
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%.2f", event_parallelism(m));
-  return buf;
-}
-
-/// Per-shard wall-time phase breakdown (ms), or null for legacy mode. Like
-/// wall_ms this is host telemetry, not simulation output — BENCH_parsim
-/// consumers read the *shape* (who waited on whom), not the magnitudes.
+/// Per-shard wall-time phase breakdown (ms). Like wall_ms this is host
+/// telemetry, not simulation output — BENCH_parsim consumers read the
+/// *shape* (who waited on whom), not the magnitudes.
 std::string shard_profile_json(const ModeResult& m) {
-  if (m.profile.empty()) return "null";
   std::string out = "[";
   for (std::size_t s = 0; s < m.profile.size(); ++s) {
     const cni::sim::ShardProfile& p = m.profile[s];
@@ -267,25 +238,23 @@ void print_json(const std::vector<Point>& points) {
     const ModeResult& k1 = p.baseline();
     for (std::size_t i = 0; i < p.modes.size(); ++i) {
       const ModeResult& m = p.modes[i];
-      const bool sharded = m.shards > 0;
       // cores_limited: the wall number was taken with fewer host cores than
       // shard threads, so it understates what a wide host would measure.
-      const bool cores_limited = sharded && hw < m.shards;
+      const bool cores_limited = hw < m.shards;
       std::printf(
           "        \"%s\": {\"wall_ms\": %.2f, \"elapsed_cycles\": %llu, "
-          "\"epochs\": %s, \"events_total\": %s, "
-          "\"critical_path_events\": %s, \"fused_epochs\": %s, "
-          "\"barriers\": %s, \"event_parallelism\": %s, "
+          "\"epochs\": %llu, \"events_total\": %llu, "
+          "\"critical_path_events\": %llu, \"fused_epochs\": %llu, "
+          "\"barriers\": %llu, \"event_parallelism\": %.2f, "
           "\"wall_vs_k1\": %s, \"cores_limited\": %s, "
           "\"shard_profile\": %s}%s\n",
           m.name.c_str(), m.wall_ms,
           static_cast<unsigned long long>(m.elapsed_cycles),
-          u64_or_null(m.stats.epochs, sharded).c_str(),
-          u64_or_null(m.stats.events_total, sharded).c_str(),
-          u64_or_null(m.stats.critical_path_events, sharded).c_str(),
-          u64_or_null(m.stats.fused_epochs, sharded).c_str(),
-          u64_or_null(m.stats.barriers, sharded).c_str(),
-          parallelism_or_null(m, sharded).c_str(),
+          static_cast<unsigned long long>(m.stats.epochs),
+          static_cast<unsigned long long>(m.stats.events_total),
+          static_cast<unsigned long long>(m.stats.critical_path_events),
+          static_cast<unsigned long long>(m.stats.fused_epochs),
+          static_cast<unsigned long long>(m.stats.barriers), event_parallelism(m),
           speedup_or_null(k1.wall_ms / m.wall_ms, cores_limited).c_str(),
           cores_limited ? "true" : "false", shard_profile_json(m).c_str(),
           i + 1 < p.modes.size() ? "," : "");
@@ -308,7 +277,7 @@ void print_table(const Point& p) {
   const unsigned hw = std::thread::hardware_concurrency();
   bool any_limited = false;
   for (const ModeResult& m : p.modes) {
-    const bool cores_limited = m.shards > 0 && hw < m.shards;
+    const bool cores_limited = hw < m.shards;
     char speedup[32];
     if (cores_limited) {
       std::snprintf(speedup, sizeof speedup, "n/a*");
@@ -392,7 +361,7 @@ int main(int argc, char** argv) {
   // first-touch page fault while later runs reuse warm allocator arenas —
   // tens of seconds of pure memory-system bias at the full jacobi size. One
   // untimed warm-up run per point pays that cost before anything is timed.
-  constexpr ModeSpec kWarmup{"warmup", 1, true, true};
+  constexpr ModeSpec kWarmup{"warmup", 1};
 
   if (point_wanted("pingpong")) {
     Point ping;
@@ -421,7 +390,7 @@ int main(int argc, char** argv) {
   if (json) {
     print_json(points);
   } else {
-    std::printf("micro_parsim: legacy vs sharded event engines, %u processors\n",
+    std::printf("micro_parsim: epoch scheduler at K = 1, 2, 4, %u processors\n",
                 processors);
     for (const Point& p : points) print_table(p);
     std::printf(

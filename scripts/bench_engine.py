@@ -191,44 +191,42 @@ def write_obs() -> None:
     print(f"wrote {path}")
 
 
-PARSIM_SCHEMA_VERSION = 4
+PARSIM_SCHEMA_VERSION = 5
 
-# Per-mode fields micro_parsim --json must emit. The epoch statistics are
-# null (not 0) in legacy mode — a single-engine run has no epochs, and the
-# v1 report's `"epochs": 0` next to `"wall_speedup_vs_k1": 0.8` read like a
-# regression instead of a non-measurement. Schema v3 extends the same rule to
-# wall_vs_k1: on a host with fewer cores than shard threads the ratio
-# measures scheduler thrash, so the emitter writes null and sets
-# cores_limited — a quotable number and the flag that disqualifies it can
-# never coexist. Schema v4 adds shard_profile: per-shard wall-time phase
-# attribution (idle/busy/drain/barrier_wait/fused_window) from the shard
-# execution profiler — null in legacy mode, one entry per shard otherwise —
-# so the wall_vs_k1-vs-event_parallelism gap finally has a breakdown.
-PARSIM_EPOCH_FIELDS = ("epochs", "events_total", "critical_path_events",
-                       "fused_epochs", "barriers", "event_parallelism")
+# Per-mode fields micro_parsim --json must emit. wall_vs_k1 is null on a
+# host with fewer cores than shard threads (the ratio measures scheduler
+# thrash there), and cores_limited says so — a quotable number and the flag
+# that disqualifies it can never coexist. shard_profile is the per-shard
+# wall-time phase attribution (idle/busy/drain/barrier_wait/fused_window)
+# from the shard execution profiler, one entry per shard, so the
+# wall_vs_k1-vs-event_parallelism gap has a breakdown. Schema v5 dropped
+# the legacy single-engine mode (and with it every null epoch statistic)
+# and the k4-nofuse mode.
 PARSIM_MODE_FIELDS = ("wall_ms", "elapsed_cycles", "wall_vs_k1",
-                      "cores_limited", "shard_profile") + PARSIM_EPOCH_FIELDS
+                      "cores_limited", "shard_profile", "epochs",
+                      "events_total", "critical_path_events", "fused_epochs",
+                      "barriers", "event_parallelism")
 PARSIM_PROFILE_FIELDS = ("shard", "idle_ms", "busy_ms", "drain_ms",
                          "barrier_wait_ms", "fused_window_ms", "transitions")
 
 
 def validate_parsim(report: dict) -> None:
-    """Shape contract for BENCH_parsim.json points (schema v3): every point
-    carries num_cpus, every mode wall_vs_k1 + cores_limited, the epoch stats
-    are null exactly in legacy mode, and wall_vs_k1 is null exactly when the
-    run was cores_limited. Raises ValueError on violation so a drifting
-    micro_parsim emitter can't silently corrupt the pinned file."""
+    """Shape contract for BENCH_parsim.json points (schema v5): every point
+    carries num_cpus, every mode all PARSIM_MODE_FIELDS measured (only
+    wall_vs_k1 may be null, exactly when the run was cores_limited) and one
+    shard_profile entry per shard. Raises ValueError on violation so a
+    drifting micro_parsim emitter can't silently corrupt the pinned file."""
     for pname, point in report["points"].items():
         where = f"points.{pname}"
         if not isinstance(point.get("num_cpus"), int):
             raise ValueError(f"{where}: missing integer num_cpus")
         for mname, mode in point["modes"].items():
             mwhere = f"{where}.modes.{mname}"
-            if "wall_speedup_vs_k1" in mode:
-                raise ValueError(f"{mwhere}: stale v1 field wall_speedup_vs_k1")
             for field in PARSIM_MODE_FIELDS:
                 if field not in mode:
                     raise ValueError(f"{mwhere}: missing {field}")
+                if field != "wall_vs_k1" and mode[field] is None:
+                    raise ValueError(f"{mwhere}: {field} must be measured")
             if not isinstance(mode["cores_limited"], bool):
                 raise ValueError(f"{mwhere}: cores_limited must be boolean")
             if mode["cores_limited"] and mode["wall_vs_k1"] is not None:
@@ -238,39 +236,21 @@ def validate_parsim(report: dict) -> None:
             if not mode["cores_limited"] and mode["wall_vs_k1"] is None:
                 raise ValueError(
                     f"{mwhere}: wall_vs_k1 missing on a full-width run")
-            is_legacy = mname == "legacy"
-            for field in PARSIM_EPOCH_FIELDS:
-                if is_legacy and mode[field] is not None:
-                    raise ValueError(
-                        f"{mwhere}: {field} must be null in legacy mode")
-                if not is_legacy and mode[field] is None:
-                    raise ValueError(
-                        f"{mwhere}: {field} must be measured in sharded mode")
             profile = mode["shard_profile"]
-            if is_legacy:
-                if profile is not None:
-                    raise ValueError(
-                        f"{mwhere}: shard_profile must be null in legacy mode")
-            else:
-                if not isinstance(profile, list) or not profile:
-                    raise ValueError(
-                        f"{mwhere}: shard_profile must be a non-empty list")
-                # Mode names encode the shard count ("k4-nofuse" -> 4): one
-                # profile entry per shard, indexed densely from 0.
-                want = int(mname[1:].split("-")[0]) if mname[1:2].isdigit() else None
-                if want is not None and len(profile) != want:
-                    raise ValueError(
-                        f"{mwhere}: shard_profile has {len(profile)} entries, "
-                        f"expected {want}")
-                for idx, slot in enumerate(profile):
-                    for field in PARSIM_PROFILE_FIELDS:
-                        if field not in slot:
-                            raise ValueError(
-                                f"{mwhere}.shard_profile[{idx}]: missing {field}")
-                    if slot["shard"] != idx:
+            # Mode names encode the shard count ("k4" -> 4): one profile
+            # entry per shard, indexed densely from 0.
+            if not isinstance(profile, list) or len(profile) != int(mname[1:]):
+                raise ValueError(
+                    f"{mwhere}: shard_profile must list one entry per shard")
+            for idx, slot in enumerate(profile):
+                for field in PARSIM_PROFILE_FIELDS:
+                    if field not in slot:
                         raise ValueError(
-                            f"{mwhere}.shard_profile[{idx}]: shard index "
-                            f"{slot['shard']} out of order")
+                            f"{mwhere}.shard_profile[{idx}]: missing {field}")
+                if slot["shard"] != idx:
+                    raise ValueError(
+                        f"{mwhere}.shard_profile[{idx}]: shard index "
+                        f"{slot['shard']} out of order")
 
 
 def warn_cores_limited(report: dict, what: str) -> None:
@@ -292,17 +272,26 @@ def warn_cores_limited(report: dict, what: str) -> None:
         print(f"WARNING: affected: {', '.join(limited)}", file=sys.stderr)
 
 
+# micro_parsim's default 256-proc Jacobi point peaks near 12.5 GB of RSS and
+# is OOM-killed at K = 4 on a 16 GB host until DSM protocol state is bounded
+# (ROADMAP item 4), so the Jacobi point runs at 128 procs; pingpong keeps the
+# binary's 256-proc default.
+PARSIM_RUNS = (["--point=pingpong"], ["--point=jacobi", "--procs=128"])
+
+
 def write_parsim() -> None:
     # micro_parsim is a plain binary (no google-benchmark), so the context
     # block is assembled here. It also CNI_CHECKs in-process that every
-    # sharded mode produced the same simulated-cycle count.
-    out = subprocess.run(
-        [str(BUILD / "bench" / "micro_parsim"), "--json"],
-        check=True,
-        capture_output=True,
-        text=True,
-    ).stdout
-    report = json.loads(out)
+    # shard count produced the same simulated-cycle count.
+    report = {"points": {}}
+    for args in PARSIM_RUNS:
+        out = subprocess.run(
+            [str(BUILD / "bench" / "micro_parsim"), "--json", *args],
+            check=True,
+            capture_output=True,
+            text=True,
+        ).stdout
+        report["points"].update(json.loads(out)["points"])
     validate_parsim(report)
     warn_cores_limited(report, "BENCH_parsim")
 

@@ -34,7 +34,7 @@ struct RunResult {
   sim::NodeStats totals;             ///< summed over nodes
   obs::Snapshot snapshot;            ///< per-node metrics (+ trace when enabled)
   double hit_ratio_pct = 0;          ///< network cache hit ratio (paper's term)
-  sim::EpochStats parsim;            ///< sharded-mode epoch counts (zeros in legacy mode)
+  sim::EpochStats parsim;            ///< epoch/event counts of the epoch scheduler
 
   // Per-processor averages in units of 1e9 cycles (the paper's Tables 2-4).
   double compute_e9 = 0;

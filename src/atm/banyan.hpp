@@ -42,7 +42,7 @@ class BanyanSwitch {
 
   /// Total time bursts spent queued due to output contention (for stats).
   /// Summed over lanes; call only while no concurrent route() is running
-  /// (legacy mode, or at/after an epoch barrier).
+  /// (at or after an epoch barrier).
   [[nodiscard]] sim::SimDuration contention_time() const;
   [[nodiscard]] std::uint64_t bursts_routed() const;
 

@@ -20,15 +20,29 @@ bool canonical_less(const WireTransfer& a, const WireTransfer& b) {
 
 }  // namespace
 
-Fabric::Fabric(sim::Engine& engine, const FabricParams& params)
-    : engine_(engine),
-      params_(params),
+Fabric::Fabric(const FabricParams& params, const sim::ShardPlan& plan,
+               std::span<sim::Engine* const> engines, sim::FusionLedger& ledger)
+    : params_(params),
       geometry_(params.cell_mode),
       topology_(make_topology(params)),
       uplinks_(params.switch_ports),
       downlinks_(params.switch_ports),
-      hooks_(params.switch_ports),
-      lanes_(1) {}
+      hooks_(plan.nodes),
+      local_ok_(topology_->concurrent_local_routing(plan)),
+      ledger_(ledger),
+      engine_of_node_(plan.nodes),
+      shard_of_node_(plan.nodes),
+      send_seq_(plan.nodes, 0),
+      outboxes_(plan.shards),
+      lanes_(plan.shards) {
+  CNI_CHECK_MSG(plan.nodes <= params.switch_ports, "more nodes than switch ports");
+  CNI_CHECK(engines.size() == plan.shards);
+  for (std::uint32_t i = 0; i < plan.nodes; ++i) {
+    shard_of_node_[i] = plan.shard_of(i);
+    engine_of_node_[i] = engines[shard_of_node_[i]];
+  }
+  topology_->set_lanes(plan.shards);
+}
 
 const BanyanSwitch& Fabric::fabric_switch() const {
   const BanyanSwitch* sw = topology_->single_stage();
@@ -37,7 +51,7 @@ const BanyanSwitch& Fabric::fabric_switch() const {
 }
 
 void Fabric::attach(NodeId node, DeliveryHook hook) {
-  CNI_CHECK(node < hooks_.size());
+  CNI_CHECK_MSG(node < hooks_.size(), "node outside the shard plan");
   CNI_CHECK_MSG(hooks_[node] == nullptr, "node already attached to fabric");
   hooks_[node] = std::move(hook);
 }
@@ -71,31 +85,8 @@ sim::LookaheadMatrix Fabric::lookahead_matrix(const sim::ShardPlan& plan) const 
   return m;
 }
 
-void Fabric::enable_sharding(std::vector<sim::Engine*> engine_of_node,
-                             std::vector<std::uint32_t> shard_of_node,
-                             const sim::ShardPlan& plan, sim::FusionLedger* ledger) {
-  CNI_CHECK_MSG(!sharded_, "fabric sharding enabled twice");
-  CNI_CHECK_MSG(frames_sent() == 0, "cannot enable sharding after traffic started");
-  CNI_CHECK(engine_of_node.size() == hooks_.size() &&
-            shard_of_node.size() == hooks_.size() && plan.shards >= 1);
-  // Held by protocol: sharding is enabled once at cluster setup, before any
-  // worker thread exists, so the setup thread owns every role.
-  barrier_role.assert_held();
-  lane_role.assert_held();
-  sharded_ = true;
-  local_ok_ = topology_->concurrent_local_routing(plan);
-  shards_ = plan.shards;
-  ledger_ = ledger;
-  engine_of_node_ = std::move(engine_of_node);
-  shard_of_node_ = std::move(shard_of_node);
-  send_seq_.assign(hooks_.size(), 0);
-  outboxes_.resize(shards_);
-  lanes_.resize(shards_);
-  topology_->set_lanes(shards_);
-}
-
-sim::SimTime Fabric::route_and_schedule(sim::SimTime head, sim::SimDuration burst,
-                                        Frame frame, std::uint32_t lane) {
+void Fabric::route_and_schedule(sim::SimTime head, sim::SimDuration burst, Frame frame,
+                                std::uint32_t lane) {
   const NodeId dst = frame.dst;
   // Cut-through: the burst's head crosses the fabric stage by stage (or hop
   // by hop), delayed by contention with earlier bursts sharing a resource.
@@ -143,22 +134,17 @@ sim::SimTime Fabric::route_and_schedule(sim::SimTime head, sim::SimDuration burs
   // flattened Parts (FrameTask): it fits InlineFn's inline buffer and shares
   // the pooled payload by refcount instead of copying the Frame into a
   // heap-allocated closure. hooks_ is sized once in the constructor, so the
-  // element address is stable across the event's lifetime. Sharded mode uses
-  // the biased delivery sequence so same-instant ties against node-local
-  // events resolve by content, not by epoch schedule (DESIGN.md §12).
+  // element address is stable across the event's lifetime. The biased
+  // delivery sequence makes same-instant ties against node-local events
+  // resolve by content, not by epoch schedule (DESIGN.md §12).
   FrameTask task([hook = &hooks_[dst]](Frame f) { (*hook)(std::move(f)); },
                  std::move(frame));
-  if (sharded_) {
-    engine_of_node_[dst]->schedule_delivery(arrival, std::move(task));
-  } else {
-    engine_.schedule_at(arrival, std::move(task));
-  }
-  return arrival;
+  engine_of_node_[dst]->schedule_delivery(arrival, std::move(task));
 }
 
 DeliveryTiming Fabric::send(sim::SimTime ready, Frame frame) {
   // Held by protocol: a send executes on the sending node's owning shard
-  // (its events live on that shard's engine); legacy mode is one thread.
+  // (its events live on that shard's engine).
   lane_role.assert_held();
   const NodeId src = frame.src;
   const NodeId dst = frame.dst;
@@ -173,7 +159,7 @@ DeliveryTiming Fabric::send(sim::SimTime ready, Frame frame) {
 
   // Uplink: the frame's cells serialize back-to-back once the link frees up
   // (ServiceQueue::occupy starts the job when the link drains). The uplink
-  // is source-local state, so this side runs at send time in both modes.
+  // is source-local state, so this side runs at send time.
   const sim::SimTime up_done = uplinks_[src].occupy(ready, serialization);
   const sim::SimTime up_start = up_done - serialization;
   t.first_bit_out = up_start;
@@ -190,33 +176,28 @@ DeliveryTiming Fabric::send(sim::SimTime ready, Frame frame) {
     frame.fab = b.pack();
   }
 
-  if (sharded_) {
-    // The switch and downlink are cross-node resources: defer the traversal
-    // and replay it in canonical (head, src, seq) order later. Intra-shard
-    // transfers park in the shard's private local queue when the topology
-    // granted concurrent local routing (the shard routes them itself
-    // mid-epoch: their paths are disjoint from every other shard's);
-    // everything else goes to the outbox for the
-    // next barrier drain and is recorded in the fusion ledger, whose stop
-    // rule ends a fused epoch before the delivery could be missed.
-    const std::uint32_t ss = shard_of_node_[src];
-    WireTransfer w;
-    w.head = head;
-    w.burst = serialization;
-    w.seq = ++send_seq_[src];
-    w.frame = std::move(frame);
-    if (local_ok_ && shard_of_node_[dst] == ss) {
-      Lane& l = lanes_[ss];
-      if (w.head < l.fresh_min) l.fresh_min = w.head;
-      l.fresh.push_back(std::move(w));
-    } else {
-      if (ledger_ != nullptr) ledger_->note_send(up_start);
-      outboxes_[ss].push_back(std::move(w));
-    }
-    return t;
+  // The switch and downlink are cross-node resources: defer the traversal
+  // and replay it in canonical (head, src, seq) order later — first come,
+  // first served at the switch. Intra-shard transfers park in the shard's
+  // private local queue when the topology granted concurrent local routing
+  // (the shard routes them itself mid-epoch: their paths are disjoint from
+  // every other shard's); everything else goes to the outbox for the next
+  // barrier drain and is recorded in the fusion ledger, whose stop rule ends
+  // a fused epoch before the delivery could be missed.
+  const std::uint32_t ss = shard_of_node_[src];
+  WireTransfer w;
+  w.head = head;
+  w.burst = serialization;
+  w.seq = ++send_seq_[src];
+  w.frame = std::move(frame);
+  if (local_ok_ && shard_of_node_[dst] == ss) {
+    Lane& l = lanes_[ss];
+    if (w.head < l.fresh_min) l.fresh_min = w.head;
+    l.fresh.push_back(std::move(w));
+  } else {
+    ledger_.note_send(up_start);
+    outboxes_[ss].push_back(std::move(w));
   }
-
-  t.arrival = route_and_schedule(head, serialization, std::move(frame), 0);
   return t;
 }
 

@@ -5,12 +5,15 @@
 // serialization (with the per-cell header tax), propagation, topology
 // traversal with contention (single-stage banyan by default; Clos and torus
 // via FabricParams::topology), downlink occupancy — and schedules the
-// delivery callback at the receiving NIC.
+// delivery callback at the receiving NIC. The uplink is charged at send
+// time; the switch and downlink legs are replayed later, in head-arrival
+// order, by the epoch scheduler's drains (DESIGN.md §12).
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "atm/cell.hpp"
@@ -23,15 +26,12 @@
 
 namespace cni::atm {
 
-/// Timing of one frame's journey, returned to the sending NIC.
+/// Source-side timing of one frame, returned to the sending NIC. The arrival
+/// time is unknown at send time — the switch is traversed at the next drain —
+/// and senders consume only these fields, which is what makes buffering the
+/// traversal legal at all.
 struct DeliveryTiming {
   sim::SimTime first_bit_out = 0;  ///< when serialization onto the uplink began
-  /// When the last bit reaches the dst NIC. In sharded mode the switch is
-  /// traversed at the next epoch barrier (or the owning shard's next fused
-  /// sub-window), so `arrival` is 0 (unknown at send time); senders only
-  /// consume the source-side fields, which is what makes buffering the
-  /// traversal legal at all.
-  sim::SimTime arrival = 0;
   std::uint64_t cells = 0;
   std::uint64_t wire_bytes = 0;
 };
@@ -58,11 +58,17 @@ class Fabric {
   // cluster setup; per-event delivery captures only its address (FrameTask).
   using DeliveryHook = std::function<void(Frame)>;
 
-  Fabric(sim::Engine& engine, const FabricParams& params);
+  /// Node i (i < plan.nodes) runs on engines[plan.shard_of(i)]: its
+  /// deliveries are scheduled there and its sends buffer per that shard.
+  /// Every barrier-requiring send is recorded in `ledger`, which ends fused
+  /// epochs (sim::FusionLedger). `engines` and `ledger` must outlive the
+  /// fabric.
+  Fabric(const FabricParams& params, const sim::ShardPlan& plan,
+         std::span<sim::Engine* const> engines, sim::FusionLedger& ledger);
 
   // ---- Protocol roles (Clang thread-safety capabilities, DESIGN.md §13) --
   //
-  // The fabric has no locks; its sharded-mode safety argument is ownership:
+  // The fabric has no locks; its safety argument is ownership:
   // send-side state belongs to the sending node's shard during an epoch, the
   // merged pending set belongs to the coordinator at barriers. The two roles
   // are public so the epoch machinery (cluster.cpp's drain hooks) can assert
@@ -83,16 +89,15 @@ class Fabric {
   /// Registers the receive hook for a node (its NIC's reassembly input).
   void attach(NodeId node, DeliveryHook hook);
 
-  /// Sends `frame`, whose serialization onto the uplink may start at `ready`.
-  /// Legacy mode: routes through the topology and schedules delivery at the
-  /// destination immediately. Sharded mode: occupies the uplink (source-local
-  /// state) and buffers a WireTransfer — into the shard's private local queue
-  /// when source and destination share a shard and the topology granted
-  /// concurrent local routing for the plan, into the shard's outbox
-  /// (recording the send in the fusion ledger) otherwise.
+  /// Sends `frame`, whose serialization onto the uplink may start at `ready`:
+  /// occupies the uplink (source-local state) and buffers a WireTransfer —
+  /// into the shard's private local queue when source and destination share
+  /// a shard and the topology granted concurrent local routing for the plan,
+  /// into the shard's outbox (recording the send in the fusion ledger)
+  /// otherwise. The switch and downlink legs run at the next drain.
   DeliveryTiming send(sim::SimTime ready, Frame frame);
 
-  // ---- Sharded operation (see sim/sharded.hpp, DESIGN.md §12) ----
+  // ---- Epoch scheduling (see sim/sharded.hpp, DESIGN.md §12) ----
 
   /// Minimum cross-node latency the epoch scheduler may exploit: a send
   /// event at t cannot affect another node before t + min_lookahead(). The
@@ -119,15 +124,6 @@ class Fabric {
   /// exploits them with no further changes.
   [[nodiscard]] sim::LookaheadMatrix lookahead_matrix(const sim::ShardPlan& plan) const;
 
-  /// Switches the fabric into sharded mode: node i's deliveries are
-  /// scheduled on engine_of_node[i], and sends from node i buffer into the
-  /// outbox (or local queue) of shard_of_node[i]. When `ledger` is non-null
-  /// every barrier-requiring send is recorded there, enabling epoch fusion.
-  /// Call once, before any traffic.
-  void enable_sharding(std::vector<sim::Engine*> engine_of_node,
-                       std::vector<std::uint32_t> shard_of_node,
-                       const sim::ShardPlan& plan, sim::FusionLedger* ledger);
-
   /// Epoch-barrier drain. Single-threaded (barriers order it against all
   /// shard execution): flushes every outbox *and* every shard-local queue
   /// into the pending set with one size-reserved sorted merge (no
@@ -150,7 +146,6 @@ class Fabric {
   /// Owner-shard only, like local_drain.
   [[nodiscard]] sim::SimTime local_pending_min(std::uint32_t shard) const;
 
-  [[nodiscard]] bool sharded() const { return sharded_; }
   [[nodiscard]] std::uint64_t frames_sent() const;
   [[nodiscard]] std::uint64_t cells_sent() const;
   [[nodiscard]] const Topology& topology() const { return *topology_; }
@@ -174,44 +169,40 @@ class Fabric {
     std::vector<WireTransfer> scratch;
   };
 
-  /// The switch-to-NIC leg shared by both modes: topology traversal,
-  /// downlink occupancy, delivery event. `lane` charges the statistics
-  /// tallies; the coordinator's barrier drains use lane 0, shard s's local
-  /// drains lane s (sound: barrier drains never run concurrently with
-  /// anything, and local drains of different shards touch disjoint
-  /// resources).
-  sim::SimTime route_and_schedule(sim::SimTime head, sim::SimDuration burst, Frame frame,
-                                  std::uint32_t lane) CNI_REQUIRES(lane_role);
+  /// The switch-to-NIC leg: topology traversal, downlink occupancy,
+  /// delivery event. `lane` charges the statistics tallies; the
+  /// coordinator's barrier drains use lane 0, shard s's local drains lane s
+  /// (sound: barrier drains never run concurrently with anything, and local
+  /// drains of different shards touch disjoint resources).
+  void route_and_schedule(sim::SimTime head, sim::SimDuration burst, Frame frame,
+                          std::uint32_t lane) CNI_REQUIRES(lane_role);
 
   /// Folds a lane's fresh appends into its sorted queue (canonical order).
   void merge_lane(Lane& lane) CNI_REQUIRES(lane_role);
 
-  sim::Engine& engine_;
   FabricParams params_;
   CellGeometry geometry_;
   std::unique_ptr<Topology> topology_;
   std::vector<sim::ServiceQueue> uplinks_;
   std::vector<sim::ServiceQueue> downlinks_;
   std::vector<DeliveryHook> hooks_;
-  // Sharded mode. Each outbox/lane is touched only by its own shard's worker
-  // during an epoch and consumed only at barriers (except the lane's local
-  // queue, drained by its own shard); the epoch machinery's release/acquire
-  // edges are the happens-before between the two sides.
-  bool sharded_ = false;
+  // Each outbox/lane is touched only by its own shard's worker during an
+  // epoch and consumed only at barriers (except the lane's local queue,
+  // drained by its own shard); the epoch machinery's release/acquire edges
+  // are the happens-before between the two sides.
   /// Topology granted concurrent_local_routing(plan): local fast path on.
-  bool local_ok_ = false;
-  std::uint32_t shards_ = 1;
-  sim::FusionLedger* ledger_ = nullptr;
+  bool local_ok_;
+  sim::FusionLedger& ledger_;
   std::vector<sim::Engine*> engine_of_node_;
   std::vector<std::uint32_t> shard_of_node_;
   // per source node
   std::vector<std::uint64_t> send_seq_ CNI_GUARDED_BY(lane_role);
   // per source shard
   std::vector<std::vector<WireTransfer>> outboxes_ CNI_GUARDED_BY(lane_role);
-  // Per shard; lane 0 in legacy mode. Unguarded on purpose: element s is
-  // per-shard state like outboxes_, but frames_sent()/cells_sent() read all
-  // lanes role-free at quiescence (per-element guarding is beyond the
-  // annotation language — merge_lane/local_drain's REQUIRES carry it).
+  // Per shard. Unguarded on purpose: element s is per-shard state like
+  // outboxes_, but frames_sent()/cells_sent() read all lanes role-free at
+  // quiescence (per-element guarding is beyond the annotation language —
+  // merge_lane/local_drain's REQUIRES carry it).
   std::vector<Lane> lanes_;
   std::vector<WireTransfer> pending_ CNI_GUARDED_BY(barrier_role);  // canonical order
   std::size_t pending_pos_ CNI_GUARDED_BY(barrier_role) = 0;  // routed prefix

@@ -4,7 +4,6 @@
 #include <string>
 #include <thread>
 
-#include "util/buf_pool.hpp"
 #include "util/check.hpp"
 #include "util/log.hpp"
 
@@ -20,13 +19,35 @@ std::uint64_t engine_now(void* ctx) { return static_cast<sim::Engine*>(ctx)->now
 /// show event-parallelism grows with nodes per shard (intra-block DSM
 /// traffic dominates, and with epoch fusion it costs no barrier at all), so
 /// once blocks shrink to one node the extra threads only buy rendezvous
-/// overhead. Safe to resolve per host because sharded artifacts are
-/// byte-identical for every K — auto-tune changes wall clock, nothing else.
+/// overhead. Safe to resolve per host because artifacts are byte-identical
+/// for every K — auto-tune changes wall clock, nothing else.
 std::uint32_t auto_sim_shards(std::uint32_t processors) {
   const unsigned hw = std::thread::hardware_concurrency();  // 0 when unknown
   std::uint32_t k = 1;
   while (2 * k <= hw && 4 * k <= processors) k *= 2;
   return k;
+}
+
+/// Contiguous node blocks per shard (DESIGN.md §12), K resolved from params.
+sim::ShardPlan plan_for(const SimParams& params) {
+  const std::uint32_t requested = params.sim_shards == kAutoShards
+                                      ? auto_sim_shards(params.processors)
+                                      : params.sim_shards;
+  return sim::ShardPlan::balanced(params.processors, requested);
+}
+
+std::vector<std::unique_ptr<sim::Engine>> make_engines(std::uint32_t n) {
+  std::vector<std::unique_ptr<sim::Engine>> engines;
+  engines.reserve(n);
+  for (std::uint32_t s = 0; s < n; ++s) engines.push_back(std::make_unique<sim::Engine>());
+  return engines;
+}
+
+std::vector<sim::Engine*> raw_engines(const std::vector<std::unique_ptr<sim::Engine>>& owned) {
+  std::vector<sim::Engine*> engines;
+  engines.reserve(owned.size());
+  for (const std::unique_ptr<sim::Engine>& e : owned) engines.push_back(e.get());
+  return engines;
 }
 
 }  // namespace
@@ -57,51 +78,26 @@ core::CniBoard& Node::cni() {
 
 Cluster::Cluster(const SimParams& params)
     : params_(params),
-      engine_(),
-      fabric_(engine_, params.fabric),
+      plan_(plan_for(params)),
+      shard_engines_(make_engines(plan_.shards)),
+      engines_(raw_engines(shard_engines_)),
+      fabric_(params.fabric, plan_, engines_, fusion_ledger_),
       stats_(params.processors),
       obs_(params.processors, params.obs) {
   CNI_CHECK_MSG(params.processors >= 1, "a cluster needs at least one node");
-  CNI_CHECK_MSG(params.processors <= params.fabric.switch_ports,
-                "more nodes than switch ports");
-  if (params.sim_shards > 0) {
-    // Parallel-in-run mode (DESIGN.md §12): contiguous node blocks per shard,
-    // one private engine each. The fabric learns the mapping so deliveries
-    // land on the destination node's shard and sends buffer per source shard.
-    const std::uint32_t requested = params.sim_shards == kAutoShards
-                                        ? auto_sim_shards(params.processors)
-                                        : params.sim_shards;
-    plan_ = sim::ShardPlan::balanced(params.processors, requested);
-    shard_engines_.reserve(plan_.shards);
-    for (std::uint32_t s = 0; s < plan_.shards; ++s) {
-      shard_engines_.push_back(std::make_unique<sim::Engine>());
-    }
-    std::vector<sim::Engine*> engine_of_node(params.fabric.switch_ports, nullptr);
-    std::vector<std::uint32_t> shard_of_node(params.fabric.switch_ports, 0);
-    for (std::uint32_t i = 0; i < params.processors; ++i) {
-      shard_of_node[i] = plan_.shard_of(i);
-      engine_of_node[i] = shard_engines_[shard_of_node[i]].get();
-    }
-    fabric_.enable_sharding(std::move(engine_of_node), std::move(shard_of_node), plan_,
-                            params.sim_fusion ? &fusion_ledger_ : nullptr);
-  }
   for (std::uint32_t i = 0; i < params.processors; ++i) {
     obs_.bind_node_stats(i, stats_.node(i));
-    sim::Engine& node_engine =
-        sharded() ? *shard_engines_[plan_.shard_of(i)] : engine_;
-    nodes_.push_back(std::make_unique<Node>(node_engine, fabric_, params_, i,
-                                            stats_.node(i), &obs_.node(i)));
+    nodes_.push_back(std::make_unique<Node>(*engines_[plan_.shard_of(i)], fabric_, params_,
+                                            i, stats_.node(i), &obs_.node(i)));
   }
 }
 
 sim::SimTime Cluster::run(util::FunctionRef<void(std::size_t, sim::SimThread&)> body) {
   // Every log line emitted while the engine runs carries its simulated time.
   // Thread-local install: parallel sweep jobs each stamp with their own
-  // engine's clock; in sharded mode the coordinator runs shard 0 inline and
-  // each worker thread installs its own shard's hook.
-  const util::ScopedLogTime log_time(
-      &engine_now, sharded() ? static_cast<void*>(shard_engines_.front().get())
-                             : static_cast<void*>(&engine_));
+  // engine's clock; the coordinator runs shard 0 inline and each worker
+  // thread installs its own shard's hook.
+  const util::ScopedLogTime log_time(&engine_now, engines_.front());
   std::vector<std::unique_ptr<sim::SimThread>> threads;
   std::vector<sim::SimTime> finish(nodes_.size(), 0);
   threads.reserve(nodes_.size());
@@ -115,38 +111,22 @@ sim::SimTime Cluster::run(util::FunctionRef<void(std::size_t, sim::SimThread&)> 
         },
         /*start=*/0, params_.thread_stack_bytes));
   }
-  if (sharded()) {
-    epoch_stats_ = sim::EpochStats{};
-    std::vector<sim::Engine*> engines;
-    engines.reserve(shard_engines_.size());
-    for (const std::unique_ptr<sim::Engine>& e : shard_engines_) {
-      engines.push_back(e.get());
-    }
-    sim::EpochParams ep;
-    ep.lookahead = fabric_.min_lookahead();
-    ep.drain_horizon = fabric_.drain_horizon();
-    ep.pending_bound = fabric_.pending_bound();
-    sim::LookaheadMatrix matrix;
-    const sim::LookaheadMatrix* mp = nullptr;
-    if (params_.sim_pair_lookahead) {
-      matrix = fabric_.lookahead_matrix(plan_);
-      mp = &matrix;
-    }
-    // Named lambdas: FusedHooks borrows them for the whole run_epochs call.
-    auto local_drain = [this](std::uint32_t s, sim::SimTime limit) {
-      return fabric_.local_drain(s, limit);
-    };
-    auto local_min = [this](std::uint32_t s) { return fabric_.local_pending_min(s); };
-    const sim::FusedHooks hooks{local_drain, local_min,
-                                params_.sim_fusion ? &fusion_ledger_ : nullptr};
-    if (shard_prof_ != nullptr) shard_prof_->enable(plan_.shards);
-    sim::run_epochs(engines, ep, mp, hooks,
-                    [this](sim::SimTime limit) { return fabric_.drain(limit); },
-                    &epoch_stats_, shard_prof_);
-    if (shard_prof_ != nullptr) shard_prof_->finish();
-  } else {
-    engine_.run();
-  }
+  epoch_stats_ = sim::EpochStats{};
+  sim::EpochParams ep;
+  ep.lookahead = fabric_.min_lookahead();
+  ep.drain_horizon = fabric_.drain_horizon();
+  ep.pending_bound = fabric_.pending_bound();
+  // Named lambdas: FusedHooks borrows them for the whole run_epochs call.
+  auto local_drain = [this](std::uint32_t s, sim::SimTime limit) {
+    return fabric_.local_drain(s, limit);
+  };
+  auto local_min = [this](std::uint32_t s) { return fabric_.local_pending_min(s); };
+  const sim::FusedHooks hooks{local_drain, local_min, fusion_ledger_};
+  if (shard_prof_ != nullptr) shard_prof_->enable(plan_.shards);
+  sim::run_epochs(engines_, ep, fabric_.lookahead_matrix(plan_), hooks,
+                  [this](sim::SimTime limit) { return fabric_.drain(limit); },
+                  &epoch_stats_, shard_prof_);
+  if (shard_prof_ != nullptr) shard_prof_->finish();
 
   for (std::size_t i = 0; i < threads.size(); ++i) {
     if (!threads[i]->finished()) {
@@ -209,19 +189,6 @@ obs::Snapshot Cluster::snapshot() const {
       src.ring().for_each([&node](const obs::TraceRecord& r) { node.trace.push_back(r); });
     }
     snap.nodes.push_back(std::move(node));
-  }
-  if (!sharded()) {
-    // Advisory allocator telemetry. In sharded mode the pool's thread-local
-    // caches are spread over the worker threads, so the coordinator's local()
-    // view depends on the shard count and worker scheduling; omit it to keep
-    // run reports byte-identical for every K.
-    const util::BufPool::Stats bp = util::BufPool::local().stats();
-    snap.bufpool.sampled = true;
-    snap.bufpool.hits = bp.hits;
-    snap.bufpool.misses = bp.misses;
-    snap.bufpool.refurbished = bp.refurbished;
-    snap.bufpool.remote_frees = bp.remote_frees;
-    snap.bufpool.outstanding = bp.outstanding;
   }
   return snap;
 }

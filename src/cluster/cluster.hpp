@@ -2,8 +2,8 @@
 //
 // Builds, per node: memory bus + page table + host CPU + a network board
 // (CNI or standard, per SimParams::board), all attached to a shared banyan
-// fabric; then runs one simulated thread per node and settles the
-// computation/overhead/delay accounts.
+// fabric; then runs one simulated thread per node on the epoch scheduler
+// (sim::run_epochs) and settles the computation/overhead/delay accounts.
 #pragma once
 
 #include <memory>
@@ -34,10 +34,8 @@ class Node {
   [[nodiscard]] HostCpu& cpu() { return cpu_; }
   [[nodiscard]] nic::NicBoard& board() { return *board_; }
 
-  /// The engine this node's events run on: the cluster engine in legacy
-  /// mode, the owning shard's engine in sharded mode. Node-local scheduling
-  /// (board dispatch, DSM handlers) must go through this, never through a
-  /// cluster-global engine.
+  /// The engine this node's events run on: its shard's engine. Node-local
+  /// scheduling (board dispatch, DSM handlers) must go through this.
   [[nodiscard]] sim::Engine& engine() { return engine_; }
 
   /// The board as a CniBoard; check-fails on a standard-NIC cluster.
@@ -58,28 +56,26 @@ class Cluster {
   explicit Cluster(const SimParams& params);
 
   [[nodiscard]] const SimParams& params() const { return params_; }
-  /// The legacy single-engine heap. Valid only when !sharded(); sharded
-  /// callers must go through Node::engine() (per-shard heaps).
-  [[nodiscard]] sim::Engine& engine() { return engine_; }
+  /// Shard 0's engine. Nodes of other shards schedule elsewhere: go through
+  /// Node::engine() for anything node-local.
+  [[nodiscard]] sim::Engine& engine() { return *engines_.front(); }
   [[nodiscard]] atm::Fabric& fabric() { return fabric_; }
   [[nodiscard]] std::size_t size() const { return nodes_.size(); }
   [[nodiscard]] Node& node(std::size_t i) { return *nodes_.at(i); }
   [[nodiscard]] sim::StatsRegistry& stats() { return stats_; }
   [[nodiscard]] obs::RunObs& obs() { return obs_; }
 
-  /// Parallel-in-run mode (SimParams::sim_shards >= 1)?
-  [[nodiscard]] bool sharded() const { return !shard_engines_.empty(); }
-  /// Effective shard count: 1 in legacy mode.
-  [[nodiscard]] std::uint32_t shards() const {
-    return sharded() ? plan_.shards : 1;
-  }
-  /// Epoch/event counts of the last sharded run (zeros in legacy mode).
+  /// Always true: every cluster runs on the epoch scheduler. Kept for
+  /// callers that record the engine mode.
+  [[nodiscard]] bool sharded() const { return true; }
+  /// Effective shard count (SimParams::sim_shards after clamping).
+  [[nodiscard]] std::uint32_t shards() const { return plan_.shards; }
+  /// Epoch/event counts of the last run.
   [[nodiscard]] const sim::EpochStats& epoch_stats() const { return epoch_stats_; }
 
-  /// Opt-in wall-time attribution for sharded runs: run() enables `prof`
-  /// with the shard count and closes it after the epoch loop returns.
-  /// Telemetry only — simulated results are byte-identical with or without
-  /// it. Ignored in legacy (non-sharded) mode. Pass null to detach.
+  /// Opt-in wall-time attribution: run() enables `prof` with the shard count
+  /// and closes it after the epoch loop returns. Telemetry only — simulated
+  /// results are byte-identical with or without it. Pass null to detach.
   void set_shard_profiler(sim::ShardProfiler* prof) { shard_prof_ = prof; }
 
   /// Materializes every bound counter, histogram, gauge and (when tracing)
@@ -97,17 +93,17 @@ class Cluster {
 
  private:
   SimParams params_;
-  sim::Engine engine_;
+  // Shard s's nodes schedule on engines_[s]. Plan, engines and ledger come
+  // before fabric_, which binds all three at construction.
+  sim::ShardPlan plan_;
+  std::vector<std::unique_ptr<sim::Engine>> shard_engines_;
+  std::vector<sim::Engine*> engines_;  ///< shard_engines_, as run_epochs takes them
+  // The fabric records barrier-requiring sends here; run() passes it to the
+  // epoch runner, which re-arms it per fused epoch.
+  sim::FusionLedger fusion_ledger_;
   atm::Fabric fabric_;
   sim::StatsRegistry stats_;
   obs::RunObs obs_;  // before nodes_: boards grab their NodeObs at construction
-  // Sharded mode: shard s's nodes schedule on shard_engines_[s]; engine_
-  // stays idle. Constructed before nodes_ so Node can bind its engine ref.
-  sim::ShardPlan plan_;
-  std::vector<std::unique_ptr<sim::Engine>> shard_engines_;
-  // The fabric records barrier-requiring sends here (when sim_fusion is on);
-  // run() passes it to the epoch runner, which re-arms it per fused epoch.
-  sim::FusionLedger fusion_ledger_;
   sim::EpochStats epoch_stats_;
   sim::ShardProfiler* shard_prof_ = nullptr;  ///< borrowed; see set_shard_profiler
   std::vector<std::unique_ptr<Node>> nodes_;

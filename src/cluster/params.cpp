@@ -11,17 +11,6 @@
 
 namespace cni::cluster {
 
-namespace {
-
-/// `0` and `off` disable; unset or anything else keeps the default.
-bool env_switch_on(const char* name) {
-  const char* env = std::getenv(name);
-  if (env == nullptr) return true;
-  return std::string_view(env) != "0" && std::string_view(env) != "off";
-}
-
-}  // namespace
-
 std::uint32_t default_sim_shards() {
   if (const char* env = std::getenv("CNI_SIM_SHARDS"); env != nullptr) {
     if (std::string_view(env) == "auto") return kAutoShards;
@@ -29,12 +18,8 @@ std::uint32_t default_sim_shards() {
     const long v = std::strtol(env, &end, 10);
     if (end != env && v >= 0) return static_cast<std::uint32_t>(v);
   }
-  return 0;
+  return 1;
 }
-
-bool default_sim_fusion() { return env_switch_on("CNI_SIM_FUSION"); }
-
-bool default_sim_pair_lookahead() { return env_switch_on("CNI_SIM_PAIR_LOOKAHEAD"); }
 
 namespace {
 CollectiveMode g_default_collective = CollectiveMode::kHost;

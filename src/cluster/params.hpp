@@ -24,24 +24,14 @@ enum class BoardKind {
 
 /// SimParams::sim_shards value meaning "pick K for me": the cluster resolves
 /// it from the host core count and the node count (see Cluster's auto-tune).
-/// Safe to use anywhere a fixed K is: sharded artifacts are byte-identical
+/// Safe to use anywhere a fixed K is: artifacts are byte-identical
 /// for every K, so the resolved value changes only wall-clock behaviour.
 inline constexpr std::uint32_t kAutoShards = 0xffffffffu;
 
-/// Process-default shard count for parallel-in-run simulation: CNI_SIM_SHARDS
-/// if set and >= 0 (the literal `auto` yields kAutoShards), else 0 (legacy
-/// single-engine mode). Read once per call so every cluster in a sweep sees
-/// one consistent setting.
+/// Process-default shard count for the epoch scheduler: CNI_SIM_SHARDS if
+/// set and >= 0 (the literal `auto` yields kAutoShards), else 1. Read once
+/// per call so every cluster in a sweep sees one consistent setting.
 [[nodiscard]] std::uint32_t default_sim_shards();
-
-/// Process-default for SimParams::sim_fusion: CNI_SIM_FUSION, default on;
-/// `0`/`off` disable. Fusion changes only the epoch schedule, never the
-/// artifacts, so the switch exists for A/B benchmarking and identity tests.
-[[nodiscard]] bool default_sim_fusion();
-
-/// Process-default for SimParams::sim_pair_lookahead: CNI_SIM_PAIR_LOOKAHEAD,
-/// default on; `0`/`off` fall back to the single global lookahead bound.
-[[nodiscard]] bool default_sim_pair_lookahead();
 
 /// Where DSM collective operations (barrier, reduce, broadcast) execute.
 enum class CollectiveMode : std::uint8_t {
@@ -76,22 +66,12 @@ struct SimParams {
   std::uint64_t page_size = 4096;           ///< host + DSM + Message Cache buffer page
   std::uint32_t processors = 8;
   BoardKind board = BoardKind::kCni;
-  /// Parallel-in-run simulation (DESIGN.md §12): 0 = legacy single-engine
-  /// mode, K >= 1 = conservative sharded mode with K engine shards (clamped
-  /// to the processor count), kAutoShards = tune K from the host core count.
-  /// Results in sharded mode are bit-identical for every K and epoch
-  /// schedule; they may differ from legacy mode in the last digits, because
-  /// the sharded fabric resolves switch contention in head-arrival order
-  /// rather than send-call order. Defaults from CNI_SIM_SHARDS.
+  /// Engine shards K of the epoch scheduler (DESIGN.md §12), clamped into
+  /// [1, processors]; K = 1 runs inline with no threads, kAutoShards tunes K
+  /// from the host core count. Results are bit-identical for every K: the
+  /// fabric resolves switch contention in head-arrival order. Defaults from
+  /// CNI_SIM_SHARDS.
   std::uint32_t sim_shards = default_sim_shards();
-  /// Epoch fusion (sharded mode only): extend barrier-free epochs through
-  /// sub-windows while no transfer needs the global merge. Artifacts are
-  /// identical either way. Defaults from CNI_SIM_FUSION (on).
-  bool sim_fusion = default_sim_fusion();
-  /// Per-shard-pair lookahead matrix for the epoch bound (sharded mode
-  /// only); off = single global window. Artifacts are identical either way.
-  /// Defaults from CNI_SIM_PAIR_LOOKAHEAD (on).
-  bool sim_pair_lookahead = default_sim_pair_lookahead();
   /// Fiber stack bytes per simulated node (0 = sim::SimThread's default).
   /// Purely a host-memory knob — wide barrier-only sweeps (4096 nodes) can
   /// run tiny stacks; simulated results never depend on it.

@@ -279,25 +279,7 @@ void append_point_json(std::string& out, const ReportPoint& pt) {
     out += "\":";
     append_u64(out, v);
   }
-  out += '}';
-  const BufPoolSnapshot& bp = pt.snapshot.bufpool;
-  if (bp.sampled) {
-    // Allocator stats are per-thread process state, not simulation state:
-    // under parallel sweeps a worker's pool spans several points, so this
-    // section is advisory and excluded from determinism guarantees.
-    out += ",\"bufpool\":{\"advisory\":true,\"hits\":";
-    append_u64(out, bp.hits);
-    out += ",\"misses\":";
-    append_u64(out, bp.misses);
-    out += ",\"refurbished\":";
-    append_u64(out, bp.refurbished);
-    out += ",\"remote_frees\":";
-    append_u64(out, bp.remote_frees);
-    out += ",\"outstanding\":";
-    append_u64(out, bp.outstanding);
-    out += '}';
-  }
-  out += '}';
+  out += "}}";
 }
 
 }  // namespace

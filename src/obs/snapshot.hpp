@@ -54,23 +54,9 @@ struct NodeSnapshot {
   }
 };
 
-/// Advisory, process-wide allocator stats sampled from the thread that ran
-/// the simulation. NOT deterministic under parallel sweeps (util::BufPool is
-/// per-thread and shared across every point a worker executes), so reports
-/// mark the section advisory and determinism tests exclude it.
-struct BufPoolSnapshot {
-  bool sampled = false;
-  std::uint64_t hits = 0;
-  std::uint64_t misses = 0;
-  std::uint64_t refurbished = 0;
-  std::uint64_t remote_frees = 0;
-  std::uint64_t outstanding = 0;
-};
-
 struct Snapshot {
   bool traced = false;  ///< were the rings recording during the run?
   std::vector<NodeSnapshot> nodes;
-  BufPoolSnapshot bufpool;
 
   /// Sum of one named counter across all nodes (0 if absent everywhere).
   [[nodiscard]] std::uint64_t total_counter(const std::string& name) const {

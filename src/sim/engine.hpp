@@ -76,7 +76,7 @@ class Engine {
   /// tie-break sequence from a separate biased counter, so a delivery and a
   /// node-local event scheduled for the same instant order by *content*
   /// (local first, then delivery) — never by which epoch schedule happened to
-  /// insert the delivery earlier. The sharded fabric inserts deliveries in the
+  /// insert the delivery earlier. The fabric inserts deliveries in the
   /// canonical (head, src, seq) order, so among deliveries the biased sequence
   /// is itself schedule-independent; this is what keeps artifacts byte-equal
   /// when epoch fusion changes *when* a drain runs (DESIGN.md §12).
@@ -96,7 +96,7 @@ class Engine {
 
   /// Runs events with time strictly < bound; events at or beyond it stay
   /// queued and now() is left at the last executed event. This is the
-  /// sharded-mode epoch primitive: an epoch [E, E') executes exactly the
+  /// epoch scheduler's primitive: an epoch [E, E') executes exactly the
   /// events below E', and deliveries drained at the E' barrier may still be
   /// scheduled at any t >= E' without tripping the past-scheduling check.
   void run_before(SimTime bound);

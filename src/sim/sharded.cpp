@@ -97,7 +97,7 @@ template <typename WaitPeers, typename Publish>
 void fused_shard_loop(Engine& eng, std::uint32_t shard, const FusedHooks& hooks,
                       SimDuration drain_horizon, WaitPeers&& wait_peers,
                       Publish&& publish, ShardProfiler* prof) {
-  FusionLedger& led = *hooks.ledger;
+  FusionLedger& led = hooks.ledger;
   const SimTime base = led.base();
   const SimDuration w = led.window();
   std::uint64_t completed = 0;
@@ -244,7 +244,7 @@ class EpochCrew {
     if (prof_ != nullptr) prof_->transition(0, ShardPhase::kIdle);
     if (stats_ != nullptr) ++stats_->barriers;
     account_epoch(true);
-    *stop_out = hooks_.ledger->stop_window();
+    *stop_out = hooks_.ledger.stop_window();
     return !any_error();
   }
 
@@ -364,7 +364,7 @@ class EpochCrew {
       // Abort path: stop peers at the next window they enter and unblock
       // anyone waiting on our progress. Determinism no longer matters — the
       // run rethrows — only prompt, deadlock-free termination does.
-      hooks_.ledger->note_send(hooks_.ledger->base());
+      hooks_.ledger.note_send(hooks_.ledger.base());
       publish_progress(shard, kIdleWord);
     }
   }
@@ -441,8 +441,7 @@ class EpochCrew {
 /// K = 1 degenerates to the same epoch/fusion algorithm with no threads, no
 /// atomics and no barrier cost — fused epochs become a plain sub-window loop
 /// (drain own locals, run one window) and normal epochs the classic
-/// drain/run cycle. This is what keeps single-shard runs within noise of —
-/// now measurably ahead of — the legacy sequential engine.
+/// drain/run cycle.
 void run_epochs_inline(Engine& engine, const EpochParams& params, const FusedHooks& hooks,
                        util::FunctionRef<SimTime(SimTime)> drain, EpochStats* stats,
                        ShardProfiler* prof) {
@@ -454,8 +453,8 @@ void run_epochs_inline(Engine& engine, const EpochParams& params, const FusedHoo
     const SimTime t_min = engine.next_time();
     if (t_min == kNever && pending_min == kNever) return;
     const std::uint64_t before = engine.events_executed();
-    if (hooks.ledger != nullptr && pending_min == kNever) {
-      FusionLedger& led = *hooks.ledger;
+    if (pending_min == kNever) {
+      FusionLedger& led = hooks.ledger;
       led.reset(t_min, params.lookahead);
       fused_shard_loop(engine, 0, hooks, params.drain_horizon,
                        [](std::uint64_t) {}, [](std::uint64_t) {}, prof);
@@ -490,7 +489,7 @@ void run_epochs_inline(Engine& engine, const EpochParams& params, const FusedHoo
 }  // namespace
 
 void run_epochs(std::span<Engine* const> engines, const EpochParams& params,
-                const LookaheadMatrix* matrix, const FusedHooks& hooks,
+                const LookaheadMatrix& matrix, const FusedHooks& hooks,
                 util::FunctionRef<SimTime(SimTime)> drain, EpochStats* stats,
                 ShardProfiler* prof) {
   CNI_CHECK_MSG(!engines.empty(), "run_epochs needs at least one shard");
@@ -514,11 +513,11 @@ void run_epochs(std::span<Engine* const> engines, const EpochParams& params,
       t_min = t_next[s] < t_min ? t_next[s] : t_min;
     }
     if (t_min == kNever && pending_min == kNever) return;
-    if (hooks.ledger != nullptr && pending_min == kNever) {
+    if (pending_min == kNever) {
       // Nothing is buffered anywhere (drain just flushed local queues too):
       // fuse. The epoch ends at the deterministic stop window — or runs the
       // whole remaining simulation if no shard ever needs the global merge.
-      hooks.ledger->reset(t_min, params.lookahead);
+      hooks.ledger.reset(t_min, params.lookahead);
       std::uint64_t stop = FusionLedger::kNoStop;
       if (!crew.run_fused(&stop)) break;
       if (stop != FusionLedger::kNoStop) {
@@ -526,9 +525,7 @@ void run_epochs(std::span<Engine* const> engines, const EpochParams& params,
       }
       continue;
     }
-    const SimTime next = matrix != nullptr
-                             ? next_epoch_end(t_next, *matrix, pending_min, params)
-                             : next_epoch_end(t_min, pending_min, params);
+    const SimTime next = next_epoch_end(t_next, matrix, pending_min, params);
     CNI_CHECK_MSG(next > epoch_end, "epoch scheduler failed to advance");
     if (!crew.run_epoch(next)) break;
     epoch_end = next;

@@ -30,8 +30,8 @@
 // source send sequence), every component derived from source-local state — so
 // the merged event order, and therefore every figure number, trace export and
 // metrics report, is bit-identical for every K, every thread schedule and
-// every epoch schedule (fused or not). The determinism argument is spelled
-// out in DESIGN.md §12.
+// every epoch schedule. The determinism argument is spelled out in
+// DESIGN.md §12. K = 1 runs the same algorithm inline, with no threads.
 #pragma once
 
 #include <atomic>
@@ -93,8 +93,7 @@ struct EpochParams {
 /// Per-shard-pair lookahead bounds: entry (r, c) is how soon an event on
 /// shard r can affect shard c. For the single-stage banyan every cross pair
 /// costs the same (switch pipeline + two propagation legs) so the matrix is
-/// uniform; the per-pair structure is the hook for multi-stage or torus
-/// fabrics (ROADMAP item 2), whose distant pairs earn genuinely more slack.
+/// uniform; Clos and torus fabrics give distant pairs genuinely more slack.
 /// Diagonal entries are kUnbounded: intra-shard causality is the engine's own
 /// (time, seq) order and never constrains the epoch bound.
 struct LookaheadMatrix {
@@ -252,8 +251,7 @@ struct FusedHooks {
   /// canonical order, scheduling their deliveries; returns the earliest
   /// remaining unrouted local head (kNever when none). Called concurrently
   /// for different shards — sound only for aligned plans (see
-  /// ShardPlan::aligned); pass fuse = false or keep local queues empty
-  /// otherwise.
+  /// ShardPlan::aligned); keep local queues empty otherwise.
   // cni-lint: allow(functionref-escape): borrowed for exactly one run_epochs
   // call; the caller keeps the named lambdas alive for its whole duration.
   util::FunctionRef<SimTime(std::uint32_t shard, SimTime limit)> local_drain;
@@ -261,8 +259,8 @@ struct FusedHooks {
   // cni-lint: allow(functionref-escape): borrowed for exactly one run_epochs
   // call, same lifetime argument as local_drain.
   util::FunctionRef<SimTime(std::uint32_t shard)> local_min;
-  /// Where the fabric records barrier-requiring sends. Null disables fusion.
-  FusionLedger* ledger = nullptr;
+  /// Where the fabric records barrier-requiring sends.
+  FusionLedger& ledger;
 };
 
 /// Runs the shard engines in lookahead epochs until every heap is empty and
@@ -273,12 +271,12 @@ struct FusedHooks {
 /// below the limit into the destination engines, in canonical order, then
 /// return the earliest remaining head (kNever when none).
 ///
-/// `matrix` (optional) supplies per-pair lookahead for the epoch bound;
-/// null falls back to the global params.lookahead. `hooks.ledger` non-null
-/// enables epoch fusion.
+/// `matrix` supplies per-pair lookahead for the epoch bound. Whenever nothing
+/// is buffered the next epoch is fused, ending at `hooks.ledger`'s stop
+/// window.
 ///
 /// One shard runs inline on the calling thread; shards 1..K-1 run on worker
-/// threads that live for the whole call. Exceptions thrown inside a shard
+/// threads that live for the whole call (none at K = 1). Exceptions thrown inside a shard
 /// (e.g. a failed CNI_CHECK in a fiber) stop the run at the next barrier and
 /// the lowest-shard exception is rethrown on the calling thread.
 ///
@@ -286,7 +284,7 @@ struct FusedHooks {
 /// phase transitions at epoch and sub-window boundaries only — never inside
 /// the event loop. Null (the default) costs nothing.
 void run_epochs(std::span<Engine* const> engines, const EpochParams& params,
-                const LookaheadMatrix* matrix, const FusedHooks& hooks,
+                const LookaheadMatrix& matrix, const FusedHooks& hooks,
                 util::FunctionRef<SimTime(SimTime)> drain, EpochStats* stats = nullptr,
                 ShardProfiler* prof = nullptr);
 

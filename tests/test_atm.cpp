@@ -1,10 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
 #include "atm/banyan.hpp"
 #include "atm/cell.hpp"
 #include "atm/fabric.hpp"
 #include "atm/packet.hpp"
 #include "sim/engine.hpp"
+#include "sim/sharded.hpp"
 
 namespace cni::atm {
 namespace {
@@ -99,37 +103,51 @@ TEST_P(BanyanPathProperty, FinalStageKeyedByDestination) {
 
 INSTANTIATE_TEST_SUITE_P(PortCounts, BanyanPathProperty, ::testing::Values(4, 8, 16, 32));
 
-FabricParams test_params() { return FabricParams{}; }
+/// A fabric the way a one-shard cluster builds it: three nodes on one
+/// engine. Sends buffer until a drain routes them through the switch in
+/// head-arrival order; deliver_all() drains everything, then runs the
+/// delivery events, so hooks observe arrival times on the engine clock.
+struct FabricFixture {
+  sim::Engine engine;
+  std::vector<sim::Engine*> engines = {&engine};
+  sim::FusionLedger ledger;
+  Fabric fab{FabricParams{}, sim::ShardPlan::balanced(3, 1), engines, ledger};
+
+  void deliver_all() {
+    EXPECT_EQ(fab.drain(sim::kNever), sim::kNever);
+    engine.run();
+  }
+};
 
 TEST(Fabric, DeliversWithSerializationAndLatency) {
-  sim::Engine e;
-  Fabric fab(e, test_params());
+  FabricFixture fx;
   bool delivered = false;
-  fab.attach(0, [](Frame) {});
-  fab.attach(1, [&](Frame f) {
+  sim::SimTime arrival = 0;
+  fx.fab.attach(0, [](Frame) {});
+  fx.fab.attach(1, [&](Frame f) {
     delivered = true;
+    arrival = fx.engine.now();
     EXPECT_EQ(f.size(), 24u);
   });
   Frame f = Frame::blank(0, 1, 0, 24);
-  const DeliveryTiming t = fab.send(0, std::move(f));
+  const DeliveryTiming t = fx.fab.send(0, std::move(f));
   EXPECT_EQ(t.cells, 1u);
-  // One cell: ~681.6 ns serialization + 500 ns switch + 2x150 ns propagation.
-  EXPECT_NEAR(static_cast<double>(t.arrival) / sim::kNanosecond, 681.6 + 500 + 300, 5.0);
-  e.run();
+  fx.deliver_all();
   EXPECT_TRUE(delivered);
+  // One cell: ~681.6 ns serialization + 500 ns switch + 2x150 ns propagation.
+  EXPECT_NEAR(static_cast<double>(arrival) / sim::kNanosecond, 681.6 + 500 + 300, 5.0);
 }
 
 TEST(Fabric, PerPairFifoOrder) {
-  sim::Engine e;
-  Fabric fab(e, test_params());
+  FabricFixture fx;
   std::vector<int> order;
-  fab.attach(0, [](Frame) {});
-  fab.attach(1, [&](Frame f) { order.push_back(static_cast<int>(f.vci)); });
+  fx.fab.attach(0, [](Frame) {});
+  fx.fab.attach(1, [&](Frame f) { order.push_back(static_cast<int>(f.vci)); });
   for (int i = 0; i < 5; ++i) {
     Frame f = Frame::blank(0, 1, static_cast<std::uint32_t>(i), 4096);
-    fab.send(0, std::move(f));
+    fx.fab.send(0, std::move(f));
   }
-  e.run();
+  fx.deliver_all();
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
 }
 
@@ -137,32 +155,56 @@ TEST(Fabric, BiggerFramesArriveLater) {
   sim::SimTime small_arrival = 0;
   sim::SimTime big_arrival = 0;
   for (int round = 0; round < 2; ++round) {
-    sim::Engine e;
-    Fabric fab(e, test_params());
-    fab.attach(0, [](Frame) {});
-    fab.attach(1, [](Frame) {});
+    FabricFixture fx;
+    sim::SimTime& arrival = round == 0 ? small_arrival : big_arrival;
+    fx.fab.attach(0, [](Frame) {});
+    fx.fab.attach(1, [&](Frame) { arrival = fx.engine.now(); });
     Frame f = Frame::blank(0, 1, 0, round == 0 ? 64 : 4096);
-    const DeliveryTiming t = fab.send(0, std::move(f));
-    (round == 0 ? small_arrival : big_arrival) = t.arrival;
+    fx.fab.send(0, std::move(f));
+    fx.deliver_all();
   }
   EXPECT_LT(small_arrival, big_arrival);
 }
 
 TEST(Fabric, UplinkSerializesSuccessiveSends) {
-  sim::Engine e;
-  Fabric fab(e, test_params());
-  fab.attach(0, [](Frame) {});
-  fab.attach(1, [](Frame) {});
-  fab.attach(2, [](Frame) {});
+  FabricFixture fx;
+  sim::SimTime arrival_a = 0;
+  sim::SimTime arrival_b = 0;
+  fx.fab.attach(0, [](Frame) {});
+  fx.fab.attach(1, [&](Frame) { arrival_a = fx.engine.now(); });
+  fx.fab.attach(2, [&](Frame) { arrival_b = fx.engine.now(); });
   Frame a = Frame::blank(0, 1, 0, 4096);
   // different destination, same uplink
   Frame b = Frame::blank(0, 2, 0, 4096);
-  const DeliveryTiming ta = fab.send(0, std::move(a));
-  const DeliveryTiming tb = fab.send(0, std::move(b));
+  const DeliveryTiming ta = fx.fab.send(0, std::move(a));
+  const DeliveryTiming tb = fx.fab.send(0, std::move(b));
   EXPECT_GE(tb.first_bit_out, ta.first_bit_out);
-  EXPECT_GT(tb.arrival, ta.arrival);
-  EXPECT_EQ(fab.frames_sent(), 2u);
-  EXPECT_EQ(fab.cells_sent(), 2u * 86);
+  fx.deliver_all();
+  EXPECT_GT(arrival_b, arrival_a);
+  EXPECT_EQ(fx.fab.frames_sent(), 2u);
+  EXPECT_EQ(fx.fab.cells_sent(), 2u * 86);
+}
+
+TEST(Fabric, ContentionIsFirstComeFirstServedByHeadArrival) {
+  // Node 0 calls send first, but its frame may not start before 10 us; node
+  // 1's frame, sent second and ready at 0, reaches the switch long before.
+  // Both want node 2's output and downlink. Serving them in send-call order
+  // would park node 1's frame behind a reservation for a frame still
+  // waiting at its source; head-arrival order lets it cross uncontended.
+  FabricFixture fx;
+  std::vector<std::pair<NodeId, sim::SimTime>> arrivals;  // (src, time)
+  fx.fab.attach(0, [](Frame) {});
+  fx.fab.attach(1, [](Frame) {});
+  fx.fab.attach(2, [&](Frame f) { arrivals.emplace_back(f.src, fx.engine.now()); });
+  fx.fab.send(10 * sim::kMicrosecond, Frame::blank(0, 2, 0, 24));
+  fx.fab.send(0, Frame::blank(1, 2, 0, 24));
+  fx.deliver_all();
+  ASSERT_EQ(arrivals.size(), 2u);
+  EXPECT_EQ(arrivals[0].first, 1u);
+  EXPECT_NEAR(static_cast<double>(arrivals[0].second) / sim::kNanosecond,
+              681.6 + 500 + 300, 5.0);
+  EXPECT_EQ(arrivals[1].first, 0u);
+  EXPECT_GT(arrivals[1].second, 10 * sim::kMicrosecond);
 }
 
 TEST(Fabric, DeliveryIsZeroCopyAndStatsAreExact) {
@@ -170,12 +212,11 @@ TEST(Fabric, DeliveryIsZeroCopyAndStatsAreExact) {
   // destination hook must be the *same* buffer the sender built (refcount
   // handoff through the scheduled FrameTask, no payload copy), and the
   // frames/cells counters must match a hand-computed cell count.
-  sim::Engine e;
-  Fabric fab(e, test_params());
+  FabricFixture fx;
   const std::byte* delivered_data = nullptr;
   std::uint64_t delivered_size = 0;
-  fab.attach(0, [](Frame) {});
-  fab.attach(1, [&](Frame f) {
+  fx.fab.attach(0, [](Frame) {});
+  fx.fab.attach(1, [&](Frame f) {
     delivered_data = f.payload.data();
     delivered_size = f.size();
     EXPECT_TRUE(f.payload.unique());  // sole owner at delivery: no stray copies
@@ -184,14 +225,14 @@ TEST(Fabric, DeliveryIsZeroCopyAndStatsAreExact) {
   Frame f = Frame::blank(0, 1, 7, 1000);
   f.mutable_bytes()[999] = std::byte{0x6E};
   const std::byte* sent_data = f.payload.data();
-  fab.send(0, std::move(f));
-  e.run();
+  fx.fab.send(0, std::move(f));
+  fx.deliver_all();
 
   EXPECT_EQ(delivered_data, sent_data);
   EXPECT_EQ(delivered_size, 1000u);
-  EXPECT_EQ(fab.frames_sent(), 1u);
+  EXPECT_EQ(fx.fab.frames_sent(), 1u);
   // ceil(1000 / 48 payload bytes per cell) = 21 cells.
-  EXPECT_EQ(fab.cells_sent(), 21u);
+  EXPECT_EQ(fx.fab.cells_sent(), 21u);
 }
 
 }  // namespace

@@ -350,14 +350,10 @@ TEST(NicCollectiveDeterminism, ByteIdenticalAcrossShardsFusionAndTopology) {
     params.obs.trace = true;  // trace-export identity too
     params.sim_shards = 1;
     const std::string base = run_fingerprint(params, config);
-    for (const bool fuse : {false, true}) {
-      for (const std::uint32_t k : {1u, 4u}) {
-        params.sim_shards = k;
-        params.sim_fusion = fuse;
-        EXPECT_EQ(base, run_fingerprint(params, config))
-            << atm::topology_name(kind) << " diverged at K=" << k
-            << " fusion=" << fuse;
-      }
+    for (const std::uint32_t k : {1u, 4u}) {
+      params.sim_shards = k;
+      EXPECT_EQ(base, run_fingerprint(params, config))
+          << atm::topology_name(kind) << " diverged at K=" << k;
     }
   }
 }

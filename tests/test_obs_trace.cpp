@@ -57,9 +57,7 @@ apps::RunResult traced_run(std::uint32_t procs) {
   return apps::run_jacobi(params, apps::JacobiConfig{24, 3, 6}, nullptr);
 }
 
-/// Serializes a run the way the bench binaries do — minus the bufpool
-/// section, which is advisory process-wide allocator state (accumulating
-/// across runs on a thread) and explicitly outside the determinism contract.
+/// Serializes a run the way the bench binaries do.
 obs::ReportPoint to_point(const apps::RunResult& r) {
   obs::ReportPoint pt;
   pt.label = "test";
@@ -69,7 +67,6 @@ obs::ReportPoint to_point(const apps::RunResult& r) {
     pt.legacy.emplace_back(f.name, r.totals.*f.member);
   }
   pt.snapshot = r.snapshot;
-  pt.snapshot.bufpool = obs::BufPoolSnapshot{};
   return pt;
 }
 

@@ -196,8 +196,10 @@ TEST(FusionLedger, StopWindowIsInvariantUnderEverySendInterleaving) {
 
 TEST(LookaheadMatrix, FabricExportIsSymmetricBoundedWithUnboundedDiagonal) {
   sim::Engine eng;
-  atm::FabricParams fp;
-  atm::Fabric fabric(eng, fp);
+  const std::vector<sim::Engine*> engines = {&eng};
+  sim::FusionLedger ledger;
+  const atm::Fabric fabric(atm::FabricParams{}, sim::ShardPlan::balanced(16, 1), engines,
+                           ledger);
   for (const std::uint32_t shards : {1u, 2u, 3u, 4u, 8u}) {
     const sim::ShardPlan plan = sim::ShardPlan::balanced(16, shards);
     const sim::LookaheadMatrix m = fabric.lookahead_matrix(plan);
@@ -228,26 +230,20 @@ TEST(LookaheadMatrix, FabricExportIsSymmetricBoundedWithUnboundedDiagonal) {
 // ---------------------------------------------------------------------------
 // Canonical drain order
 
-/// Builds a 4-node fabric in sharded mode over two engines (nodes 0,1 ->
-/// shard 0; nodes 2,3 -> shard 1) and records delivery order at each node.
+/// Builds a 4-node fabric over two engines (nodes 0,1 -> shard 0; nodes
+/// 2,3 -> shard 1) and records delivery order at each node.
 struct ShardedFabricFixture {
-  sim::Engine legacy;  // unused in sharded mode, but Fabric wants a ref
   sim::Engine e0, e1;
+  std::vector<sim::Engine*> engines = {&e0, &e1};
+  sim::FusionLedger ledger;
   atm::FabricParams params;
-  atm::Fabric fabric{legacy, params};
+  atm::Fabric fabric{params, sim::ShardPlan::balanced(4, 2), engines, ledger};
   std::vector<std::pair<atm::NodeId, atm::NodeId>> deliveries;  // (dst, src)
 
   ShardedFabricFixture() {
     for (atm::NodeId n = 0; n < 4; ++n) {
       fabric.attach(n, [this, n](atm::Frame f) { deliveries.emplace_back(n, f.src); });
     }
-    std::vector<sim::Engine*> eng = {&e0, &e0, &e1, &e1};
-    // Unattached ports keep null entries; mapping vectors span all ports.
-    eng.resize(params.switch_ports, nullptr);
-    std::vector<std::uint32_t> shard = {0, 0, 1, 1};
-    shard.resize(params.switch_ports, 0);
-    fabric.enable_sharding(std::move(eng), std::move(shard),
-                           sim::ShardPlan::balanced(4, 2), nullptr);
   }
 
   atm::Frame frame(atm::NodeId src, atm::NodeId dst) const {
@@ -265,8 +261,7 @@ struct ShardedFabricFixture {
 
 TEST(ShardedFabric, SendsBufferUntilDrain) {
   ShardedFabricFixture fx;
-  const atm::DeliveryTiming t = fx.fabric.send(0, fx.frame(0, 2));
-  EXPECT_EQ(t.arrival, 0u) << "sharded sends cannot know the arrival time";
+  fx.fabric.send(0, fx.frame(0, 2));
   fx.run_all();
   EXPECT_TRUE(fx.deliveries.empty()) << "nothing may deliver before the barrier";
   EXPECT_EQ(fx.fabric.drain(sim::kNever), sim::kNever);
@@ -409,20 +404,11 @@ TEST(ParsimDeterminism, RandomizedRunsAreByteIdenticalAcrossShardCounts) {
     params.obs.trace = true;  // exercise trace-export identity too
     params.sim_shards = 1;
     const std::string base = run_fingerprint(params, config);
-    // The knob matrix: epoch fusion and the per-pair lookahead bound change
-    // the epoch schedule, never the bytes — every combination at every K
-    // must reproduce the K=1 fingerprint exactly.
-    for (const bool fuse : {false, true}) {
-      for (const bool pair : {false, true}) {
-        for (const std::uint32_t k : {1u, 2u, 4u}) {
-          params.sim_shards = k;
-          params.sim_fusion = fuse;
-          params.sim_pair_lookahead = pair;
-          EXPECT_EQ(base, run_fingerprint(params, config))
-              << "trial " << trial << " diverged at K=" << k
-              << " fusion=" << fuse << " pair_lookahead=" << pair;
-        }
-      }
+    // K changes the epoch schedule, never the bytes.
+    for (const std::uint32_t k : {1u, 2u, 4u}) {
+      params.sim_shards = k;
+      EXPECT_EQ(base, run_fingerprint(params, config))
+          << "trial " << trial << " diverged at K=" << k;
     }
   }
 }
@@ -430,8 +416,8 @@ TEST(ParsimDeterminism, RandomizedRunsAreByteIdenticalAcrossShardCounts) {
 TEST(ParsimDeterminism, ExhaustiveKnobGridIsByteIdenticalOnBoundedCluster) {
   // Exhaustive (not sampled) schedule coverage on a bounded cluster: every
   // legal shard count 1..nodes — including K=3, which splits 4 nodes into
-  // unequal shards — crossed with both fusion and pair-lookahead settings.
-  // Each knob combination produces a different epoch schedule, i.e. a
+  // unequal, unaligned shards (no local fast path, every send fuses through
+  // the ledger). Each K produces a different epoch schedule, i.e. a
   // different interleaving of shard execution, fusion decisions and barrier
   // drains; all of them must reproduce the K=1 fingerprint byte for byte.
   apps::JacobiConfig config;
@@ -442,16 +428,8 @@ TEST(ParsimDeterminism, ExhaustiveKnobGridIsByteIdenticalOnBoundedCluster) {
   params.sim_shards = 1;
   const std::string base = run_fingerprint(params, config);
   for (std::uint32_t k = 1; k <= 4; ++k) {
-    for (const bool fuse : {false, true}) {
-      for (const bool pair : {false, true}) {
-        params.sim_shards = k;
-        params.sim_fusion = fuse;
-        params.sim_pair_lookahead = pair;
-        EXPECT_EQ(base, run_fingerprint(params, config))
-            << "diverged at K=" << k << " fusion=" << fuse
-            << " pair_lookahead=" << pair;
-      }
-    }
+    params.sim_shards = k;
+    EXPECT_EQ(base, run_fingerprint(params, config)) << "diverged at K=" << k;
   }
 }
 
@@ -463,6 +441,8 @@ TEST(ParsimDeterminism, ShardCountsBeyondNodeCountClampAndStayIdentical) {
   params.sim_shards = 1;
   const std::string base = run_fingerprint(params, config);
   params.sim_shards = 64;  // clamps to 4 shards
+  EXPECT_EQ(base, run_fingerprint(params, config));
+  params.sim_shards = 0;  // clamps to 1 shard, like any K below 1
   EXPECT_EQ(base, run_fingerprint(params, config));
 }
 
@@ -499,40 +479,18 @@ TEST(ParsimCluster, EpochStatsAreConsistent) {
   EXPECT_GE(r.parsim.critical_path_events, r.parsim.epochs)
       << "every epoch's busiest shard ran at least one event";
   EXPECT_LE(r.parsim.fused_epochs, r.parsim.epochs);
+  EXPECT_GT(r.parsim.fused_epochs, 0u)
+      << "the opening epoch has nothing buffered and must fuse";
   EXPECT_LE(r.parsim.barriers, r.parsim.epochs)
       << "an epoch pays at most one full rendezvous";
 
   // K = 1 runs inline: same epoch algorithm, no rendezvous ever.
   params.sim_shards = 1;
-  EXPECT_EQ(apps::run_jacobi(params, config).parsim.barriers, 0u);
-
-  // Legacy mode reports zeros.
-  params.sim_shards = 0;
-  EXPECT_EQ(apps::run_jacobi(params, config).parsim.epochs, 0u);
-}
-
-TEST(ParsimCluster, FusionShrinksTheEpochScheduleWithoutChangingResults) {
-  apps::JacobiConfig config;
-  config.n = 16;
-  config.iterations = 2;
-  cluster::SimParams params = apps::make_params(cluster::BoardKind::kCni, 4);
-  params.sim_shards = 4;
-  params.sim_fusion = false;
-  params.sim_pair_lookahead = false;  // the PR-5 epoch schedule
-  const apps::RunResult off = apps::run_jacobi(params, config);
-  EXPECT_EQ(off.parsim.fused_epochs, 0u) << "fusion off must never fuse";
-
-  params.sim_fusion = true;
-  params.sim_pair_lookahead = true;
-  const apps::RunResult on = apps::run_jacobi(params, config);
-  EXPECT_EQ(on.elapsed_cycles, off.elapsed_cycles)
-      << "the epoch schedule must be invisible in simulated results";
-  EXPECT_EQ(on.parsim.events_total, off.parsim.events_total);
-  EXPECT_GT(on.parsim.fused_epochs, 0u)
-      << "the opening epoch has nothing buffered and must fuse";
-  EXPECT_LT(on.parsim.epochs, off.parsim.epochs)
-      << "fusion must reduce the epoch count on a run with compute phases";
-  EXPECT_LE(on.parsim.barriers, on.parsim.epochs);
+  const apps::RunResult one = apps::run_jacobi(params, config);
+  EXPECT_EQ(one.parsim.barriers, 0u);
+  EXPECT_EQ(one.parsim.events_total, r.parsim.events_total)
+      << "the event count is a property of the simulation, not of K";
+  EXPECT_EQ(one.elapsed_cycles, r.elapsed_cycles);
 }
 
 TEST(ParsimCluster, DeadlockIsDiagnosedInShardedMode) {

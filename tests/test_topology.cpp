@@ -5,6 +5,7 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -229,7 +230,9 @@ TEST(DistanceLookahead, TorusNonNeighborPairsExceedTheBanyanBound) {
   atm::FabricParams fp;
   fp.switch_ports = 256;
   fp.topology = atm::TopologyKind::kTorus;
-  const atm::Fabric fabric(eng, fp);
+  const std::vector<sim::Engine*> engines = {&eng};
+  sim::FusionLedger ledger;
+  const atm::Fabric fabric(fp, sim::ShardPlan::balanced(256, 1), engines, ledger);
   const sim::ShardPlan plan = sim::ShardPlan::balanced(256, 4);
   const sim::LookaheadMatrix m = fabric.lookahead_matrix(plan);
 
@@ -256,7 +259,9 @@ TEST(DistanceLookahead, ClosMatrixReflectsAncestorHeightPerPair) {
   fp.switch_ports = 64;
   fp.topology = atm::TopologyKind::kClos;
   fp.clos_radix = 8;
-  const atm::Fabric fabric(eng, fp);
+  const std::vector<sim::Engine*> engines = {&eng};
+  sim::FusionLedger ledger;
+  const atm::Fabric fabric(fp, sim::ShardPlan::balanced(64, 1), engines, ledger);
   const sim::LookaheadMatrix m =
       fabric.lookahead_matrix(sim::ShardPlan::balanced(64, 16));
 
