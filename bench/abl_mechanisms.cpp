@@ -32,12 +32,14 @@ int main(int argc, char** argv) {
   util::Table t("Ablation: mechanism contributions (Water 216, p=8)");
   t.set_header({"configuration", "time (ms)", "vs standard (%)", "hit ratio (%)",
                 "host interrupts"});
+  const bench::Reference ref = bench::reference_of(cfg);
   double base = 0;
   for (const Variant& v : variants) {
     cluster::SimParams params = apps::make_params(v.kind, procs);
     params.cni.enable_message_cache = v.mcache;
     params.cni.enable_aih = v.aih;
-    const apps::RunResult r = apps::run_water(params, cfg, nullptr);
+    const apps::RunResult r = bench::run_checked(apps::run_water, params, cfg, ref,
+                                                 std::string("variant=") + v.name);
     const double ms = static_cast<double>(r.elapsed) / 1e9;
     if (base == 0) base = ms;
     t.add_row(v.name,

@@ -11,13 +11,18 @@
 // the printed ordering never depends on completion order.
 #pragma once
 
+#include <cmath>
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "apps/cholesky.hpp"
+#include "apps/jacobi.hpp"
 #include "apps/runner.hpp"
+#include "apps/water.hpp"
 #include "obs/report.hpp"
 #include "util/table.hpp"
 
@@ -32,6 +37,63 @@ inline bool fast_mode() {
 inline std::vector<std::uint32_t> processor_sweep() {
   if (fast_mode()) return {1, 2, 4, 8};
   return {1, 2, 4, 8, 16, 24, 32};
+}
+
+// ---------------------------------------------------------------------------
+// Answer checks. Every figure point compares its run's answer with the
+// app's sequential reference, computed once per config, at the tolerances of
+// tests/test_apps_integration.cpp. A mismatch aborts the binary naming the
+// point, so a wrong answer never reaches a printed figure. The runs pass no
+// checksum pointer: that would add node 0's simulated gather to the timed
+// run; RunResult::answer is the same sum at no simulated cost.
+// ---------------------------------------------------------------------------
+
+/// An app config's sequential answer and the relative error a run may show.
+struct Reference {
+  double checksum = 0;
+  double rel_tol = 0;
+};
+
+inline Reference reference_of(const apps::JacobiConfig& c) {
+  return {apps::jacobi_reference_checksum(c), 1e-12};
+}
+inline Reference reference_of(const apps::WaterConfig& c) {
+  return {apps::water_reference_checksum(c), 1e-6};
+}
+inline Reference reference_of(const apps::CholeskyConfig& c) {
+  return {apps::cholesky_reference_checksum(c), 1e-6};
+}
+
+/// Runs one figure point; aborts, naming `point`, if its answer misses `ref`.
+template <typename Config, typename RunFn>
+apps::RunResult run_checked(RunFn run, const cluster::SimParams& params,
+                            const Config& cfg, const Reference& ref,
+                            const std::string& point) {
+  apps::RunResult r = run(params, cfg, nullptr);
+  const bool ok =
+      std::abs(r.answer - ref.checksum) <= std::abs(ref.checksum) * ref.rel_tol;
+  if (!ok) {
+    char msg[256];
+    std::snprintf(msg, sizeof msg, "wrong answer at %s: %.17g vs reference %.17g",
+                  point.c_str(), r.answer, ref.checksum);
+    CNI_CHECK_MSG(ok, msg);
+  }
+  return r;
+}
+
+/// One config on the CNI board, then on the standard board (Tables 2-4).
+template <typename Config, typename RunFn>
+std::pair<apps::RunResult, apps::RunResult> run_both_boards(RunFn run, const Config& cfg,
+                                                            std::uint32_t procs,
+                                                            std::uint64_t page_size = 4096) {
+  const Reference ref = reference_of(cfg);
+  const auto params = [&](cluster::BoardKind kind) {
+    return apps::make_params(kind, procs, page_size);
+  };
+  // A braced list evaluates left to right: CNI runs first.
+  return {run_checked(run, params(cluster::BoardKind::kCni), cfg, ref, "system=cni"),
+          run_checked(run, params(cluster::BoardKind::kStandard), cfg, ref,
+                      "system=standard")};
 }
 
 // ---------------------------------------------------------------------------
@@ -117,13 +179,17 @@ template <typename Config, typename RunFn>
 std::vector<SpeedupPoint> speedup_sweep(RunFn run, const Config& cfg,
                                         std::uint64_t page_size = 4096) {
   const std::vector<std::uint32_t> procs = processor_sweep();
+  const Reference ref = reference_of(cfg);
   std::vector<SpeedupPoint> out(procs.size());
   for (std::size_t i = 0; i < procs.size(); ++i) out[i].procs = procs[i];
   apps::parallel_indexed(procs.size() * 2, [&](std::size_t job) {
     const std::size_t i = job / 2;
     const bool is_cni = (job % 2) == 0;
     const auto kind = is_cni ? cluster::BoardKind::kCni : cluster::BoardKind::kStandard;
-    apps::RunResult r = run(apps::make_params(kind, procs[i], page_size), cfg, nullptr);
+    apps::RunResult r =
+        run_checked(run, apps::make_params(kind, procs[i], page_size), cfg, ref,
+                    "procs=" + std::to_string(procs[i]) +
+                        (is_cni ? " system=cni" : " system=standard"));
     (is_cni ? out[i].cni : out[i].standard) = std::move(r);
   });
   return out;
@@ -137,13 +203,17 @@ void print_pagesize_series(const std::string& title, RunFn run, const Config& cf
                            const std::vector<std::uint64_t>& page_sizes,
                            obs::Reporter* rep = nullptr) {
   // Four independent runs per page size: {CNI, standard} × {1, procs}.
+  const Reference ref = reference_of(cfg);
   std::vector<apps::RunResult> results(page_sizes.size() * 4);
   apps::parallel_indexed(results.size(), [&](std::size_t job) {
     const std::uint64_t ps = page_sizes[job / 4];
-    const auto kind =
-        (job % 4) < 2 ? cluster::BoardKind::kCni : cluster::BoardKind::kStandard;
+    const bool is_cni = (job % 4) < 2;
+    const auto kind = is_cni ? cluster::BoardKind::kCni : cluster::BoardKind::kStandard;
     const std::uint32_t p = (job % 2) == 0 ? 1 : procs;
-    results[job] = run(apps::make_params(kind, p, ps), cfg, nullptr);
+    results[job] = run_checked(run, apps::make_params(kind, p, ps), cfg, ref,
+                               "page_bytes=" + std::to_string(ps) +
+                                   " procs=" + std::to_string(p) +
+                                   (is_cni ? " system=cni" : " system=standard"));
   });
   util::Table t(title);
   t.set_header({"page bytes", "CNI speedup", "Standard speedup", "HitRatio(%)"});

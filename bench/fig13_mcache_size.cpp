@@ -21,15 +21,23 @@ int main(int argc, char** argv) {
   apps::CholeskyConfig cho = apps::CholeskyConfig::bcsstk14();
   if (fast) cho = apps::CholeskyConfig{256, 16, 2, 3, 1024, 2000};
 
+  const bench::Reference jac_ref = bench::reference_of(jac);
+  const bench::Reference wat_ref = bench::reference_of(wat);
+  const bench::Reference cho_ref = bench::reference_of(cho);
+
   util::Table t("Figure 13: hit ratio vs Message Cache size (p=8)");
   t.set_header({"cache KB", "Jacobi (%)", "Water (%)", "Cholesky (%)"});
   for (std::uint64_t kb : {32ull, 64ull, 128ull, 256ull, 512ull, 1024ull}) {
     auto params = [&](std::uint64_t cache_kb) {
       return apps::make_params(cluster::BoardKind::kCni, 8, 4096, cache_kb * 1024);
     };
-    const auto j = apps::run_jacobi(params(kb), jac, nullptr);
-    const auto w = apps::run_water(params(kb), wat, nullptr);
-    const auto c = apps::run_cholesky(params(kb), cho, nullptr);
+    const std::string at = "cache_kb=" + std::to_string(kb);
+    const auto j = bench::run_checked(apps::run_jacobi, params(kb), jac, jac_ref,
+                                      at + " app=jacobi");
+    const auto w = bench::run_checked(apps::run_water, params(kb), wat, wat_ref,
+                                      at + " app=water");
+    const auto c = bench::run_checked(apps::run_cholesky, params(kb), cho, cho_ref,
+                                      at + " app=cholesky");
     t.add_row(std::to_string(kb),
               {j.hit_ratio_pct, w.hit_ratio_pct, c.hit_ratio_pct}, 1);
     if (reporter.active()) {

@@ -14,10 +14,7 @@ int main(int argc, char** argv) {
   reporter.add_config("app", "jacobi");
   apps::JacobiConfig cfg = bench::fast_mode() ? apps::JacobiConfig{256, 5, 16}
                                               : apps::JacobiConfig{1024, 20, 16};
-  const auto cni = apps::run_jacobi(
-      apps::make_params(cluster::BoardKind::kCni, 8, 2048), cfg, nullptr);
-  const auto std_ = apps::run_jacobi(
-      apps::make_params(cluster::BoardKind::kStandard, 8, 2048), cfg, nullptr);
+  const auto [cni, std_] = bench::run_both_boards(apps::run_jacobi, cfg, 8, 2048);
   bench::print_overhead_table(
       "Table 2: overhead, 8-processor Jacobi 1024x1024 (2 KB pages)", cni, std_);
   bench::report_overhead_table(reporter, cni, std_);

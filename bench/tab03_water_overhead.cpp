@@ -11,10 +11,7 @@ int main(int argc, char** argv) {
   reporter.add_config("table", "tab03");
   reporter.add_config("app", "water");
   apps::WaterConfig cfg{216, 2};
-  const auto cni =
-      apps::run_water(apps::make_params(cluster::BoardKind::kCni, 8), cfg, nullptr);
-  const auto std_ =
-      apps::run_water(apps::make_params(cluster::BoardKind::kStandard, 8), cfg, nullptr);
+  const auto [cni, std_] = bench::run_both_boards(apps::run_water, cfg, 8);
   bench::print_overhead_table("Table 3: overhead, 8-processor Water 216 molecules",
                               cni, std_);
   bench::report_overhead_table(reporter, cni, std_);

@@ -13,10 +13,7 @@ int main(int argc, char** argv) {
   reporter.add_config("app", "cholesky");
   apps::CholeskyConfig cfg = apps::CholeskyConfig::bcsstk14();
   if (cni::bench::fast_mode()) cfg = apps::CholeskyConfig{256, 16, 2, 3, 1024, 2000};
-  const auto cni =
-      apps::run_cholesky(apps::make_params(cluster::BoardKind::kCni, 8), cfg, nullptr);
-  const auto std_ = apps::run_cholesky(
-      apps::make_params(cluster::BoardKind::kStandard, 8), cfg, nullptr);
+  const auto [cni, std_] = bench::run_both_boards(apps::run_cholesky, cfg, 8);
   bench::print_overhead_table("Table 4: overhead, 8-processor Cholesky bcsstk14",
                               cni, std_);
   bench::report_overhead_table(reporter, cni, std_);

@@ -25,13 +25,16 @@ int main(int argc, char** argv) {
     auto p_std = apps::make_params(cluster::BoardKind::kCni, 8);
     auto p_unr = p_std;
     p_unr.fabric.cell_mode = atm::CellMode::kUnrestricted;
-    const auto base = run(p_std, cfg, nullptr);
-    const auto unr = run(p_unr, cfg, nullptr);
+    const std::string name(app);
+    const bench::Reference ref = bench::reference_of(cfg);
+    const auto base =
+        bench::run_checked(run, p_std, cfg, ref, "app=" + name + " cells=atm53");
+    const auto unr =
+        bench::run_checked(run, p_unr, cfg, ref, "app=" + name + " cells=unrestricted");
     const double pct =
         100.0 * (static_cast<double>(base.elapsed) - static_cast<double>(unr.elapsed)) /
         static_cast<double>(base.elapsed);
     if (reporter.active()) {
-      const std::string name(app);
       reporter.add_point(bench::run_point("app=" + name + " cells=atm53",
                                           {{"app", name}, {"cells", "atm53"}},
                                           {{"improvement_pct", pct}}, base));

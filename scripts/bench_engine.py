@@ -3,7 +3,14 @@
 BENCH_parsim.json, BENCH_topology.json and BENCH_collectives.json.
 
 Usage: scripts/bench_engine.py [build-dir]
+       scripts/bench_engine.py --suite [build-dir]
        scripts/bench_engine.py --trajectory
+
+With --suite only BENCH_suite.json is written: the end-to-end wall time and
+peak RSS of the whole reproduction suite (every fig/tab binary plus
+abl_mechanisms), each binary run SUITE_REPS times, interleaved round-robin.
+Any nonzero exit fails the writer. CNI_BENCH_FAST=1 gives the smoke-size
+suite CI runs; the committed file is the full-size one.
 
 With --trajectory no benchmark runs: the script aggregates the current
 payload plus the history blocks of every BENCH_*.json into one cross-PR
@@ -33,8 +40,11 @@ import datetime
 import json
 import os
 import platform
+import statistics
 import subprocess
 import sys
+import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -460,6 +470,152 @@ def write_collectives() -> None:
     print(f"wrote {path}")
 
 
+SUITE_SCHEMA_VERSION = 1
+
+# The reproduction suite: every fig/tab binary plus abl_mechanisms, the set
+# the golden_* ctests pin (tests/CMakeLists.txt).
+SUITE_BINARIES = (
+    "tab01_params", "fig02_jacobi_speedup_128", "fig03_jacobi_speedup_256",
+    "fig04_jacobi_speedup_1024", "fig05_jacobi_pagesize", "tab02_jacobi_overhead",
+    "fig06_water_speedup_64", "fig07_water_speedup_216", "fig08_water_speedup_343",
+    "fig09_water_pagesize", "tab03_water_overhead", "fig10_cholesky_bcsstk14",
+    "fig11_cholesky_bcsstk15", "fig12_cholesky_pagesize", "tab04_cholesky_overhead",
+    "fig13_mcache_size", "fig14_latency_micro", "fig_barrier_scaling",
+    "tab05_cellsize", "abl_mechanisms",
+)
+SUITE_REPS = 3
+SUITE_BINARY_FIELDS = ("wall_s_median", "wall_s_cv", "wall_s_samples",
+                       "peak_rss_mb", "exit_status")
+SUITE_TOTAL_FIELDS = ("wall_s_median", "wall_s_cv", "wall_s_samples",
+                      "peak_rss_mb", "slowest")
+SUITE_CONTEXT_FIELDS = ("host", "num_cpus", "date", "commit", "reps",
+                        "cni_bench_jobs", "cni_sim_shards", "cni_bench_fast")
+
+
+def timed_run(cmd: list) -> tuple:
+    """(wall seconds, peak RSS in MB, exit status, stderr tail) of one child
+    process. Peak RSS is the child's ru_maxrss, read with os.wait4; it counts
+    the forked interpreter's pages before exec, so no binary reads below the
+    launching Python's RSS (about 16 MB)."""
+    with tempfile.TemporaryFile() as err:
+        start = time.perf_counter()
+        proc = subprocess.Popen(cmd, stdout=subprocess.DEVNULL, stderr=err)
+        _, status, usage = os.wait4(proc.pid, 0)
+        wall = time.perf_counter() - start
+        proc.returncode = os.waitstatus_to_exitcode(status)
+        err.seek(0)
+        tail = err.read().decode(errors="replace")[-2000:]
+    return wall, usage.ru_maxrss / 1024.0, proc.returncode, tail
+
+
+def cv(samples: list) -> float:
+    """Coefficient of variation (sample stdev / mean); 0 for one sample."""
+    if len(samples) < 2:
+        return 0.0
+    return statistics.stdev(samples) / statistics.mean(samples)
+
+
+def build_commit(build: Path) -> str:
+    """`git describe --always --dirty` of the source tree `build` was
+    configured from — the same id the binaries stamp into run reports."""
+    src = ROOT
+    cache = build / "CMakeCache.txt"
+    if cache.exists():
+        for line in cache.read_text().splitlines():
+            if line.startswith("CMAKE_HOME_DIRECTORY:"):
+                src = Path(line.split("=", 1)[1])
+    out = subprocess.run(["git", "-C", str(src), "describe", "--always", "--dirty"],
+                         capture_output=True, text=True)
+    return out.stdout.strip() if out.returncode == 0 else "unknown"
+
+
+def validate_suite(report: dict) -> None:
+    """Shape contract for BENCH_suite.json (schema v1): context, one entry per
+    suite binary with its wall/RSS/exit fields, every exit status zero, and a
+    totals row whose per-repetition sums match the binaries'."""
+    if report.get("schema_version") != SUITE_SCHEMA_VERSION:
+        raise ValueError("suite: wrong schema_version")
+    for field in SUITE_CONTEXT_FIELDS:
+        if field not in report["context"]:
+            raise ValueError(f"suite: context missing {field}")
+    binaries = report["binaries"]
+    if sorted(binaries) != sorted(SUITE_BINARIES):
+        raise ValueError("suite: binary set differs from SUITE_BINARIES")
+    reps = report["context"]["reps"]
+    for name, entry in binaries.items():
+        for field in SUITE_BINARY_FIELDS:
+            if field not in entry:
+                raise ValueError(f"suite: {name} missing {field}")
+        if entry["exit_status"] != 0:
+            raise ValueError(f"suite: {name} exited {entry['exit_status']}")
+        if len(entry["wall_s_samples"]) != reps:
+            raise ValueError(f"suite: {name} has {len(entry['wall_s_samples'])} "
+                             f"samples, want {reps}")
+    total = report["total"]
+    for field in SUITE_TOTAL_FIELDS:
+        if field not in total:
+            raise ValueError(f"suite: total missing {field}")
+    for rep, got in enumerate(total["wall_s_samples"]):
+        want = sum(e["wall_s_samples"][rep] for e in binaries.values())
+        if abs(got - want) > 1e-3 * len(binaries):
+            raise ValueError(f"suite: total of repetition {rep} is {got}, want {want}")
+
+
+def write_suite() -> None:
+    """Runs the reproduction suite SUITE_REPS times, binary by binary in
+    round-robin order so slow host drift spreads over every binary, and
+    writes BENCH_suite.json."""
+    samples = {name: [] for name in SUITE_BINARIES}
+    rss = {name: 0.0 for name in SUITE_BINARIES}
+    for rep in range(SUITE_REPS):
+        for name in SUITE_BINARIES:
+            wall, peak, status, err = timed_run([str(BUILD / "bench" / name)])
+            if status != 0:
+                sys.exit(f"{name} exited {status} (repetition {rep + 1}):\n{err}")
+            samples[name].append(wall)
+            rss[name] = max(rss[name], peak)
+            print(f"  [{rep + 1}/{SUITE_REPS}] {name}: {wall:.2f} s, {peak:.0f} MB")
+
+    binaries = {
+        name: {
+            "wall_s_median": round(statistics.median(samples[name]), 3),
+            "wall_s_cv": round(cv(samples[name]), 4),
+            "wall_s_samples": [round(w, 3) for w in samples[name]],
+            "peak_rss_mb": round(rss[name], 1),
+            "exit_status": 0,
+        }
+        for name in SUITE_BINARIES
+    }
+    totals = [round(sum(b["wall_s_samples"][rep] for b in binaries.values()), 3)
+              for rep in range(SUITE_REPS)]
+    result = {
+        "schema_version": SUITE_SCHEMA_VERSION,
+        "context": {
+            "host": platform.node(),
+            "num_cpus": os.cpu_count(),
+            "date": datetime.datetime.now().astimezone().isoformat(timespec="seconds"),
+            "commit": build_commit(BUILD),
+            "reps": SUITE_REPS,
+            "cni_bench_fast": os.environ.get("CNI_BENCH_FAST"),
+            **env_context(),
+        },
+        "binaries": binaries,
+        "total": {
+            "wall_s_median": round(statistics.median(totals), 3),
+            "wall_s_cv": round(cv(totals), 4),
+            "wall_s_samples": totals,
+            "peak_rss_mb": max(b["peak_rss_mb"] for b in binaries.values()),
+            "slowest": max(binaries, key=lambda n: binaries[n]["wall_s_median"]),
+        },
+    }
+    validate_suite(result)
+
+    path = ROOT / "BENCH_suite.json"
+    result["history"] = load_history(path)
+    path.write_text(json.dumps(result, indent=2) + "\n")
+    print(f"wrote {path}")
+
+
 def _num(d, *path):
     """Digs `path` out of nested dicts, returning None on any missing key —
     history blocks written by older schema versions may lack newer fields."""
@@ -544,7 +700,19 @@ def _headline_collectives(s: dict) -> dict:
     }
 
 
+def _headline_suite(s: dict) -> dict:
+    return {
+        "commit": _num(s, "context", "commit"),
+        "bench_jobs": _num(s, "context", "cni_bench_jobs"),
+        "total_wall_s": _num(s, "total", "wall_s_median"),
+        "total_wall_cv": _num(s, "total", "wall_s_cv"),
+        "peak_rss_mb": _num(s, "total", "peak_rss_mb"),
+        "slowest": _num(s, "total", "slowest"),
+    }
+
+
 TRAJECTORY_BENCHES = (
+    ("suite", "BENCH_suite.json", _headline_suite),
     ("engine", "BENCH_engine.json", _headline_engine),
     ("datapath", "BENCH_datapath.json", _headline_datapath),
     ("obs", "BENCH_obs.json", _headline_obs),
@@ -618,6 +786,9 @@ def write_trajectory() -> None:
 def main() -> None:
     if "--trajectory" in sys.argv[1:]:
         write_trajectory()
+        return
+    if "--suite" in sys.argv[1:]:
+        write_suite()
         return
 
     engine = run("micro_engine")

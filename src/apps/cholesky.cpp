@@ -139,6 +139,7 @@ void cholesky_node(dsm::DsmContext& ctx, const CholeskyShared& sh) {
       lcols[col - lo].resize(h + 1);
       for (std::uint32_t r = 0; r <= h; ++r) {
         lcols[col - lo][r] = ctx.read<double>(col_addr(sh, col, r));
+        ctx.add_answer(lcols[col - lo][r]);  // final: no later task writes it
       }
     }
     for (const std::uint32_t dst : sh.targets[blk]) {

@@ -78,6 +78,7 @@ void jacobi_node(dsm::DsmContext& ctx, const JacobiShared& sh) {
     ctx.compute(n);
   }
   ctx.write<double>(sh.sums + me * sizeof(double), partial);
+  ctx.add_answer(partial);
   ctx.barrier();
   if (me == 0 && sh.checksum_out != nullptr) {
     double total = 0;

@@ -34,6 +34,7 @@ struct RunResult {
   sim::NodeStats totals;             ///< summed over nodes
   obs::Snapshot snapshot;            ///< per-node metrics (+ trace when enabled)
   double hit_ratio_pct = 0;          ///< network cache hit ratio (paper's term)
+  double answer = 0;  ///< sum of the nodes' DsmContext::add_answer tallies
   sim::EpochStats parsim;            ///< epoch/event counts of the epoch scheduler
 
   // Per-processor averages in units of 1e9 cycles (the paper's Tables 2-4).
@@ -76,10 +77,13 @@ RunResult run_app(const cluster::SimParams& params,
   const Shared shared = setup(dsmsys);
 
   RunResult r;
+  std::vector<double> answers(params.processors);
   r.elapsed = cl.run([&](std::size_t i, sim::SimThread& t) {
     dsm::DsmContext ctx(dsmsys, i, t);
     body(ctx, shared);
+    answers[i] = ctx.answer();
   });
+  for (const double a : answers) r.answer += a;
   r.elapsed_cycles = cl.elapsed_cpu_cycles();
   r.parsim = cl.epoch_stats();
   r.totals = cl.stats().total();

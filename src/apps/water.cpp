@@ -123,6 +123,7 @@ void water_node(dsm::DsmContext& ctx, const WaterShared& sh) {
     for (std::uint32_t a = 0; a < 3; ++a) partial += ctx.read<double>(xyz(sh.pos, m, a));
   }
   ctx.write<double>(sh.sums + me * sizeof(double), partial);
+  ctx.add_answer(partial);
   ctx.barrier();
   if (me == 0 && sh.checksum_out != nullptr) {
     double total = 0;

@@ -14,12 +14,7 @@ HostCpu::HostCpu(std::uint64_t cpu_freq_hz, const mem::CacheParams& cache_params
       pt_(page_table),
       stats_(stats) {}
 
-void HostCpu::mem_access_phys(mem::PAddr pa, bool is_write) {
-  const mem::CacheAccess r = cache_.access(pa, is_write);
-  // Table 1's 20-cycle memory latency is the *total* fill cost seen by the
-  // CPU (probe + transfer); charging the bus transfer again would double the
-  // memory wall and distort the computation/communication balance.
-  const std::uint64_t cycles = r.cpu_cycles;
+void HostCpu::announce_writes(const mem::CacheAccess& r) {
   if (r.wrote_back) {
     // Dirty victim drains through the write buffer: announced on the bus so
     // the CNI snooper sees it, but it does not stall the CPU.
@@ -29,8 +24,6 @@ void HostCpu::mem_access_phys(mem::PAddr pa, bool is_write) {
     // Write-through mode: the store itself is a bus write.
     bus_.cpu_write(r.bus_write_line, cache_.params().line_size);
   }
-  stats_.compute_cycles += cycles;
-  clock_.charge_cycles(cycles);
 }
 
 void HostCpu::sync(sim::SimThread& self) {

@@ -41,8 +41,14 @@ class HostCpu final : public nic::HostSystem {
 
   /// As mem_access, with the translation already done — the DSM fast path
   /// caches physical page bases to keep a simulated access down to a few
-  /// nanoseconds of wall time.
-  void mem_access_phys(mem::PAddr pa, bool is_write);
+  /// nanoseconds of wall time. Table 1's memory latency is the *total* fill
+  /// cost (probe + transfer), so no bus time is charged on top.
+  void mem_access_phys(mem::PAddr pa, bool is_write) {
+    const mem::CacheAccess r = cache_.access(pa, is_write);
+    if (r.wrote_back || r.bus_write) announce_writes(r);
+    stats_.compute_cycles += r.cpu_cycles;
+    clock_.charge_cycles(r.cpu_cycles);
+  }
 
   /// Converts all locally accumulated charge — including cycles stolen by
   /// interrupts — into simulated delay. Call at every synchronisation point.
@@ -70,6 +76,8 @@ class HostCpu final : public nic::HostSystem {
   [[nodiscard]] std::uint64_t stolen_pending() const { return stolen_cycles_; }
 
  private:
+  /// Puts an access's write-back, then its write-through store, on the bus.
+  void announce_writes(const mem::CacheAccess& r);
   std::uint64_t freq_hz_;
   sim::LocalClock clock_;
   mem::CacheModel cache_;

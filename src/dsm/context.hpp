@@ -41,6 +41,10 @@ class DsmContext {
     rt_.write<T>(va, value);
   }
 
+  /// Tallies this node's share of RunResult::answer, at no simulated cost.
+  void add_answer(double v) { answer_ += v; }
+  [[nodiscard]] double answer() const { return answer_; }
+
   /// Charges pure computation (ALU work between shared accesses).
   void compute(std::uint64_t cycles) { rt_.node().cpu().compute(cycles); }
 
@@ -55,6 +59,7 @@ class DsmContext {
  private:
   DsmRuntime& rt_;
   sim::SimThread& thread_;
+  double answer_ = 0;
 };
 
 /// A typed view over a shared allocation; each node's thread makes its own.

@@ -41,11 +41,8 @@ struct PageEntry {
   /// floor so writers only ship newer diffs.
   VectorClock content_vc;
 
-
-  // Cached physical base for the fast access path (avoids a page-table map
-  // lookup per simulated load/store).
+  // Physical base for the fast access path; every fault sets it.
   mem::PAddr pa_base = 0;
-  bool pa_cached = false;
 
   [[nodiscard]] bool readable() const { return mode != PageMode::kInvalid; }
   [[nodiscard]] bool writable() const { return mode == PageMode::kReadWrite; }

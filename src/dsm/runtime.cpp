@@ -30,11 +30,14 @@ std::uint64_t diff_words(const Diff& d) {
 DsmRuntime::DsmRuntime(DsmSystem& system, std::uint32_t self)
     : sys_(system),
       node_(system.cluster().node(self)),
+      cpu_(node_.cpu()),
+      page_shift_(system.geometry().shift()),
+      page_mask_(system.geometry().size() - 1),
       self_(self),
       nprocs_(static_cast<std::uint32_t>(system.cluster().size())),
       vc_(nprocs_),
       last_barrier_vc_(nprocs_) {
-  obs_ = node_.cpu().obs();
+  obs_ = cpu_.obs();
   if (obs_ != nullptr) {
     fault_hist_ = obs_->metrics().histogram("dsm.fault_latency_ps");
   }
@@ -114,7 +117,7 @@ atm::Frame DsmRuntime::make_frame(std::uint32_t dst, nic::MsgType type,
 void DsmRuntime::send_request(std::uint32_t dst, nic::MsgType type, std::uint32_t aux,
                               util::Buf payload, std::uint64_t trace) {
   CNI_CHECK_MSG(thread_ != nullptr, "DSM app call before bind_thread");
-  node_.cpu().charge_overhead(*thread_, sys_.params().request_build_cycles);
+  cpu_.charge_overhead(*thread_, sys_.params().request_build_cycles);
   atm::Frame frame = make_frame(dst, type, 0, aux, 0, std::move(payload));
   frame.trace = trace;
   node_.board().send_from_host(*thread_, std::move(frame), nic::NicBoard::SendOptions{});
@@ -132,38 +135,27 @@ bool DsmRuntime::tracing() const {
 // Access fast path and faults
 // ---------------------------------------------------------------------------
 
-std::byte* DsmRuntime::access(mem::VAddr va, std::uint32_t len, bool write) {
-  const PageId p = sys_.page_of_va(va);
-  if (p >= pages_.size()) pages_.resize(sys_.page_count());
-  PageEntry& e = pages_[p];
+PageEntry& DsmRuntime::access_slow(PageId p, mem::VAddr page_va, bool write) {
+  PageEntry& e = entry(p);  // checks the region before indexing
   if (write ? !e.writable() : !e.readable()) fault(p, write);
-  const std::uint64_t off = sys_.geometry().offset_of(va);
-  CNI_DCHECK(off + len <= sys_.geometry().size());
-  (void)len;
-  if (!e.pa_cached) {
-    e.pa_base = node_.cpu().page_table().translate(va - off);
-    e.pa_cached = true;
-  }
-  node_.cpu().mem_access_phys(e.pa_base + off, write);
-  CNI_DCHECK(!e.data.empty());
-  return e.data.data() + off;
+  e.pa_base = cpu_.page_table().translate(page_va);
+  return e;
 }
 
 void DsmRuntime::fault(PageId p, bool write) {
   CNI_CHECK_MSG(thread_ != nullptr, "DSM fault before bind_thread");
-  auto& cpu = node_.cpu();
-  cpu.sync(*thread_);
+  cpu_.sync(*thread_);
   // Fault window: trap taken (local charge settled) -> page data usable.
   // Both endpoints are simulated instants, so the latency histogram is as
   // deterministic as the run itself.
   const sim::SimTime trap_at = node_.engine().now();
-  auto& st = cpu.stats();
+  auto& st = cpu_.stats();
   if (write) {
     ++st.write_faults;
   } else {
     ++st.read_faults;
   }
-  cpu.charge_overhead(*thread_, sys_.params().fault_trap_cycles);
+  cpu_.charge_overhead(*thread_, sys_.params().fault_trap_cycles);
   PageEntry& e = entry(p);
   if (!e.readable()) fetch_page_data(e, p);
   if (write && !e.writable()) write_upgrade(e, p);
@@ -179,8 +171,7 @@ void DsmRuntime::write_upgrade(PageEntry& e, PageId p) {
     // twin/close cycles recycle the same block instead of reallocating.
     e.twin = util::BufPool::local().alloc(e.data.size());
     std::memcpy(e.twin.data(), e.data.data(), e.data.size());
-    node_.cpu().charge_overhead(*thread_,
-                                page_words() * sys_.params().twin_word_cycles);
+    cpu_.charge_overhead(*thread_, page_words() * sys_.params().twin_word_cycles);
   }
   dirty_.insert(p);
   e.mode = PageMode::kReadWrite;
@@ -190,7 +181,7 @@ void DsmRuntime::fetch_page_data(PageEntry& e, PageId p) {
   CNI_CHECK_MSG(!fetch_.active, "only one outstanding fetch per node");
   CNI_LOG_DEBUG("n%u fetch page=%llu pending=%zu", self_,
                 static_cast<unsigned long long>(p), e.pending.size());
-  auto& st = node_.cpu().stats();
+  auto& st = cpu_.stats();
 
   if (e.content_vc.size() == 0) e.content_vc = VectorClock(nprocs_);
 
@@ -252,7 +243,7 @@ void DsmRuntime::fetch_page_data(PageEntry& e, PageId p) {
     w.u32(self_);
     send_request(from, kDsmPageReq, fetch_.req_id, w.take(), fault_tok);
     wq_.wait(*thread_, [this] { return fetch_.complete; });
-    node_.cpu().charge_overhead(*thread_, node_.board().wakeup_cost_cycles());
+    cpu_.charge_overhead(*thread_, node_.board().wakeup_cost_cycles());
     fetch_.complete = false;
   }
 
@@ -285,7 +276,7 @@ void DsmRuntime::fetch_page_data(PageEntry& e, PageId p) {
   }
   if (fetch_.diffs_wanted != 0) {
     wq_.wait(*thread_, [this] { return fetch_.complete; });
-    node_.cpu().charge_overhead(*thread_, node_.board().wakeup_cost_cycles());
+    cpu_.charge_overhead(*thread_, node_.board().wakeup_cost_cycles());
   }
 
   apply_fetch_results(e);
@@ -297,7 +288,7 @@ void DsmRuntime::fetch_page_data(PageEntry& e, PageId p) {
 }
 
 void DsmRuntime::apply_fetch_results(PageEntry& e) {
-  auto& st = node_.cpu().stats();
+  auto& st = cpu_.stats();
 
   if (fetch_.base_done) {
     // One copy, from the received frame's buffer straight into the page
@@ -398,7 +389,7 @@ void DsmRuntime::subtract_shadowed(Diff& older, const Diff& newer) {
 
 void DsmRuntime::close_interval() {
   if (dirty_.empty()) return;
-  node_.cpu().charge_overhead(*thread_, sys_.params().release_local_cycles);
+  cpu_.charge_overhead(*thread_, sys_.params().release_local_cycles);
   vc_.advance(self_);
   Interval iv;
   iv.writer = self_;
@@ -427,7 +418,7 @@ std::size_t DsmRuntime::process_incoming_interval(const Interval& iv) {
   if (!store_.insert(std::move(copy))) return 0;  // already seen
   if (vc_[iv.writer] < iv.index) vc_.set(iv.writer, iv.index);
 
-  auto& st = node_.cpu().stats();
+  auto& st = cpu_.stats();
   st.write_notices_received += iv.pages.size();
   for (PageId p : iv.pages) {
     PageEntry& e = entry(p);
@@ -466,8 +457,8 @@ util::Buf DsmRuntime::build_interval_payload(
 void DsmRuntime::acquire(std::uint32_t lock) {
   CNI_CHECK_MSG(thread_ != nullptr, "DSM app call before bind_thread");
   CNI_LOG_DEBUG("n%u acquire(%u)", self_, lock);
-  node_.cpu().sync(*thread_);
-  ++node_.cpu().stats().lock_acquires;
+  cpu_.sync(*thread_);
+  ++cpu_.stats().lock_acquires;
   lock_granted_ = false;
   ByteWriter w(kMsgHeadroom);
   w.u32(lock);
@@ -475,13 +466,13 @@ void DsmRuntime::acquire(std::uint32_t lock) {
   w.clock(vc_);
   send_request(sys_.lock_home(lock), kDsmLockReq, lock, w.take());
   wq_.wait(*thread_, [this] { return lock_granted_; });
-  node_.cpu().charge_overhead(*thread_, node_.board().wakeup_cost_cycles());
+  cpu_.charge_overhead(*thread_, node_.board().wakeup_cost_cycles());
 }
 
 void DsmRuntime::release(std::uint32_t lock) {
   CNI_CHECK_MSG(thread_ != nullptr, "DSM app call before bind_thread");
   CNI_LOG_DEBUG("n%u release(%u)", self_, lock);
-  node_.cpu().sync(*thread_);
+  cpu_.sync(*thread_);
   close_interval();
   ByteWriter w(kMsgHeadroom);
   w.u32(lock);
@@ -594,8 +585,8 @@ void DsmRuntime::on_lock_rel(Ctx& ctx, const atm::Frame& f) {
 
 void DsmRuntime::barrier() {
   CNI_CHECK_MSG(thread_ != nullptr, "DSM app call before bind_thread");
-  node_.cpu().sync(*thread_);
-  ++node_.cpu().stats().barriers;
+  cpu_.sync(*thread_);
+  ++cpu_.stats().barriers;
   close_interval();
   barrier_released_ = false;
 
@@ -613,13 +604,13 @@ void DsmRuntime::barrier() {
   }
   w.u32(static_cast<std::uint32_t>(unseen.size()));
   for (const Interval* iv : unseen) iv->serialize(w);
-  node_.cpu().charge_overhead(
+  cpu_.charge_overhead(
       *thread_, unseen.size() * sys_.params().handler_per_interval_cycles);
   // Root of this barrier episode's causal tree (seq: the node's barrier
   // count); the arrive frame carries it, so manager fan-in/fan-out chains
   // under it, and the span itself measures this node's barrier wait.
   [[maybe_unused]] const sim::SimTime bar_start = node_.engine().now();
-  const auto episode = static_cast<std::uint32_t>(node_.cpu().stats().barriers);
+  const auto episode = static_cast<std::uint32_t>(cpu_.stats().barriers);
   const std::uint64_t bar_tok =
       tracing() ? obs::causal_token(self_, episode, obs::Stage::kBarrier) : 0;
   if (sys_.collective() == cluster::CollectiveMode::kNic) {
@@ -629,7 +620,7 @@ void DsmRuntime::barrier() {
   }
 
   wq_.wait(*thread_, [this] { return barrier_released_; });
-  node_.cpu().charge_overhead(*thread_, node_.board().wakeup_cost_cycles());
+  cpu_.charge_overhead(*thread_, node_.board().wakeup_cost_cycles());
   if (bar_tok != 0) {
     CNI_TRACE_CAUSAL(obs_, bar_start, node_.engine().now(), obs::Stage::kBarrier,
                      bar_tok, 0);
@@ -871,7 +862,7 @@ void DsmRuntime::on_col_down(Ctx& ctx, const atm::Frame& f) {
 
 std::uint64_t DsmRuntime::reduce(ReduceOp op, std::uint64_t value) {
   CNI_CHECK_MSG(thread_ != nullptr, "DSM app call before bind_thread");
-  node_.cpu().sync(*thread_);
+  cpu_.sync(*thread_);
   red_released_ = false;
   const std::uint32_t episode = ++red_calls_;
   [[maybe_unused]] const sim::SimTime start = node_.engine().now();
@@ -882,7 +873,7 @@ std::uint64_t DsmRuntime::reduce(ReduceOp op, std::uint64_t value) {
   w.u64(value);
   send_request(self_, kDsmRedUp, episode, w.take(), tok);
   wq_.wait(*thread_, [this] { return red_released_; });
-  node_.cpu().charge_overhead(*thread_, node_.board().wakeup_cost_cycles());
+  cpu_.charge_overhead(*thread_, node_.board().wakeup_cost_cycles());
   if (tok != 0) {
     CNI_TRACE_CAUSAL(obs_, start, node_.engine().now(), obs::Stage::kBarrier, tok, 0);
   }
@@ -1055,7 +1046,7 @@ void DsmRuntime::on_diff_req(Ctx& ctx, const atm::Frame& f) {
     if (d.vc[self_] <= floor[self_] || d.vc[self_] > target) continue;
     ds.push_back(d);
   }
-  node_.cpu().stats().diffs_created += ds.size();
+  cpu_.stats().diffs_created += ds.size();
   std::uint64_t words = 0;
   for (const Diff& d : ds) words += diff_words(d);
   ctx.charge(sys_.params().handler_base_cycles +

@@ -67,8 +67,21 @@ class DsmRuntime {
 
   /// Fast-path shared access: validates protection (faulting and fetching as
   /// needed), charges the cache-model timing, and returns a pointer to the
-  /// bytes. [va, va+len) must lie within one page.
-  std::byte* access(mem::VAddr va, std::uint32_t len, bool write);
+  /// bytes. [va, va+len) must lie within one page. Only a fault makes a page
+  /// accessible, and access_slow() caches the physical base after each one.
+  std::byte* access(mem::VAddr va, std::uint32_t len, bool write) {
+    const mem::VAddr rel = va - mem::kSharedBase;
+    const std::uint64_t off = rel & page_mask_;
+    CNI_CHECK_MSG(off + len <= page_mask_ + 1, "shared access straddles a page boundary");
+    const PageId p = rel >> page_shift_;
+    PageEntry* e = p < pages_.size() ? &pages_[p] : nullptr;
+    if (e == nullptr || !(write ? e->writable() : e->readable())) {
+      e = &access_slow(p, va - off, write);
+    }
+    cpu_.mem_access_phys(e->pa_base + off, write);
+    CNI_DCHECK(!e->data.empty());
+    return e->data.data() + off;
+  }
 
   template <typename T>
   [[nodiscard]] T read(mem::VAddr va) {
@@ -121,6 +134,7 @@ class DsmRuntime {
 
   // -- machinery --
   PageEntry& entry(PageId p);
+  PageEntry& access_slow(PageId p, mem::VAddr page_va, bool write);
   void fault(PageId p, bool write);
   void fetch_page_data(PageEntry& e, PageId p);
   void apply_fetch_results(PageEntry& e);
@@ -243,6 +257,9 @@ class DsmRuntime {
 
   DsmSystem& sys_;
   cluster::Node& node_;
+  cluster::HostCpu& cpu_;    ///< node_.cpu(), cached for access()
+  unsigned page_shift_;      ///< page geometry, cached for access()
+  std::uint64_t page_mask_;
   std::uint32_t self_;
   std::uint32_t nprocs_;
   sim::SimThread* thread_ = nullptr;

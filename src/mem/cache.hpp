@@ -4,11 +4,10 @@
 // (10 cycles), direct-mapped, write-back, 20-cycle memory latency. The model
 // is data-less: the one true copy of every byte lives in host memory arrays,
 // and the cache contributes timing, write-back bus traffic (which the CNI
-// snooper consumes) and flush costs.
+// snooper consumes) and flush costs. DESIGN.md §5 covers its host-time design.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "mem/page.hpp"
@@ -42,7 +41,16 @@ class CacheModel {
 
   /// Models a load (is_write=false) or store of up to one line at `addr`.
   /// Accesses never straddle lines in our callers (they are <= 8 bytes).
-  CacheAccess access(PAddr addr, bool is_write);
+  CacheAccess access(PAddr addr, bool is_write) {
+    ++accesses_;
+    const PAddr line = line_addr(addr);
+    Line& e1 = l1_[l1_index(line)];
+    if (!holds(e1, line)) return miss(line, e1, is_write);
+    ++l1_hits_;
+    CacheAccess r{.cpu_cycles = params_.l1_latency_cycles, .l1_hit = true};
+    if (is_write) store(e1, line, r);
+    return r;
+  }
 
   /// Writes back (and keeps valid/clean) every dirty line intersecting
   /// [addr, addr+len). Returns the dirty line addresses, in address order,
@@ -63,19 +71,36 @@ class CacheModel {
   [[nodiscard]] std::uint64_t writebacks() const { return writebacks_; }
 
  private:
-  struct Line {
-    PAddr tag = 0;
-    bool valid = false;
-    bool dirty = false;
-  };
+  /// One word per line: its address | kValid | kDirty (a line is >= 4 bytes).
+  using Line = std::uint64_t;
+  static constexpr Line kValid = 1;
+  static constexpr Line kDirty = 2;
+  static bool holds(Line e, PAddr line) { return (e & ~kDirty) == (line | kValid); }
+  static bool dirty(Line e) { return (e & (kValid | kDirty)) == (kValid | kDirty); }
 
   [[nodiscard]] PAddr line_addr(PAddr a) const { return a & ~(params_.line_size - 1); }
-  [[nodiscard]] std::size_t l1_index(PAddr line) const;
-  [[nodiscard]] std::size_t l2_index(PAddr line) const;
+  std::size_t l1_index(PAddr line) const { return (line >> line_shift_) & l1_mask_; }
+  std::size_t l2_index(PAddr line) const { return (line >> line_shift_) & l2_mask_; }
+
+  /// A store hitting L1 entry `e1`; L2 inherits its dirtiness on eviction.
+  void store(Line& e1, PAddr line, CacheAccess& r) const {
+    if (params_.write_back) {
+      e1 |= kDirty;
+    } else {
+      r.bus_write = true;
+      r.bus_write_line = line;
+    }
+  }
+
+  /// Everything but an L1 hit: L2 lookup or fill, L1 victim, refill of `e1`.
+  CacheAccess miss(PAddr line, Line& e1, bool is_write);
 
   CacheParams params_;
+  unsigned line_shift_ = 0;  ///< log2(line_size)
+  std::size_t l1_mask_ = 0;  ///< L1 lines - 1
+  std::size_t l2_mask_ = 0;  ///< L2 lines - 1
   std::vector<Line> l1_;
-  std::vector<Line> l2_;
+  std::vector<Line> l2_;  ///< empty until the first L1 miss
   std::uint64_t accesses_ = 0;
   std::uint64_t l1_hits_ = 0;
   std::uint64_t l2_hits_ = 0;

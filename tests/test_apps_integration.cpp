@@ -82,6 +82,24 @@ TEST(CholeskyIntegration, StandardBoardMatchesReference) {
   EXPECT_NEAR(sum, ref, std::abs(ref) * 1e-6);
 }
 
+// RunResult::answer sums each node's DsmContext::add_answer tally in node
+// order, at no simulated cost. It is the same whether or not node 0's
+// simulated gather runs, and it agrees with the gathered checksum: bit for bit
+// where the gather adds the same per-node partials (Jacobi, Water), to
+// rounding where it re-adds every factor entry in column order (Cholesky).
+TEST(AppAnswers, HostAnswerMatchesGatheredChecksum) {
+  const auto check = [](auto run, const auto& cfg, std::uint32_t p, double rel_tol) {
+    double gathered = 0;
+    const RunResult with = run(make_params(BoardKind::kCni, p), cfg, &gathered);
+    const RunResult without = run(make_params(BoardKind::kCni, p), cfg, nullptr);
+    EXPECT_EQ(with.answer, without.answer);
+    EXPECT_NEAR(with.answer, gathered, std::abs(gathered) * rel_tol);
+  };
+  check(run_jacobi, JacobiConfig{24, 3, 6}, 4, 0.0);
+  check(run_water, WaterConfig{27, 2}, 3, 0.0);
+  check(run_cholesky, CholeskyConfig{64, 8, 2, 3}, 4, 1e-12);
+}
+
 TEST(Determinism, SameSeedSameResult) {
   JacobiConfig cfg{24, 3, 6};
   const RunResult a = run_jacobi(make_params(BoardKind::kCni, 4), cfg, nullptr);

@@ -359,5 +359,27 @@ TEST(DsmProtocol, RepeatedOverwriteNeverResurrectsOldValues) {
   });
 }
 
+// A bad shared access fails loudly in every build type instead of reading
+// past the page table or the 4 KB frame.
+TEST(DsmProtocolDeathTest, AccessPastTheRegionAborts) {
+  EXPECT_DEATH(
+      {
+        Fixture f(1);
+        const mem::VAddr x = f.sys.alloc(4096, "x");
+        f.run([&](DsmContext& ctx) { (void)ctx.read<std::uint64_t>(x + 4096); });
+      },
+      "outside the allocated shared region");
+}
+
+TEST(DsmProtocolDeathTest, ReadStraddlingAPageAborts) {
+  EXPECT_DEATH(
+      {
+        Fixture f(1);
+        const mem::VAddr x = f.sys.alloc(2 * 4096, "x");
+        f.run([&](DsmContext& ctx) { (void)ctx.read<std::uint64_t>(x + 4096 - 4); });
+      },
+      "straddles a page boundary");
+}
+
 }  // namespace
 }  // namespace cni::dsm

@@ -1,6 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <ostream>
+#include <string>
+#include <vector>
+
 #include "mem/cache.hpp"
+#include "util/rng.hpp"
 
 namespace cni::mem {
 namespace {
@@ -123,6 +128,234 @@ TEST_P(CacheLineSweep, SteadyStateHits) {
 }
 
 INSTANTIATE_TEST_SUITE_P(LineSizes, CacheLineSweep, ::testing::Values(16, 32, 64, 128));
+
+// The struct-per-line model CacheModel's packed encoding replaced, kept as
+// the reference the differential test below drives in lockstep with it.
+class ReferenceCache {
+ public:
+  explicit ReferenceCache(const CacheParams& p)
+      : params_(p), l1_(p.l1_size / p.line_size), l2_(p.l2_size / p.line_size) {}
+
+  CacheAccess access(PAddr addr, bool is_write) {
+    ++accesses_;
+    CacheAccess r;
+    const PAddr line = line_addr(addr);
+    Line& e1 = l1_[l1_index(line)];
+    const bool write_through = !params_.write_back;
+    if (e1.valid && e1.tag == line) {
+      ++l1_hits_;
+      r.l1_hit = true;
+      r.cpu_cycles = params_.l1_latency_cycles;
+      if (is_write) {
+        if (write_through) {
+          r.bus_write = true;
+          r.bus_write_line = line;
+        } else {
+          e1.dirty = true;
+        }
+      }
+      return r;
+    }
+    Line& e2 = l2_[l2_index(line)];
+    if (e2.valid && e2.tag == line) {
+      ++l2_hits_;
+      r.l2_hit = true;
+      r.cpu_cycles = params_.l2_latency_cycles;
+    } else {
+      r.cpu_cycles = params_.l2_latency_cycles + params_.memory_latency_cycles;
+      if (e2.valid && e2.dirty) {
+        ++writebacks_;
+        r.wrote_back = true;
+        r.writeback_line = e2.tag;
+      }
+      e2.valid = true;
+      e2.dirty = false;
+      e2.tag = line;
+    }
+    if (e1.valid && e1.dirty) {
+      Line& v2 = l2_[l2_index(e1.tag)];
+      if (v2.valid && v2.tag == e1.tag) {
+        v2.dirty = true;
+      } else {
+        ++writebacks_;
+        if (!r.wrote_back) {
+          r.wrote_back = true;
+          r.writeback_line = e1.tag;
+        }
+      }
+    }
+    e1.valid = true;
+    e1.dirty = false;
+    e1.tag = line;
+    if (is_write) {
+      if (write_through) {
+        r.bus_write = true;
+        r.bus_write_line = line;
+      } else {
+        e1.dirty = true;
+      }
+    }
+    return r;
+  }
+
+  std::vector<PAddr> flush_range(PAddr addr, std::uint64_t len, std::uint64_t* cycles) {
+    std::vector<PAddr> flushed;
+    if (len == 0) return flushed;
+    std::uint64_t cost = 0;
+    for (PAddr line = line_addr(addr); line <= line_addr(addr + len - 1);
+         line += params_.line_size) {
+      cost += params_.l1_latency_cycles;
+      bool dirty = false;
+      for (Line* e : {&l1_[l1_index(line)], &l2_[l2_index(line)]}) {
+        if (e->valid && e->tag == line && e->dirty) {
+          e->dirty = false;
+          dirty = true;
+        }
+      }
+      if (dirty) {
+        ++writebacks_;
+        cost += params_.l2_latency_cycles;
+        flushed.push_back(line);
+      }
+    }
+    *cycles += cost;
+    return flushed;
+  }
+
+  void invalidate_range(PAddr addr, std::uint64_t len) {
+    if (len == 0) return;
+    for (PAddr line = line_addr(addr); line <= line_addr(addr + len - 1);
+         line += params_.line_size) {
+      for (Line* e : {&l1_[l1_index(line)], &l2_[l2_index(line)]}) {
+        if (e->valid && e->tag == line) e->valid = false;
+      }
+    }
+  }
+
+  std::uint64_t accesses_ = 0;
+  std::uint64_t l1_hits_ = 0;
+  std::uint64_t l2_hits_ = 0;
+  std::uint64_t writebacks_ = 0;
+
+ private:
+  struct Line {
+    PAddr tag = 0;
+    bool valid = false;
+    bool dirty = false;
+  };
+  [[nodiscard]] PAddr line_addr(PAddr a) const { return a & ~(params_.line_size - 1); }
+  [[nodiscard]] std::size_t l1_index(PAddr line) const {
+    return (line / params_.line_size) % l1_.size();
+  }
+  [[nodiscard]] std::size_t l2_index(PAddr line) const {
+    return (line / params_.line_size) % l2_.size();
+  }
+
+  CacheParams params_;
+  std::vector<Line> l1_;
+  std::vector<Line> l2_;
+};
+
+void expect_same(const CacheAccess& got, const CacheAccess& want, int op) {
+  EXPECT_EQ(got.cpu_cycles, want.cpu_cycles) << "op " << op;
+  EXPECT_EQ(got.l1_hit, want.l1_hit) << "op " << op;
+  EXPECT_EQ(got.l2_hit, want.l2_hit) << "op " << op;
+  EXPECT_EQ(got.wrote_back, want.wrote_back) << "op " << op;
+  EXPECT_EQ(got.writeback_line, want.writeback_line) << "op " << op;
+  EXPECT_EQ(got.bus_write, want.bus_write) << "op " << op;
+  EXPECT_EQ(got.bus_write_line, want.bus_write_line) << "op " << op;
+}
+
+void expect_same_counters(const CacheModel& got, const ReferenceCache& want) {
+  EXPECT_EQ(got.accesses(), want.accesses_);
+  EXPECT_EQ(got.l1_hits(), want.l1_hits_);
+  EXPECT_EQ(got.l2_hits(), want.l2_hits_);
+  EXPECT_EQ(got.writebacks(), want.writebacks_);
+}
+
+struct Geometry {
+  std::uint64_t line_size;
+  bool write_back;
+};
+
+void PrintTo(const Geometry& g, std::ostream* os) {
+  *os << g.line_size << (g.write_back ? "B write-back" : "B write-through");
+}
+
+// Differential property: the packed model and the reference agree on every
+// access result, every flush (line list and cycles) and every counter, over
+// a long seeded mix of loads, stores, flushes and invalidations. L1 and L2
+// are tiny and the address pool spans 4 L2 sizes, so L1 conflicts, L2
+// conflicts, dirty victims whose L2 copy is gone and refills of invalidated
+// dirty lines all occur thousands of times.
+class CacheDifferential : public ::testing::TestWithParam<Geometry> {};
+
+TEST_P(CacheDifferential, PackedModelMatchesReference) {
+  CacheParams p;
+  p.line_size = GetParam().line_size;
+  p.l1_size = 8 * p.line_size;
+  p.l2_size = 32 * p.line_size;
+  p.write_back = GetParam().write_back;
+  CacheModel got(p);
+  ReferenceCache want(p);
+  util::SplitMix64 rng(0xC0FFEE + p.line_size + (p.write_back ? 1 : 0));
+  const std::uint64_t span = 4 * p.l2_size;
+  const PAddr base = 0x10000;
+
+  // Before the first miss there is no L2: flush and invalidate must still
+  // charge the probes and find nothing.
+  std::uint64_t got_cycles = 0;
+  std::uint64_t want_cycles = 0;
+  EXPECT_EQ(got.flush_range(base, span, &got_cycles),
+            want.flush_range(base, span, &want_cycles));
+  EXPECT_EQ(got_cycles, want_cycles);
+  got.invalidate_range(base, span);
+  want.invalidate_range(base, span);
+
+  // A dirty line dropped by invalidation is refilled clean: no write-back.
+  expect_same(got.access(base, true), want.access(base, true), -2);
+  got.invalidate_range(base, 1);
+  want.invalidate_range(base, 1);
+  expect_same(got.access(base, false), want.access(base, false), -1);
+
+  constexpr int kOps = 120000;
+  for (int op = 0; op < kOps; ++op) {
+    const PAddr addr = base + rng.next_below(span);
+    const std::uint64_t kind = rng.next_below(100);
+    if (kind < 90) {
+      const bool is_write = kind < 40;
+      expect_same(got.access(addr, is_write), want.access(addr, is_write), op);
+    } else if (kind < 96) {
+      const std::uint64_t len = rng.next_below(4 * p.line_size);
+      got_cycles = 0;
+      want_cycles = 0;
+      EXPECT_EQ(got.flush_range(addr, len, &got_cycles),
+                want.flush_range(addr, len, &want_cycles))
+          << "op " << op;
+      EXPECT_EQ(got_cycles, want_cycles) << "op " << op;
+    } else {
+      const std::uint64_t len = rng.next_below(4 * p.line_size);
+      got.invalidate_range(addr, len);
+      want.invalidate_range(addr, len);
+    }
+    if (::testing::Test::HasFailure()) break;
+  }
+  expect_same_counters(got, want);
+  EXPECT_GT(want.l2_hits_, 0u);
+  if (p.write_back) {
+    EXPECT_GT(want.writebacks_, 0u);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Geometries, CacheDifferential,
+    ::testing::Values(Geometry{16, true}, Geometry{32, true}, Geometry{64, true},
+                      Geometry{128, true}, Geometry{16, false}, Geometry{32, false},
+                      Geometry{64, false}, Geometry{128, false}),
+    [](const ::testing::TestParamInfo<Geometry>& param_info) {
+      return std::to_string(param_info.param.line_size) +
+             (param_info.param.write_back ? "B_write_back" : "B_write_through");
+    });
 
 }  // namespace
 }  // namespace cni::mem
