@@ -84,9 +84,6 @@ cni::cluster::SimParams point_params(TopologyKind kind, const Mode& mode,
   while (ports < nodes) ports *= 2;
   params.fabric.switch_ports = ports;
   params.fabric.topology = kind;
-  // Barrier-only node bodies touch almost no stack; the default 512 KiB
-  // fiber would cost 2 GiB of host address space at 4096 nodes.
-  params.thread_stack_bytes = 64 * 1024;
   return params;
 }
 

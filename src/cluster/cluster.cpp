@@ -108,8 +108,7 @@ sim::SimTime Cluster::run(util::FunctionRef<void(std::size_t, sim::SimThread&)> 
           body(i, t);
           node(i).cpu().sync(t);  // settle any trailing local charge
           finish[i] = node(i).engine().now();
-        },
-        /*start=*/0, params_.thread_stack_bytes));
+        }));
   }
   epoch_stats_ = sim::EpochStats{};
   sim::EpochParams ep;

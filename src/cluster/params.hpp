@@ -72,10 +72,6 @@ struct SimParams {
   /// fabric resolves switch contention in head-arrival order. Defaults from
   /// CNI_SIM_SHARDS.
   std::uint32_t sim_shards = default_sim_shards();
-  /// Fiber stack bytes per simulated node (0 = sim::SimThread's default).
-  /// Purely a host-memory knob — wide barrier-only sweeps (4096 nodes) can
-  /// run tiny stacks; simulated results never depend on it.
-  std::uint64_t thread_stack_bytes = 0;
 
   mem::CacheParams cache;     ///< 32 KB L1 / 1 MB L2, direct-mapped write-back
   mem::BusParams bus;         ///< 25 MHz, 4-cycle acquisition, 2 cycles/word

@@ -75,12 +75,20 @@ void DsmRuntime::install_handlers() {
 // Basic plumbing
 // ---------------------------------------------------------------------------
 
-PageEntry& DsmRuntime::entry(PageId p) {
+PageEntry& DsmRuntime::meta(PageId p) {
   CNI_CHECK_MSG(p < sys_.page_count(), "access outside the allocated shared region");
   if (pages_.size() < sys_.page_count()) pages_.resize(sys_.page_count());
-  PageEntry& e = pages_[p];
+  return pages_[p];
+}
+
+PageEntry& DsmRuntime::entry(PageId p) {
+  PageEntry& e = meta(p);
   if (e.data.empty()) e.data.resize(sys_.geometry().size());
   return e;
+}
+
+bool DsmRuntime::has_frame(PageId p) const {
+  return p < pages_.size() && !pages_[p].data.empty();
 }
 
 PageMode DsmRuntime::page_mode(PageId p) const {
@@ -421,7 +429,9 @@ std::size_t DsmRuntime::process_incoming_interval(const Interval& iv) {
   auto& st = cpu_.stats();
   st.write_notices_received += iv.pages.size();
   for (PageId p : iv.pages) {
-    PageEntry& e = entry(p);
+    // A notice is bookkeeping only: a page this node never touched gets no
+    // frame here, only at its first access. (A valid page already has one.)
+    PageEntry& e = meta(p);
     e.pending.push_back(Notice{iv.writer, iv.index, iv.vc});
     if (e.mode != PageMode::kInvalid) {
       if (!e.twin.empty()) {
@@ -689,10 +699,10 @@ void DsmRuntime::on_bar_release(Ctx& ctx, const atm::Frame& f) {
 void DsmRuntime::schedule_barrier_release(sim::SimTime at, std::vector<Interval> ivs,
                                           VectorClock global) {
   node_.engine().schedule_at(
-      at, [this, ivs = std::move(ivs), global = std::move(global)] {
+      at, [this, ivs = std::move(ivs), global = std::move(global)]() mutable {
         for (const Interval& iv : ivs) process_incoming_interval(iv);
         vc_.merge(global);
-        last_barrier_vc_ = global;
+        last_barrier_vc_ = std::move(global);
         barrier_released_ = true;
         wq_.notify_all();
       });
@@ -711,18 +721,6 @@ void DsmRuntime::schedule_barrier_release(sim::SimTime at, std::vector<Interval>
 // release is scheduled. On the standard NIC the same handlers run host-side
 // after an interrupt — the A/B the fig_barrier_scaling bench measures.
 // ---------------------------------------------------------------------------
-
-namespace {
-
-/// Element-wise minimum: the subtree floor the down-sweep filters against.
-void clock_min_in_place(VectorClock& acc, const VectorClock& v) {
-  CNI_CHECK(acc.size() == v.size());
-  for (std::size_t i = 0; i < acc.size(); ++i) {
-    if (v[i] < acc[i]) acc.set(i, v[i]);
-  }
-}
-
-}  // namespace
 
 void DsmRuntime::sort_unique_intervals(std::vector<Interval>& ivs) {
   std::sort(ivs.begin(), ivs.end(), [](const Interval& a, const Interval& b) {
@@ -751,7 +749,7 @@ void DsmRuntime::on_col_up(Ctx& ctx, const atm::Frame& f) {
   if (col_.min.size() == 0) {
     col_.min = sub;
   } else {
-    clock_min_in_place(col_.min, sub);
+    col_.min.min_in_place(sub);
   }
   if (hdr.src_node != self_) col_.child_min.emplace_back(hdr.src_node, std::move(sub));
   for (Interval& iv : ivs) col_.ivs.push_back(std::move(iv));
@@ -1036,8 +1034,9 @@ void DsmRuntime::on_diff_req(Ctx& ctx, const atm::Frame& f) {
 
   // Ship exactly the per-interval diffs in (floor, target]: what the
   // requester's notices cover and its copy lacks. Open (un-noticed)
-  // modifications and intervals beyond the target stay local.
-  PageEntry& e = entry(page);
+  // modifications and intervals beyond the target stay local. Only the
+  // retained diffs are read, never the frame.
+  const PageEntry& e = meta(page);
   std::vector<Diff> ds;
   ds.reserve(e.retained.size());
   for (const Diff& d : e.retained) {

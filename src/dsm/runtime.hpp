@@ -102,6 +102,10 @@ class DsmRuntime {
   [[nodiscard]] const VectorClock& clock() const { return vc_; }
   [[nodiscard]] PageMode page_mode(PageId p) const;
   [[nodiscard]] std::size_t pending_notices(PageId p) const;
+  /// Whether this node holds a frame for page `p`. A frame is allocated at
+  /// the node's first access to the page or when it serves the page, never
+  /// for a write notice alone.
+  [[nodiscard]] bool has_frame(PageId p) const;
   [[nodiscard]] const IntervalStore& interval_store() const { return store_; }
   [[nodiscard]] cluster::Node& node() { return node_; }
   /// Whether the centralized barrier-manager state exists on this node: it
@@ -133,6 +137,9 @@ class DsmRuntime {
   void on_diff_reply(Ctx& ctx, const atm::Frame& f);
 
   // -- machinery --
+  /// The page's protocol state, without allocating its frame.
+  PageEntry& meta(PageId p);
+  /// meta() plus the frame, allocated zero-filled on first use.
   PageEntry& entry(PageId p);
   PageEntry& access_slow(PageId p, mem::VAddr page_va, bool write);
   void fault(PageId p, bool write);

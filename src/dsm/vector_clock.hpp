@@ -28,6 +28,12 @@ class VectorClock {
     for (std::size_t i = 0; i < v_.size(); ++i) v_[i] = std::max(v_[i], o.v_[i]);
   }
 
+  /// Pointwise minimum (a combining tree's subtree floor).
+  void min_in_place(const VectorClock& o) {
+    CNI_CHECK(o.size() == size());
+    for (std::size_t i = 0; i < v_.size(); ++i) v_[i] = std::min(v_[i], o.v_[i]);
+  }
+
   /// True iff this <= o pointwise (this happened-before-or-equals o).
   [[nodiscard]] bool dominated_by(const VectorClock& o) const {
     CNI_CHECK(o.size() == size());

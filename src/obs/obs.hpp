@@ -29,9 +29,11 @@ namespace cni::obs {
 /// One node's trace ring + metrics registry.
 class NodeObs {
  public:
+  /// An untraced node never records (every emit macro checks tracing()), so
+  /// its ring is one slot rather than trace_capacity zero-filled records.
   NodeObs(std::uint32_t node, const Options& opts)
-      : ring_(opts.trace_capacity), node_(static_cast<std::uint16_t>(node)),
-        tracing_(opts.trace) {}
+      : ring_(opts.trace ? opts.trace_capacity : 1),
+        node_(static_cast<std::uint16_t>(node)), tracing_(opts.trace) {}
 
   [[nodiscard]] bool tracing() const { return tracing_; }
   [[nodiscard]] std::uint32_t node() const { return node_; }

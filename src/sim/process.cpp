@@ -1,8 +1,14 @@
 #include "sim/process.hpp"
 
+#include <sys/mman.h>
+#include <unistd.h>
+
+#include <cerrno>
 #include <cstdint>
+#include <cstring>
 
 #include "util/check.hpp"
+#include "util/sanitizers.hpp"
 
 // Switch mechanism selection. The first entry into a fiber must go through
 // ucontext (only makecontext can start execution on a fresh stack), but every
@@ -11,20 +17,7 @@
 // adds a sigprocmask system call per switch. Sanitizers, however, hook the
 // ucontext entry points to track stack switches and would mis-poison frames
 // jumped over by a cross-stack longjmp, so they keep the pure ucontext path.
-#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
-#define CNI_FIBER_UCONTEXT_ONLY 1
-#endif
-#if defined(__has_feature)
-#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer) || \
-    __has_feature(memory_sanitizer)
-#ifndef CNI_FIBER_UCONTEXT_ONLY
-#define CNI_FIBER_UCONTEXT_ONLY 1
-#endif
-#endif
-#endif
-#ifndef CNI_FIBER_UCONTEXT_ONLY
-#define CNI_FIBER_UCONTEXT_ONLY 0
-#endif
+#define CNI_FIBER_UCONTEXT_ONLY CNI_MEMORY_SANITIZER
 
 namespace cni::sim {
 
@@ -41,15 +34,25 @@ thread_local SimThread* t_current = nullptr;
 
 SimThread* SimThread::current() { return t_current; }
 
-SimThread::SimThread(Engine& engine, std::string name, Body body, SimTime start,
-                     std::size_t stack_bytes)
-    : engine_(engine),
-      name_(std::move(name)),
-      body_(std::move(body)),
-      stack_(stack_bytes != 0 ? stack_bytes : kStackBytes) {
+// MAP_NORESERVE: the stack is address space, not a commit charge — 4096
+// fibers reserve 2 GB but commit only the pages they touch.
+SimThread::Stack::Stack() : guard_(static_cast<std::size_t>(sysconf(_SC_PAGESIZE))) {
+  void* const map = mmap(nullptr, guard_ + kStackBytes, PROT_READ | PROT_WRITE,
+                         MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE | MAP_STACK, -1, 0);
+  CNI_CHECK_MSG(map != MAP_FAILED, std::strerror(errno));
+  map_ = static_cast<char*>(map);
+  CNI_CHECK_MSG(mprotect(map_, guard_, PROT_NONE) == 0, std::strerror(errno));
+}
+
+SimThread::Stack::~Stack() {
+  CNI_CHECK_MSG(munmap(map_, guard_ + kStackBytes) == 0, std::strerror(errno));
+}
+
+SimThread::SimThread(Engine& engine, std::string name, Body body, SimTime start)
+    : engine_(engine), name_(std::move(name)), body_(std::move(body)) {
   CNI_CHECK(getcontext(&fiber_) == 0);
-  fiber_.uc_stack.ss_sp = stack_.data();
-  fiber_.uc_stack.ss_size = stack_.size();
+  fiber_.uc_stack.ss_sp = stack_.base();
+  fiber_.uc_stack.ss_size = kStackBytes;
   fiber_.uc_link = nullptr;  // the trampoline always swaps back explicitly
   makecontext(&fiber_, &SimThread::trampoline, 0);
   engine_.schedule_at(start, [this] { resume_from_engine(); });

@@ -17,11 +17,11 @@
 #include <ucontext.h>
 
 #include <csetjmp>
+#include <cstddef>
 #include <exception>
 #include <functional>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "sim/engine.hpp"
 #include "sim/time.hpp"
@@ -35,20 +35,18 @@ class SimThread {
   // large app closures for which InlineFn's 48-byte buffer is no win.
   using Body = std::function<void(SimThread&)>;
 
-  /// Default fiber stack size. Application kernels keep big data on the
-  /// heap; half a megabyte leaves ample headroom for library frames.
+  /// Usable bytes of every fiber stack. Application kernels keep big data
+  /// on the heap; half a megabyte leaves ample headroom for library frames.
+  /// The size reserves address space only: a page is committed when the
+  /// fiber first touches it, so a barrier-only node costs a few KB.
   static constexpr std::size_t kStackBytes = 512 * 1024;
 
   /// Creates the thread and schedules its first run at `start`.
-  /// `stack_bytes` sizes the fiber stack (0 = kStackBytes) — a host-memory
-  /// knob for wide runs (4096 barrier-only nodes at the default half-MB
-  /// would need 2 GB of stacks); simulated results never depend on it.
-  SimThread(Engine& engine, std::string name, Body body, SimTime start = 0,
-            std::size_t stack_bytes = 0);
+  SimThread(Engine& engine, std::string name, Body body, SimTime start = 0);
 
-  /// A finished fiber is simply freed. An unfinished one (abandoned
-  /// simulation, e.g. a failing test) is also freed — its stack objects are
-  /// not unwound, which is acceptable for an abandoned run.
+  /// Unmaps the stack. An unfinished fiber (abandoned simulation, e.g. a
+  /// failing test) is unmapped too — its stack objects are not unwound,
+  /// which is acceptable for an abandoned run.
   ~SimThread() = default;
 
   SimThread(const SimThread&) = delete;
@@ -93,6 +91,27 @@ class SimThread {
     kFinished,  // body returned
   };
 
+  /// The fiber's stack: an anonymous mapping of kStackBytes with one
+  /// PROT_NONE guard page below it. The stack grows down, so running off
+  /// its end faults on the guard page at once instead of writing over
+  /// whatever lies below. The destructor unmaps both.
+  class Stack {
+   public:
+    Stack();
+    ~Stack();
+    Stack(const Stack&) = delete;
+    Stack& operator=(const Stack&) = delete;
+    Stack(Stack&&) = delete;
+    Stack& operator=(Stack&&) = delete;
+
+    /// Lowest usable byte, just above the guard page.
+    [[nodiscard]] char* base() const { return map_ + guard_; }
+
+   private:
+    std::size_t guard_;     ///< one host page
+    char* map_ = nullptr;  ///< guard page, then kStackBytes of stack
+  };
+
   static void trampoline();
 
   /// Engine-side: gives the CPU to the body and waits until it yields back.
@@ -108,7 +127,7 @@ class SimThread {
   bool wake_pending_ = false;  // a wake event is already scheduled
   bool started_ = false;       // first entry must build the stack via ucontext
   std::exception_ptr error_;
-  std::vector<char> stack_;
+  Stack stack_;
   ucontext_t fiber_{};
   ucontext_t engine_ctx_{};
   // Fast-path switch state: after the ucontext first entry, engine<->fiber

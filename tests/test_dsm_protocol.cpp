@@ -228,6 +228,29 @@ TEST(DsmProtocol, RemoteNoticeInvalidatesReaderCopy) {
   });
 }
 
+TEST(DsmProtocol, NoticeAloneAllocatesNoFrame) {
+  // Node i writes page i (homed at node i, so nobody fetches it first);
+  // the barrier hands every node a notice for its neighbour's page. The
+  // notice must not allocate a frame; the first read does, and returns the
+  // writer's bytes.
+  constexpr std::uint32_t kProcs = 4;
+  Fixture f(kProcs);
+  const std::uint64_t page_bytes = f.sys.geometry().size();
+  const mem::VAddr base = f.sys.alloc(kProcs * page_bytes, "pages");
+  f.run([&](DsmContext& ctx) {
+    const std::uint32_t self = ctx.self();
+    ctx.write<std::uint64_t>(base + self * page_bytes, 100 + self);
+    ctx.barrier();
+    const std::uint32_t next = (self + 1) % kProcs;
+    const mem::VAddr theirs = base + next * page_bytes;
+    const PageId page = f.sys.page_of_va(theirs);
+    EXPECT_GE(ctx.runtime().pending_notices(page), 1u);
+    EXPECT_FALSE(ctx.runtime().has_frame(page));
+    EXPECT_EQ(ctx.read<std::uint64_t>(theirs), 100u + next);
+    EXPECT_TRUE(ctx.runtime().has_frame(page));
+  });
+}
+
 TEST(DsmProtocol, WorksOnStandardBoardToo) {
   Fixture f(3, BoardKind::kStandard);
   const mem::VAddr x = f.sys.alloc(256, "x");

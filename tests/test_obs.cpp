@@ -1,11 +1,14 @@
 // Observability primitives: histogram math, metrics registry, emit macros,
-// and the bound-counter bridge to the legacy NodeStats accounts.
+// ring sizing, and the bound-counter bridge to the legacy NodeStats accounts.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <string>
 #include <vector>
 
+#include "apps/runner.hpp"
+#include "dsm/context.hpp"
+#include "dsm/system.hpp"
 #include "obs/obs.hpp"
 #include "sim/stats.hpp"
 
@@ -110,6 +113,7 @@ TEST(NodeObs, RecordsAllThreeKinds) {
   opts.trace = true;
   opts.trace_capacity = 16;
   NodeObs obs(3, opts);
+  EXPECT_EQ(obs.ring().capacity(), 16u);
   obs.instant(100, Component::kMCache, Event::kMCacheLookupHit, 1, 2);
   obs.span(200, 250, Component::kAdc, Event::kAdcTxWait, 3, 4);
   obs.span(300, 290, Component::kAdc, Event::kAdcTxWait, 0, 0);  // clamps, never underflows
@@ -144,6 +148,7 @@ TEST(ObsMacros, NullHandlesAndDisabledTracingAreSafeNoOps) {
   CNI_TRACE_SPAN(q, 1, 2, Component::kDsm, Event::kDsmFault, 0, 0);
   CNI_TRACE_COUNTER(q, 1, Component::kDsm, Event::kDsmFault, 0);
   EXPECT_EQ(quiet.ring().recorded(), 0u);
+  EXPECT_EQ(quiet.ring().capacity(), 1u);  // nothing to hold: one slot
 }
 
 TEST(RunObs, BindNodeStatsMirrorsTheLegacyAccountsExactly) {
@@ -169,6 +174,34 @@ TEST(RunObs, BindNodeStatsMirrorsTheLegacyAccountsExactly) {
   EXPECT_EQ(messages, 3u);
   EXPECT_EQ(hits, 7u);
   EXPECT_EQ(dma, 4096u);
+}
+
+TEST(RunObs, ClusterRingsAreSizedOnlyWhenTracing) {
+  // An untraced cluster's rings hold one slot and its run reports nothing
+  // recorded or dropped; a traced cluster's rings keep trace_capacity.
+  for (const bool trace : {false, true}) {
+    cluster::SimParams params = apps::make_params(cluster::BoardKind::kCni, 2);
+    params.obs.trace = trace;
+    params.obs.trace_capacity = 64;
+    cluster::Cluster cl(params);
+    dsm::DsmSystem sys(cl);
+    for (std::uint32_t i = 0; i < cl.obs().node_count(); ++i) {
+      EXPECT_EQ(cl.obs().node(i).ring().capacity(), trace ? 64u : 1u)
+          << "trace=" << trace;
+    }
+    cl.run([&](std::size_t i, sim::SimThread& t) {
+      dsm::DsmContext ctx(sys, i, t);
+      ctx.barrier();
+    });
+    for (const NodeSnapshot& node : cl.snapshot().nodes) {
+      if (!trace) {
+        EXPECT_EQ(node.trace_recorded, 0u);
+        EXPECT_EQ(node.trace_dropped, 0u);
+      } else if (CNI_OBS_ENABLED) {
+        EXPECT_GT(node.trace_recorded, 0u);
+      }
+    }
+  }
 }
 
 TEST(Taxonomy, NamesAreStableIdentifiers) {

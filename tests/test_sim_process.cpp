@@ -1,15 +1,72 @@
 #include <gtest/gtest.h>
+#include <sys/mman.h>
+#include <unistd.h>
 
+#include <cstdint>
+#include <fstream>
 #include <memory>
+#include <sstream>
 #include <stdexcept>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "sim/channel.hpp"
 #include "sim/engine.hpp"
 #include "sim/process.hpp"
+#include "util/sanitizers.hpp"
 
 namespace cni::sim {
 namespace {
+
+/// The process's resident set in bytes (/proc/self/statm, second field).
+std::uint64_t resident_bytes() {
+  std::ifstream statm("/proc/self/statm");
+  std::uint64_t size_pages = 0;
+  std::uint64_t resident_pages = 0;
+  statm >> size_pages >> resident_pages;
+  return resident_pages * static_cast<std::uint64_t>(sysconf(_SC_PAGESIZE));
+}
+
+/// Maps 64 KB of writable memory directly below the run of mappings that
+/// contains `addr`, so that a stack running off its low end lands in
+/// ordinary writable memory unless a guard page stops it first.
+void map_writable_below(std::uintptr_t addr) {
+  std::vector<std::pair<std::uintptr_t, std::uintptr_t>> vmas;
+  std::ifstream maps("/proc/self/maps");
+  for (std::string line; std::getline(maps, line);) {
+    std::uintptr_t lo = 0;
+    std::uintptr_t hi = 0;
+    char dash = 0;
+    std::istringstream(line) >> std::hex >> lo >> dash >> hi;
+    vmas.emplace_back(lo, hi);
+  }
+  std::uintptr_t low = addr;
+  for (bool moved = true; moved;) {  // walk down through adjacent mappings
+    moved = false;
+    for (const auto& [lo, hi] : vmas) {
+      if (lo < low && low <= hi) {
+        low = lo;
+        moved = true;
+      }
+    }
+  }
+  constexpr std::size_t kBytes = 64 * 1024;
+  (void)mmap(reinterpret_cast<void*>(low - kBytes), kBytes, PROT_READ | PROT_WRITE,
+             MAP_PRIVATE | MAP_ANONYMOUS | MAP_FIXED_NOREPLACE, -1, 0);
+}
+
+/// Recurses until the frame address lies `depth` bytes below `top`. Each
+/// frame is a few hundred bytes and writes its own slot, so the descent
+/// touches every stack page on the way down; the frame address (not a local's)
+/// tracks the real stack even where a sanitizer moves arrays off it.
+[[gnu::noinline]] std::uintptr_t descend(std::uintptr_t top, std::uintptr_t depth) {
+  volatile unsigned char frame[256];
+  frame[0] = 1;
+  const auto here = reinterpret_cast<std::uintptr_t>(__builtin_frame_address(0));
+  if (top - here >= depth) return frame[0];
+  return descend(top, depth) + frame[0];  // not a tail call: the frame stays
+}
 
 TEST(SimThread, DelayAdvancesSimulatedTime) {
   Engine e;
@@ -94,6 +151,43 @@ TEST(SimThread, ManyThreadsDeterministicInterleaving) {
       EXPECT_EQ(log, first_run);
     }
   }
+}
+
+TEST(SimThreadDeathTest, StackOverflowHitsTheGuardPage) {
+  // A body that runs a few KB past the end of its stack must fault on the
+  // guard page, not write over the writable memory placed below the stack.
+  EXPECT_DEATH(
+      {
+        Engine e;
+        SimThread t(e, "deep", [](SimThread&) {
+          const auto top = reinterpret_cast<std::uintptr_t>(__builtin_frame_address(0));
+          map_writable_below(top);
+          (void)descend(top, SimThread::kStackBytes + 16 * 1024);
+        });
+        e.run();
+      },
+      "");
+}
+
+TEST(SimThread, ManyFibersCommitOnlyTheStackTheyTouch) {
+  // Sanitizer runtimes shadow every touched stack byte and keep fake frames
+  // of their own, so a resident-set bound says nothing under them.
+  if (CNI_MEMORY_SANITIZER) GTEST_SKIP() << "sanitizer shadow memory swamps the bound";
+  // 4096 fibers reserve 2 GB of stack; each touches only its top few KB.
+  constexpr int kFibers = 4096;
+  const std::uint64_t before = resident_bytes();
+  Engine e;
+  std::vector<std::unique_ptr<SimThread>> ts;
+  ts.reserve(kFibers);
+  for (int i = 0; i < kFibers; ++i) {
+    ts.push_back(
+        std::make_unique<SimThread>(e, "t", [](SimThread& self) { self.delay(1); }));
+  }
+  e.run();
+  const std::uint64_t after = resident_bytes();
+  const std::uint64_t grown = after > before ? after - before : 0;
+  for (const auto& t : ts) EXPECT_TRUE(t->finished());
+  EXPECT_LT(grown, std::uint64_t{64} << 20) << "resident set grew " << grown << " bytes";
 }
 
 TEST(LocalClock, AccumulatesAndSyncs) {
