@@ -282,11 +282,7 @@ def warn_cores_limited(report: dict, what: str) -> None:
         print(f"WARNING: affected: {', '.join(limited)}", file=sys.stderr)
 
 
-# micro_parsim's default 256-proc Jacobi point peaks near 12.5 GB of RSS and
-# is OOM-killed at K = 4 on a 16 GB host until DSM protocol state is bounded
-# (ROADMAP item 4), so the Jacobi point runs at 128 procs; pingpong keeps the
-# binary's 256-proc default.
-PARSIM_RUNS = (["--point=pingpong"], ["--point=jacobi", "--procs=128"])
+PARSIM_RUNS = (["--point=pingpong"], ["--point=jacobi"])
 
 
 def write_parsim() -> None:

@@ -2,7 +2,6 @@
 
 #include <stdexcept>
 #include <string>
-#include <thread>
 
 #include "util/check.hpp"
 #include "util/log.hpp"
@@ -13,27 +12,9 @@ namespace {
 /// Logger time hook: stamps log lines with the engine's simulated clock.
 std::uint64_t engine_now(void* ctx) { return static_cast<sim::Engine*>(ctx)->now(); }
 
-/// CNI_SIM_SHARDS=auto: the largest power-of-two K the host can actually run
-/// concurrently that still leaves every shard at least two nodes. Small
-/// shards would be pointless even on a wide machine: the PR-5 EpochStats
-/// show event-parallelism grows with nodes per shard (intra-block DSM
-/// traffic dominates, and with epoch fusion it costs no barrier at all), so
-/// once blocks shrink to one node the extra threads only buy rendezvous
-/// overhead. Safe to resolve per host because artifacts are byte-identical
-/// for every K — auto-tune changes wall clock, nothing else.
-std::uint32_t auto_sim_shards(std::uint32_t processors) {
-  const unsigned hw = std::thread::hardware_concurrency();  // 0 when unknown
-  std::uint32_t k = 1;
-  while (2 * k <= hw && 4 * k <= processors) k *= 2;
-  return k;
-}
-
-/// Contiguous node blocks per shard (DESIGN.md §12), K resolved from params.
+/// Contiguous node blocks per shard (DESIGN.md §12).
 sim::ShardPlan plan_for(const SimParams& params) {
-  const std::uint32_t requested = params.sim_shards == kAutoShards
-                                      ? auto_sim_shards(params.processors)
-                                      : params.sim_shards;
-  return sim::ShardPlan::balanced(params.processors, requested);
+  return sim::ShardPlan::balanced(params.processors, params.sim_shards);
 }
 
 std::vector<std::unique_ptr<sim::Engine>> make_engines(std::uint32_t n) {

@@ -1,24 +1,30 @@
 #include "cluster/params.hpp"
 
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <string>
 #include <string_view>
+#include <system_error>
 
 #include "obs/report.hpp"
 #include "sim/time.hpp"
+#include "util/check.hpp"
 
 namespace cni::cluster {
 
 std::uint32_t default_sim_shards() {
-  if (const char* env = std::getenv("CNI_SIM_SHARDS"); env != nullptr) {
-    if (std::string_view(env) == "auto") return kAutoShards;
-    char* end = nullptr;
-    const long v = std::strtol(env, &end, 10);
-    if (end != env && v >= 0) return static_cast<std::uint32_t>(v);
-  }
-  return 1;
+  const char* env = std::getenv("CNI_SIM_SHARDS");
+  if (env == nullptr) return 1;
+  const std::string_view text(env);
+  std::uint32_t k = 0;
+  const auto [end, err] = std::from_chars(text.data(), text.data() + text.size(), k);
+  CNI_CHECK_MSG(err == std::errc{} && end == text.data() + text.size(),
+                ("CNI_SIM_SHARDS=" + std::string(text) +
+                 " is not a shard count (an integer >= 0)")
+                    .c_str());
+  return k;
 }
 
 namespace {

@@ -22,15 +22,11 @@ enum class BoardKind {
   kStandard,  ///< baseline: no ADC, no Message Cache, no AIH
 };
 
-/// SimParams::sim_shards value meaning "pick K for me": the cluster resolves
-/// it from the host core count and the node count (see Cluster's auto-tune).
-/// Safe to use anywhere a fixed K is: artifacts are byte-identical
-/// for every K, so the resolved value changes only wall-clock behaviour.
-inline constexpr std::uint32_t kAutoShards = 0xffffffffu;
-
 /// Process-default shard count for the epoch scheduler: CNI_SIM_SHARDS if
-/// set and >= 0 (the literal `auto` yields kAutoShards), else 1. Read once
-/// per call so every cluster in a sweep sees one consistent setting.
+/// set, else 1. Any value but a non-negative decimal integer (`abc`, `-2`,
+/// `auto`) aborts with a message naming it; 0 is accepted and clamps to 1
+/// like any K below 1. Read once per call so every cluster in a sweep sees
+/// one consistent setting.
 [[nodiscard]] std::uint32_t default_sim_shards();
 
 /// Where DSM collective operations (barrier, reduce, broadcast) execute.
@@ -67,10 +63,9 @@ struct SimParams {
   std::uint32_t processors = 8;
   BoardKind board = BoardKind::kCni;
   /// Engine shards K of the epoch scheduler (DESIGN.md §12), clamped into
-  /// [1, processors]; K = 1 runs inline with no threads, kAutoShards tunes K
-  /// from the host core count. Results are bit-identical for every K: the
-  /// fabric resolves switch contention in head-arrival order. Defaults from
-  /// CNI_SIM_SHARDS.
+  /// [1, processors]; K = 1 runs inline with no threads. Results are
+  /// bit-identical for every K: the fabric resolves switch contention in
+  /// head-arrival order. Defaults from CNI_SIM_SHARDS.
   std::uint32_t sim_shards = default_sim_shards();
 
   mem::CacheParams cache;     ///< 32 KB L1 / 1 MB L2, direct-mapped write-back

@@ -10,7 +10,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <map>
 #include <vector>
 
 #include "dsm/vector_clock.hpp"
@@ -53,29 +52,41 @@ struct Interval {
 
 /// Every interval a node knows about — its own and those received in grants
 /// and barrier releases. A releaser forwards the subset the acquirer has not
-/// seen, which makes causality transitive.
+/// seen, which makes causality transitive. The store owns the node's one copy
+/// of each interval: a write notice names its interval by (writer, index) and
+/// resolves the clock through at().
 ///
 /// Intervals of one writer always arrive densely (an interval's clock covers
 /// the writer's earlier intervals, and senders forward complete unseen
 /// suffixes), so each writer's log is a plain vector indexed by
-/// interval-number-1 — making unseen_by() O(answer), not O(store). This
-/// matters: fine-grained apps create hundreds of thousands of intervals.
+/// interval-number-1, and the logs sit in a vector indexed by writer —
+/// making at() O(1) and unseen_by() O(writers + answer). This matters:
+/// fine-grained apps create hundreds of thousands of intervals.
 class IntervalStore {
  public:
-  /// Inserts if absent. Returns true if the interval was new.
-  bool insert(Interval iv) {
+  /// Moves `iv` in if absent. Returns the stored interval (valid until the
+  /// next insert of the same writer), or nullptr if it was already stored.
+  const Interval* insert(Interval&& iv) {
+    if (iv.writer >= per_writer_.size()) per_writer_.resize(iv.writer + std::size_t{1});
     std::vector<Interval>& log = per_writer_[iv.writer];
-    if (iv.index <= log.size()) return false;  // already known
+    if (iv.index <= log.size()) return nullptr;  // already known
     CNI_CHECK_MSG(iv.index == log.size() + 1,
                   "interval gap: causal delivery violated");
     log.push_back(std::move(iv));
     ++size_;
-    return true;
+    return &log.back();
   }
 
   [[nodiscard]] bool contains(std::uint32_t writer, std::uint32_t index) const {
-    auto it = per_writer_.find(writer);
-    return it != per_writer_.end() && index >= 1 && index <= it->second.size();
+    return writer < per_writer_.size() && index >= 1 &&
+           index <= per_writer_[writer].size();
+  }
+
+  /// The stored interval `index` of `writer`. Every pending write notice
+  /// names one, so a miss is a protocol bug and aborts.
+  [[nodiscard]] const Interval& at(std::uint32_t writer, std::uint32_t index) const {
+    CNI_CHECK_MSG(contains(writer, index), "notice names an interval not in the store");
+    return per_writer_[writer][index - 1];
   }
 
   /// Intervals with index beyond `seen[writer]`, in deterministic
@@ -83,11 +94,12 @@ class IntervalStore {
   [[nodiscard]] std::vector<const Interval*> unseen_by(const VectorClock& seen) const {
     std::vector<const Interval*> out;
     std::size_t n = 0;
-    for (const auto& [w, log] : per_writer_) {
-      n += log.size() - std::min<std::size_t>(log.size(), seen[w]);
+    for (std::uint32_t w = 0; w < per_writer_.size(); ++w) {
+      n += per_writer_[w].size() - std::min<std::size_t>(per_writer_[w].size(), seen[w]);
     }
     out.reserve(n);
-    for (const auto& [w, log] : per_writer_) {
+    for (std::uint32_t w = 0; w < per_writer_.size(); ++w) {
+      const std::vector<Interval>& log = per_writer_[w];
       for (std::size_t i = seen[w]; i < log.size(); ++i) out.push_back(&log[i]);
     }
     return out;
@@ -96,7 +108,7 @@ class IntervalStore {
   [[nodiscard]] std::size_t size() const { return size_; }
 
  private:
-  std::map<std::uint32_t, std::vector<Interval>> per_writer_;
+  std::vector<std::vector<Interval>> per_writer_;  ///< indexed by writer
   std::size_t size_ = 0;
 };
 

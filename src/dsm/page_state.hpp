@@ -18,11 +18,12 @@ enum class PageMode : std::uint8_t {
 };
 
 /// An unapplied write notice: `writer` dirtied this page in its interval
-/// `index`, whose clock was `vc`. Kept until the next fault fetches the data.
+/// `index`. Kept until the next fault fetches the data. A notice is a
+/// reference, not a copy: the interval and its clock live once in the node's
+/// IntervalStore, and IntervalStore::at(writer, index) resolves them.
 struct Notice {
   std::uint32_t writer = 0;
   std::uint32_t index = 0;
-  VectorClock vc;
 };
 
 struct PageEntry {

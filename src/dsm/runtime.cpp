@@ -229,9 +229,10 @@ void DsmRuntime::fetch_page_data(PageEntry& e, PageId p) {
     std::uint32_t from = sys_.home_of(p);
     const Notice* base = nullptr;
     for (const auto& [w, n] : latest) {
+      const VectorClock& vc = store_.at(n.writer, n.index).vc;
       bool dominated = false;
       for (const auto& [w2, n2] : latest) {
-        if (w2 != w && n.vc.dominated_by(n2.vc)) {
+        if (w2 != w && vc.dominated_by(store_.at(n2.writer, n2.index).vc)) {
           dominated = true;
           break;
         }
@@ -420,10 +421,11 @@ void DsmRuntime::close_interval() {
   store_.insert(std::move(iv));
 }
 
-std::size_t DsmRuntime::process_incoming_interval(const Interval& iv) {
-  if (iv.writer == self_) return 0;
-  Interval copy = iv;
-  if (!store_.insert(std::move(copy))) return 0;  // already seen
+std::size_t DsmRuntime::process_incoming_interval(Interval&& incoming) {
+  if (incoming.writer == self_) return 0;
+  const Interval* stored = store_.insert(std::move(incoming));
+  if (stored == nullptr) return 0;  // already seen
+  const Interval& iv = *stored;  // nothing below inserts, so it stays put
   if (vc_[iv.writer] < iv.index) vc_.set(iv.writer, iv.index);
 
   auto& st = cpu_.stats();
@@ -432,7 +434,7 @@ std::size_t DsmRuntime::process_incoming_interval(const Interval& iv) {
     // A notice is bookkeeping only: a page this node never touched gets no
     // frame here, only at its first access. (A valid page already has one.)
     PageEntry& e = meta(p);
-    e.pending.push_back(Notice{iv.writer, iv.index, iv.vc});
+    e.pending.push_back(Notice{iv.writer, iv.index});
     if (e.mode != PageMode::kInvalid) {
       if (!e.twin.empty()) {
         // We are a concurrent writer of this page: preserve our open mods
@@ -555,8 +557,9 @@ void DsmRuntime::on_lock_grant(Ctx& ctx, const atm::Frame& f) {
              notices * sys_.params().handler_per_notice_cycles);
   CNI_LOG_DEBUG("n%u lock_grant arrives ivs=%u", self_, count);
   node_.engine().schedule_at(
-      ctx.cursor(), [this, ivs = std::move(ivs), releaser_vc = std::move(releaser_vc)] {
-        for (const Interval& iv : ivs) process_incoming_interval(iv);
+      ctx.cursor(),
+      [this, ivs = std::move(ivs), releaser_vc = std::move(releaser_vc)]() mutable {
+        for (Interval& iv : ivs) process_incoming_interval(std::move(iv));
         vc_.merge(releaser_vc);
         lock_granted_ = true;
         wq_.notify_all();
@@ -700,7 +703,7 @@ void DsmRuntime::schedule_barrier_release(sim::SimTime at, std::vector<Interval>
                                           VectorClock global) {
   node_.engine().schedule_at(
       at, [this, ivs = std::move(ivs), global = std::move(global)]() mutable {
-        for (const Interval& iv : ivs) process_incoming_interval(iv);
+        for (Interval& iv : ivs) process_incoming_interval(std::move(iv));
         vc_.merge(global);
         last_barrier_vc_ = std::move(global);
         barrier_released_ = true;
@@ -1037,24 +1040,24 @@ void DsmRuntime::on_diff_req(Ctx& ctx, const atm::Frame& f) {
   // modifications and intervals beyond the target stay local. Only the
   // retained diffs are read, never the frame.
   const PageEntry& e = meta(page);
-  std::vector<Diff> ds;
+  std::vector<const Diff*> ds;
   ds.reserve(e.retained.size());
   for (const Diff& d : e.retained) {
     // Our retained diffs are all our own; the requester's floor carries a
     // precise component for us (its cross components are conservative).
     if (d.vc[self_] <= floor[self_] || d.vc[self_] > target) continue;
-    ds.push_back(d);
+    ds.push_back(&d);
   }
   cpu_.stats().diffs_created += ds.size();
   std::uint64_t words = 0;
-  for (const Diff& d : ds) words += diff_words(d);
+  for (const Diff* d : ds) words += diff_words(*d);
   ctx.charge(sys_.params().handler_base_cycles +
              words * sys_.params().diff_word_cycles);
 
   ByteWriter w(kMsgHeadroom);
   w.u64(page);
   w.u32(static_cast<std::uint32_t>(ds.size()));
-  for (const Diff& d : ds) d.serialize(w);
+  for (const Diff* d : ds) d->serialize(w);  // in place, never copied
   // The diff's *source* is the page buffer: a CNI builds the reply from the
   // Message Cache copy when the page is bound (no host DMA). On a miss only
   // the needed bytes cross the bus and the page is NOT bound (binding is

@@ -148,10 +148,11 @@ class DsmRuntime {
   void write_upgrade(PageEntry& e, PageId p);
   void close_interval();
 
-  /// Handles one incoming interval: stores it, merges the clock component,
-  /// records pending notices and invalidates affected pages (preserving any
-  /// local modifications as retained diffs). Returns the notice count.
-  std::size_t process_incoming_interval(const Interval& iv);
+  /// Handles one incoming interval: moves it into the store, merges the
+  /// clock component, records pending notices and invalidates affected
+  /// pages (preserving any local modifications as retained diffs). Returns
+  /// the notice count.
+  std::size_t process_incoming_interval(Interval&& incoming);
 
   /// Snapshots the page's open modifications (twin vs data) as a retained
   /// per-interval diff tagged `tag`, clearing the twin.

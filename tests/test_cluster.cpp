@@ -1,6 +1,9 @@
 // Cluster assembly, host CPU accounting and run mechanics.
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <string>
+
 #include "apps/runner.hpp"
 #include "cluster/cluster.hpp"
 
@@ -18,6 +21,35 @@ TEST(SimParams, Table1Dump) {
   EXPECT_NE(t.find("33 MHz"), std::string::npos);
   EXPECT_NE(t.find("500 ns"), std::string::npos);
   EXPECT_NE(t.find("32 KB"), std::string::npos);
+}
+
+// CNI_SIM_SHARDS takes a decimal K >= 0; 0 clamps to one shard at cluster
+// build, as the golden tests rely on.
+TEST(SimParams, ShardCountComesFromTheEnvironment) {
+  const char* prior = std::getenv("CNI_SIM_SHARDS");
+  const std::string saved = prior != nullptr ? prior : "";
+  ASSERT_EQ(::setenv("CNI_SIM_SHARDS", "4", 1), 0);
+  EXPECT_EQ(default_sim_shards(), 4u);
+  ASSERT_EQ(::setenv("CNI_SIM_SHARDS", "0", 1), 0);
+  EXPECT_EQ(default_sim_shards(), 0u);
+  ASSERT_EQ(::unsetenv("CNI_SIM_SHARDS"), 0);
+  EXPECT_EQ(default_sim_shards(), 1u);
+  if (prior != nullptr) {
+    ASSERT_EQ(::setenv("CNI_SIM_SHARDS", saved.c_str(), 1), 0);
+  }
+}
+
+// Anything else aborts with a message naming the value, instead of quietly
+// running one shard.
+TEST(SimParamsDeathTest, MalformedShardCountAborts) {
+  for (const char* bad : {"abc", "-2", "auto", "4x", ""}) {
+    EXPECT_DEATH(
+        {
+          ::setenv("CNI_SIM_SHARDS", bad, 1);
+          (void)default_sim_shards();
+        },
+        std::string("CNI_SIM_SHARDS=") + bad + " is not a shard count");
+  }
 }
 
 TEST(Cluster, BuildsRequestedBoardKind) {

@@ -6,10 +6,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 
 #include "apps/runner.hpp"
 #include "dsm/context.hpp"
 #include "dsm/system.hpp"
+#include "resident_bytes.hpp"
+#include "util/sanitizers.hpp"
 
 namespace cni::dsm {
 namespace {
@@ -249,6 +252,44 @@ TEST(DsmProtocol, NoticeAloneAllocatesNoFrame) {
     EXPECT_EQ(ctx.read<std::uint64_t>(theirs), 100u + next);
     EXPECT_TRUE(ctx.runtime().has_frame(page));
   });
+}
+
+TEST(DsmProtocol, NoticesCostNoClockCopies) {
+  // Sanitizer runtimes shadow every allocation, so a resident-set bound
+  // says nothing under them.
+  if (CNI_MEMORY_SANITIZER) GTEST_SKIP() << "sanitizer shadow memory swamps the bound";
+  // Every round, each of 128 nodes writes its own 8 pages, and the barrier
+  // hands every node 127 intervals naming 1016 pages. A notice holding its
+  // own copy of the writer's 128-entry clock would cost 512 bytes, ≈ 97 MB
+  // per round across the cluster; a (writer, index) reference costs 8, so
+  // what grows is the stored intervals themselves (≈ 14 MB per round).
+  constexpr std::uint32_t kProcs = 128;
+  constexpr std::uint32_t kPagesPerNode = 8;
+  constexpr int kRounds = 6;
+  cluster::SimParams params = make_params(BoardKind::kCni, kProcs);
+  params.fabric.switch_ports = kProcs;
+  cluster::Cluster cl(params);
+  DsmSystem sys(cl);
+  const std::uint64_t page_bytes = sys.geometry().size();
+  const mem::VAddr base = sys.alloc(kProcs * kPagesPerNode * page_bytes, "pages");
+  std::uint64_t after_round2 = 0;
+  std::uint64_t after_last = 0;
+  cl.run([&](std::size_t i, sim::SimThread& t) {
+    DsmContext ctx(sys, i, t);
+    const mem::VAddr mine = base + i * kPagesPerNode * page_bytes;
+    for (int round = 1; round <= kRounds; ++round) {
+      for (std::uint32_t p = 0; p < kPagesPerNode; ++p) {
+        ctx.write<std::uint64_t>(mine + p * page_bytes, static_cast<std::uint64_t>(round));
+      }
+      ctx.barrier();
+      if (i != 0) continue;
+      if (round == 2) after_round2 = test_support::resident_bytes();
+      if (round == kRounds) after_last = test_support::resident_bytes();
+    }
+  });
+  EXPECT_EQ(cl.stats().total().barriers, std::uint64_t{kProcs} * kRounds);
+  const std::uint64_t grown = after_last > after_round2 ? after_last - after_round2 : 0;
+  EXPECT_LT(grown, std::uint64_t{150} << 20) << "resident set grew " << grown << " bytes";
 }
 
 TEST(DsmProtocol, WorksOnStandardBoardToo) {

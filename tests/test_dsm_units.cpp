@@ -148,19 +148,34 @@ Interval make_interval(std::uint32_t w, std::uint32_t i) {
 
 TEST(IntervalStore, InsertDedupsAndCounts) {
   IntervalStore s;
-  EXPECT_TRUE(s.insert(make_interval(0, 1)));
-  EXPECT_FALSE(s.insert(make_interval(0, 1)));
-  EXPECT_TRUE(s.insert(make_interval(0, 2)));
-  EXPECT_TRUE(s.insert(make_interval(1, 1)));
+  const Interval* first = s.insert(make_interval(0, 1));
+  ASSERT_NE(first, nullptr);
+  EXPECT_EQ(first, &s.at(0, 1));  // insert hands back the stored copy
+  EXPECT_EQ(first->pages, std::vector<PageId>{1});
+  EXPECT_EQ(s.insert(make_interval(0, 1)), nullptr);
+  EXPECT_NE(s.insert(make_interval(0, 2)), nullptr);
+  const Interval* other = s.insert(make_interval(1, 1));
+  ASSERT_NE(other, nullptr);
+  EXPECT_EQ(other, &s.at(1, 1));
   EXPECT_EQ(s.size(), 3u);
   EXPECT_TRUE(s.contains(0, 2));
   EXPECT_FALSE(s.contains(0, 3));
+  EXPECT_FALSE(s.contains(2, 1));  // a writer with no log
+  EXPECT_EQ(s.at(0, 2).vc[0], 2u);
 }
 
 TEST(IntervalStore, GapAborts) {
   IntervalStore s;
   s.insert(make_interval(0, 1));
   EXPECT_DEATH(s.insert(make_interval(0, 3)), "gap");
+}
+
+TEST(IntervalStore, AtMissingAborts) {
+  IntervalStore s;
+  s.insert(make_interval(0, 1));
+  EXPECT_DEATH((void)s.at(0, 2), "notice names an interval not in the store");
+  EXPECT_DEATH((void)s.at(3, 1), "notice names an interval not in the store");
+  EXPECT_DEATH((void)s.at(0, 0), "notice names an interval not in the store");
 }
 
 TEST(IntervalStore, UnseenByReturnsSuffixes) {
@@ -174,6 +189,26 @@ TEST(IntervalStore, UnseenByReturnsSuffixes) {
   EXPECT_EQ(unseen[0]->index, 4u);
   EXPECT_EQ(unseen[1]->index, 5u);
   EXPECT_EQ(unseen[2]->writer, 1u);
+
+  // Sparse writers: only writer 3 has a log under a size-4 clock.
+  IntervalStore sparse;
+  for (std::uint32_t i = 1; i <= 3; ++i) sparse.insert(make_interval(3, i));
+  VectorClock floor(4);
+  floor.set(3, 1);
+  auto got = sparse.unseen_by(floor);
+  ASSERT_EQ(got.size(), 2u);
+  EXPECT_EQ(got[0]->writer, 3u);
+  EXPECT_EQ(got[0]->index, 2u);
+  EXPECT_EQ(got[1]->writer, 3u);
+  EXPECT_EQ(got[1]->index, 3u);
+  // A lower writer stored later still comes first.
+  sparse.insert(make_interval(1, 1));
+  got = sparse.unseen_by(floor);
+  ASSERT_EQ(got.size(), 3u);
+  EXPECT_EQ(got[0]->writer, 1u);
+  EXPECT_EQ(got[0]->index, 1u);
+  EXPECT_EQ(got[1]->writer, 3u);
+  EXPECT_EQ(got[1]->index, 2u);
 }
 
 std::vector<std::byte> bytes_of(const std::string& s) {

@@ -1,6 +1,5 @@
 #include <gtest/gtest.h>
 #include <sys/mman.h>
-#include <unistd.h>
 
 #include <cstdint>
 #include <fstream>
@@ -11,6 +10,7 @@
 #include <utility>
 #include <vector>
 
+#include "resident_bytes.hpp"
 #include "sim/channel.hpp"
 #include "sim/engine.hpp"
 #include "sim/process.hpp"
@@ -19,14 +19,7 @@
 namespace cni::sim {
 namespace {
 
-/// The process's resident set in bytes (/proc/self/statm, second field).
-std::uint64_t resident_bytes() {
-  std::ifstream statm("/proc/self/statm");
-  std::uint64_t size_pages = 0;
-  std::uint64_t resident_pages = 0;
-  statm >> size_pages >> resident_pages;
-  return resident_pages * static_cast<std::uint64_t>(sysconf(_SC_PAGESIZE));
-}
+using cni::test_support::resident_bytes;
 
 /// Maps 64 KB of writable memory directly below the run of mappings that
 /// contains `addr`, so that a stack running off its low end lands in
