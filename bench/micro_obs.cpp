@@ -1,10 +1,9 @@
 // Observability overhead: what do the emit macros cost on a hot-path
 // operation, per switch position?
 //
-//   ProbeCompiledOut  CNI_OBS_DISABLED twin TU — the uninstrumented
-//                     reference (macros gone at preprocessing).
-//   ProbeRuntimeOff   macros compiled in, null handles: the shipped default
-//                     (one pointer test per site).
+//   ProbeRuntimeOff   null handles: the shipped default and the reference
+//                     the others are measured against (one pointer test
+//                     per site).
 //   ProbeMetricsOn    histogram + gauge handles live, tracing off.
 //   ProbeCausalOn     trace ring live, metrics handles null — isolates the
 //                     trace-record sites (span + instant + causal).
@@ -24,15 +23,9 @@ namespace {
 using namespace cni;
 using bench::ProbeCtx;
 
-void BM_ProbeCompiledOut(benchmark::State& state) {
-  ProbeCtx ctx;
-  for (auto _ : state) benchmark::DoNotOptimize(bench::probe_step_off(ctx));
-}
-BENCHMARK(BM_ProbeCompiledOut);
-
 void BM_ProbeRuntimeOff(benchmark::State& state) {
   ProbeCtx ctx;  // handles stay null
-  for (auto _ : state) benchmark::DoNotOptimize(bench::probe_step_on(ctx));
+  for (auto _ : state) benchmark::DoNotOptimize(bench::probe_step(ctx));
 }
 BENCHMARK(BM_ProbeRuntimeOff);
 
@@ -41,7 +34,7 @@ void BM_ProbeMetricsOn(benchmark::State& state) {
   ProbeCtx ctx;
   ctx.hist = metrics.histogram("probe.wait_ps");
   ctx.gauge = metrics.gauge("probe.occupancy");
-  for (auto _ : state) benchmark::DoNotOptimize(bench::probe_step_on(ctx));
+  for (auto _ : state) benchmark::DoNotOptimize(bench::probe_step(ctx));
 }
 BENCHMARK(BM_ProbeMetricsOn);
 
@@ -52,7 +45,7 @@ void BM_ProbeCausalOn(benchmark::State& state) {
   obs::NodeObs node(0, opts);
   ProbeCtx ctx;  // hist/gauge stay null: only the trace emits record
   ctx.node = &node;
-  for (auto _ : state) benchmark::DoNotOptimize(bench::probe_step_on(ctx));
+  for (auto _ : state) benchmark::DoNotOptimize(bench::probe_step(ctx));
   state.counters["trace_recorded"] = static_cast<double>(node.ring().recorded());
 }
 BENCHMARK(BM_ProbeCausalOn);
@@ -67,7 +60,7 @@ void BM_ProbeTracingOn(benchmark::State& state) {
   ctx.node = &node;
   ctx.hist = metrics.histogram("probe.wait_ps");
   ctx.gauge = metrics.gauge("probe.occupancy");
-  for (auto _ : state) benchmark::DoNotOptimize(bench::probe_step_on(ctx));
+  for (auto _ : state) benchmark::DoNotOptimize(bench::probe_step(ctx));
   state.counters["trace_recorded"] = static_cast<double>(node.ring().recorded());
 }
 BENCHMARK(BM_ProbeTracingOn);

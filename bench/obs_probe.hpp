@@ -1,14 +1,8 @@
 // Probe kernel for micro_obs: one representative instrumented hot-path
 // operation (a Message Cache transmit lookup plus the emit macros CniBoard
-// wraps around it), compiled twice:
-//
-//   obs_probe_on.cpp   -> probe_step_on()   normal build, macros live
-//   obs_probe_off.cpp  -> probe_step_off()  -DCNI_OBS_DISABLED, macros vanish
-//
-// Same body (obs_probe_body.inc), different preprocessor state — so the
-// pair measures exactly what the compile-time kill switch removes, and the
-// on-variant with null/quiet handles measures the runtime-off residue (one
-// pointer test per site).
+// wraps around it). With null handles it measures the shipped default, the
+// runtime-off residue (one pointer test per site); live handles measure
+// what metrics and tracing add on top.
 #pragma once
 
 #include <cstdint>
@@ -29,18 +23,14 @@ struct ProbeCtx {
   std::uint64_t t = 0;    ///< synthetic sim-time cursor, ps
   std::uint32_t seq = 0;  ///< causality-token sequence cursor
 
-  // Null by default: the on-variant then measures emit sites whose runtime
+  // Null by default: the probe then measures emit sites whose runtime
   // switch is off. Point them at real handles to measure live recording.
   obs::NodeObs* node = nullptr;
   obs::Hist* hist = nullptr;
   obs::Gauge* gauge = nullptr;
 };
 
-/// One probe step with the instrumentation macros compiled in.
-std::uint64_t probe_step_on(ProbeCtx& ctx);
-
-/// The identical step compiled under CNI_OBS_DISABLED (macros expand to
-/// nothing) — the uninstrumented reference cost.
-std::uint64_t probe_step_off(ProbeCtx& ctx);
+/// One probe step: the lookup plus every emit site, gated by ctx's handles.
+std::uint64_t probe_step(ProbeCtx& ctx);
 
 }  // namespace cni::bench

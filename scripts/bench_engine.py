@@ -22,8 +22,8 @@ Captures the machine-readable throughput numbers the PR/README quote:
 events/sec from micro_engine, lookups/sec from micro_mcache, the
 zero-copy-vs-legacy data-path comparison from micro_datapath (throughput,
 speedup ratios, and the steady-state heap-allocation count), the
-observability overhead ladder from micro_obs (compiled-out reference vs
-runtime-off residue vs live metrics vs full tracing), the sharded-engine
+observability overhead ladder from micro_obs (live metrics, causal
+records and full tracing over the runtime-off default), the sharded-engine
 scaling points from micro_parsim (wall clock plus the machine-independent
 event-parallelism bound per shard count), and the fabric-topology scaling
 grid from micro_topology (banyan/Clos/torus at 256/1024/4096 nodes under
@@ -159,7 +159,9 @@ def write_obs() -> None:
         b = by_name[name]
         return b["real_time"] * NS_PER[b.get("time_unit", "ns")]
 
-    base = ns("BM_ProbeCompiledOut")
+    # The reference is the shipped default: null handles, tracing off (one
+    # pointer test per emit site).
+    base = ns("BM_ProbeRuntimeOff")
 
     def pct_over_base(name: str) -> float:
         return round(100.0 * (ns(name) - base) / base, 2)
@@ -169,13 +171,7 @@ def write_obs() -> None:
     result = {
         "context": context_of(report),
         "probe": {
-            # The kill-switch reference: the same operation with every emit
-            # macro removed by the preprocessor. The runtime-off delta is the
-            # shipped default's entire cost (one pointer test per site) and
-            # must stay in the noise.
-            "compiled_out_ns": round(base, 2),
-            "runtime_off_ns": round(ns("BM_ProbeRuntimeOff"), 2),
-            "runtime_off_overhead_pct": pct_over_base("BM_ProbeRuntimeOff"),
+            "runtime_off_ns": round(base, 2),
             "metrics_on_ns": round(ns("BM_ProbeMetricsOn"), 2),
             "metrics_on_overhead_pct": pct_over_base("BM_ProbeMetricsOn"),
             # Trace ring live, metrics handles null: the span + instant +
@@ -642,7 +638,6 @@ def _headline_datapath(s: dict) -> dict:
 
 def _headline_obs(s: dict) -> dict:
     return {
-        "probe_runtime_off_pct": _num(s, "probe", "runtime_off_overhead_pct"),
         "probe_tracing_on_pct": _num(s, "probe", "tracing_on_overhead_pct"),
         "jacobi_tracing_pct": _num(s, "jacobi_end_to_end", "tracing_on_overhead_pct"),
     }

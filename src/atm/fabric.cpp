@@ -1,7 +1,6 @@
 #include "atm/fabric.hpp"
 
 #include <algorithm>
-#include <iterator>
 
 #include "util/check.hpp"
 
@@ -10,12 +9,25 @@ namespace {
 
 /// The canonical routing order: (head, src, seq). src+seq alone are unique,
 /// so this is a total order, and every key component comes from source-local
-/// state — the sorted sequence is independent of the shard count, the epoch
+/// state — the routing sequence is independent of the shard count, the epoch
 /// schedule and worker timing.
 bool canonical_less(const WireTransfer& a, const WireTransfer& b) {
   if (a.head != b.head) return a.head < b.head;
   if (a.frame.src != b.frame.src) return a.frame.src < b.frame.src;
   return a.seq < b.seq;
+}
+
+/// Heap comparator: std::push_heap/pop_heap keep the greatest element on
+/// top, so reversing canonical_less makes the canonically first transfer
+/// the top. The order is total, so pops follow it exactly, whatever the
+/// push order.
+bool canonical_after(const WireTransfer& a, const WireTransfer& b) {
+  return canonical_less(b, a);
+}
+
+void push_canonical(std::vector<WireTransfer>& heap, WireTransfer&& w) {
+  heap.push_back(std::move(w));
+  std::push_heap(heap.begin(), heap.end(), canonical_after);
 }
 
 }  // namespace
@@ -191,9 +203,7 @@ DeliveryTiming Fabric::send(sim::SimTime ready, Frame frame) {
   w.seq = ++send_seq_[src];
   w.frame = std::move(frame);
   if (local_ok_ && shard_of_node_[dst] == ss) {
-    Lane& l = lanes_[ss];
-    if (w.head < l.fresh_min) l.fresh_min = w.head;
-    l.fresh.push_back(std::move(w));
+    push_canonical(lanes_[ss].local, std::move(w));
   } else {
     ledger_.note_send(up_start);
     outboxes_[ss].push_back(std::move(w));
@@ -201,46 +211,29 @@ DeliveryTiming Fabric::send(sim::SimTime ready, Frame frame) {
   return t;
 }
 
-void Fabric::merge_lane(Lane& l) {
-  std::sort(l.fresh.begin(), l.fresh.end(), canonical_less);
-  l.scratch.clear();
-  l.scratch.reserve(l.sorted.size() - l.pos + l.fresh.size());
-  std::merge(std::make_move_iterator(l.sorted.begin() + static_cast<std::ptrdiff_t>(l.pos)),
-             std::make_move_iterator(l.sorted.end()),
-             std::make_move_iterator(l.fresh.begin()),
-             std::make_move_iterator(l.fresh.end()), std::back_inserter(l.scratch),
-             canonical_less);
-  l.sorted.swap(l.scratch);
-  l.pos = 0;
-  l.fresh.clear();
-  l.fresh_min = sim::kNever;
+sim::SimTime Fabric::route_below(std::vector<WireTransfer>& heap, sim::SimTime limit,
+                                 std::uint32_t lane) {
+  while (!heap.empty() && heap.front().head < limit) {
+    std::pop_heap(heap.begin(), heap.end(), canonical_after);
+    WireTransfer& w = heap.back();
+    route_and_schedule(w.head, w.burst, std::move(w.frame), lane);
+    heap.pop_back();
+  }
+  return heap.empty() ? sim::kNever : heap.front().head;
 }
 
 sim::SimTime Fabric::local_pending_min(std::uint32_t shard) const {
   // Held by protocol: only `shard`'s own thread asks for its local minimum.
   lane_role.assert_shared();
-  const Lane& l = lanes_[shard];
-  sim::SimTime m = l.fresh_min;
-  if (l.pos < l.sorted.size() && l.sorted[l.pos].head < m) m = l.sorted[l.pos].head;
-  return m;
+  const std::vector<WireTransfer>& local = lanes_[shard].local;
+  return local.empty() ? sim::kNever : local.front().head;
 }
 
 sim::SimTime Fabric::local_drain(std::uint32_t shard, sim::SimTime limit) {
   // Held by protocol: the fused loop invokes this hook only on the owning
   // shard's thread, for that shard's lane.
   lane_role.assert_held();
-  Lane& l = lanes_[shard];
-  if (l.fresh_min < limit) merge_lane(l);
-  while (l.pos < l.sorted.size() && l.sorted[l.pos].head < limit) {
-    WireTransfer& w = l.sorted[l.pos];
-    route_and_schedule(w.head, w.burst, std::move(w.frame), shard);
-    ++l.pos;
-  }
-  if (l.pos == l.sorted.size()) {
-    l.sorted.clear();
-    l.pos = 0;
-  }
-  return local_pending_min(shard);
+  return route_below(lanes_[shard].local, limit, shard);
 }
 
 sim::SimTime Fabric::drain(sim::SimTime limit) {
@@ -249,53 +242,15 @@ sim::SimTime Fabric::drain(sim::SimTime limit) {
   // on the coordinator.
   barrier_role.assert_held();
   lane_role.assert_held();
-  // Flush every outbox and every shard-local queue into one batch, then fold
-  // it into the pending set with a single size-reserved merge: per epoch,
-  // one sort of the new transfers and one linear merge — no per-transfer
-  // allocation and no re-sort of what previous drains already ordered.
-  std::size_t add = 0;
-  for (const std::vector<WireTransfer>& box : outboxes_) add += box.size();
-  for (const Lane& l : lanes_) add += l.fresh.size() + (l.sorted.size() - l.pos);
-  if (add != 0) {
-    batch_.clear();
-    batch_.reserve(add);
-    for (std::vector<WireTransfer>& box : outboxes_) {
-      for (WireTransfer& w : box) batch_.push_back(std::move(w));
-      box.clear();
-    }
-    for (Lane& l : lanes_) {
-      for (std::size_t i = l.pos; i < l.sorted.size(); ++i) {
-        batch_.push_back(std::move(l.sorted[i]));
-      }
-      l.sorted.clear();
-      l.pos = 0;
-      for (WireTransfer& w : l.fresh) batch_.push_back(std::move(w));
-      l.fresh.clear();
-      l.fresh_min = sim::kNever;
-    }
-    std::sort(batch_.begin(), batch_.end(), canonical_less);
-    merged_.clear();
-    merged_.reserve(pending_.size() - pending_pos_ + batch_.size());
-    std::merge(
-        std::make_move_iterator(pending_.begin() + static_cast<std::ptrdiff_t>(pending_pos_)),
-        std::make_move_iterator(pending_.end()), std::make_move_iterator(batch_.begin()),
-        std::make_move_iterator(batch_.end()), std::back_inserter(merged_),
-        canonical_less);
-    pending_.swap(merged_);
-    pending_pos_ = 0;
-    batch_.clear();
+  for (std::vector<WireTransfer>& box : outboxes_) {
+    for (WireTransfer& w : box) push_canonical(pending_, std::move(w));
+    box.clear();
   }
-  while (pending_pos_ < pending_.size() && pending_[pending_pos_].head < limit) {
-    WireTransfer& w = pending_[pending_pos_];
-    route_and_schedule(w.head, w.burst, std::move(w.frame), 0);
-    ++pending_pos_;
+  for (Lane& l : lanes_) {
+    for (WireTransfer& w : l.local) push_canonical(pending_, std::move(w));
+    l.local.clear();
   }
-  if (pending_pos_ == pending_.size()) {
-    pending_.clear();
-    pending_pos_ = 0;
-    return sim::kNever;
-  }
-  return pending_[pending_pos_].head;
+  return route_below(pending_, limit, 0);
 }
 
 }  // namespace cni::atm

@@ -70,7 +70,7 @@ class Fabric {
   //
   // The fabric has no locks; its safety argument is ownership:
   // send-side state belongs to the sending node's shard during an epoch, the
-  // merged pending set belongs to the coordinator at barriers. The two roles
+  // pending heap belongs to the coordinator at barriers. The two roles
   // are public so the epoch machinery (cluster.cpp's drain hooks) can assert
   // the role its protocol position confers.
 
@@ -79,7 +79,7 @@ class Fabric {
   /// since every shard is parked there.
   util::Capability lane_role;
   /// Coordinator role: held between epochs and at barriers, when exactly one
-  /// thread runs. Guards the merged pending set and drain scratch.
+  /// thread runs. Guards the pending heap.
   util::Capability barrier_role;
 
   [[nodiscard]] const FabricParams& params() const { return params_; }
@@ -125,12 +125,11 @@ class Fabric {
   [[nodiscard]] sim::LookaheadMatrix lookahead_matrix(const sim::ShardPlan& plan) const;
 
   /// Epoch-barrier drain. Single-threaded (barriers order it against all
-  /// shard execution): flushes every outbox *and* every shard-local queue
-  /// into the pending set with one size-reserved sorted merge (no
-  /// per-transfer allocation), then routes each transfer with head < limit
-  /// through the topology + downlink in canonical (head, src, seq) order,
-  /// scheduling delivery on the destination shard's engine. Returns the
-  /// earliest still-buffered head, or sim::kNever.
+  /// shard execution): pushes every outbox *and* every shard-local queue
+  /// into the pending heap, then pops and routes each transfer with
+  /// head < limit through the topology + downlink in canonical
+  /// (head, src, seq) order, scheduling delivery on the destination shard's
+  /// engine. Returns the earliest still-buffered head, or sim::kNever.
   sim::SimTime drain(sim::SimTime limit);
 
   /// Fused-epoch fast path: routes `shard`'s own intra-block transfers with
@@ -154,19 +153,14 @@ class Fabric {
 
  private:
   /// Per-shard frame/cell tallies and local transfer queue, cache-line
-  /// padded: lane s is touched by shard s during epochs (appends, local
+  /// padded: lane s is touched by shard s during epochs (pushes, local
   /// drains) and by the coordinator only at barriers.
   struct alignas(64) Lane {
     std::uint64_t frames = 0;
     std::uint64_t cells = 0;
-    // Local (intra-block) queue: `fresh` collects appends in send order;
-    // local_drain folds it into `sorted` (canonical order, consumed from
-    // `pos`) with a size-reserved merge through `scratch`.
-    std::vector<WireTransfer> fresh;
-    sim::SimTime fresh_min = sim::kNever;
-    std::vector<WireTransfer> sorted;
-    std::size_t pos = 0;
-    std::vector<WireTransfer> scratch;
+    // Local (intra-block) transfers: a heap whose top is the canonically
+    // first, so local_pending_min reads it and local_drain pops from it.
+    std::vector<WireTransfer> local;
   };
 
   /// The switch-to-NIC leg: topology traversal, downlink occupancy,
@@ -177,8 +171,11 @@ class Fabric {
   void route_and_schedule(sim::SimTime head, sim::SimDuration burst, Frame frame,
                           std::uint32_t lane) CNI_REQUIRES(lane_role);
 
-  /// Folds a lane's fresh appends into its sorted queue (canonical order).
-  void merge_lane(Lane& lane) CNI_REQUIRES(lane_role);
+  /// Pops `heap` (a canonical-order heap) and routes every transfer with
+  /// head < limit, charging `lane`; returns the new top's head, or
+  /// sim::kNever when the heap is empty.
+  sim::SimTime route_below(std::vector<WireTransfer>& heap, sim::SimTime limit,
+                           std::uint32_t lane) CNI_REQUIRES(lane_role);
 
   FabricParams params_;
   CellGeometry geometry_;
@@ -202,12 +199,11 @@ class Fabric {
   // Per shard. Unguarded on purpose: element s is per-shard state like
   // outboxes_, but frames_sent()/cells_sent() read all lanes role-free at
   // quiescence (per-element guarding is beyond the annotation language —
-  // merge_lane/local_drain's REQUIRES carry it).
+  // route_below/local_drain's REQUIRES carry it).
   std::vector<Lane> lanes_;
-  std::vector<WireTransfer> pending_ CNI_GUARDED_BY(barrier_role);  // canonical order
-  std::size_t pending_pos_ CNI_GUARDED_BY(barrier_role) = 0;  // routed prefix
-  std::vector<WireTransfer> batch_ CNI_GUARDED_BY(barrier_role);   // drain scratch
-  std::vector<WireTransfer> merged_ CNI_GUARDED_BY(barrier_role);  // drain scratch
+  // Every transfer a barrier drain has collected but not yet routed: a heap
+  // in canonical order, like Lane::local.
+  std::vector<WireTransfer> pending_ CNI_GUARDED_BY(barrier_role);
 };
 
 }  // namespace cni::atm

@@ -105,7 +105,7 @@ class CniBoard final : public nic::OsirisBoard {
 
   // Observability handles, resolved once at construction (cold path); the
   // data path only ever dereferences them through the CNI_TRACE_*/CNI_OBS_*
-  // macros, which compile out under CNI_OBS_DISABLED.
+  // macros, which skip null handles.
   obs::Hist* tx_wait_hist_ = nullptr;     ///< adc.tx_wait_ps
   obs::Gauge* tx_ring_gauge_ = nullptr;   ///< adc.tx_occupancy
   bool governor_intr_mode_ = false;       ///< last notification decision (edge detect)

@@ -131,13 +131,7 @@ void DsmRuntime::send_request(std::uint32_t dst, nic::MsgType type, std::uint32_
   node_.board().send_from_host(*thread_, std::move(frame), nic::NicBoard::SendOptions{});
 }
 
-bool DsmRuntime::tracing() const {
-#if CNI_OBS_ENABLED
-  return obs_ != nullptr && obs_->tracing();
-#else
-  return false;
-#endif
-}
+bool DsmRuntime::tracing() const { return obs_ != nullptr && obs_->tracing(); }
 
 // ---------------------------------------------------------------------------
 // Access fast path and faults

@@ -48,7 +48,6 @@ sim::SimChannel<atm::Frame>* OsirisBoard::find_channel(MsgType type) {
 
 std::uint64_t OsirisBoard::trace_fabric_arrival(sim::SimTime arrival, std::uint32_t origin,
                                                 std::uint32_t seq, std::uint64_t fab) {
-#if CNI_OBS_ENABLED
   if (obs_ == nullptr || !obs_->tracing()) return 0;
   const atm::FabBreakdown b = atm::FabBreakdown::unpack(fab);
   const sim::SimDuration wire = b.wire_ns * sim::kNanosecond;
@@ -79,13 +78,6 @@ std::uint64_t OsirisBoard::trace_fabric_arrival(sim::SimTime arrival, std::uint3
     prev = tok;
   }
   return prev;
-#else
-  (void)arrival;
-  (void)origin;
-  (void)seq;
-  (void)fab;
-  return 0;
-#endif
 }
 
 void OsirisBoard::run_handler(const Handler& h, atm::Frame frame, bool on_nic) {

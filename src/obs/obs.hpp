@@ -1,12 +1,10 @@
 // Observability context: one NodeObs per simulated node, one RunObs per
 // cluster, and the emit macros every instrumentation site goes through.
 //
-// Two off switches, by design:
-//   * runtime  — Options::trace (CNI_TRACE env / --trace-out). When off, an
-//     emit site is one pointer test and one predictable branch.
-//   * compile  — -DCNI_OBS_DISABLED. The CNI_TRACE_* / CNI_OBS_HIST macros
-//     expand to nothing, so the instrumented hot paths are bit-for-bit the
-//     uninstrumented code (bench/micro_obs measures both switches).
+// Trace records have one off switch: Options::trace (CNI_TRACE env /
+// --trace-out). When off, a trace site is one pointer test and one
+// predictable branch (bench/micro_obs measures that residue against live
+// recording). Histograms and gauges record whenever their handle is set.
 //
 // The macros deliberately gate on the NodeObs pointer so unit tests and
 // microbenchmarks can instrument components without a full cluster.
@@ -42,8 +40,8 @@ class NodeObs {
   [[nodiscard]] Metrics& metrics() { return metrics_; }
   [[nodiscard]] const Metrics& metrics() const { return metrics_; }
 
-  // Emit paths — call through the CNI_TRACE_* macros, not directly, so the
-  // compile-time kill switch removes the call sites.
+  // Emit paths — call through the CNI_TRACE_* macros, not directly, so an
+  // untraced node evaluates no argument.
   void instant(sim::SimTime t, Component c, Event e, std::uint64_t a0, std::uint64_t a1) {
     record(t, 0, c, e, Kind::kInstant, a0, a1);
   }
@@ -114,17 +112,9 @@ class RunObs {
 }  // namespace cni::obs
 
 // ---------------------------------------------------------------------------
-// Emit macros. CNI_OBS_ENABLED reflects the compile-time kill switch; when
-// off, every macro vanishes (arguments are not evaluated).
+// Emit macros. Each evaluates its remaining arguments only when its handle
+// is non-null and, for trace records, the node is tracing.
 // ---------------------------------------------------------------------------
-
-#if defined(CNI_OBS_DISABLED)
-#define CNI_OBS_ENABLED 0
-#else
-#define CNI_OBS_ENABLED 1
-#endif
-
-#if CNI_OBS_ENABLED
 
 // Note: the context parameter is `ctx_`, not `obs` — a parameter named `obs`
 // would capture the `obs` token inside `::cni::obs::NodeObs` during expansion.
@@ -185,15 +175,3 @@ class RunObs {
     ::cni::obs::Gauge* cni_obs_g_ = (gauge);                                      \
     if (cni_obs_g_ != nullptr) cni_obs_g_->set(value);                            \
   } while (0)
-
-#else  // CNI_OBS_DISABLED
-
-#define CNI_TRACE_INSTANT(ctx_, t, comp, evt, a0, a1) do { } while (0)
-#define CNI_TRACE_SPAN(ctx_, t0, t1, comp, evt, a0, a1) do { } while (0)
-#define CNI_TRACE_COUNTER(ctx_, t, comp, evt, value) do { } while (0)
-#define CNI_TRACE_CAUSAL(ctx_, t0, t1, stage, self, parent) do { } while (0)
-#define CNI_TRACE_MINT(ctx_, frame_) do { } while (0)
-#define CNI_OBS_HIST(hist, value) do { } while (0)
-#define CNI_OBS_GAUGE_SET(gauge, value) do { } while (0)
-
-#endif  // CNI_OBS_ENABLED

@@ -2,10 +2,9 @@
 //
 // Tracing is off by default: the per-record cost is small but the figure
 // sweeps run billions of events, and the paper's numbers must never depend
-// on whether anyone was watching. The runtime switch is the CNI_TRACE
-// environment variable (or an explicit --trace-out flag in the bench
-// binaries); the compile-time kill switch is -DCNI_OBS_DISABLED, which
-// compiles every instrumentation site out entirely (see obs.hpp).
+// on whether anyone was watching. The switch is the CNI_TRACE environment
+// variable (or an explicit --trace-out flag in the bench binaries); when it
+// is off, an instrumentation site costs one pointer test (see obs.hpp).
 #pragma once
 
 #include <cstdint>

@@ -76,9 +76,7 @@ TEST(ObsDeterminism, IdenticalRunsExportByteIdenticalJson) {
 
   ASSERT_TRUE(a.snapshot.traced);
   ASSERT_EQ(a.snapshot.nodes.size(), 2u);
-#if CNI_OBS_ENABLED
   EXPECT_GT(a.snapshot.nodes[0].trace_recorded, 0u);
-#endif
 
   const std::vector<obs::ReportPoint> pa{to_point(a)};
   const std::vector<obs::ReportPoint> pb{to_point(b)};
@@ -132,13 +130,8 @@ TEST(ObsReport, ChromeTraceShapeAndMetricsTotalsMatchLegacy) {
   const std::string trace = obs::chrome_trace_json(pts);
   EXPECT_EQ(trace.rfind("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[", 0), 0u);
   EXPECT_NE(trace.find("\"ph\":\"M\""), std::string::npos);  // metadata events
-#if CNI_OBS_ENABLED
-  // Real events only exist when the probes are compiled in; under the
-  // CNI_OBS_DISABLED kill-switch build the rings stay empty and this test
-  // still verifies the (empty) export shape.
   EXPECT_NE(trace.find("\"ph\":\"X\""), std::string::npos);  // spans
   EXPECT_NE(trace.find("dsm.fault"), std::string::npos);
-#endif
 
   // The snapshot's bound counters must agree with the legacy accounts the
   // figures are computed from — same fields, same values.
@@ -189,15 +182,11 @@ TEST_P(ObsTraceTopology, ExportsByteIdenticalAcrossK1AndK4) {
 
 TEST_P(ObsTraceTopology, CausalSpansSurviveTheTopology) {
   const std::string trace = obs::chrome_trace_json({to_point(traced_topo_run(GetParam(), 4))});
-#if CNI_OBS_ENABLED
   // The remote-fault chain's anchor stages must appear regardless of how
   // many switch stages or dimension hops sit between the endpoints.
   EXPECT_NE(trace.find("causal.tx"), std::string::npos);
   EXPECT_NE(trace.find("causal.fab_wire"), std::string::npos);
   EXPECT_NE(trace.find("causal.deliver"), std::string::npos);
-#else
-  EXPECT_EQ(trace.find("causal."), std::string::npos);
-#endif
 }
 
 INSTANTIATE_TEST_SUITE_P(AllTopologies, ObsTraceTopology,

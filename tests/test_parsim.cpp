@@ -317,53 +317,110 @@ TEST(ShardedFabric, SameSourceKeepsSendSequenceOrder) {
   EXPECT_EQ(fx.deliveries[1].first, 3u);
 }
 
+TEST(ShardedFabric, LocalDrainRoutesFinalHeadsAndReportsTheNext) {
+  // The plan is aligned, so a send whose endpoints share a shard skips the
+  // outbox and waits in that shard's lane until the shard's own local drain
+  // (or the next barrier) routes it.
+  using Delivery = std::pair<atm::NodeId, atm::NodeId>;  // (dst, src)
+  ShardedFabricFixture fx;
+  const sim::SimTime prop = fx.params.propagation;
+  const sim::SimTime ms = sim::kMillisecond;
+  fx.fabric.send(3 * ms, fx.frame(0, 1));  // lane 0, head 3 ms + prop
+  fx.fabric.send(0, fx.frame(1, 0));       // lane 0, head prop
+  EXPECT_EQ(fx.fabric.local_pending_min(0), prop);
+  EXPECT_EQ(fx.fabric.local_pending_min(1), sim::kNever) << "shard 1 sent nothing";
+
+  // Only the head below the limit is final; the drain reports the next one.
+  const sim::SimTime next = fx.fabric.local_drain(0, prop + 1);
+  EXPECT_EQ(next, 3 * ms + prop);
+  EXPECT_EQ(fx.fabric.local_pending_min(0), next);
+  EXPECT_EQ(fx.fabric.local_drain(1, sim::kNever), sim::kNever);
+  fx.run_all();
+  ASSERT_EQ(fx.deliveries, (std::vector<Delivery>{{0, 1}}));
+
+  // A later send with an earlier head becomes the lane's new minimum.
+  fx.fabric.send(ms, fx.frame(1, 0));  // lane 0, head 1 ms + prop
+  EXPECT_EQ(fx.fabric.local_pending_min(0), ms + prop);
+
+  // Cross-shard sends wait in the outbox: 2->0 ties the lane's 1->0 head at
+  // node 0, and 3->1 falls between the lane's two remaining heads.
+  fx.fabric.send(ms, fx.frame(2, 0));      // outbox, head 1 ms + prop
+  fx.fabric.send(2 * ms, fx.frame(3, 1));  // outbox, head 2 ms + prop
+  EXPECT_EQ(fx.fabric.local_pending_min(0), ms + prop) << "outbox sends are not local";
+
+  // The barrier drain routes the lane's leftovers together with the outbox
+  // in canonical order. Each destination's downlink serves in routing
+  // order, so routing the lane before or after the outbox would reorder
+  // node 0's equal heads (source 1 goes first) or node 1's pair (3 first).
+  EXPECT_EQ(fx.fabric.drain(sim::kNever), sim::kNever);
+  EXPECT_EQ(fx.fabric.local_pending_min(0), sim::kNever);
+  fx.run_all();
+  EXPECT_EQ(fx.deliveries,
+            (std::vector<Delivery>{{0, 1}, {0, 1}, {0, 2}, {1, 3}, {1, 0}}));
+}
+
 TEST(ShardedFabric, DeliveryOrderIsInvariantUnderEverySendInterleaving) {
   // The epoch schedule decides the order in which shards hand their sends to
   // the fabric — per epoch, per fusion decision, per K. The canonical
   // (head, src, seq) drain must erase all of it: replay the same send set
-  // under every permutation of the cross-source order, split across an
-  // arbitrary drain boundary, and require the same delivery sequence.
+  // under every permutation of the cross-source order and every drain
+  // schedule, and require the same delivery sequence.
   // Same-source sends keep their program order (the uplink serializes them),
   // so permutations run over one send per source, with head-time ties.
   struct Send {
     sim::SimTime ready;
     atm::NodeId src, dst;
   };
-  const std::vector<Send> sends = {
-      {0, 0, 2}, {0, 1, 3}, {0, 2, 1}, {sim::kMillisecond, 3, 0}};
-  std::vector<std::size_t> order(sends.size());
-  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
+  const sim::SimTime ms = sim::kMillisecond;
+  const std::vector<std::vector<Send>> send_sets = {
+      // Every send crosses shards.
+      {{0, 0, 2}, {0, 1, 3}, {0, 2, 1}, {ms, 3, 0}},
+      // 1->0 and 2->3 stay inside their shards (the lane path); 1->0 ties
+      // 3->0's head at node 0. Every cross-shard head lies past 1 ms, as
+      // the fused-epoch protocol guarantees whenever a local drain runs.
+      {{ms, 0, 2}, {ms, 1, 0}, {0, 2, 3}, {ms, 3, 0}},
+  };
+  enum class Schedule { kBarrier, kSplit, kLocalFirst };
 
-  auto deliveries_for = [&sends](const std::vector<std::size_t>& perm,
-                                 bool two_phase) {
+  auto deliveries_for = [](const std::vector<Send>& sends,
+                           const std::vector<std::size_t>& perm, Schedule schedule) {
     ShardedFabricFixture fx;
     for (const std::size_t i : perm) {
       const Send& s = sends[i];
       fx.fabric.send(s.ready, fx.frame(s.src, s.dst));
     }
-    if (two_phase) {
+    if (schedule == Schedule::kSplit) {
       // An epoch boundary between the early group and the millisecond
-      // straggler: like a shorter epoch, the first drain routes only heads
-      // below the limit. Must not change the final sequence.
-      fx.fabric.drain(sim::kMillisecond);
+      // group: like a shorter epoch, the first drain routes only heads
+      // below the limit.
+      fx.fabric.drain(ms);
+    } else if (schedule == Schedule::kLocalFirst) {
+      // A fused epoch: each shard routes its own final lane heads first.
+      fx.fabric.local_drain(0, ms);
+      fx.fabric.local_drain(1, ms);
     }
     fx.fabric.drain(sim::kNever);
     fx.run_all();
     return fx.deliveries;
   };
 
-  const auto expected = deliveries_for(order, false);
-  ASSERT_EQ(expected.size(), sends.size());
   std::uint64_t cases = 0;
-  do {
-    for (const bool two_phase : {false, true}) {
-      ASSERT_EQ(deliveries_for(order, two_phase), expected)
-          << "interleaving #" << cases << " two_phase=" << two_phase
-          << " changed the delivery sequence";
-      ++cases;
-    }
-  } while (std::next_permutation(order.begin(), order.end()));
-  EXPECT_EQ(cases, 48u);  // 4! send orders x {single, split} epoch drains
+  for (const std::vector<Send>& sends : send_sets) {
+    std::vector<std::size_t> order(sends.size());
+    for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
+    const auto expected = deliveries_for(sends, order, Schedule::kBarrier);
+    ASSERT_EQ(expected.size(), sends.size());
+    do {
+      for (const Schedule schedule :
+           {Schedule::kBarrier, Schedule::kSplit, Schedule::kLocalFirst}) {
+        ASSERT_EQ(deliveries_for(sends, order, schedule), expected)
+            << "interleaving #" << cases << " schedule=" << static_cast<int>(schedule)
+            << " changed the delivery sequence";
+        ++cases;
+      }
+    } while (std::next_permutation(order.begin(), order.end()));
+  }
+  EXPECT_EQ(cases, 144u);  // 2 send sets x 4! send orders x 3 drain schedules
 }
 
 // ---------------------------------------------------------------------------
