@@ -39,6 +39,7 @@
 
 #include "apps/jacobi.hpp"
 #include "apps/runner.hpp"
+#include "bench_common.hpp"
 #include "cluster/cluster.hpp"
 #include "nic/wire.hpp"
 #include "sim/channel.hpp"
@@ -303,7 +304,7 @@ void print_table(const Point& p) {
 
 int main(int argc, char** argv) {
   bool json = false;
-  bool fast = std::getenv("CNI_BENCH_FAST") != nullptr;
+  bool fast = cni::bench::fast_mode();
   std::uint32_t procs_arg = 0;
   std::uint32_t n_arg = 0;
   std::uint32_t iters_arg = 0;

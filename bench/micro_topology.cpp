@@ -36,6 +36,7 @@
 
 #include "apps/runner.hpp"
 #include "atm/topology.hpp"
+#include "bench_common.hpp"
 #include "cluster/cluster.hpp"
 #include "nic/wire.hpp"
 #include "sim/sharded.hpp"
@@ -259,7 +260,7 @@ void print_table(const Point& p) {
 
 int main(int argc, char** argv) {
   bool json = false;
-  bool fast = std::getenv("CNI_BENCH_FAST") != nullptr;
+  bool fast = cni::bench::fast_mode();
   std::uint32_t nodes_arg = 0;
   std::uint32_t rounds_arg = 0;
   for (int i = 1; i < argc; ++i) {

@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
-"""Regenerates BENCH_engine.json, BENCH_datapath.json, BENCH_obs.json,
-BENCH_parsim.json, BENCH_topology.json and BENCH_collectives.json.
+"""Regenerates BENCH_engine.json, BENCH_obs.json, BENCH_parsim.json,
+BENCH_topology.json and BENCH_collectives.json.
 
 Usage: scripts/bench_engine.py [build-dir]
        scripts/bench_engine.py --suite [build-dir]
@@ -16,12 +16,10 @@ With --trajectory no benchmark runs: the script aggregates the current
 payload plus the history blocks of every BENCH_*.json into one cross-PR
 perf-trajectory table (TRAJECTORY.md + BENCH_trajectory.json, also printed
 to stdout) so the headline numbers' drift across sessions is visible in one
-place instead of scattered over five files.
+place instead of scattered over six files.
 
 Captures the machine-readable throughput numbers the PR/README quote:
 events/sec from micro_engine, lookups/sec from micro_mcache, the
-zero-copy-vs-legacy data-path comparison from micro_datapath (throughput,
-speedup ratios, and the steady-state heap-allocation count), the
 observability overhead ladder from micro_obs (live metrics, causal
 records and full tracing over the runtime-off default), the sharded-engine
 scaling points from micro_parsim (wall clock plus the machine-independent
@@ -113,40 +111,6 @@ def context_of(report: dict) -> dict:
         "date": report["context"]["date"],
         **env_context(),
     }
-
-
-# (pooled benchmark, legacy benchmark) pairs micro_datapath reports.
-DATAPATH_PAIRS = {
-    "page_round_trip": ("BM_PageRoundTripPooled", "BM_PageRoundTripLegacy"),
-    "diff_create": ("BM_DiffCreateWordWise", "BM_DiffCreateByteWise"),
-    "diff_apply": ("BM_DiffApplyPooled", "BM_DiffApplyLegacy"),
-}
-
-
-def write_datapath() -> None:
-    report = run("micro_datapath")
-    by_name = {b["name"]: b for b in report["benchmarks"]}
-    result = {"context": context_of(report)}
-    for key, (pooled, legacy) in DATAPATH_PAIRS.items():
-        series = {}
-        for size in (1024, 2048, 4096, 8192):
-            p = by_name[f"{pooled}/{size}"]
-            l = by_name[f"{legacy}/{size}"]
-            entry = {
-                "pooled_bytes_per_sec": round(p["bytes_per_second"]),
-                "legacy_bytes_per_sec": round(l["bytes_per_second"]),
-                "speedup": round(p["bytes_per_second"] / l["bytes_per_second"], 2),
-            }
-            if "heap_allocs_per_op" in p:
-                entry["heap_allocs_per_op"] = round(p["heap_allocs_per_op"], 4)
-                entry["pool_hits_per_op"] = round(p["pool_hits_per_op"], 2)
-            series[str(size)] = entry
-        result[key] = series
-
-    path = ROOT / "BENCH_datapath.json"
-    result["history"] = load_history(path)
-    path.write_text(json.dumps(result, indent=2) + "\n")
-    print(f"wrote {path}")
 
 
 def write_obs() -> None:
@@ -628,14 +592,6 @@ def _headline_engine(s: dict) -> dict:
     }
 
 
-def _headline_datapath(s: dict) -> dict:
-    return {
-        "page_round_trip_4096_speedup": _num(s, "page_round_trip", "4096", "speedup"),
-        "diff_apply_4096_speedup": _num(s, "diff_apply", "4096", "speedup"),
-        "heap_allocs_per_op": _num(s, "page_round_trip", "4096", "heap_allocs_per_op"),
-    }
-
-
 def _headline_obs(s: dict) -> dict:
     return {
         "probe_tracing_on_pct": _num(s, "probe", "tracing_on_overhead_pct"),
@@ -705,7 +661,6 @@ def _headline_suite(s: dict) -> dict:
 TRAJECTORY_BENCHES = (
     ("suite", "BENCH_suite.json", _headline_suite),
     ("engine", "BENCH_engine.json", _headline_engine),
-    ("datapath", "BENCH_datapath.json", _headline_datapath),
     ("obs", "BENCH_obs.json", _headline_obs),
     ("parsim", "BENCH_parsim.json", _headline_parsim),
     ("topology", "BENCH_topology.json", _headline_topology),
@@ -802,7 +757,6 @@ def main() -> None:
     path.write_text(json.dumps(result, indent=2) + "\n")
     print(f"wrote {path}")
 
-    write_datapath()
     write_obs()
     write_parsim()
     write_topology()

@@ -87,7 +87,7 @@ struct Frame {
     f.src = src;
     f.dst = dst;
     f.vci = vci;
-    f.payload = util::BufPool::local().alloc(sizeof(T) + body.size());
+    f.payload = util::Buf::alloc(sizeof(T) + body.size());
     std::memcpy(f.payload.data(), &hdr, sizeof(T));
     if (!body.empty()) {
       std::memcpy(f.payload.data() + sizeof(T), body.data(), body.size());
@@ -111,7 +111,7 @@ struct Frame {
     f.src = src;
     f.dst = dst;
     f.vci = vci;
-    f.payload = util::BufPool::local().alloc_zeroed(bytes);
+    f.payload = util::Buf::alloc_zeroed(bytes);
     return f;
   }
 

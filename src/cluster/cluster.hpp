@@ -20,6 +20,7 @@
 #include "sim/shard_profiler.hpp"
 #include "sim/sharded.hpp"
 #include "sim/stats.hpp"
+#include "util/buf_pool.hpp"
 #include "util/function_ref.hpp"
 
 namespace cni::cluster {
@@ -92,6 +93,7 @@ class Cluster {
   [[nodiscard]] std::uint64_t elapsed_cpu_cycles() const;
 
  private:
+  util::BufCachePurge buf_cache_purge_;  // first, so it is destroyed last
   SimParams params_;
   // Shard s's nodes schedule on engines_[s]. Plan, engines and ledger come
   // before fabric_, which binds all three at construction.

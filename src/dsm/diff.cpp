@@ -107,7 +107,7 @@ Diff Diff::deserialize(ByteReader& r) {
     pieces.push_back(b);
   }
   if (total > 0) {
-    d.arena = util::BufPool::local().alloc(total);
+    d.arena = util::Buf::alloc(total);
     std::byte* out = d.arena.data();
     for (std::size_t i = 0; i < pieces.size(); ++i) {
       std::memcpy(out + d.runs[i].arena_off, pieces[i].data(), pieces[i].size());
@@ -153,7 +153,7 @@ Diff make_diff(std::uint32_t writer, const VectorClock& vc,
 
   const std::uint64_t total = builder.finish();
   if (total > 0) {
-    d.arena = util::BufPool::local().alloc(total);
+    d.arena = util::Buf::alloc(total);
     std::byte* out = d.arena.data();
     for (const Diff::Run& r : d.runs) {
       std::memcpy(out + r.arena_off, current.data() + r.offset, r.len);

@@ -171,7 +171,7 @@ void DsmRuntime::write_upgrade(PageEntry& e, PageId p) {
   if (e.twin.empty()) {
     // The pre-write image diffs are computed against; pooled, so repeated
     // twin/close cycles recycle the same block instead of reallocating.
-    e.twin = util::BufPool::local().alloc(e.data.size());
+    e.twin = util::Buf::alloc(e.data.size());
     std::memcpy(e.twin.data(), e.data.data(), e.data.size());
     cpu_.charge_overhead(*thread_, page_words() * sys_.params().twin_word_cycles);
   }

@@ -45,7 +45,7 @@ class ByteWriter {
   /// Opens a writer whose first `headroom` bytes are reserved for a header
   /// to be patched in later (they count toward the taken buffer's size).
   explicit ByteWriter(std::size_t headroom) : size_(headroom) {
-    buf_ = util::BufPool::local().alloc(size_ < kInitialBytes ? kInitialBytes : size_);
+    buf_ = util::Buf::alloc(size_ < kInitialBytes ? kInitialBytes : size_);
   }
 
   /// Pre-sizes the backing buffer for `total` bytes (headroom included).
@@ -101,7 +101,7 @@ class ByteWriter {
   void grow(std::size_t need) {
     std::size_t cap = buf_.capacity() * 2;
     if (cap < need) cap = need;
-    util::Buf bigger = util::BufPool::local().alloc(cap);
+    util::Buf bigger = util::Buf::alloc(cap);
     std::memcpy(bigger.data(), buf_.data(), size_);
     buf_ = std::move(bigger);
   }

@@ -1,30 +1,28 @@
-// Pooled, intrusively ref-counted payload buffers — the zero-copy data path.
+// Intrusively ref-counted payload buffers with a per-thread block cache —
+// the zero-copy data path.
 //
 // Every simulated frame, DSM payload and diff arena is a `Buf`: a handle to
 // a block whose control word (refcount, size class, owner) lives immediately
 // before the data. Copying a Buf bumps the refcount, so one buffer is shared
 // across transmit, Message Cache binding and delivery instead of being
-// memcpy'd at every layer boundary. Blocks come from per-thread size-classed
-// freelists, so the steady-state frame send/receive loop performs no heap
-// allocation at all.
+// memcpy'd at every layer boundary.
 //
-// Threading model (matches apps::parallel_indexed): each sweep job runs one
-// self-contained simulation on its own thread, so allocation and release
-// almost always happen on the owning thread and hit the lock-free local
-// freelists. A block released from a *different* thread is pushed onto its
-// owner pool's remote-free stack (a Treiber stack, the only cross-thread
-// structure); the owner reclaims the whole stack — "refurbishing" — the next
-// time a local freelist misses.
+// Blocks of up to 64 KiB are rounded up to a power-of-two size class and
+// recycled through a cache that belongs to the allocating thread and that
+// no other thread touches, so the steady-state frame send/receive loop
+// performs no heap allocation. Three rules, and no cross-thread protocol:
 //
-// Pool lifetime: the pool holds one self-reference in its live-block
-// counter. Thread exit drops that reference; whichever thread drops the
-// counter to zero (the exiting owner, or the last remote releaser) purges
-// the freelists and deletes the pool. This makes cross-thread release safe
-// even after the owning thread is gone.
+//   * a block whose last reference drops on the thread that allocated it
+//     goes onto that thread's list for its size class;
+//   * a block dropped on any other thread (a frame that crossed engine
+//     shards, a buffer that outlived its thread) goes straight back to the
+//     heap;
+//   * destroying a cluster::Cluster returns its thread's cached blocks to
+//     the heap (`BufCachePurge`), so one simulation's buffers neither
+//     outlive it nor pin the heap under the next. Thread exit does the same.
 //
-// Determinism: pooling changes *where* payload bytes live, never their
-// values or any simulated timing, so figure outputs are bit-identical to the
-// copying data path.
+// Determinism: caching changes *where* payload bytes live, never their
+// values or any simulated timing.
 #pragma once
 
 #include <atomic>
@@ -37,21 +35,20 @@
 #include <utility>
 
 #include "util/check.hpp"
-#include "util/thread_annotations.hpp"
 
 namespace cni::util {
-
-class BufPool;
 
 /// Control block preceding a buffer's data bytes. `sizeof(BufCtrl)` is a
 /// multiple of max_align_t alignment so the data area keeps full alignment.
 struct alignas(std::max_align_t) BufCtrl {
   std::atomic<std::uint32_t> refs;
-  std::uint32_t size_class;  ///< kUnpooledClass: exact heap block, never pooled
+  std::uint32_t size_class;  ///< Buf::kUnpooledClass: exact heap block, never cached
   std::uint64_t capacity;    ///< data bytes available
   std::uint64_t size;        ///< logical payload length
-  BufPool* owner;            ///< pool the block came from (nullptr: unpooled)
-  BufCtrl* next;             ///< freelist / remote-stack link
+  /// The allocating thread's cache (nullptr: never cached), kept untyped:
+  /// it is only compared with the releasing thread's cache.
+  const void* owner;
+  BufCtrl* next;  ///< free-list link
 
   [[nodiscard]] std::byte* data() noexcept {
     return reinterpret_cast<std::byte*>(this + 1);
@@ -61,12 +58,37 @@ struct alignas(std::max_align_t) BufCtrl {
   }
 };
 
-/// Ref-counted handle to pooled storage. Copy shares (refcount bump), move
+/// Ref-counted handle to cached storage. Copy shares (refcount bump), move
 /// steals. `release()`/`adopt()` convert to and from a raw BufCtrl* so a
 /// trivially-relocatable event callback can carry a buffer through the
 /// engine without the heap fallback (see sim/inline_fn.hpp).
 class Buf {
  public:
+  /// Size classes: powers of two, 64 B .. 64 KiB. Larger requests get
+  /// exact heap blocks that are never cached.
+  static constexpr std::size_t kMinClassBytes = 64;
+  static constexpr std::size_t kMaxClassBytes = 64 * 1024;
+  static constexpr std::uint32_t kClassCount = 11;  // log2(64K/64) + 1
+  static constexpr std::uint32_t kUnpooledClass = 0xFFFFFFFF;
+
+  /// Allocates a buffer of logical size `n` (contents uninitialized).
+  [[nodiscard]] static Buf alloc(std::size_t n);
+
+  /// Allocates a zero-filled buffer.
+  [[nodiscard]] static Buf alloc_zeroed(std::size_t n) {
+    Buf b = alloc(n);
+    std::memset(b.data(), 0, n);
+    return b;
+  }
+
+  /// Maps a byte count to its size class (kUnpooledClass when too large).
+  [[nodiscard]] static std::uint32_t class_of(std::size_t n) noexcept {
+    if (n > kMaxClassBytes) return kUnpooledClass;
+    const std::size_t want = n < kMinClassBytes ? kMinClassBytes : n;
+    return static_cast<std::uint32_t>(
+        std::bit_width(want - 1) - (std::bit_width(kMinClassBytes) - 1));
+  }
+
   Buf() noexcept = default;
   Buf(const Buf& o) noexcept : c_(o.c_) { retain(c_); }
   Buf(Buf&& o) noexcept : c_(std::exchange(o.c_, nullptr)) {}
@@ -128,7 +150,6 @@ class Buf {
   [[nodiscard]] static Buf adopt(BufCtrl* c) noexcept { return Buf(c); }
 
  private:
-  friend class BufPool;
   explicit Buf(BufCtrl* c) noexcept : c_(c) {}
 
   static void retain(BufCtrl* c) noexcept {
@@ -141,238 +162,95 @@ class Buf {
   BufCtrl* c_ = nullptr;
 };
 
-/// Size-classed per-thread buffer pool. See the file comment for the
-/// threading and lifetime model.
-class BufPool {
- public:
-  /// Size classes: powers of two, 64 B .. 64 KiB. Larger requests fall back
-  /// to exact heap blocks that bypass the freelists.
-  static constexpr std::size_t kMinClassBytes = 64;
-  static constexpr std::size_t kMaxClassBytes = 64 * 1024;
-  static constexpr std::uint32_t kClassCount = 11;  // log2(64K/64) + 1
-  static constexpr std::uint32_t kUnpooledClass = 0xFFFFFFFF;
+namespace detail {
 
-  struct Stats {
-    std::uint64_t hits = 0;          ///< allocations served from a local freelist
-    std::uint64_t misses = 0;        ///< allocations that went to the heap
-    std::uint64_t refurbished = 0;   ///< blocks reclaimed from the remote stack
-    std::uint64_t remote_frees = 0;  ///< releases that arrived from another thread
-    std::uint64_t outstanding = 0;   ///< live pooled blocks owned by this pool
-  };
+struct BufCache;
 
-  BufPool() = default;
-  BufPool(const BufPool&) = delete;
-  BufPool& operator=(const BufPool&) = delete;
+/// The calling thread's live cache, or null. A raw pointer, trivially
+/// destructible, so a release during thread teardown can still read it and
+/// send its block to the heap.
+inline thread_local BufCache* tls_buf_cache = nullptr;
+/// Set when thread teardown destroys the cache, which is never recreated.
+inline thread_local bool tls_buf_cache_gone = false;
 
-  /// The calling thread's pool.
-  static BufPool& local() noexcept;
+/// One thread's free lists, one per size class. Only that thread reads or
+/// writes them; other threads meet the cache only as a BufCtrl::owner tag.
+struct BufCache {
+  BufCtrl* free[Buf::kClassCount] = {};
 
-  /// Allocates a buffer of logical size `n` (contents uninitialized).
-  [[nodiscard]] Buf alloc(std::size_t n) {
-    // Held by thread identity: allocation only happens through local(), so
-    // the calling thread is this pool's owner.
-    owner_role_.assert_held();
-    const std::uint32_t sc = class_of(n);
-    if (sc == kUnpooledClass) {
-      ++hits_misses_[1];
-      return Buf(heap_block(n, n, sc, nullptr));
-    }
-    BufCtrl*& head = free_[sc];
-    if (head == nullptr) refurbish();
-    if (head != nullptr) {
-      BufCtrl* c = head;
-      head = c->next;
-      c->next = nullptr;
-      // relaxed: the block leaves the freelist unshared; it becomes visible
-      // to other threads only through later synchronizing handoffs.
-      c->refs.store(1, std::memory_order_relaxed);
-      c->size = n;
-      ++hits_misses_[0];
-      // relaxed: live_ is a counter; lifetime edges order via unref_pool.
-      live_.fetch_add(1, std::memory_order_relaxed);
-      return Buf(c);
-    }
-    ++hits_misses_[1];
-    // relaxed: live_ is a counter; lifetime edges order via unref_pool.
-    live_.fetch_add(1, std::memory_order_relaxed);
-    return Buf(heap_block(n, kMinClassBytes << sc, sc, this));
+  BufCache() = default;
+  BufCache(const BufCache&) = delete;
+  BufCache& operator=(const BufCache&) = delete;
+  ~BufCache() {
+    tls_buf_cache = nullptr;
+    tls_buf_cache_gone = true;
+    purge();
   }
 
-  /// Allocates a zero-filled buffer.
-  [[nodiscard]] Buf alloc_zeroed(std::size_t n) {
-    Buf b = alloc(n);
-    std::memset(b.data(), 0, n);
-    return b;
-  }
-
-  [[nodiscard]] Stats stats() const noexcept {
-    // Held by thread identity: stats are read on the owning thread (apps
-    // snapshot their own pool after a run).
-    owner_role_.assert_shared();
-    Stats s;
-    s.hits = hits_misses_[0];
-    s.misses = hits_misses_[1];
-    s.refurbished = refurbished_;
-    // relaxed: advisory snapshot for reports; no synchronization implied.
-    s.remote_frees = remote_frees_.load(std::memory_order_relaxed);
-    const std::int64_t live = live_.load(std::memory_order_relaxed) - 1;
-    s.outstanding = live > 0 ? static_cast<std::uint64_t>(live) : 0;
-    return s;
-  }
-
-  /// Maps a byte count to its size class (kUnpooledClass when too large).
-  [[nodiscard]] static std::uint32_t class_of(std::size_t n) noexcept {
-    if (n > kMaxClassBytes) return kUnpooledClass;
-    const std::size_t want = n < kMinClassBytes ? kMinClassBytes : n;
-    return static_cast<std::uint32_t>(
-        std::bit_width(want - 1) - (std::bit_width(kMinClassBytes) - 1));
-  }
-
- private:
-  friend class Buf;
-  friend struct BufPoolTls;
-
-  /// Returns a dead block to its owning pool (or the heap). Runs on whatever
-  /// thread dropped the last reference.
-  static void release(BufCtrl* c) noexcept;
-
-  /// Drops the pool's self-reference (thread exit) or a block's reference,
-  /// deleting the pool when the count hits zero. Exactly one caller observes
-  /// zero, so there is exactly one deleter.
-  static void unref_pool(BufPool* p) noexcept {
-    // acq_rel: the elected deleter must observe every releaser's writes to
-    // the blocks it is about to purge, and publish its own decrements.
-    if (p->live_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-      p->purge_freelists();
-      delete p;  // cni-lint note: cold path, runs once per pool lifetime
+  /// Returns every listed block to the heap.
+  void purge() noexcept {
+    for (BufCtrl*& head : free) {
+      while (head != nullptr) ::operator delete(std::exchange(head, head->next));
     }
   }
 
-  /// Drains the remote-free stack into the local freelists.
-  void refurbish() noexcept CNI_REQUIRES(owner_role_) {
-    // acquire: pairs with the pushers' release CAS in release(); the popped
-    // chain (every c->next link) is ours exclusively after this.
-    BufCtrl* c = remote_free_.exchange(nullptr, std::memory_order_acquire);
-    while (c != nullptr) {
-      BufCtrl* next = c->next;
-      c->next = free_[c->size_class];
-      free_[c->size_class] = c;
-      ++refurbished_;
-      c = next;
+  /// The calling thread's cache, created on first use; null once thread
+  /// teardown has destroyed it.
+  static BufCache* local() noexcept {
+    if (tls_buf_cache == nullptr && !tls_buf_cache_gone) {
+      thread_local BufCache cache;
+      tls_buf_cache = &cache;
     }
+    return tls_buf_cache;
   }
-
-  [[nodiscard]] static BufCtrl* heap_block(std::size_t n, std::size_t cap,
-                                           std::uint32_t sc, BufPool* owner) {
-    auto* c = static_cast<BufCtrl*>(::operator new(sizeof(BufCtrl) + cap));
-    // relaxed: the fresh block is thread-private until handed out.
-    c->refs.store(1, std::memory_order_relaxed);
-    c->size_class = sc;
-    c->capacity = cap;
-    c->size = n;
-    c->owner = owner;
-    c->next = nullptr;
-    return c;
-  }
-
-  static void free_block(BufCtrl* c) noexcept { ::operator delete(c); }
-
-  /// Frees every freelisted block. Only called with exclusive access: by the
-  /// single deleter elected in unref_pool.
-  void purge_freelists() noexcept {
-    // Held by election: unref_pool's acq_rel decrement reached zero on this
-    // thread, so no other reference to the pool exists.
-    owner_role_.assert_held();
-    refurbish();
-    for (BufCtrl*& head : free_) {
-      while (head != nullptr) free_block(std::exchange(head, head->next));
-    }
-  }
-
-  /// Owning-thread role: granted by thread identity (this pool is the
-  /// caller's thread-local pool) or, in purge_freelists, by being the single
-  /// deleter elected through unref_pool. Guards the non-atomic freelists and
-  /// tallies that only the owner may touch.
-  Capability owner_role_;
-
-  BufCtrl* free_[kClassCount] CNI_GUARDED_BY(owner_role_) = {};
-  std::uint64_t hits_misses_[2] CNI_GUARDED_BY(owner_role_) = {0, 0};
-  std::uint64_t refurbished_ CNI_GUARDED_BY(owner_role_) = 0;
-
-  std::atomic<BufCtrl*> remote_free_{nullptr};
-  std::atomic<std::uint64_t> remote_frees_{0};
-  /// Live pooled blocks + 1 self-reference held until the thread exits.
-  std::atomic<std::int64_t> live_{1};
 };
 
-namespace detail {
-/// Raw TLS pointer (not a function-local static) so release() can test
-/// "is the owner the current thread?" without re-initializing TLS during
-/// thread teardown.
-inline thread_local BufPool* tls_buf_pool = nullptr;
 }  // namespace detail
 
-/// Thread-exit hook: drops the pool's self-reference. Blocks still alive
-/// keep the pool object valid until their last release.
-struct BufPoolTls {
-  BufPool* pool = nullptr;
-  BufPoolTls() = default;
-  BufPoolTls(const BufPoolTls&) = delete;
-  BufPoolTls& operator=(const BufPoolTls&) = delete;
-  ~BufPoolTls() {
-    if (pool != nullptr) {
-      detail::tls_buf_pool = nullptr;
-      BufPool::unref_pool(pool);
-    }
+/// Returns the calling thread's cached blocks to the heap when destroyed.
+/// cluster::Cluster declares one as its first member, so the purge runs
+/// after every other member has dropped its buffers.
+struct BufCachePurge {
+  BufCachePurge() = default;
+  BufCachePurge(const BufCachePurge&) = delete;
+  BufCachePurge& operator=(const BufCachePurge&) = delete;
+  ~BufCachePurge() {
+    if (detail::tls_buf_cache != nullptr) detail::tls_buf_cache->purge();
   }
 };
 
-inline BufPool& BufPool::local() noexcept {
-  thread_local BufPoolTls tls;
-  if (detail::tls_buf_pool == nullptr) {
-    // cni-lint note: one pool per thread lifetime, deleted by unref_pool.
-    tls.pool = new BufPool();
-    detail::tls_buf_pool = tls.pool;
+inline Buf Buf::alloc(std::size_t n) {
+  const std::uint32_t sc = class_of(n);
+  detail::BufCache* cache = sc == kUnpooledClass ? nullptr : detail::BufCache::local();
+  BufCtrl* c = cache == nullptr ? nullptr : cache->free[sc];
+  if (c != nullptr) {
+    cache->free[sc] = c->next;
+  } else {
+    const std::size_t cap = sc == kUnpooledClass ? n : kMinClassBytes << sc;
+    c = static_cast<BufCtrl*>(::operator new(sizeof(BufCtrl) + cap));
+    c->size_class = sc;
+    c->capacity = cap;
+    c->owner = cache;
   }
-  return *detail::tls_buf_pool;
-}
-
-inline void BufPool::release(BufCtrl* c) noexcept {
-  BufPool* owner = c->owner;
-  if (owner == nullptr) {  // unpooled oversize block
-    free_block(c);
-    return;
-  }
-  if (owner == detail::tls_buf_pool) {
-    // Same-thread release (proved by the TLS identity test above, which is
-    // also what confers the owner role here): straight onto the freelist.
-    owner->owner_role_.assert_held();
-    c->next = owner->free_[c->size_class];
-    owner->free_[c->size_class] = c;
-    // relaxed: same-thread bookkeeping; deletion edges go via unref_pool.
-    owner->live_.fetch_sub(1, std::memory_order_relaxed);
-    return;
-  }
-  // Cross-thread release: push onto the owner's remote stack, then drop the
-  // block's pool reference. The push strictly precedes the unref, so the
-  // pool cannot be deleted under a pusher.
-  // relaxed: tally only; the push below carries the ordering.
-  owner->remote_frees_.fetch_add(1, std::memory_order_relaxed);
-  // relaxed load/failure: retry-only values. release on success: publishes
-  // the c->next link (and the dead block's bytes) to refurbish's acquire.
-  BufCtrl* head = owner->remote_free_.load(std::memory_order_relaxed);
-  do {
-    c->next = head;
-  } while (!owner->remote_free_.compare_exchange_weak(
-      head, c, std::memory_order_release, std::memory_order_relaxed));
-  unref_pool(owner);
+  // relaxed: the block is this thread's alone; it becomes visible to other
+  // threads only through later synchronizing handoffs.
+  c->refs.store(1, std::memory_order_relaxed);
+  c->size = n;
+  return Buf(c);
 }
 
 inline void Buf::drop(BufCtrl* c) noexcept {
   // acq_rel: the final drop must acquire every other owner's writes to the
   // block before recycling it, and release its own for the next allocator.
-  if (c != nullptr && c->refs.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-    BufPool::release(c);
+  if (c == nullptr || c->refs.fetch_sub(1, std::memory_order_acq_rel) != 1) return;
+  // A thread that reuses an exited thread's cache address may also take its
+  // orphaned blocks: any heap block of the right class serves.
+  detail::BufCache* cache = detail::tls_buf_cache;
+  if (cache != nullptr && c->owner == cache) {
+    c->next = cache->free[c->size_class];
+    cache->free[c->size_class] = c;
+  } else {
+    ::operator delete(c);
   }
 }
 

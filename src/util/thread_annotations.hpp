@@ -26,10 +26,10 @@
 // util::Capability is the phantom role object: a zero-state class whose
 // acquire/release/assert methods compile to nothing but carry the
 // attributes. Roles in this codebase are never blocking locks — they are
-// granted by protocol edges (a barrier generation bump, thread identity, a
-// quiescent crew) — so acquire() marks the *protocol point* where the role
-// is conferred, and assert_held() marks code that holds the role by
-// construction (e.g. "this function only runs on the pool's owning thread").
+// granted by protocol edges (a barrier generation bump, a quiescent crew) —
+// so acquire() marks the *protocol point* where the role is conferred, and
+// assert_held() marks code that holds the role by construction (e.g. "this
+// function only runs on the shard's worker after its barrier acquire").
 #pragma once
 
 // Clang implements the analysis; the attribute spellings below are accepted

@@ -1,31 +1,89 @@
-// util::BufPool / util::Buf: refcount lifecycle, size-class reuse, stats
-// accounting, and cross-thread release (the parallel sweep-runner shape).
+// util::Buf and its per-thread block cache: refcount lifecycle, size-class
+// reuse, cross-thread release, thread teardown and the Cluster purge. Heap
+// traffic is observed directly: this binary replaces the global operator
+// new/delete with counting versions.
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <cstdint>
+#include <cstdlib>
 #include <cstring>
 #include <mutex>
+#include <new>
 #include <thread>
 #include <utility>
 #include <vector>
 
+#include "apps/runner.hpp"
+#include "cluster/cluster.hpp"
 #include "util/buf_pool.hpp"
+
+// ---- global allocation interposer (this test binary only) ------------------
+
+// The replaced operators route through malloc/aligned_alloc + free, which is
+// internally consistent; GCC's -Wmismatched-new-delete can't see that once
+// the calls inline, so silence it for this TU.
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+
+namespace {
+// Per thread, so a test reads only the heap calls its own thread made.
+thread_local std::uint64_t t_heap_news = 0;
+thread_local std::uint64_t t_heap_deletes = 0;
+}  // namespace
+
+void* operator new(std::size_t n) {
+  ++t_heap_news;
+  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
+  throw std::bad_alloc();
+}
+void* operator new[](std::size_t n) { return ::operator new(n); }
+void* operator new(std::size_t n, std::align_val_t a) {
+  ++t_heap_news;
+  const auto align = static_cast<std::size_t>(a);
+  if (void* p = std::aligned_alloc(align, (n + align - 1) & ~(align - 1))) return p;
+  throw std::bad_alloc();
+}
+void* operator new[](std::size_t n, std::align_val_t a) { return ::operator new(n, a); }
+void operator delete(void* p) noexcept {
+  if (p != nullptr) ++t_heap_deletes;
+  std::free(p);
+}
+void operator delete[](void* p) noexcept { ::operator delete(p); }
+void operator delete(void* p, std::size_t) noexcept { ::operator delete(p); }
+void operator delete[](void* p, std::size_t) noexcept { ::operator delete(p); }
+void operator delete(void* p, std::align_val_t) noexcept { ::operator delete(p); }
+void operator delete[](void* p, std::align_val_t) noexcept { ::operator delete(p); }
+void operator delete(void* p, std::size_t, std::align_val_t) noexcept { ::operator delete(p); }
+void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
+  ::operator delete(p);
+}
 
 namespace cni::util {
 namespace {
 
+/// The calling thread's heap calls since construction.
+class HeapCalls {
+ public:
+  [[nodiscard]] std::uint64_t news() const { return t_heap_news - news_; }
+  [[nodiscard]] std::uint64_t deletes() const { return t_heap_deletes - deletes_; }
+
+ private:
+  std::uint64_t news_ = t_heap_news;
+  std::uint64_t deletes_ = t_heap_deletes;
+};
+
 TEST(BufPool, ClassOfMapsPowersOfTwo) {
-  EXPECT_EQ(BufPool::class_of(1), 0u);
-  EXPECT_EQ(BufPool::class_of(64), 0u);
-  EXPECT_EQ(BufPool::class_of(65), 1u);
-  EXPECT_EQ(BufPool::class_of(128), 1u);
-  EXPECT_EQ(BufPool::class_of(129), 2u);
-  EXPECT_EQ(BufPool::class_of(64 * 1024), BufPool::kClassCount - 1);
-  EXPECT_EQ(BufPool::class_of(64 * 1024 + 1), BufPool::kUnpooledClass);
+  EXPECT_EQ(Buf::class_of(1), 0u);
+  EXPECT_EQ(Buf::class_of(64), 0u);
+  EXPECT_EQ(Buf::class_of(65), 1u);
+  EXPECT_EQ(Buf::class_of(128), 1u);
+  EXPECT_EQ(Buf::class_of(129), 2u);
+  EXPECT_EQ(Buf::class_of(64 * 1024), Buf::kClassCount - 1);
+  EXPECT_EQ(Buf::class_of(64 * 1024 + 1), Buf::kUnpooledClass);
 }
 
 TEST(BufPool, RefcountLifecycle) {
-  Buf a = BufPool::local().alloc(100);
+  Buf a = Buf::alloc(100);
   EXPECT_TRUE(static_cast<bool>(a));
   EXPECT_EQ(a.size(), 100u);
   EXPECT_GE(a.capacity(), 128u);
@@ -47,7 +105,7 @@ TEST(BufPool, RefcountLifecycle) {
 }
 
 TEST(BufPool, ReleaseAdoptRoundTrip) {
-  Buf a = BufPool::local().alloc(32);
+  Buf a = Buf::alloc(32);
   std::memset(a.data(), 0x5A, 32);
   const std::byte* p = a.data();
 
@@ -62,7 +120,7 @@ TEST(BufPool, ReleaseAdoptRoundTrip) {
 }
 
 TEST(BufPool, SetSizeWithinCapacity) {
-  Buf a = BufPool::local().alloc(10);
+  Buf a = Buf::alloc(10);
   EXPECT_EQ(a.size(), 10u);
   a.set_size(a.capacity());
   EXPECT_EQ(a.size(), a.capacity());
@@ -71,108 +129,137 @@ TEST(BufPool, SetSizeWithinCapacity) {
 }
 
 TEST(BufPool, SameClassAllocReusesFreedBlock) {
-  BufPool& pool = BufPool::local();
-  Buf a = pool.alloc(100);  // class 1 (128 B)
+  Buf a = Buf::alloc(100);  // class 1 (128 B)
   const std::byte* p = a.data();
-  a.reset();
-
-  const BufPool::Stats before = pool.stats();
-  Buf b = pool.alloc(120);  // same class: freelist LIFO hands the block back
+  const HeapCalls calls;
+  a.reset();                // onto this thread's class-1 list
+  Buf b = Buf::alloc(120);  // same class: the list hands the block back
   EXPECT_EQ(b.data(), p);
-  const BufPool::Stats after = pool.stats();
-  EXPECT_EQ(after.hits, before.hits + 1);
-  EXPECT_EQ(after.misses, before.misses);
+  EXPECT_EQ(calls.news(), 0u);
+  EXPECT_EQ(calls.deletes(), 0u);
 }
 
 TEST(BufPool, AllocZeroedIsZeroFilled) {
-  Buf a = BufPool::local().alloc(256);
+  Buf a = Buf::alloc(256);
   std::memset(a.data(), 0xFF, 256);
-  a.reset();  // dirty block back onto the freelist
-  Buf b = BufPool::local().alloc_zeroed(256);
+  a.reset();  // dirty block back onto the list
+  Buf b = Buf::alloc_zeroed(256);
   for (std::byte v : b.span()) EXPECT_EQ(std::to_integer<int>(v), 0);
 }
 
 TEST(BufPool, OversizeBlocksBypassThePool) {
-  BufPool& pool = BufPool::local();
-  const BufPool::Stats before = pool.stats();
-  Buf a = pool.alloc(128 * 1024);  // > kMaxClassBytes
-  EXPECT_EQ(a.size(), 128u * 1024);
-  const BufPool::Stats mid = pool.stats();
-  EXPECT_EQ(mid.misses, before.misses + 1);
-  EXPECT_EQ(mid.outstanding, before.outstanding);  // not pool-owned
-  a.reset();  // straight back to the heap, not a freelist
-  Buf b = pool.alloc(128 * 1024);
-  EXPECT_EQ(pool.stats().misses, before.misses + 2);
-}
-
-TEST(BufPool, OutstandingTracksLivePooledBlocks) {
-  BufPool& pool = BufPool::local();
-  const std::uint64_t base = pool.stats().outstanding;
-  Buf a = pool.alloc(64);
-  Buf b = pool.alloc(64);
-  EXPECT_EQ(pool.stats().outstanding, base + 2);
-  Buf c = a;  // sharing does not change the live-block count
-  EXPECT_EQ(pool.stats().outstanding, base + 2);
-  c.reset();
-  a.reset();
-  b.reset();
-  EXPECT_EQ(pool.stats().outstanding, base);
+  constexpr std::size_t kBytes = 128 * 1024 + 3;  // > kMaxClassBytes
+  const HeapCalls calls;
+  Buf a = Buf::alloc(kBytes);
+  EXPECT_EQ(a.size(), kBytes);
+  EXPECT_EQ(a.capacity(), kBytes);  // exact, not rounded to a class
+  EXPECT_EQ(calls.news(), 1u);
+  a.reset();  // straight back to the heap, never cached
+  EXPECT_EQ(calls.deletes(), 1u);
+  Buf b = Buf::alloc(kBytes);
+  EXPECT_EQ(calls.news(), 2u);
 }
 
 TEST(BufPool, SteadyStateLoopIsAllHits) {
-  BufPool& pool = BufPool::local();
-  { Buf warm = pool.alloc(4096); }  // prime the size class
-  const BufPool::Stats before = pool.stats();
+  { Buf warm = Buf::alloc(4096); }  // prime the size class
+  const HeapCalls calls;
   for (int i = 0; i < 1000; ++i) {
-    Buf b = pool.alloc(4096);
+    Buf b = Buf::alloc(4096);
     b.span()[0] = std::byte{1};
   }
-  const BufPool::Stats after = pool.stats();
-  EXPECT_EQ(after.hits, before.hits + 1000);
-  EXPECT_EQ(after.misses, before.misses);
+  EXPECT_EQ(calls.news(), 0u);
+  EXPECT_EQ(calls.deletes(), 0u);
 }
 
-TEST(BufPool, CrossThreadReleaseRefurbishes) {
-  BufPool& pool = BufPool::local();
-  Buf a = pool.alloc(300);  // class 3 (512 B)
-  std::memset(a.data(), 0x42, 300);
-  const std::byte* p = a.data();
-  const BufPool::Stats before = pool.stats();
+TEST(BufPool, CrossThreadReleaseFreesToTheHeap) {
+  Buf sent = Buf::alloc(300);  // class 3 (512 B)
+  std::memset(sent.data(), 0x42, 300);
+  Buf kept = Buf::alloc(300);
 
-  std::thread releaser([buf = std::move(a)]() mutable {
+  std::uint64_t remote_deletes = 0;
+  std::thread releaser([buf = std::move(sent), &remote_deletes]() mutable {
     EXPECT_EQ(std::to_integer<int>(buf.span()[299]), 0x42);
-    buf.reset();  // remote free: lands on the owner's Treiber stack
+    const Buf own = Buf::alloc(300);  // this thread has a cache of its own
+    const HeapCalls calls;
+    buf.reset();  // not this thread's block: back to the heap
+    remote_deletes = calls.deletes();
   });
   releaser.join();
+  EXPECT_EQ(remote_deletes, 1u);
 
-  const BufPool::Stats mid = pool.stats();
-  EXPECT_EQ(mid.remote_frees, before.remote_frees + 1);
-  EXPECT_EQ(mid.outstanding, before.outstanding - 1);
-
-  // The block sits on the remote stack until a local miss refurbishes it.
-  Buf b = pool.alloc(300);
-  EXPECT_EQ(b.data(), p);
-  const BufPool::Stats after = pool.stats();
-  EXPECT_GE(after.refurbished, mid.refurbished + 1);
+  const HeapCalls calls;
+  kept.reset();  // this thread's block: onto its list
+  EXPECT_EQ(calls.deletes(), 0u);
 }
 
 TEST(BufPool, BufOutlivesOwningThread) {
-  // A sweep job's pool must stay valid for buffers that escape the thread:
-  // the last release (here, on the main thread) deletes the pool.
+  // A sweep job's buffer may escape its thread: the last release, here on
+  // the main thread after the owner and its cache are gone, frees it.
   Buf escaped;
   std::thread worker([&escaped] {
-    escaped = BufPool::local().alloc(1000);
+    escaped = Buf::alloc(1000);
     std::memset(escaped.data(), 0x7E, 1000);
   });
-  worker.join();  // owning thread gone; pool kept alive by the block
+  worker.join();
   EXPECT_EQ(escaped.size(), 1000u);
   for (std::byte v : escaped.span()) EXPECT_EQ(std::to_integer<int>(v), 0x7E);
-  escaped.reset();  // elects this thread as the pool's deleter
+  const HeapCalls calls;
+  escaped.reset();
+  EXPECT_EQ(calls.deletes(), 1u);
+}
+
+// Heap calls made by TeardownHolder's destructor, read after the join.
+std::uint64_t g_teardown_news = 0;
+std::uint64_t g_teardown_deletes = 0;
+
+/// A thread_local that outlives its thread's cache: it is constructed
+/// before the cache, so thread teardown destroys it after the cache.
+struct TeardownHolder {
+  Buf held;
+  TeardownHolder() = default;
+  TeardownHolder(const TeardownHolder&) = delete;
+  TeardownHolder& operator=(const TeardownHolder&) = delete;
+  ~TeardownHolder() {
+    const HeapCalls calls;
+    held.reset();                  // its cache is gone: back to the heap
+    Buf late = Buf::alloc(200);    // no cache to draw from: a heap block
+    std::memset(late.data(), 0x11, 200);
+    late.reset();                  // and straight back
+    g_teardown_news = calls.news();
+    g_teardown_deletes = calls.deletes();
+  }
+};
+
+TEST(BufPool, ThreadLocalBufOutlivesTheThreadCache) {
+  std::thread worker([] {
+    thread_local TeardownHolder holder;  // registered before the cache
+    holder.held = Buf::alloc(200);       // creates this thread's cache
+    std::memset(holder.held.data(), 0x33, 200);
+  });
+  worker.join();
+  EXPECT_EQ(g_teardown_news, 1u);
+  EXPECT_EQ(g_teardown_deletes, 2u);
+}
+
+TEST(BufPool, ClusterTeardownReturnsCachedBlocksToTheHeap) {
+  { Buf warm = Buf::alloc(4096); }  // leaves a class-6 block cached
+  {
+    const HeapCalls calls;
+    Buf again = Buf::alloc(4096);
+    EXPECT_EQ(calls.news(), 0u);
+  }
+  {
+    cluster::Cluster cl(apps::make_params(cluster::BoardKind::kCni, 2));
+    cl.run([](std::size_t, sim::SimThread&) {});
+  }
+  const HeapCalls calls;
+  Buf after = Buf::alloc(4096);  // the purge emptied the list
+  EXPECT_EQ(calls.news(), 1u);
 }
 
 TEST(BufPool, FourThreadCrossReleaseStress) {
   // The parallel sweep shape under CNI_BENCH_JOBS=4: four threads allocate
-  // from their own pools; every buffer is released by a *different* thread.
+  // from their own caches; every buffer is released by a *different* thread.
   static constexpr int kThreads = 4;
   static constexpr int kPerThread = 256;
   std::mutex mu;
@@ -183,7 +270,7 @@ TEST(BufPool, FourThreadCrossReleaseStress) {
   for (int t = 0; t < kThreads; ++t) {
     producers.emplace_back([t, &mu, &handoff] {
       for (int i = 0; i < kPerThread; ++i) {
-        Buf b = BufPool::local().alloc(64 + static_cast<std::size_t>(i));
+        Buf b = Buf::alloc(64 + static_cast<std::size_t>(i));
         std::memset(b.data(), t + 1, b.size());
         const std::lock_guard<std::mutex> lock(mu);
         handoff.push_back(std::move(b));

@@ -11,6 +11,7 @@
 
 #include "dsm/diff.hpp"
 #include "dsm/interval.hpp"
+#include "dsm/msg.hpp"
 #include "dsm/vector_clock.hpp"
 #include "dsm/wire_format.hpp"
 #include "util/buf_pool.hpp"
@@ -108,6 +109,40 @@ TEST(WireFormat, LargeClockBytesMatchPerEntryEncoding) {
   ByteReader r(w.data());
   EXPECT_EQ(r.clock(), vc);
   EXPECT_TRUE(r.done());
+}
+
+TEST(WireFormat, HeadroomSurvivesGrowthAndReserveKeepsTheBlock) {
+  // 75 u64s after 24 bytes of headroom outgrow the first 256-byte block
+  // twice (256 -> 512 -> 1024); every grow must carry the bytes written so far.
+  constexpr std::uint64_t kWords = 75;
+  ByteWriter w(kMsgHeadroom);
+  const std::byte* block = w.data().data();
+  int growths = 0;
+  for (std::uint64_t i = 0; i < kWords; ++i) {
+    w.u64(0x0102030405060708ULL * (i + 1));
+    if (w.data().data() != block) {
+      block = w.data().data();
+      ++growths;
+    }
+  }
+  EXPECT_EQ(growths, 2);
+  const util::Buf out = w.take();
+  ASSERT_EQ(out.size(), kMsgHeadroom + kWords * 8);
+  ByteReader r(out, kMsgHeadroom);
+  for (std::uint64_t i = 0; i < kWords; ++i) {
+    EXPECT_EQ(r.u64(), 0x0102030405060708ULL * (i + 1));
+  }
+  EXPECT_TRUE(r.done());
+
+  // Sized up front, as page replies are: the block never moves.
+  const std::vector<std::byte> page(600, std::byte{0x5C});
+  const std::size_t total = kMsgHeadroom + 4 + page.size();
+  ByteWriter sized(kMsgHeadroom);
+  sized.reserve(total);
+  const std::byte* base = sized.data().data();
+  sized.bytes(page);
+  EXPECT_EQ(sized.data().data(), base);
+  EXPECT_EQ(sized.data().size(), total);
 }
 
 TEST(WireFormat, OversizedRunCountThrowsBeforeAllocating) {
