@@ -18,10 +18,12 @@ std::uint64_t load_word(const std::byte* p) {
 }
 
 /// Streaming run builder: feed ascending differing byte positions, collect
-/// (offset, arena_off, len) runs obeying the kJoinGap merge rule.
+/// (offset, arena_off, len) runs obeying the kJoinGap merge rule. Run bytes
+/// are laid out in the arena from `arena_start` on.
 class RunBuilder {
  public:
-  explicit RunBuilder(std::vector<Diff::Run>& runs) : runs_(runs) {}
+  RunBuilder(std::vector<Diff::Run>& runs, std::uint64_t arena_start)
+      : runs_(runs), arena_end_(arena_start) {}
 
   void diff_at(std::size_t pos) {
     if (open_ && pos - last_ <= kJoinGap) {
@@ -33,10 +35,10 @@ class RunBuilder {
     start_ = last_ = pos;
   }
 
-  /// Closes the trailing run; returns total arena bytes across all runs.
+  /// Closes the trailing run; returns the arena offset past the last run.
   std::uint64_t finish() {
     flush();
-    return arena_bytes_;
+    return arena_end_;
   }
 
  private:
@@ -44,13 +46,13 @@ class RunBuilder {
     if (!open_) return;
     const auto len = static_cast<std::uint32_t>(last_ - start_ + 1);
     runs_.push_back(Diff::Run{static_cast<std::uint32_t>(start_),
-                              static_cast<std::uint32_t>(arena_bytes_), len});
-    arena_bytes_ += len;
+                              static_cast<std::uint32_t>(arena_end_), len});
+    arena_end_ += len;
     open_ = false;
   }
 
   std::vector<Diff::Run>& runs_;
-  std::uint64_t arena_bytes_ = 0;
+  std::uint64_t arena_end_;
   std::size_t start_ = 0;
   std::size_t last_ = 0;
   bool open_ = false;
@@ -65,66 +67,57 @@ std::uint64_t Diff::payload_bytes() const {
 }
 
 Diff Diff::deserialize(ByteReader& r) {
+  // skip() validates every count before anything is allocated, and finds
+  // where the record ends.
+  const std::span<const std::byte> rest = r.rest();
+  (void)skip(r);
+  const std::span<const std::byte> record = rest.first(rest.size() - r.remaining());
   Diff d;
-  d.writer = r.u32();
-  d.vc = r.clock();
-  const std::uint32_t n = r.u32();
-  // Bounds before allocation: a run costs at least 8 wire bytes (offset +
-  // length prefix), so a count the payload cannot hold is malformed and
-  // must not size the vector.
-  if (std::uint64_t{n} * 8 > r.remaining()) {
-    throw WireError("truncated DSM payload: diff run count");
-  }
-  d.runs.reserve(n);
   if (r.backing()) {
-    // Zero-copy: the runs alias the received frame's payload buffer, pinned
-    // by the shared arena reference for as long as the diff lives.
+    // Zero-copy: the clock and the runs alias the received frame's payload,
+    // pinned by the shared arena reference for as long as the diff lives.
     d.arena = r.backing();
-    const std::byte* base = d.arena.data();
-    for (std::uint32_t i = 0; i < n; ++i) {
-      Run run;
-      run.offset = r.u32();
-      const std::span<const std::byte> b = r.bytes();
-      run.arena_off = static_cast<std::uint32_t>(b.data() - base);
-      run.len = static_cast<std::uint32_t>(b.size());
-      d.runs.push_back(run);
-    }
-    return d;
+  } else {
+    // Bare-span reader (tests, in-memory round-trips): the storage behind the
+    // span has no refcount to share, so copy the record into a fresh arena.
+    d.arena = util::Buf::alloc(record.size());
+    std::copy(record.begin(), record.end(), d.arena.data());
   }
-  // Bare-span reader (tests, in-memory round-trips): the storage behind the
-  // span has no refcount to share, so gather the runs into a fresh arena.
-  std::vector<std::span<const std::byte>> pieces;
-  pieces.reserve(n);
-  std::uint64_t total = 0;
+  const std::byte* at = r.backing() ? record.data() : d.arena.data();
+  ByteReader in(std::span<const std::byte>(at, record.size()));
+  d.writer = in.u32();
+  d.vc = in.clock_view();
+  const std::uint32_t n = in.u32();
+  d.runs.reserve(n);
   for (std::uint32_t i = 0; i < n; ++i) {
-    Run run;
-    run.offset = r.u32();
-    const std::span<const std::byte> b = r.bytes();
-    run.arena_off = static_cast<std::uint32_t>(total);
-    run.len = static_cast<std::uint32_t>(b.size());
-    total += b.size();
-    d.runs.push_back(run);
-    pieces.push_back(b);
-  }
-  if (total > 0) {
-    d.arena = util::Buf::alloc(total);
-    std::byte* out = d.arena.data();
-    for (std::size_t i = 0; i < pieces.size(); ++i) {
-      std::memcpy(out + d.runs[i].arena_off, pieces[i].data(), pieces[i].size());
-    }
+    const std::uint32_t offset = in.u32();
+    const std::span<const std::byte> b = in.bytes();
+    d.runs.push_back(Run{offset, static_cast<std::uint32_t>(b.data() - d.arena.data()),
+                         static_cast<std::uint32_t>(b.size())});
   }
   return d;
 }
 
-Diff make_diff(std::uint32_t writer, const VectorClock& vc,
+std::uint64_t Diff::skip(ByteReader& r) {
+  (void)r.u32();
+  (void)r.clock_view();
+  const std::uint32_t n = r.u32();  // a count past the bytes left throws below
+  std::uint64_t bytes = 0;
+  for (std::uint32_t i = 0; i < n; ++i) {
+    (void)r.u32();
+    bytes += r.bytes().size();
+  }
+  return bytes;
+}
+
+Diff make_diff(std::uint32_t writer, ClockView vc,
                std::span<const std::byte> twin, std::span<const std::byte> current) {
   CNI_CHECK(twin.size() == current.size());
   Diff d;
   d.writer = writer;
-  d.vc = vc;
 
   const std::size_t n = twin.size();
-  RunBuilder builder(d.runs);
+  RunBuilder builder(d.runs, vc.bytes().size());
 
   // Word-wise scan: XOR 64-bit words and only inspect bytes inside words
   // that differ. countr_zero maps the lowest set XOR bit to its byte lane on
@@ -151,13 +144,13 @@ Diff make_diff(std::uint32_t writer, const VectorClock& vc,
     if (twin[i] != current[i]) builder.diff_at(i);
   }
 
-  const std::uint64_t total = builder.finish();
-  if (total > 0) {
-    d.arena = util::Buf::alloc(total);
-    std::byte* out = d.arena.data();
-    for (const Diff::Run& r : d.runs) {
-      std::memcpy(out + r.arena_off, current.data() + r.offset, r.len);
-    }
+  // One block: the clock, then the run bytes.
+  d.arena = util::Buf::alloc(builder.finish());
+  std::byte* out = d.arena.data();
+  std::copy(vc.bytes().begin(), vc.bytes().end(), out);
+  d.vc = ClockView(out, vc.size());
+  for (const Diff::Run& r : d.runs) {
+    std::memcpy(out + r.arena_off, current.data() + r.offset, r.len);
   }
   return d;
 }
@@ -175,8 +168,8 @@ void sort_for_apply(std::vector<Diff>& diffs) {
   keyed.reserve(diffs.size());
   for (Diff& d : diffs) {
     CNI_CHECK_EQ(d.vc.size(), nodes);
-    const std::vector<std::uint32_t>& vc = d.vc.raw();
-    keyed.emplace_back(std::accumulate(vc.begin(), vc.end(), std::uint64_t{0}), std::move(d));
+    keyed.emplace_back(std::accumulate(d.vc.begin(), d.vc.end(), std::uint64_t{0}),
+                       std::move(d));
   }
   std::stable_sort(keyed.begin(), keyed.end(), [](const auto& a, const auto& b) {
     return std::pair(a.first, a.second.writer) < std::pair(b.first, b.second.writer);

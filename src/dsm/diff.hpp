@@ -8,11 +8,12 @@
 // only drops to byte granularity inside words that actually differ.
 //
 // Runs do not own their bytes: every run is an (offset, arena_off, len)
-// triple into one shared `arena` buffer. A freshly computed diff carves its
-// runs out of a single pooled allocation; a diff deserialized from a frame
-// aliases the frame's payload buffer by refcount (zero-copy receive); and
-// shadow subtraction (runtime.cpp) splits runs with pure index arithmetic,
-// never copying payload bytes.
+// triple into one shared `arena` buffer, and the diff's clock is a ClockView
+// into the same buffer. A freshly computed diff writes its clock and carves
+// its runs out of a single pooled allocation; a diff deserialized from a
+// frame aliases the frame's payload buffer by refcount (zero-copy receive);
+// and shadow subtraction (runtime.cpp) splits runs with pure index
+// arithmetic, never copying payload bytes.
 #pragma once
 
 #include <cstdint>
@@ -32,7 +33,7 @@ inline constexpr std::size_t kJoinGap = 8;
 
 struct Diff {
   std::uint32_t writer = 0;
-  VectorClock vc;  ///< writer's clock when the diff was created
+  ClockView vc;  ///< writer's clock when the diff was created (in `arena`)
 
   struct Run {
     std::uint32_t offset = 0;     ///< byte position in the page
@@ -40,7 +41,7 @@ struct Diff {
     std::uint32_t len = 0;
   };
   std::vector<Run> runs;
-  util::Buf arena;  ///< backing bytes all runs point into (shared, refcounted)
+  util::Buf arena;  ///< backing bytes the clock and all runs point into (shared)
 
   [[nodiscard]] std::span<const std::byte> run_bytes(const Run& r) const {
     return arena.span().subspan(r.arena_off, r.len);
@@ -66,14 +67,19 @@ struct Diff {
   void serialize(ByteWriter& w) const { serialize_to(w); }
 
   /// Reads a diff back. When the reader is backed by a util::Buf (a received
-  /// frame payload), the runs alias that buffer directly — no copy; a reader
-  /// over a bare span copies the run bytes into a fresh pooled arena.
+  /// frame payload), the clock and the runs alias that buffer directly — no
+  /// copy; a reader over a bare span copies the record into a fresh arena.
   static Diff deserialize(ByteReader& r);
+
+  /// Validates and steps over one serialized diff without decoding it;
+  /// returns the run bytes it carries.
+  static std::uint64_t skip(ByteReader& r);
 };
 
 /// Computes the runs where `current` differs from `twin` (same length),
-/// merging runs separated by fewer than kJoinGap identical bytes.
-Diff make_diff(std::uint32_t writer, const VectorClock& vc,
+/// merging runs separated by fewer than kJoinGap identical bytes. The
+/// result's arena holds a copy of `vc` followed by the run bytes.
+Diff make_diff(std::uint32_t writer, ClockView vc,
                std::span<const std::byte> twin, std::span<const std::byte> current);
 
 /// Applies a diff's runs onto `page`.

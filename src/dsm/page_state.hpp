@@ -19,8 +19,9 @@ enum class PageMode : std::uint8_t {
 
 /// An unapplied write notice: `writer` dirtied this page in its interval
 /// `index`. Kept until the next fault fetches the data. A notice is a
-/// reference, not a copy: the interval and its clock live once in the node's
-/// IntervalStore, and IntervalStore::at(writer, index) resolves them.
+/// reference, not a copy: the interval's wire record, clock included, lives
+/// once in the node's IntervalStore arena, and IntervalStore::at(writer,
+/// index) resolves it.
 struct Notice {
   std::uint32_t writer = 0;
   std::uint32_t index = 0;

@@ -2,8 +2,11 @@
 
 #include <algorithm>
 #include <cstring>
+#include <initializer_list>
+#include <span>
 
 #include "dsm/system.hpp"
+#include "sim/inline_fn.hpp"
 #include "util/check.hpp"
 #include "util/units.hpp"
 #include "util/log.hpp"
@@ -23,6 +26,39 @@ std::uint64_t diff_words(const Diff& d) {
   std::uint64_t bytes = 0;
   for (const auto& r : d.runs) bytes += r.len;
   return util::ceil_div<std::uint64_t>(bytes, 8);
+}
+
+/// A kMsgHeadroom-fronted interval-set body: the `lead` words, `clock`, the
+/// interval count and each record, written into one buffer sized up front.
+util::Buf interval_set(std::initializer_list<std::uint32_t> lead, ClockView clock,
+                       std::span<const Interval> ivs) {
+  std::size_t bytes = kMsgHeadroom + 4 * lead.size() + 4 + clock.bytes().size() + 4;
+  for (const Interval& iv : ivs) bytes += iv.wire.size();
+  ByteWriter w(kMsgHeadroom, bytes);
+  for (const std::uint32_t x : lead) w.u32(x);
+  w.clock(clock);
+  w.u32(static_cast<std::uint32_t>(ivs.size()));
+  for (const Interval& iv : ivs) iv.serialize(w);
+  return w.take();
+}
+
+/// Steps over `count` interval records (validating each) and returns their
+/// write notices: a handler charges by them before the set is processed.
+std::size_t count_notices(ByteReader& r, std::uint32_t count) {
+  std::size_t notices = 0;
+  for (std::uint32_t i = 0; i < count; ++i) notices += Interval::view(r).pages().size();
+  return notices;
+}
+
+/// Runs `fn(frame)` at `at`, carrying the frame instead of anything decoded
+/// from it: the event holds one payload reference and stays in InlineFn's
+/// inline buffer.
+template <class F>
+void defer(sim::Engine& engine, sim::SimTime at, const atm::Frame& f, F fn) {
+  atm::FrameTask task(fn, f);
+  static_assert(sizeof(task) <= sim::InlineFn::kInlineBytes,
+                "a deferred handler must fit the event's inline buffer");
+  engine.schedule_at(at, std::move(task));
 }
 
 }  // namespace
@@ -223,10 +259,10 @@ void DsmRuntime::fetch_page_data(PageEntry& e, PageId p) {
     std::uint32_t from = sys_.home_of(p);
     const Notice* base = nullptr;
     for (const auto& [w, n] : latest) {
-      const VectorClock& vc = store_.at(n.writer, n.index).vc;
+      const ClockView vc = store_.at(n.writer, n.index).vc();
       bool dominated = false;
       for (const auto& [w2, n2] : latest) {
-        if (w2 != w && vc.dominated_by(store_.at(n2.writer, n2.index).vc)) {
+        if (w2 != w && vc.dominated_by(store_.at(n2.writer, n2.index).vc())) {
           dominated = true;
           break;
         }
@@ -341,7 +377,7 @@ void DsmRuntime::apply_fetch_results(PageEntry& e) {
 // Intervals
 // ---------------------------------------------------------------------------
 
-void DsmRuntime::snapshot_own_diff(PageEntry& e, const VectorClock& tag) {
+void DsmRuntime::snapshot_own_diff(PageEntry& e, ClockView tag) {
   if (e.twin.empty()) return;
   Diff own = make_diff(self_, tag, e.twin, e.data);
   e.twin.reset();  // the block returns to the pool for the next twin
@@ -394,11 +430,7 @@ void DsmRuntime::close_interval() {
   if (dirty_.empty()) return;
   cpu_.charge_overhead(*thread_, sys_.params().release_local_cycles);
   vc_.advance(self_);
-  Interval iv;
-  iv.writer = self_;
-  iv.index = vc_[self_];
-  iv.vc = vc_;
-  iv.pages.assign(dirty_.begin(), dirty_.end());
+  const std::uint32_t index = vc_[self_];
   // Snapshot this interval's modifications per page (tagged with exactly
   // this interval's clock — that is what makes remote merge ordering
   // correct), and write-protect the pages again so the next interval's
@@ -406,25 +438,22 @@ void DsmRuntime::close_interval() {
   // charged lazily at request time, like the paper's lazy protocol.
   for (PageId p : dirty_) {
     PageEntry& e = entry(p);
-    snapshot_own_diff(e, iv.vc);
+    snapshot_own_diff(e, vc_);
     if (e.content_vc.size() == 0) e.content_vc = VectorClock(nprocs_);
-    e.content_vc.set(self_, iv.index);  // own data always holds own writes
+    e.content_vc.set(self_, index);  // own data always holds own writes
     if (e.mode == PageMode::kReadWrite) e.mode = PageMode::kReadOnly;
   }
+  store_.insert(Interval::encode(self_, index, vc_, dirty_));
   dirty_.clear();
-  store_.insert(std::move(iv));
 }
 
-std::size_t DsmRuntime::process_incoming_interval(Interval&& incoming) {
-  if (incoming.writer == self_) return 0;
-  const Interval* stored = store_.insert(std::move(incoming));
-  if (stored == nullptr) return 0;  // already seen
-  const Interval& iv = *stored;  // nothing below inserts, so it stays put
+void DsmRuntime::process_incoming_interval(const Interval& iv) {
+  if (iv.writer == self_ || !store_.insert(iv)) return;  // own, or already seen
   if (vc_[iv.writer] < iv.index) vc_.set(iv.writer, iv.index);
 
-  auto& st = cpu_.stats();
-  st.write_notices_received += iv.pages.size();
-  for (PageId p : iv.pages) {
+  const WireArray<PageId> pages = iv.pages();
+  cpu_.stats().write_notices_received += pages.size();
+  for (PageId p : pages) {
     // A notice is bookkeeping only: a page this node never touched gets no
     // frame here, only at its first access. (A valid page already has one.)
     PageEntry& e = meta(p);
@@ -442,18 +471,6 @@ std::size_t DsmRuntime::process_incoming_interval(Interval&& incoming) {
       e.mode = PageMode::kInvalid;
     }
   }
-  return iv.pages.size();
-}
-
-util::Buf DsmRuntime::build_interval_payload(
-    const VectorClock& rvc, std::size_t* interval_count) const {
-  const std::vector<const Interval*> unseen = store_.unseen_by(rvc);
-  ByteWriter w(kMsgHeadroom);
-  w.clock(vc_);
-  w.u32(static_cast<std::uint32_t>(unseen.size()));
-  for (const Interval* iv : unseen) iv->serialize(w);
-  if (interval_count != nullptr) *interval_count = unseen.size();
-  return w.take();
 }
 
 // ---------------------------------------------------------------------------
@@ -526,38 +543,33 @@ void DsmRuntime::on_lock_fwd(Ctx& ctx, const atm::Frame& f) {
   ByteReader r = body_reader(f);
   const std::uint32_t lock = r.u32();
   const std::uint32_t requester = r.u32();
-  const VectorClock rvc = r.clock();
-  std::size_t count = 0;
-  util::Buf payload = build_interval_payload(rvc, &count);
+  // The grant: our clock plus every interval the requester has not seen.
+  const std::vector<Interval> unseen = store_.unseen_by(r.clock_view());
   ctx.charge(sys_.params().handler_base_cycles +
-             count * sys_.params().handler_per_interval_cycles);
-  ctx.send(make_frame(requester, kDsmLockGrant, 0, lock, 0, std::move(payload)),
-           nic::NicBoard::SendOptions{});
+             unseen.size() * sys_.params().handler_per_interval_cycles);
+  ctx.send(
+      make_frame(requester, kDsmLockGrant, 0, lock, 0, interval_set({}, vc_, unseen)),
+      nic::NicBoard::SendOptions{});
 }
 
 void DsmRuntime::on_lock_grant(Ctx& ctx, const atm::Frame& f) {
   ByteReader r = body_reader(f);
-  VectorClock releaser_vc = r.clock();
+  (void)r.clock_view();
   const std::uint32_t count = r.u32();
-  std::vector<Interval> ivs;
-  ivs.reserve(count);
-  std::size_t notices = 0;
-  for (std::uint32_t i = 0; i < count; ++i) {
-    ivs.push_back(Interval::deserialize(r));
-    notices += ivs.back().pages.size();
-  }
+  const std::size_t notices = count_notices(r, count);
   ctx.charge(sys_.params().handler_base_cycles +
              count * sys_.params().handler_per_interval_cycles +
              notices * sys_.params().handler_per_notice_cycles);
   CNI_LOG_DEBUG("n%u lock_grant arrives ivs=%u", self_, count);
-  node_.engine().schedule_at(
-      ctx.cursor(),
-      [this, ivs = std::move(ivs), releaser_vc = std::move(releaser_vc)]() mutable {
-        for (Interval& iv : ivs) process_incoming_interval(std::move(iv));
-        vc_.merge(releaser_vc);
-        lock_granted_ = true;
-        wq_.notify_all();
-      });
+  defer(node_.engine(), ctx.cursor(), f, [this](const atm::Frame& grant) {
+    ByteReader g = body_reader(grant);
+    const ClockView releaser_vc = g.clock_view();
+    const std::uint32_t n = g.u32();
+    for (std::uint32_t i = 0; i < n; ++i) process_incoming_interval(Interval::view(g));
+    vc_.merge(releaser_vc);
+    lock_granted_ = true;
+    wq_.notify_all();
+  });
 }
 
 void DsmRuntime::on_lock_rel(Ctx& ctx, const atm::Frame& f) {
@@ -597,20 +609,14 @@ void DsmRuntime::barrier() {
   close_interval();
   barrier_released_ = false;
 
-  const std::vector<const Interval*> unseen = store_.unseen_by(last_barrier_vc_);
-  ByteWriter w(kMsgHeadroom);
-  if (sys_.collective() == cluster::CollectiveMode::kNic) {
-    // Tree up-sweep contribution: this node's clock (the subtree-min seed)
-    // plus everything new since the last barrier. It enters the combining
-    // tree at our own board — the kDsmColUp handler at self is the leaf's
-    // combine step, and on a CNI never touches the host again until release.
-    w.clock(vc_);
-  } else {
-    w.u32(self_);
-    w.clock(vc_);
-  }
-  w.u32(static_cast<std::uint32_t>(unseen.size()));
-  for (const Interval* iv : unseen) iv->serialize(w);
+  const std::vector<Interval> unseen = store_.unseen_by(last_barrier_vc_);
+  // Tree up-sweep contribution: this node's clock (the subtree-min seed)
+  // plus everything new since the last barrier. It enters the combining
+  // tree at our own board — the kDsmColUp handler at self is the leaf's
+  // combine step, and on a CNI never touches the host again until release.
+  const bool nic = sys_.collective() == cluster::CollectiveMode::kNic;
+  util::Buf body =
+      nic ? interval_set({}, vc_, unseen) : interval_set({self_}, vc_, unseen);
   cpu_.charge_overhead(
       *thread_, unseen.size() * sys_.params().handler_per_interval_cycles);
   // Root of this barrier episode's causal tree (seq: the node's barrier
@@ -620,10 +626,10 @@ void DsmRuntime::barrier() {
   const auto episode = static_cast<std::uint32_t>(cpu_.stats().barriers);
   const std::uint64_t bar_tok =
       tracing() ? obs::causal_token(self_, episode, obs::Stage::kBarrier) : 0;
-  if (sys_.collective() == cluster::CollectiveMode::kNic) {
-    send_request(self_, kDsmColUp, episode, w.take(), bar_tok);
+  if (nic) {
+    send_request(self_, kDsmColUp, episode, std::move(body), bar_tok);
   } else {
-    send_request(sys_.barrier_manager(), kDsmBarArrive, 0, w.take(), bar_tok);
+    send_request(sys_.barrier_manager(), kDsmBarArrive, 0, std::move(body), bar_tok);
   }
 
   wq_.wait(*thread_, [this] { return barrier_released_; });
@@ -638,7 +644,7 @@ void DsmRuntime::on_bar_arrive(Ctx& ctx, const atm::Frame& f) {
   CNI_CHECK_MSG(self_ == sys_.barrier_manager(), "barrier arrive at a non-manager");
   ByteReader r = body_reader(f);
   const std::uint32_t node = r.u32();
-  VectorClock nvc = r.clock();
+  const ClockView nvc = r.clock_view();
   const std::uint32_t count = r.u32();
   ctx.charge(sys_.params().handler_base_cycles +
              count * sys_.params().handler_per_interval_cycles);
@@ -654,8 +660,8 @@ void DsmRuntime::on_bar_arrive(Ctx& ctx, const atm::Frame& f) {
   // The manager's interval pool is separate from the node's own protocol
   // store: inserting here must not suppress the invalidation processing the
   // manager node itself performs when its release message arrives.
-  for (std::uint32_t i = 0; i < count; ++i) M.store.insert(Interval::deserialize(r));
-  M.node_vcs[node] = std::move(nvc);
+  for (std::uint32_t i = 0; i < count; ++i) M.store.insert(Interval::view(r));
+  M.node_vcs[node].assign(nvc);
   ++M.arrived;
   if (M.arrived < nprocs_) return;
 
@@ -664,40 +670,40 @@ void DsmRuntime::on_bar_arrive(Ctx& ctx, const atm::Frame& f) {
   VectorClock global(nprocs_);
   for (const VectorClock& v : M.node_vcs) global.merge(v);
   for (std::uint32_t n = 0; n < nprocs_; ++n) {
-    const std::vector<const Interval*> unseen = M.store.unseen_by(M.node_vcs[n]);
-    ByteWriter w(kMsgHeadroom);
-    w.clock(global);
-    w.u32(static_cast<std::uint32_t>(unseen.size()));
-    for (const Interval* iv : unseen) iv->serialize(w);
+    const std::vector<Interval> unseen = M.store.unseen_by(M.node_vcs[n]);
     ctx.charge(sys_.params().handler_base_cycles / 2 +
                unseen.size() * sys_.params().handler_per_interval_cycles);
-    ctx.send(make_frame(n, kDsmBarRelease, 0, M.epoch, 0, w.take()),
-             nic::NicBoard::SendOptions{});
+    ctx.send(
+        make_frame(n, kDsmBarRelease, 0, M.epoch, 0, interval_set({}, global, unseen)),
+        nic::NicBoard::SendOptions{});
   }
 }
 
 void DsmRuntime::on_bar_release(Ctx& ctx, const atm::Frame& f) {
   ByteReader r = body_reader(f);
-  VectorClock global = r.clock();
+  (void)r.clock_view();
   const std::uint32_t count = r.u32();
-  std::vector<Interval> ivs;
-  ivs.reserve(count);
-  std::size_t notices = 0;
-  for (std::uint32_t i = 0; i < count; ++i) {
-    ivs.push_back(Interval::deserialize(r));
-    notices += ivs.back().pages.size();
-  }
+  const std::size_t notices = count_notices(r, count);
   ctx.charge(sys_.params().handler_base_cycles +
              count * sys_.params().handler_per_interval_cycles +
              notices * sys_.params().handler_per_notice_cycles);
-  schedule_barrier_release(ctx.cursor(), std::move(ivs), std::move(global));
+  defer(node_.engine(), ctx.cursor(), f, [this](const atm::Frame& release) {
+    ByteReader g = body_reader(release);
+    const ClockView global = g.clock_view();
+    const std::uint32_t n = g.u32();
+    for (std::uint32_t i = 0; i < n; ++i) process_incoming_interval(Interval::view(g));
+    vc_.merge(global);
+    last_barrier_vc_.assign(global);
+    barrier_released_ = true;
+    wq_.notify_all();
+  });
 }
 
 void DsmRuntime::schedule_barrier_release(sim::SimTime at, std::vector<Interval> ivs,
                                           VectorClock global) {
   node_.engine().schedule_at(
       at, [this, ivs = std::move(ivs), global = std::move(global)]() mutable {
-        for (Interval& iv : ivs) process_incoming_interval(std::move(iv));
+        for (const Interval& iv : ivs) process_incoming_interval(iv);
         vc_.merge(global);
         last_barrier_vc_ = std::move(global);
         barrier_released_ = true;
@@ -735,9 +741,7 @@ void DsmRuntime::on_col_up(Ctx& ctx, const atm::Frame& f) {
   ByteReader r = body_reader(f);
   VectorClock sub = r.clock();
   const std::uint32_t count = r.u32();
-  std::vector<Interval> ivs;
-  ivs.reserve(count);
-  for (std::uint32_t i = 0; i < count; ++i) ivs.push_back(Interval::deserialize(r));
+  for (std::uint32_t i = 0; i < count; ++i) col_.ivs.push_back(Interval::deserialize(r));
   ctx.charge(sys_.params().handler_base_cycles +
              count * sys_.params().handler_per_interval_cycles);
   CNI_CHECK_MSG(hdr.aux == col_.epoch + 1, "collective barrier epoch mismatch");
@@ -749,7 +753,6 @@ void DsmRuntime::on_col_up(Ctx& ctx, const atm::Frame& f) {
     col_.min.min_in_place(sub);
   }
   if (hdr.src_node != self_) col_.child_min.emplace_back(hdr.src_node, std::move(sub));
-  for (Interval& iv : ivs) col_.ivs.push_back(std::move(iv));
   ++col_.arrived;
   if (col_.arrived < 1 + tree.children[self_].size()) return;
 
@@ -768,13 +771,10 @@ void DsmRuntime::on_col_up(Ctx& ctx, const atm::Frame& f) {
   if (tree.parent[self_] != self_) {
     // Interior/leaf: one combined frame continues up; the subtree state
     // stays parked until the matching down-sweep arrives.
-    ByteWriter w(kMsgHeadroom);
-    w.clock(col_.min);
-    w.u32(static_cast<std::uint32_t>(col_.ivs.size()));
-    for (const Interval& iv : col_.ivs) iv.serialize(w);
     ctx.charge(sys_.params().handler_base_cycles / 2 +
                col_.ivs.size() * sys_.params().handler_per_interval_cycles);
-    ctx.send(make_frame(tree.parent[self_], kDsmColUp, 0, col_.epoch + 1, 0, w.take()),
+    ctx.send(make_frame(tree.parent[self_], kDsmColUp, 0, col_.epoch + 1, 0,
+                        interval_set({}, col_.min, col_.ivs)),
              nic::NicBoard::SendOptions{});
     return;
   }
@@ -803,18 +803,15 @@ void DsmRuntime::col_down_fanout(Ctx& ctx, const VectorClock& global) {
   // density per writer is preserved (the filtered set is dense above the
   // child floor, every member's store is dense up to at least that floor).
   for (const auto& [child, cmin] : col_.child_min) {
-    std::vector<const Interval*> out;
+    std::vector<Interval> out;
     out.reserve(col_.ivs.size());
     for (const Interval& iv : col_.ivs) {
-      if (iv.index > cmin[iv.writer]) out.push_back(&iv);
+      if (iv.index > cmin[iv.writer]) out.push_back(iv);
     }
-    ByteWriter w(kMsgHeadroom);
-    w.clock(global);
-    w.u32(static_cast<std::uint32_t>(out.size()));
-    for (const Interval* iv : out) iv->serialize(w);
     ctx.charge(sys_.params().handler_base_cycles / 2 +
                out.size() * sys_.params().handler_per_interval_cycles);
-    ctx.send(make_frame(child, kDsmColDown, 0, col_.epoch + 1, 0, w.take()),
+    ctx.send(make_frame(child, kDsmColDown, 0, col_.epoch + 1, 0,
+                        interval_set({}, global, out)),
              nic::NicBoard::SendOptions{});
   }
 }
@@ -824,12 +821,10 @@ void DsmRuntime::on_col_down(Ctx& ctx, const atm::Frame& f) {
   ByteReader r = body_reader(f);
   VectorClock global = r.clock();
   const std::uint32_t count = r.u32();
-  std::vector<Interval> ivs;
-  ivs.reserve(count);
   std::size_t notices = 0;
   for (std::uint32_t i = 0; i < count; ++i) {
-    ivs.push_back(Interval::deserialize(r));
-    notices += ivs.back().pages.size();
+    col_.ivs.push_back(Interval::deserialize(r));
+    notices += col_.ivs.back().pages().size();
   }
   ctx.charge(sys_.params().handler_base_cycles +
              count * sys_.params().handler_per_interval_cycles +
@@ -842,9 +837,8 @@ void DsmRuntime::on_col_down(Ctx& ctx, const atm::Frame& f) {
   }
 
   // The full episode set visible here = our parked subtree fold plus what
-  // the parent forwarded for us; dedup (a parent over-ship may repeat ours)
-  // and continue the fan-out, then release ourselves.
-  for (Interval& iv : ivs) col_.ivs.push_back(std::move(iv));
+  // the parent forwarded for us (appended above); dedup (a parent over-ship
+  // may repeat ours) and continue the fan-out, then release ourselves.
   sort_unique_intervals(col_.ivs);
   col_down_fanout(ctx, global);
   schedule_barrier_release(ctx.cursor(), std::move(col_.ivs), std::move(global));
@@ -971,9 +965,9 @@ void DsmRuntime::on_page_req(Ctx& ctx, const atm::Frame& f) {
 
   PageEntry& e = entry(page);
   if (e.content_vc.size() == 0) e.content_vc = VectorClock(nprocs_);
-  ByteWriter w(kMsgHeadroom);
   // Page replies dominate payload volume; size the buffer once up front.
-  w.reserve(kMsgHeadroom + 8 + 4 + 4 * (e.content_vc.size() + 1) + 4 + e.data.size());
+  ByteWriter w(kMsgHeadroom,
+               kMsgHeadroom + 8 + 4 + 4 * (e.content_vc.size() + 1) + 4 + e.data.size());
   w.u64(page);
   w.clock(e.content_vc);  // what this copy is known to contain, per writer
   w.bytes(e.data);
@@ -1027,7 +1021,7 @@ void DsmRuntime::on_diff_req(Ctx& ctx, const atm::Frame& f) {
   const PageId page = r.u64();
   const std::uint32_t requester = r.u32();
   const std::uint32_t target = r.u32();
-  const VectorClock floor = r.clock();
+  const ClockView floor = r.clock_view();
 
   // Ship exactly the per-interval diffs in (floor, target]: what the
   // requester's notices cover and its copy lacks. Open (un-noticed)
@@ -1069,12 +1063,9 @@ void DsmRuntime::on_diff_reply(Ctx& ctx, const atm::Frame& f) {
   ByteReader r = body_reader(f);
   const PageId page = r.u64();
   const std::uint32_t count = r.u32();
-  std::vector<Diff> ds;
-  ds.reserve(count);
   std::uint64_t words = 0;
   for (std::uint32_t i = 0; i < count; ++i) {
-    ds.push_back(Diff::deserialize(r));
-    words += diff_words(ds.back());
+    words += util::ceil_div<std::uint64_t>(Diff::skip(r), 8);
   }
   CNI_CHECK_MSG(fetch_.active && fetch_.req_id == hdr.aux && fetch_.page == page,
                 "diff reply does not match the outstanding fetch");
@@ -1086,8 +1077,11 @@ void DsmRuntime::on_diff_reply(Ctx& ctx, const atm::Frame& f) {
                      obs::causal_token(hdr.src_node, hdr.seq, obs::Stage::kDeliver),
                      ctx.trace());
   }
-  node_.engine().schedule_at(ctx.cursor(), [this, ds = std::move(ds)]() mutable {
-    for (Diff& d : ds) fetch_.diffs.push_back(std::move(d));
+  defer(node_.engine(), ctx.cursor(), f, [this](const atm::Frame& reply) {
+    ByteReader g = body_reader(reply);
+    (void)g.u64();
+    const std::uint32_t n = g.u32();
+    for (std::uint32_t i = 0; i < n; ++i) fetch_.diffs.push_back(Diff::deserialize(g));
     ++fetch_.diffs_got;
     if (fetch_.base_done == fetch_.want_base && fetch_.diffs_got == fetch_.diffs_wanted) {
       fetch_.complete = true;

@@ -148,24 +148,18 @@ class DsmRuntime {
   void write_upgrade(PageEntry& e, PageId p);
   void close_interval();
 
-  /// Handles one incoming interval: moves it into the store, merges the
-  /// clock component, records pending notices and invalidates affected
-  /// pages (preserving any local modifications as retained diffs). Returns
-  /// the notice count.
-  std::size_t process_incoming_interval(Interval&& incoming);
+  /// Handles one incoming interval: copies its record into the store,
+  /// merges the clock component, records pending notices and invalidates
+  /// affected pages (preserving any local modifications as retained diffs).
+  void process_incoming_interval(const Interval& iv);
 
   /// Snapshots the page's open modifications (twin vs data) as a retained
   /// per-interval diff tagged `tag`, clearing the twin.
-  void snapshot_own_diff(PageEntry& e, const VectorClock& tag);
+  void snapshot_own_diff(PageEntry& e, ClockView tag);
 
   /// Removes from `older` every byte range `newer` also covers (shadow
   /// subtraction: each byte lives in exactly one retained diff).
   static void subtract_shadowed(Diff& older, const Diff& newer);
-
-  /// Builds a grant-style payload (kMsgHeadroom-fronted): releaser clock +
-  /// intervals unseen by rvc.
-  util::Buf build_interval_payload(const VectorClock& rvc,
-                                   std::size_t* interval_count) const;
 
   /// Canonical combined order for tree collectives: sorts by (writer, index)
   /// and drops duplicates, so the merged set is independent of the arrival
@@ -175,8 +169,7 @@ class DsmRuntime {
 
   /// Schedules this node's barrier release at `at`: processes `ivs` in
   /// order, merges `global` into the clock, records the new barrier floor
-  /// and wakes the app thread. Shared by the centralized release handler
-  /// and both ends of the tree down-sweep.
+  /// and wakes the app thread. Used by both ends of the tree down-sweep.
   void schedule_barrier_release(sim::SimTime at, std::vector<Interval> ivs,
                                 VectorClock global);
 
@@ -236,7 +229,7 @@ class DsmRuntime {
     std::uint32_t epoch = 0;    ///< completed barrier episodes (aux check)
     VectorClock min;            ///< element-wise min of subtree clocks
     std::vector<std::pair<std::uint32_t, VectorClock>> child_min;  ///< per-child floors
-    std::vector<Interval> ivs;  ///< combined epoch intervals (sorted, deduped)
+    std::vector<Interval> ivs;  ///< combined epoch intervals (sorted, deduped, pinned)
   };
   struct RedCombine {
     std::uint32_t arrived = 0;

@@ -13,15 +13,16 @@
 // that share the backing buffer by refcount (zero-copy deserialization).
 // ByteCounter mirrors the writer's framing arithmetic without writing, so
 // size accounting (Diff::payload_bytes) is derived from the one true
-// serializer and cannot drift.
+// serializer and cannot drift. Clocks are written from and read as
+// ClockViews: one memcpy out, and read in place where they arrive.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <span>
 #include <stdexcept>
 #include <utility>
-#include <vector>
 
 #include "dsm/vector_clock.hpp"
 #include "util/buf_pool.hpp"
@@ -44,15 +45,11 @@ class ByteWriter {
 
   /// Opens a writer whose first `headroom` bytes are reserved for a header
   /// to be patched in later (they count toward the taken buffer's size).
-  explicit ByteWriter(std::size_t headroom) : size_(headroom) {
-    buf_ = util::Buf::alloc(size_ < kInitialBytes ? kInitialBytes : size_);
-  }
-
-  /// Pre-sizes the backing buffer for `total` bytes (headroom included).
-  /// Callers that know the payload size up front (page replies) skip the
-  /// grow-and-copy the doubling policy would otherwise pay.
-  void reserve(std::size_t total) {
-    if (total > buf_.capacity()) grow(total);
+  /// A caller that knows the finished size (headroom included) passes it as
+  /// `capacity` and skips the grow-and-copy of the doubling policy.
+  explicit ByteWriter(std::size_t headroom, std::size_t capacity = kInitialBytes)
+      : size_(headroom) {
+    buf_ = util::Buf::alloc(std::max(capacity, size_));
   }
 
   void u32(std::uint32_t v) { raw(&v, sizeof v); }
@@ -67,11 +64,14 @@ class ByteWriter {
   }
 
   /// A u32 entry count, then the entries as host-order u32s.
-  void clock(const VectorClock& vc) {
+  void clock(ClockView vc) {
     CNI_CHECK_LE(vc.size(), UINT32_MAX);
     u32(static_cast<std::uint32_t>(vc.size()));
-    raw(vc.raw().data(), vc.size() * sizeof(std::uint32_t));
+    append(vc.bytes());
   }
+
+  /// Already-encoded bytes, as they are (no length prefix).
+  void append(std::span<const std::byte> b) { raw(b.data(), b.size()); }
 
   /// Bytes written so far, including any headroom.
   [[nodiscard]] std::span<const std::byte> data() const {
@@ -118,7 +118,7 @@ class ByteCounter {
   void u32(std::uint32_t) { n_ += 4; }
   void u64(std::uint64_t) { n_ += 8; }
   void bytes(std::span<const std::byte> b) { n_ += 4 + b.size(); }
-  void clock(const VectorClock& vc) { n_ += 4 + 4 * vc.size(); }
+  void clock(ClockView vc) { n_ += 4 + vc.bytes().size(); }
   [[nodiscard]] std::uint64_t count() const { return n_; }
 
  private:
@@ -148,25 +148,28 @@ class ByteReader {
 
   /// A view of the next length-prefixed byte run. Valid while the underlying
   /// storage lives; hold backing() (when non-empty) to pin it.
-  std::span<const std::byte> bytes() {
+  std::span<const std::byte> bytes() { return take(u32()); }
+
+  /// The next clock, read in place. Valid while the underlying storage
+  /// lives, like bytes(). take() checks the count against the bytes left.
+  ClockView clock_view() {
     const std::uint32_t n = u32();
-    if (pos_ + n > buf_.size()) throw WireError("truncated DSM payload");
-    std::span<const std::byte> out = buf_.subspan(pos_, n);
+    return ClockView(take(std::size_t{n} * 4).data(), n);
+  }
+
+  /// The next clock, copied out (each entry written once).
+  VectorClock clock() { return VectorClock(clock_view()); }
+
+  /// A view of the next `n` bytes (no length prefix).
+  std::span<const std::byte> take(std::size_t n) {
+    if (n > remaining()) throw WireError("truncated DSM payload");
+    const std::span<const std::byte> out = buf_.subspan(pos_, n);
     pos_ += n;
     return out;
   }
 
-  VectorClock clock() {
-    const std::uint32_t n = u32();
-    // Bounds before allocation: an attacker-controlled count must not size
-    // the clock until the bytes it promises are known to exist.
-    if (std::uint64_t{n} * 4 > remaining()) {
-      throw WireError("truncated DSM payload: clock count exceeds bytes");
-    }
-    std::vector<std::uint32_t> entries(n);
-    raw(entries.data(), entries.size() * sizeof(std::uint32_t));
-    return VectorClock(std::move(entries));
-  }
+  /// The bytes not read yet.
+  [[nodiscard]] std::span<const std::byte> rest() const { return buf_.subspan(pos_); }
 
   /// The refcounted buffer the views point into (empty when the reader was
   /// built over a bare span).
@@ -177,7 +180,6 @@ class ByteReader {
 
  private:
   void raw(void* p, std::size_t n) {
-    if (n == 0) return;  // an empty clock's entry vector may have no storage
     if (pos_ + n > buf_.size()) throw WireError("truncated DSM payload");
     std::memcpy(p, buf_.data() + pos_, n);
     pos_ += n;

@@ -4,13 +4,19 @@
 //
 // Two targets, selected by the input's first byte:
 //
-//   wire decode   Interval::deserialize / Diff::deserialize / raw ByteReader
-//                 primitives over arbitrary bytes. Malformed input must
-//                 throw WireError (recoverable, bounds checked *before* any
-//                 count-driven allocation) — never crash, abort via
-//                 CNI_CHECK, or allocate unboundedly. Accepted input must
-//                 round-trip: re-serializing the decoded value and decoding
-//                 it again yields the same wire image.
+//   wire decode   Interval::deserialize / Diff::deserialize, the bodies
+//                 that carry them (an interval set as in a lock grant, a
+//                 diff reply) and raw ByteReader primitives over arbitrary
+//                 bytes. Malformed input must throw WireError (recoverable,
+//                 bounds checked *before* any count-driven allocation) —
+//                 never crash, abort via CNI_CHECK, or allocate unboundedly.
+//                 Each input is decoded both ways production can: from a
+//                 bare span (the decoder copies what it keeps) and from a
+//                 util::Buf holding the same bytes, as a received frame does
+//                 (the decoder aliases it). Both must accept or reject
+//                 alike and re-serialize to identical bytes; every view the
+//                 aliasing decode hands out must lie inside its buffer; and
+//                 the re-serialized image must decode to itself again.
 //
 //   diff property make_diff/apply_diff as an algebraic pair: for arbitrary
 //                 (twin, current) page images, applying the diff onto a copy
@@ -28,6 +34,8 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
+#include <initializer_list>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -35,6 +43,7 @@
 #include "dsm/interval.hpp"
 #include "dsm/vector_clock.hpp"
 #include "dsm/wire_format.hpp"
+#include "util/buf_pool.hpp"
 #include "util/check.hpp"
 
 namespace {
@@ -45,6 +54,7 @@ using cni::dsm::Diff;
 using cni::dsm::Interval;
 using cni::dsm::VectorClock;
 using cni::dsm::WireError;
+namespace util = cni::util;
 
 std::span<const std::byte> as_bytes(const std::uint8_t* data, std::size_t size) {
   return {reinterpret_cast<const std::byte*>(data), size};
@@ -55,36 +65,95 @@ bool same_bytes(std::span<const std::byte> a, std::span<const std::byte> b) {
          (a.empty() || std::memcmp(a.data(), b.data(), a.size()) == 0);
 }
 
-/// Decoders must treat arbitrary bytes as either a value or a WireError —
-/// nothing else. On success, the value must re-serialize to a wire image
-/// that decodes to the same image again (round-trip stability).
-void fuzz_wire_decode(std::span<const std::byte> in) {
+/// What one decode produced: the re-serialized image of everything it
+/// accepted, and every byte view it read in place.
+struct Decoded {
+  ByteWriter out;
+  std::vector<std::span<const std::byte>> views;
+
+  void interval(const Interval& iv) {
+    iv.serialize(out);
+    views.push_back(iv.wire);
+    views.push_back(iv.vc().bytes());
+    views.push_back(iv.pages().bytes());
+  }
+  void diff(const Diff& d) {
+    d.serialize(out);
+    views.push_back(d.vc.bytes());
+    for (const Diff::Run& run : d.runs) views.push_back(d.run_bytes(run));
+  }
+};
+using Decoder = void (*)(ByteReader&, Decoded&);
+
+void one_interval(ByteReader& r, Decoded& d) { d.interval(Interval::deserialize(r)); }
+void one_diff(ByteReader& r, Decoded& d) { d.diff(Diff::deserialize(r)); }
+
+/// A lock grant / barrier release body: clock, count, interval records.
+void interval_set(ByteReader& r, Decoded& d) {
+  const cni::dsm::ClockView vc = r.clock_view();
+  d.out.clock(vc);
+  d.views.push_back(vc.bytes());
+  const std::uint32_t n = r.u32();
+  d.out.u32(n);
+  for (std::uint32_t i = 0; i < n; ++i) d.interval(Interval::deserialize(r));
+}
+
+/// A diff reply body: page, count, diffs.
+void diff_reply(ByteReader& r, Decoded& d) {
+  d.out.u64(r.u64());
+  const std::uint32_t n = r.u32();
+  d.out.u32(n);
+  for (std::uint32_t i = 0; i < n; ++i) d.diff(Diff::deserialize(r));
+}
+
+std::vector<std::byte> copy_of(std::span<const std::byte> b) {
+  return {b.begin(), b.end()};
+}
+
+/// Runs `decode` over `in` from a bare span and from a Buf holding the same
+/// bytes, and checks the two agree (see the file comment).
+void decode_both_ways(std::span<const std::byte> in, Decoder decode) {
+  std::optional<std::vector<std::byte>> copied;
   try {
     ByteReader r(in);
-    const Interval iv = Interval::deserialize(r);
-    ByteWriter w;
-    iv.serialize(w);
-    ByteReader r2(w.data());
-    const Interval iv2 = Interval::deserialize(r2);
-    ByteWriter w2;
-    iv2.serialize(w2);
-    CNI_CHECK_MSG(same_bytes(w.data(), w2.data()),
-                  "interval wire image not round-trip stable");
+    Decoded d;
+    decode(r, d);
+    copied = copy_of(d.out.data());
   } catch (const WireError&) {
     // malformed input: the one acceptable outcome
   }
+  util::Buf frame = util::Buf::alloc(in.size());
+  if (!in.empty()) std::memcpy(frame.data(), in.data(), in.size());
+  std::optional<std::vector<std::byte>> aliased;
   try {
-    ByteReader r(in);
-    const Diff d = Diff::deserialize(r);
-    ByteWriter w;
-    d.serialize(w);
-    ByteReader r2(w.data());
-    const Diff d2 = Diff::deserialize(r2);
-    ByteWriter w2;
-    d2.serialize(w2);
-    CNI_CHECK_MSG(same_bytes(w.data(), w2.data()),
-                  "diff wire image not round-trip stable");
+    ByteReader r(frame, 0);
+    Decoded d;
+    decode(r, d);
+    const std::byte* lo = frame.data();
+    const std::byte* hi = lo + frame.size();
+    for (const std::span<const std::byte> v : d.views) {
+      CNI_CHECK_MSG(v.data() >= lo && v.data() + v.size() <= hi,
+                    "aliasing decode hands out a view outside its buffer");
+    }
+    aliased = copy_of(d.out.data());
   } catch (const WireError&) {
+  }
+  CNI_CHECK_MSG(copied.has_value() == aliased.has_value(),
+                "copying and aliasing decodes disagree on validity");
+  if (!copied) return;
+  CNI_CHECK_MSG(same_bytes(*copied, *aliased),
+                "copying and aliasing decodes re-serialize differently");
+  ByteReader again(*copied);
+  Decoded d;
+  decode(again, d);
+  CNI_CHECK_MSG(same_bytes(d.out.data(), *copied), "wire image not round-trip stable");
+}
+
+/// Decoders must treat arbitrary bytes as either a value or a WireError —
+/// nothing else.
+void fuzz_wire_decode(std::span<const std::byte> in) {
+  for (const Decoder decode : {one_interval, one_diff, interval_set, diff_reply}) {
+    decode_both_ways(in, decode);
   }
   try {
     ByteReader r(in);

@@ -16,6 +16,7 @@
 
 #include "apps/runner.hpp"
 #include "cluster/cluster.hpp"
+#include "dsm/interval.hpp"
 #include "util/buf_pool.hpp"
 
 // ---- global allocation interposer (this test binary only) ------------------
@@ -169,6 +170,25 @@ TEST(BufPool, SteadyStateLoopIsAllHits) {
   }
   EXPECT_EQ(calls.news(), 0u);
   EXPECT_EQ(calls.deletes(), 0u);
+}
+
+TEST(BufPool, BackedIntervalDecodeMakesNoHeapCall) {
+  // A received interval aliases its frame: decoding it pins the payload and
+  // copies nothing (DESIGN.md §10).
+  dsm::ByteWriter w;
+  dsm::Interval::encode(1, 1, dsm::VectorClock(32), std::vector<dsm::PageId>{3, 4})
+      .serialize(w);
+  const Buf frame = w.take();
+  const HeapCalls calls;
+  dsm::PageId last = 0;
+  {
+    dsm::ByteReader r(frame, 0);
+    const dsm::Interval iv = dsm::Interval::deserialize(r);
+    last = iv.pages()[1];
+  }
+  EXPECT_EQ(calls.news(), 0u);
+  EXPECT_EQ(calls.deletes(), 0u);
+  EXPECT_EQ(last, 4u);
 }
 
 TEST(BufPool, CrossThreadReleaseFreesToTheHeap) {

@@ -137,8 +137,7 @@ TEST(WireFormat, HeadroomSurvivesGrowthAndReserveKeepsTheBlock) {
   // Sized up front, as page replies are: the block never moves.
   const std::vector<std::byte> page(600, std::byte{0x5C});
   const std::size_t total = kMsgHeadroom + 4 + page.size();
-  ByteWriter sized(kMsgHeadroom);
-  sized.reserve(total);
+  ByteWriter sized(kMsgHeadroom, total);
   const std::byte* base = sized.data().data();
   sized.bytes(page);
   EXPECT_EQ(sized.data().data(), base);
@@ -154,49 +153,188 @@ TEST(WireFormat, OversizedRunCountThrowsBeforeAllocating) {
   EXPECT_THROW(Diff::deserialize(r), WireError);
 }
 
-TEST(Interval, SerializeRoundTrip) {
-  Interval iv;
-  iv.writer = 3;
-  iv.index = 17;
-  iv.vc = VectorClock(4);
-  iv.vc.set(3, 17);
-  iv.pages = {5, 9, 100};
+TEST(WireFormat, ClockViewReadsUnalignedEntriesInPlace) {
+  // A one-byte lead puts every entry off 4-byte alignment.
+  VectorClock vc(5);
+  for (std::uint32_t i = 0; i < 5; ++i) vc.set(i, 0x01010101u * (i + 1));
   ByteWriter w;
-  iv.serialize(w);
-  ByteReader r(w.data());
-  const Interval out = Interval::deserialize(r);
-  EXPECT_EQ(out.writer, 3u);
-  EXPECT_EQ(out.index, 17u);
-  EXPECT_EQ(out.vc, iv.vc);
-  EXPECT_EQ(out.pages, iv.pages);
+  w.append(std::vector<std::byte>{std::byte{0x7F}});
+  w.clock(vc);
+  const std::span<const std::byte> bytes = w.data();
+  ByteReader r(bytes.subspan(1));
+  const ClockView view = r.clock_view();
+  EXPECT_TRUE(r.done());
+  EXPECT_EQ(view.bytes().data(), bytes.data() + 5);  // read in place
+  ASSERT_EQ(view.size(), 5u);
+  for (std::uint32_t i = 0; i < 5; ++i) EXPECT_EQ(view[i], vc[i]);
+  EXPECT_EQ(VectorClock(view), vc);
+
+  VectorClock merged(5);
+  merged.set(0, 0xFFFFFFFFu);
+  merged.merge(view);
+  EXPECT_EQ(merged[0], 0xFFFFFFFFu);
+  EXPECT_EQ(merged[4], vc[4]);
+  VectorClock assigned(2);
+  assigned.assign(view);
+  EXPECT_EQ(assigned, vc);
+  EXPECT_TRUE(view.dominated_by(merged));
+  EXPECT_FALSE(ClockView(merged).dominated_by(view));
+  EXPECT_DEATH((void)view[5], "CNI_CHECK failed");
 }
 
-Interval make_interval(std::uint32_t w, std::uint32_t i) {
-  Interval iv;
-  iv.writer = w;
-  iv.index = i;
-  iv.vc = VectorClock(4);
-  iv.vc.set(w, i);
-  iv.pages = {static_cast<PageId>(i)};
-  return iv;
+/// An interval record of writer `w`'s interval `i` over `nodes`-entry
+/// clocks, noticing `npages` pages (i, i + 1000, ...).
+Interval make_interval(std::uint32_t w, std::uint32_t i, std::size_t nodes = 4,
+                       std::size_t npages = 1) {
+  VectorClock vc(nodes);
+  vc.set(w, i);
+  std::vector<PageId> pages;
+  for (std::size_t k = 0; k < npages; ++k) pages.push_back(i + 1000 * k);
+  return Interval::encode(w, i, vc, pages);
+}
+
+std::vector<PageId> pages_of(const Interval& iv) {
+  const WireArray<PageId> pages = iv.pages();
+  return {pages.begin(), pages.end()};
+}
+
+TEST(Interval, SerializeRoundTrip) {
+  VectorClock vc(4);
+  vc.set(3, 17);
+  const Interval iv = Interval::encode(3, 17, vc, std::vector<PageId>{5, 9, 100});
+  ByteWriter w;
+  iv.serialize(w);
+  EXPECT_EQ(w.data().size(), 16 + 4 * 4 + 3 * 8u);
+  ByteReader r(w.data());
+  const Interval out = Interval::deserialize(r);
+  EXPECT_TRUE(r.done());
+  EXPECT_EQ(out.writer, 3u);
+  EXPECT_EQ(out.index, 17u);
+  EXPECT_EQ(VectorClock(out.vc()), vc);
+  EXPECT_EQ(pages_of(out), (std::vector<PageId>{5, 9, 100}));
+  // A bare span has no refcount to share: the record was copied out.
+  EXPECT_NE(out.wire.data(), w.data().data());
+  EXPECT_EQ(out.wire.data(), out.keep.data());
+}
+
+TEST(Interval, BackedDeserializeAliasesTheFramePayload) {
+  ByteWriter w;
+  make_interval(1, 2, 8, 3).serialize(w);
+  make_interval(1, 3, 8, 0).serialize(w);
+  util::Buf payload = w.take();
+  Interval a;
+  Interval b;
+  {
+    ByteReader r(payload, 0);
+    a = Interval::deserialize(r);
+    b = Interval::deserialize(r);
+    EXPECT_TRUE(r.done());
+  }
+  EXPECT_EQ(a.wire.data(), payload.data());
+  EXPECT_EQ(b.wire.data(), payload.data() + a.wire.size());
+  EXPECT_EQ(payload.ref_count(), 3u);  // each interval pins the payload
+  payload.reset();
+  EXPECT_EQ(pages_of(a), (std::vector<PageId>{2, 1002, 2002}));
+  EXPECT_TRUE(pages_of(b).empty());
+  EXPECT_EQ(b.vc()[1], 3u);
 }
 
 TEST(IntervalStore, InsertDedupsAndCounts) {
   IntervalStore s;
-  const Interval* first = s.insert(make_interval(0, 1));
-  ASSERT_NE(first, nullptr);
-  EXPECT_EQ(first, &s.at(0, 1));  // insert hands back the stored copy
-  EXPECT_EQ(first->pages, std::vector<PageId>{1});
-  EXPECT_EQ(s.insert(make_interval(0, 1)), nullptr);
-  EXPECT_NE(s.insert(make_interval(0, 2)), nullptr);
-  const Interval* other = s.insert(make_interval(1, 1));
-  ASSERT_NE(other, nullptr);
-  EXPECT_EQ(other, &s.at(1, 1));
+  EXPECT_TRUE(s.insert(make_interval(0, 1)));
+  EXPECT_EQ(pages_of(s.at(0, 1)), std::vector<PageId>{1});
+  EXPECT_FALSE(s.insert(make_interval(0, 1)));
+  EXPECT_TRUE(s.insert(make_interval(0, 2)));
+  EXPECT_TRUE(s.insert(make_interval(1, 1)));
+  EXPECT_EQ(s.at(1, 1).writer, 1u);
   EXPECT_EQ(s.size(), 3u);
   EXPECT_TRUE(s.contains(0, 2));
   EXPECT_FALSE(s.contains(0, 3));
   EXPECT_FALSE(s.contains(2, 1));  // a writer with no log
-  EXPECT_EQ(s.at(0, 2).vc[0], 2u);
+  EXPECT_EQ(s.at(0, 2).vc()[0], 2u);
+}
+
+TEST(IntervalStore, DuplicateInsertCopiesNothing) {
+  IntervalStore s;
+  for (std::uint32_t i = 1; i <= 3; ++i) s.insert(make_interval(2, i, 4, 2));
+  const std::size_t bytes = s.bytes();
+  const std::byte* first = s.at(2, 1).wire.data();
+  EXPECT_FALSE(s.insert(make_interval(2, 2, 4, 2)));
+  EXPECT_FALSE(s.insert(make_interval(2, 3, 4, 7)));  // same id, other bytes
+  EXPECT_EQ(s.bytes(), bytes);
+  EXPECT_EQ(s.size(), 3u);
+  EXPECT_EQ(s.at(2, 1).wire.data(), first);
+  EXPECT_EQ(pages_of(s.at(2, 3)).size(), 2u);
+}
+
+TEST(IntervalStore, ForwardingIsByteExact) {
+  // Records as they arrive in a grant go in; unseen_by() + serialize() must
+  // give back exactly the same bytes, in (writer, index) order.
+  ByteWriter in;
+  std::vector<Interval> sent;
+  for (std::uint32_t w = 0; w < 3; ++w) {
+    for (std::uint32_t i = 1; i <= 4; ++i) {
+      sent.push_back(make_interval(w, i, 16, (w + i) % 5));
+    }
+  }
+  for (const Interval& iv : sent) iv.serialize(in);
+  const util::Buf frame = in.take();
+
+  IntervalStore s;
+  ByteReader r(frame, 0);
+  while (!r.done()) s.insert(Interval::view(r));
+  ByteWriter out;
+  for (const Interval& iv : s.unseen_by(VectorClock(16))) iv.serialize(out);
+  ASSERT_EQ(out.data().size(), frame.size());
+  EXPECT_TRUE(std::ranges::equal(out.data(), frame.span()));
+
+  // A suffix: only writer 1's last interval is unseen.
+  VectorClock seen(16);
+  seen.set(0, 4);
+  seen.set(1, 3);
+  seen.set(2, 4);
+  const std::vector<Interval> tail = s.unseen_by(seen);
+  ASSERT_EQ(tail.size(), 1u);
+  EXPECT_EQ(tail[0].writer, 1u);
+  EXPECT_EQ(tail[0].index, 4u);
+  EXPECT_TRUE(std::ranges::equal(tail[0].wire, sent[7].wire));
+}
+
+TEST(IntervalStore, ViewsSurviveLaterInserts) {
+  IntervalStore s;
+  s.insert(make_interval(0, 1, 32, 3));
+  const Interval early = s.at(0, 1);
+  const ClockView early_vc = early.vc();
+  // 10,000 more records across 8 writers, of varied sizes: the arena grows
+  // through every chunk size, and no earlier view may move.
+  std::vector<std::uint32_t> next(8, 1);
+  next[0] = 2;
+  util::SplitMix64 rng(0x57A7E5ULL);
+  std::size_t record_bytes = early.wire.size();
+  for (int k = 0; k < 10000; ++k) {
+    const auto w = static_cast<std::uint32_t>(rng.next_below(8));
+    const Interval iv = make_interval(w, next[w]++, 32, rng.next_below(12));
+    record_bytes += iv.wire.size();
+    ASSERT_TRUE(s.insert(iv));
+  }
+  EXPECT_EQ(s.size(), 10001u);
+  EXPECT_EQ(early_vc[0], 1u);
+  EXPECT_EQ(early_vc.size(), 32u);
+  EXPECT_EQ(pages_of(early), (std::vector<PageId>{1, 1001, 2001}));
+  EXPECT_EQ(s.at(0, 1).wire.data(), early.wire.data());
+  for (std::uint32_t w = 0; w < 8; ++w) {
+    for (std::uint32_t i = 1; i < next[w]; ++i) {
+      const Interval iv = s.at(w, i);
+      ASSERT_EQ(iv.vc()[w], i);
+      const WireArray<PageId> pages = iv.pages();
+      if (pages.size() != 0) {
+        ASSERT_EQ(pages[0], i);
+      }
+    }
+  }
+  // The arena holds the records plus at most about one chunk of slack.
+  EXPECT_GE(s.bytes(), record_bytes);
+  EXPECT_LE(s.bytes(), record_bytes + IntervalStore::kMaxChunkBytes);
 }
 
 TEST(IntervalStore, GapAborts) {
@@ -221,9 +359,9 @@ TEST(IntervalStore, UnseenByReturnsSuffixes) {
   seen.set(0, 3);
   const auto unseen = s.unseen_by(seen);
   ASSERT_EQ(unseen.size(), 4u);  // writer 0: 4,5; writer 1: 1,2
-  EXPECT_EQ(unseen[0]->index, 4u);
-  EXPECT_EQ(unseen[1]->index, 5u);
-  EXPECT_EQ(unseen[2]->writer, 1u);
+  EXPECT_EQ(unseen[0].index, 4u);
+  EXPECT_EQ(unseen[1].index, 5u);
+  EXPECT_EQ(unseen[2].writer, 1u);
 
   // Sparse writers: only writer 3 has a log under a size-4 clock.
   IntervalStore sparse;
@@ -232,18 +370,18 @@ TEST(IntervalStore, UnseenByReturnsSuffixes) {
   floor.set(3, 1);
   auto got = sparse.unseen_by(floor);
   ASSERT_EQ(got.size(), 2u);
-  EXPECT_EQ(got[0]->writer, 3u);
-  EXPECT_EQ(got[0]->index, 2u);
-  EXPECT_EQ(got[1]->writer, 3u);
-  EXPECT_EQ(got[1]->index, 3u);
+  EXPECT_EQ(got[0].writer, 3u);
+  EXPECT_EQ(got[0].index, 2u);
+  EXPECT_EQ(got[1].writer, 3u);
+  EXPECT_EQ(got[1].index, 3u);
   // A lower writer stored later still comes first.
   sparse.insert(make_interval(1, 1));
   got = sparse.unseen_by(floor);
   ASSERT_EQ(got.size(), 3u);
-  EXPECT_EQ(got[0]->writer, 1u);
-  EXPECT_EQ(got[0]->index, 1u);
-  EXPECT_EQ(got[1]->writer, 3u);
-  EXPECT_EQ(got[1]->index, 2u);
+  EXPECT_EQ(got[0].writer, 1u);
+  EXPECT_EQ(got[0].index, 1u);
+  EXPECT_EQ(got[1].writer, 3u);
+  EXPECT_EQ(got[1].index, 2u);
 }
 
 std::vector<std::byte> bytes_of(const std::string& s) {
@@ -431,7 +569,7 @@ TEST(Diff, RandomizedSerializeRoundTripAndPayloadBytes) {
     const Diff out = Diff::deserialize(r);
     EXPECT_TRUE(r.done());
     EXPECT_EQ(out.writer, d.writer);
-    EXPECT_EQ(out.vc, vc);
+    EXPECT_EQ(VectorClock(out.vc), vc);
     auto replay = twin;
     apply_diff(out, replay);
     EXPECT_EQ(replay, cur) << "trial " << trial;
@@ -486,6 +624,8 @@ TEST(Diff, BackedDeserializeAliasesTheFramePayload) {
     EXPECT_GE(bytes.data(), lo);
     EXPECT_LT(bytes.data(), hi);
   }
+  EXPECT_GE(out.vc.bytes().data(), lo);  // the clock is read in place too
+  EXPECT_LE(out.vc.bytes().data() + out.vc.bytes().size(), hi);
   EXPECT_EQ(payload.ref_count(), 2u);  // the diff arena shares the payload
 
   payload.reset();  // diff's reference alone keeps the bytes valid
@@ -497,12 +637,12 @@ TEST(Diff, BackedDeserializeAliasesTheFramePayload) {
 // ---------------------------------------------------------------------------
 // sort_for_apply: the order a faulting node applies fetched diffs in.
 
-std::uint64_t clock_sum(const VectorClock& vc) {
-  return std::accumulate(vc.raw().begin(), vc.raw().end(), std::uint64_t{0});
+std::uint64_t clock_sum(ClockView vc) {
+  return std::accumulate(vc.begin(), vc.end(), std::uint64_t{0});
 }
 
-bool strictly_before(const VectorClock& a, const VectorClock& b) {
-  return a.dominated_by(b) && !(a == b);
+bool strictly_before(ClockView a, ClockView b) {
+  return a.dominated_by(b) && !std::ranges::equal(a.bytes(), b.bytes());
 }
 
 /// A diff by `writer` at `vc` that sets the listed bytes of a zero page.
