@@ -18,11 +18,9 @@
 // point (fanin/depth) — the banyan and the multi-stage fabrics pick
 // different fan-in from their zero-load distances at 1024 nodes.
 //
-// The engine's shard count comes from the ambient CNI_SIM_SHARDS, so the
-// parsim-identity CI row can diff this binary's artifacts across K. Every
-// simulated number is shard-count independent. Contention at the switch
-// resolves first come, first served by head arrival (DESIGN.md §12), which
-// is what the centralized baselines' O(N) message storms stress hardest.
+// Contention at the switch resolves first come, first served by head
+// arrival (DESIGN.md §12), which is what the centralized baselines' O(N)
+// message storms stress hardest.
 //
 // Usage: fig_barrier_scaling [--json] [--fast] [--nodes=N] [--rounds=N]
 //                            [--topology=banyan|clos|torus] [report flags]

@@ -13,25 +13,15 @@
 //   * hotspot — deterministic hashed all-to-all with every fourth frame
 //     aimed at one hot node: mixed background plus a moving contention spot.
 //
-// Each point runs the sharded engine at K = 1 and K = 4 and records wall
-// clock, events/sec, the machine-independent event-parallelism bound, and
-// the per-shard-pair lookahead the topology exported (matrix min/max beside
-// the uniform single-bound floor) — the distance-aware slack is the whole
-// reason the torus points barrier less than the banyan ones. Simulated
-// elapsed cycles are CNI_CHECKed identical across K per point, extending
-// the byte-identity claim to every topology at every scale.
-//
-// Wall numbers follow the BENCH_parsim honesty rule: on a host with fewer
-// cores than shards, wall_vs_k1 is null and cores_limited is true.
+// Each point records wall clock, simulated elapsed cycles and events/sec of
+// one run, so the cost of each topology's routing shows at every scale.
 //
 // Usage: micro_topology [--json] [--fast] [--nodes=N] [--rounds=N]
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "apps/runner.hpp"
@@ -39,8 +29,6 @@
 #include "bench_common.hpp"
 #include "cluster/cluster.hpp"
 #include "nic/wire.hpp"
-#include "sim/sharded.hpp"
-#include "util/check.hpp"
 
 namespace {
 
@@ -84,67 +72,32 @@ constexpr Scenario kScenarios[] = {
     {"hotspot", hotspot_partner},
 };
 
-struct ModeResult {
-  std::string name;
-  std::uint32_t shards = 0;
-  double wall_ms = 0;
-  std::uint64_t elapsed_cycles = 0;
-  cni::sim::EpochStats stats;
-};
-
-/// Off-diagonal range of the topology's exported lookahead matrix at K = 4,
-/// beside the uniform single-bound floor it improves on.
-struct LookaheadSummary {
-  double uniform_ns = 0;
-  double matrix_min_ns = 0;
-  double matrix_max_ns = 0;
-  std::uint32_t shards = 0;
-};
-
 struct Point {
   std::string name;
   const char* topology;
   const char* scenario;
   std::uint32_t nodes = 0;
-  LookaheadSummary lookahead;
-  std::vector<ModeResult> modes;
+  double wall_ms = 0;
+  std::uint64_t elapsed_cycles = 0;
+  std::uint64_t events_total = 0;
+
+  [[nodiscard]] double events_per_sec() const {
+    return wall_ms > 0 ? static_cast<double>(events_total) / (wall_ms / 1e3) : 0.0;
+  }
 };
 
-cni::cluster::SimParams point_params(TopologyKind kind, std::uint32_t nodes,
-                                     std::uint32_t shards) {
+cni::cluster::SimParams point_params(TopologyKind kind, std::uint32_t nodes) {
   cni::cluster::SimParams params =
       cni::apps::make_params(cni::cluster::BoardKind::kCni, nodes);
   params.fabric.switch_ports = nodes;
   params.fabric.topology = kind;
-  params.sim_shards = shards;
   return params;
 }
 
-ModeResult run_mode(TopologyKind kind, const Scenario& sc, std::uint32_t nodes,
-                    std::uint32_t shards, std::uint32_t rounds,
-                    LookaheadSummary* lookahead) {
+void run_point(TopologyKind kind, const Scenario& sc, std::uint32_t rounds, Point& p) {
   using namespace cni;
-  cluster::Cluster cl(point_params(kind, nodes, shards));
-
-  if (lookahead != nullptr) {
-    const sim::ShardPlan plan = sim::ShardPlan::balanced(nodes, shards);
-    const sim::LookaheadMatrix m = cl.fabric().lookahead_matrix(plan);
-    sim::SimDuration lo = sim::LookaheadMatrix::kUnbounded;
-    sim::SimDuration hi = 0;
-    for (std::uint32_t r = 0; r < plan.shards; ++r) {
-      for (std::uint32_t c = 0; c < plan.shards; ++c) {
-        if (r == c) continue;
-        const sim::SimDuration e = m.at(r, c);
-        if (e < lo) lo = e;
-        if (e > hi) hi = e;
-      }
-    }
-    lookahead->uniform_ns =
-        static_cast<double>(cl.fabric().min_lookahead()) / sim::kNanosecond;
-    lookahead->matrix_min_ns = static_cast<double>(lo) / sim::kNanosecond;
-    lookahead->matrix_max_ns = static_cast<double>(hi) / sim::kNanosecond;
-    lookahead->shards = plan.shards;
-  }
+  const std::uint32_t nodes = p.nodes;
+  cluster::Cluster cl(point_params(kind, nodes));
 
   // Sink service: charge a small fixed cost, no reply. The benchmark load is
   // the *fabric* traversal; the handler just gives each delivery a footprint
@@ -161,7 +114,7 @@ ModeResult run_mode(TopologyKind kind, const Scenario& sc, std::uint32_t nodes,
     const auto self = static_cast<std::uint32_t>(i);
     for (std::uint32_t k = 0; k < rounds; ++k) {
       // Deterministic per-(node, round) jitter so sends decorrelate instead
-      // of arriving as one lock-step convoy (same scheme as micro_parsim).
+      // of arriving as one lock-step convoy.
       cl.node(i).cpu().compute(300 + (self * 2654435761u + k * 40503u) % 2048);
       cl.node(i).cpu().sync(t);
       nic::MsgHeader h;
@@ -175,84 +128,32 @@ ModeResult run_mode(TopologyKind kind, const Scenario& sc, std::uint32_t nodes,
   });
   const auto t1 = std::chrono::steady_clock::now();
 
-  ModeResult m;
-  m.name = "k" + std::to_string(shards);
-  m.shards = shards;
-  m.wall_ms = std::chrono::duration<double, std::milli>(t1 - t0).count();
-  m.elapsed_cycles = cl.elapsed_cpu_cycles();
-  m.stats = cl.epoch_stats();
-  return m;
-}
-
-double event_parallelism(const ModeResult& m) {
-  return m.stats.critical_path_events == 0
-             ? 1.0
-             : static_cast<double>(m.stats.events_total) /
-                   static_cast<double>(m.stats.critical_path_events);
+  p.wall_ms = std::chrono::duration<double, std::milli>(t1 - t0).count();
+  p.elapsed_cycles = cl.elapsed_cpu_cycles();
+  p.events_total = cl.engine().events_executed();
 }
 
 void print_json(const std::vector<Point>& points) {
-  const unsigned hw = std::thread::hardware_concurrency();
   std::printf("{\n  \"points\": {\n");
   for (std::size_t pi = 0; pi < points.size(); ++pi) {
     const Point& p = points[pi];
-    std::printf("    \"%s\": {\n", p.name.c_str());
-    std::printf("      \"topology\": \"%s\", \"scenario\": \"%s\", "
-                "\"nodes\": %u, \"num_cpus\": %u,\n",
-                p.topology, p.scenario, p.nodes, hw);
-    std::printf("      \"lookahead\": {\"uniform_ns\": %.0f, "
-                "\"matrix_min_ns\": %.0f, \"matrix_max_ns\": %.0f, "
-                "\"shards\": %u},\n",
-                p.lookahead.uniform_ns, p.lookahead.matrix_min_ns,
-                p.lookahead.matrix_max_ns, p.lookahead.shards);
-    std::printf("      \"modes\": {\n");
-    const ModeResult& k1 = p.modes.front();
-    for (std::size_t i = 0; i < p.modes.size(); ++i) {
-      const ModeResult& m = p.modes[i];
-      const bool cores_limited = hw < m.shards;
-      const double secs = m.wall_ms / 1e3;
-      char speedup[32];
-      if (cores_limited) {
-        std::snprintf(speedup, sizeof speedup, "null");
-      } else {
-        std::snprintf(speedup, sizeof speedup, "%.2f", k1.wall_ms / m.wall_ms);
-      }
-      std::printf(
-          "        \"%s\": {\"wall_ms\": %.2f, \"elapsed_cycles\": %llu, "
-          "\"events_total\": %llu, \"events_per_sec\": %.0f, "
-          "\"epochs\": %llu, \"barriers\": %llu, "
-          "\"event_parallelism\": %.2f, \"wall_vs_k1\": %s, "
-          "\"cores_limited\": %s}%s\n",
-          m.name.c_str(), m.wall_ms,
-          static_cast<unsigned long long>(m.elapsed_cycles),
-          static_cast<unsigned long long>(m.stats.events_total),
-          secs > 0 ? static_cast<double>(m.stats.events_total) / secs : 0.0,
-          static_cast<unsigned long long>(m.stats.epochs),
-          static_cast<unsigned long long>(m.stats.barriers),
-          event_parallelism(m), speedup, cores_limited ? "true" : "false",
-          i + 1 < p.modes.size() ? "," : "");
-    }
-    std::printf("      }\n    }%s\n", pi + 1 < points.size() ? "," : "");
+    std::printf("    \"%s\": {\"topology\": \"%s\", \"scenario\": \"%s\", "
+                "\"nodes\": %u, \"wall_ms\": %.2f, \"elapsed_cycles\": %llu, "
+                "\"events_total\": %llu, \"events_per_sec\": %.0f}%s\n",
+                p.name.c_str(), p.topology, p.scenario, p.nodes, p.wall_ms,
+                static_cast<unsigned long long>(p.elapsed_cycles),
+                static_cast<unsigned long long>(p.events_total), p.events_per_sec(),
+                pi + 1 < points.size() ? "," : "");
   }
   std::printf("  }\n}\n");
 }
 
-void print_table(const Point& p) {
-  std::printf("\n%s  (lookahead uniform %.0f ns, matrix %.0f..%.0f ns)\n",
-              p.name.c_str(), p.lookahead.uniform_ns, p.lookahead.matrix_min_ns,
-              p.lookahead.matrix_max_ns);
-  std::printf("%-6s %12s %16s %14s %10s %10s %18s\n", "mode", "wall_ms",
-              "elapsed_cycles", "events/sec", "epochs", "barriers",
-              "event_parallelism");
-  for (const ModeResult& m : p.modes) {
-    const double secs = m.wall_ms / 1e3;
-    std::printf("%-6s %12.2f %16llu %14.0f %10llu %10llu %18.2f\n",
-                m.name.c_str(), m.wall_ms,
-                static_cast<unsigned long long>(m.elapsed_cycles),
-                secs > 0 ? static_cast<double>(m.stats.events_total) / secs : 0.0,
-                static_cast<unsigned long long>(m.stats.epochs),
-                static_cast<unsigned long long>(m.stats.barriers),
-                event_parallelism(m));
+void print_table(const std::vector<Point>& points) {
+  std::printf("%-28s %12s %16s %14s\n", "point", "wall_ms", "elapsed_cycles",
+              "events/sec");
+  for (const Point& p : points) {
+    std::printf("%-28s %12.2f %16llu %14.0f\n", p.name.c_str(), p.wall_ms,
+                static_cast<unsigned long long>(p.elapsed_cycles), p.events_per_sec());
   }
 }
 
@@ -296,15 +197,15 @@ int main(int argc, char** argv) {
         p.scenario = sc.name;
         p.nodes = nodes;
         p.name = std::string(p.topology) + "/" + sc.name + "/" + std::to_string(nodes);
-        p.modes.push_back(run_mode(kind, sc, nodes, 1, rounds, nullptr));
-        p.modes.push_back(run_mode(kind, sc, nodes, 4, rounds, &p.lookahead));
-        CNI_CHECK_MSG(p.modes[0].elapsed_cycles == p.modes[1].elapsed_cycles,
-                      "topology point diverged across K");
-        if (!json) print_table(p);
+        run_point(kind, sc, rounds, p);
         points.push_back(std::move(p));
       }
     }
   }
-  if (json) print_json(points);
+  if (json) {
+    print_json(points);
+  } else {
+    print_table(points);
+  }
   return 0;
 }

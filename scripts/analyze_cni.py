@@ -5,8 +5,8 @@ lint_cni.py matches tokens; this analyzer reads the program. It drives
 `clang -Xclang -ast-dump=json -fsyntax-only` over the compilation database
 (compile_commands.json) and walks the real AST, so it sees through macros,
 type aliases and formatting — a `DeliveryHook` IS a std::function here, a
-defaulted memory_order argument IS seq_cst, a field with a guarded_by
-attribute IS guarded regardless of how the line is wrapped.
+defaulted memory_order argument IS seq_cst, regardless of how the line is
+wrapped.
 
 Checks (rule names are the suppression keys):
 
@@ -31,12 +31,6 @@ Checks (rule names are the suppression keys):
                         comment (same line or the four lines above): the
                         chosen memory_order must carry its pairing rationale
                         next to the code. Audited in src/sim|atm|util.
-  shard-ownership       A write to a CNI_GUARDED_BY field from a function
-                        that neither carries a capability attribute
-                        (CNI_REQUIRES/CNI_ACQUIRE/...) nor acquires/asserts
-                        a util::Capability in its body. Catches per-shard
-                        state escaping its owner even where Clang's own
-                        thread-safety analysis is not running.
   functionref-escape    A class/struct field of util::FunctionRef type:
                         FunctionRef is a borrowed view; storing one beyond
                         the borrow is a use-after-free factory. Fields need
@@ -90,18 +84,6 @@ WRAPPER_KINDS = {"ImplicitCastExpr", "ParenExpr", "ExprWithCleanups",
                  "MaterializeTemporaryExpr", "CXXBindTemporaryExpr",
                  "ConstantExpr", "FullExpr", "CXXFunctionalCastExpr",
                  "CXXStaticCastExpr"}
-
-# Thread-safety attributes that mark a function as capability-aware: holding
-# one of these means the ownership contract is declared (and, under the
-# Clang thread-safety CI job, checked).
-TSA_FUNC_ATTRS = {"RequiresCapabilityAttr", "AcquireCapabilityAttr",
-                  "ReleaseCapabilityAttr", "AssertCapabilityAttr",
-                  "TryAcquireCapabilityAttr", "NoThreadSafetyAnalysisAttr"}
-GUARDED_ATTRS = {"GuardedByAttr", "PtGuardedByAttr"}
-# util::Capability protocol methods: a call to any of these in a function
-# body declares the role for the enclosing scope.
-CAP_METHODS = {"acquire", "acquire_shared", "release", "release_shared",
-               "assert_held", "assert_shared"}
 
 # Atomic member operations that take a memory_order parameter.
 ATOMIC_ORDERED_OPS = {"load", "store", "exchange", "compare_exchange_weak",
@@ -258,29 +240,6 @@ def callee_name(call):
     return None
 
 
-def lhs_guarded_field(expr, guarded_ids):
-    """Descends an assignment LHS to a MemberExpr naming a guarded field."""
-    expr = unwrap(expr)
-    for _ in range(8):  # bounded: a[i].b.c chains are shallow in practice
-        kind = expr.get("kind")
-        if kind == "MemberExpr":
-            ref = expr.get("referencedMemberDecl")
-            if ref in guarded_ids:
-                return guarded_ids[ref]
-            expr = member_base(expr)
-        elif kind == "ArraySubscriptExpr":
-            kids = inner(expr)
-            expr = unwrap(kids[0]) if kids else None
-        elif kind == "CXXOperatorCallExpr":
-            kids = inner(expr)  # operator[] — object is the second child
-            expr = unwrap(kids[1]) if len(kids) > 1 else None
-        else:
-            return None
-        if not isinstance(expr, dict):
-            return None
-    return None
-
-
 def subtree_any(node, pred):
     if pred(node):
         return True
@@ -296,23 +255,6 @@ def calls_member_named(node, names):
     return subtree_any(node, pred)
 
 
-def has_capability_call(node):
-    def pred(n):
-        if n.get("kind") != "CXXMemberCallExpr":
-            return False
-        cal = member_callee(n)
-        if cal is None or cal.get("name") not in CAP_METHODS:
-            return False
-        base = member_base(cal)
-        return base is not None and mentions(base, "Capability")
-    return subtree_any(node, pred)
-
-
-def func_tsa_attrs(fn_node):
-    return {k.get("kind") for k in inner(fn_node)
-            if k.get("kind") in TSA_FUNC_ATTRS}
-
-
 # ---------------------------------------------------------------------------
 # Rules engine (pure: AST in, findings out — unit-testable without clang)
 # ---------------------------------------------------------------------------
@@ -326,7 +268,6 @@ class Analyzer:
         self.to_rel = to_rel
         self.get_source = get_source
         self.findings = []
-        self.guarded_ids = {}
         self._allows = {}
         self._sources = {}
 
@@ -364,22 +305,8 @@ class Analyzer:
     # -- entry point -------------------------------------------------------
 
     def run(self, tu_node):
-        # Pre-pass: guarded fields are usually declared after the methods
-        # that write them (private members last), so collect every
-        # GuardedByAttr field id before the rules walk.
-        self._collect_guarded(tu_node)
         self._walk(tu_node, None, 0)
         return self.findings
-
-    def _collect_guarded(self, node):
-        if not isinstance(node, dict):
-            return
-        if node.get("kind") == "FieldDecl":
-            for kid in inner(node):
-                if kid.get("kind") in GUARDED_ATTRS:
-                    self.guarded_ids[node.get("id")] = node.get("name", "?")
-        for kid in inner(node):
-            self._collect_guarded(kid)
 
     # -- walk --------------------------------------------------------------
 
@@ -390,8 +317,6 @@ class Analyzer:
 
         if kind in FUNC_KINDS:
             new_fn = {
-                "attrs": func_tsa_attrs(node),
-                "has_cap_call": has_capability_call(node),
                 "has_reserve": calls_member_named(node, {"reserve"}),
                 "name": node.get("name", "?"),
             }
@@ -412,10 +337,6 @@ class Analyzer:
             self._check_member_call(node, fn, loop_depth)
         elif kind == "CXXOperatorCallExpr":
             self._check_operator_call(node)
-        elif kind in ("BinaryOperator", "CompoundAssignOperator"):
-            self._check_assign(node, fn)
-        elif kind == "UnaryOperator" and node.get("opcode") in ("++", "--"):
-            self._check_incdec(node, fn)
 
         if kind in LOOP_KINDS:
             loop_depth += 1
@@ -534,30 +455,6 @@ class Analyzer:
                         "operator-form atomic access is seq_cst by "
                         "definition — use load()/store()/fetch_*() with an "
                         "explicit memory_order", dirs=ATOMIC_AUDIT_DIRS)
-
-    def _guarded_write(self, node, lhs, fn):
-        field = lhs_guarded_field(lhs, self.guarded_ids)
-        if field is None or fn is None:
-            return
-        if fn["attrs"] or fn["has_cap_call"]:
-            return
-        self.report(node, "shard-ownership",
-                    f"write to guarded field '{field}' from '{fn['name']}', "
-                    "which neither declares a capability (CNI_REQUIRES/"
-                    "CNI_ACQUIRE) nor asserts one in its body")
-
-    def _check_assign(self, node, fn):
-        if node.get("kind") == "BinaryOperator" and node.get("opcode") != "=":
-            return
-        kids = inner(node)
-        if kids:
-            self._guarded_write(node, kids[0], fn)
-
-    def _check_incdec(self, node, fn):
-        kids = inner(node)
-        if kids:
-            self._guarded_write(node, kids[0], fn)
-
 
 # ---------------------------------------------------------------------------
 # Driving clang
@@ -726,11 +623,9 @@ def _syn_tu(*decls):
     return {"kind": "TranslationUnitDecl", "inner": list(decls)}
 
 
-def _syn_fn(name, body_stmts, attrs=(), loc=None, kind="FunctionDecl",
-            virtual=False):
+def _syn_fn(name, body_stmts, loc=None, kind="FunctionDecl", virtual=False):
     node = {"kind": kind, "name": name, "loc": loc or {},
-            "inner": [{"kind": a} for a in attrs] +
-                     [{"kind": "CompoundStmt", "inner": list(body_stmts)}]}
+            "inner": [{"kind": "CompoundStmt", "inner": list(body_stmts)}]}
     if virtual:
         node["virtual"] = True
     return node
@@ -838,31 +733,6 @@ def run_synthetic_tests():
     ]))
     check("atomic-operator", ast,
           [("atomic-implicit-order", "src/atm/e.cpp", 6)])
-
-    # shard-ownership: a guarded write from an unannotated function fires;
-    # with a RequiresCapabilityAttr, or an assert in the body, it is clean.
-    field = {"kind": "FieldDecl", "id": "0x1", "name": "cmd_",
-             "loc": _syn_loc("src/sim/g.cpp", 2),
-             "inner": [{"kind": "GuardedByAttr"}]}
-    write = {"kind": "BinaryOperator", "opcode": "=",
-             "loc": _syn_loc("src/sim/g.cpp", 12),
-             "inner": [{"kind": "MemberExpr", "name": "cmd_",
-                        "referencedMemberDecl": "0x1"},
-                       {"kind": "IntegerLiteral"}]}
-    cap_assert = {"kind": "CXXMemberCallExpr", "inner": [
-        {"kind": "MemberExpr", "name": "assert_held",
-         "inner": [{"kind": "DeclRefExpr",
-                    "type": {"qualType": "const cni::util::Capability"}}]}]}
-    # Field declared AFTER the writing function (private-members-last
-    # style): the guarded pre-pass must still see it.
-    check("guarded-write-bad",
-          _syn_tu(_syn_fn("rogue", [dict(write)]), field),
-          [("shard-ownership", "src/sim/g.cpp", 12)])
-    check("guarded-write-attr",
-          _syn_tu(field, _syn_fn("ok", [dict(write)],
-                                 attrs=("RequiresCapabilityAttr",))), [])
-    check("guarded-write-assert",
-          _syn_tu(field, _syn_fn("ok2", [cap_assert, dict(write)])), [])
 
     # functionref-escape on fields; virtual-hot in src/sim only.
     ast = _syn_tu(

@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
-"""Regenerates BENCH_engine.json, BENCH_obs.json, BENCH_parsim.json,
-BENCH_topology.json and BENCH_collectives.json.
+"""Regenerates BENCH_engine.json, BENCH_obs.json, BENCH_topology.json and
+BENCH_collectives.json.
 
 Usage: scripts/bench_engine.py [build-dir]
        scripts/bench_engine.py --suite [build-dir]
@@ -16,24 +16,24 @@ With --trajectory no benchmark runs: the script aggregates the current
 payload plus the history blocks of every BENCH_*.json into one cross-PR
 perf-trajectory table (TRAJECTORY.md + BENCH_trajectory.json, also printed
 to stdout) so the headline numbers' drift across sessions is visible in one
-place instead of scattered over six files.
+place instead of scattered over five files.
 
 Captures the machine-readable throughput numbers the PR/README quote:
 events/sec from micro_engine, lookups/sec from micro_mcache, the
 observability overhead ladder from micro_obs (live metrics, causal
-records and full tracing over the runtime-off default), the sharded-engine
-scaling points from micro_parsim (wall clock plus the machine-independent
-event-parallelism bound per shard count), and the fabric-topology scaling
-grid from micro_topology (banyan/Clos/torus at 256/1024/4096 nodes under
-incast, permutation and hot-spot traffic, with each topology's exported
-per-shard-pair lookahead range), and the collective scaling grid from
-fig_barrier_scaling (barrier/reduce latency per episode for the NIC-resident
-combining tree vs the centralized baselines, all three fabrics).
+records and full tracing over the runtime-off default), the fabric-topology
+scaling grid from micro_topology (banyan/Clos/torus at 256/1024/4096 nodes
+under incast, permutation and hot-spot traffic), and the collective scaling
+grid from fig_barrier_scaling (barrier/reduce latency per episode for the
+NIC-resident combining tree vs the centralized baselines, all three
+fabrics).
 
-Every context block records CNI_BENCH_JOBS / CNI_SIM_SHARDS and the resolved
-sweep worker count so runs taken under different fan-out settings are never
-compared apples-to-oranges.
+Every context block records CNI_BENCH_JOBS and the resolved sweep worker
+count so runs taken under different fan-out settings are never compared
+apples-to-oranges. An unknown flag prints usage and exits 2 before anything
+runs or is written.
 """
+import argparse
 import datetime
 import json
 import os
@@ -46,12 +46,13 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-_ARGS = [a for a in sys.argv[1:] if not a.startswith("--")]
-BUILD = Path(_ARGS[0]) if _ARGS else ROOT / "build"
+# The build tree whose bench/ binaries run; main() sets it from the command
+# line.
+BUILD = ROOT / "build"
 
-# How many prior payloads each BENCH file keeps. Wall numbers are host-bound
-# (a cores_limited run on a narrow VM understates real speedup), so a re-run
-# on a wider host should sit next to the old point, not erase it.
+# How many prior payloads each BENCH file keeps. Wall numbers are
+# host-bound, so a re-run on another host should sit next to the old point,
+# not erase it.
 HISTORY_DEPTH = 4
 
 
@@ -94,11 +95,10 @@ def sweep_jobs() -> int:
 
 
 def env_context() -> dict:
-    """Knobs that shape how a run executes, recorded so two BENCH files can be
-    compared apples-to-apples: the sweep fan-out and the in-run shard count."""
+    """The knob that shapes how a run executes, recorded so two BENCH files
+    can be compared apples-to-apples: the sweep fan-out."""
     return {
         "cni_bench_jobs": os.environ.get("CNI_BENCH_JOBS"),
-        "cni_sim_shards": os.environ.get("CNI_SIM_SHARDS"),
         "sweep_workers": sweep_jobs(),
     }
 
@@ -161,141 +161,21 @@ def write_obs() -> None:
     print(f"wrote {path}")
 
 
-PARSIM_SCHEMA_VERSION = 5
+TOPOLOGY_SCHEMA_VERSION = 2
 
-# Per-mode fields micro_parsim --json must emit. wall_vs_k1 is null on a
-# host with fewer cores than shard threads (the ratio measures scheduler
-# thrash there), and cores_limited says so — a quotable number and the flag
-# that disqualifies it can never coexist. shard_profile is the per-shard
-# wall-time phase attribution (idle/busy/drain/barrier_wait/fused_window)
-# from the shard execution profiler, one entry per shard, so the
-# wall_vs_k1-vs-event_parallelism gap has a breakdown. Schema v5 dropped
-# the legacy single-engine mode (and with it every null epoch statistic)
-# and the k4-nofuse mode.
-PARSIM_MODE_FIELDS = ("wall_ms", "elapsed_cycles", "wall_vs_k1",
-                      "cores_limited", "shard_profile", "epochs",
-                      "events_total", "critical_path_events", "fused_epochs",
-                      "barriers", "event_parallelism")
-PARSIM_PROFILE_FIELDS = ("shard", "idle_ms", "busy_ms", "drain_ms",
-                         "barrier_wait_ms", "fused_window_ms", "transitions")
-
-
-def validate_parsim(report: dict) -> None:
-    """Shape contract for BENCH_parsim.json points (schema v5): every point
-    carries num_cpus, every mode all PARSIM_MODE_FIELDS measured (only
-    wall_vs_k1 may be null, exactly when the run was cores_limited) and one
-    shard_profile entry per shard. Raises ValueError on violation so a
-    drifting micro_parsim emitter can't silently corrupt the pinned file."""
-    for pname, point in report["points"].items():
-        where = f"points.{pname}"
-        if not isinstance(point.get("num_cpus"), int):
-            raise ValueError(f"{where}: missing integer num_cpus")
-        for mname, mode in point["modes"].items():
-            mwhere = f"{where}.modes.{mname}"
-            for field in PARSIM_MODE_FIELDS:
-                if field not in mode:
-                    raise ValueError(f"{mwhere}: missing {field}")
-                if field != "wall_vs_k1" and mode[field] is None:
-                    raise ValueError(f"{mwhere}: {field} must be measured")
-            if not isinstance(mode["cores_limited"], bool):
-                raise ValueError(f"{mwhere}: cores_limited must be boolean")
-            if mode["cores_limited"] and mode["wall_vs_k1"] is not None:
-                raise ValueError(
-                    f"{mwhere}: wall_vs_k1 must be null when cores_limited "
-                    "(the ratio measures thread thrash, not speedup)")
-            if not mode["cores_limited"] and mode["wall_vs_k1"] is None:
-                raise ValueError(
-                    f"{mwhere}: wall_vs_k1 missing on a full-width run")
-            profile = mode["shard_profile"]
-            # Mode names encode the shard count ("k4" -> 4): one profile
-            # entry per shard, indexed densely from 0.
-            if not isinstance(profile, list) or len(profile) != int(mname[1:]):
-                raise ValueError(
-                    f"{mwhere}: shard_profile must list one entry per shard")
-            for idx, slot in enumerate(profile):
-                for field in PARSIM_PROFILE_FIELDS:
-                    if field not in slot:
-                        raise ValueError(
-                            f"{mwhere}.shard_profile[{idx}]: missing {field}")
-                if slot["shard"] != idx:
-                    raise ValueError(
-                        f"{mwhere}.shard_profile[{idx}]: shard index "
-                        f"{slot['shard']} out of order")
-
-
-def warn_cores_limited(report: dict, what: str) -> None:
-    """Prints a loud banner when any point in `report` ran with fewer host
-    cores than shard threads: those wall numbers are excluded from headline
-    speedups, and the machine-independent stats (event_parallelism, barrier
-    counts) are the only figures worth quoting from such a run."""
-    limited = sorted(
-        f"{pname}/{mname}"
-        for pname, point in report["points"].items()
-        for mname, mode in point["modes"].items()
-        if mode.get("cores_limited")
-    )
-    if limited:
-        print(f"WARNING: {what}: {len(limited)} mode(s) ran cores_limited "
-              "(host cores < shard threads).", file=sys.stderr)
-        print("WARNING: their wall_vs_k1 is null and MUST NOT be quoted as "
-              "speedup; cite event_parallelism instead.", file=sys.stderr)
-        print(f"WARNING: affected: {', '.join(limited)}", file=sys.stderr)
-
-
-PARSIM_RUNS = (["--point=pingpong"], ["--point=jacobi"])
-
-
-def write_parsim() -> None:
-    # micro_parsim is a plain binary (no google-benchmark), so the context
-    # block is assembled here. It also CNI_CHECKs in-process that every
-    # shard count produced the same simulated-cycle count.
-    report = {"points": {}}
-    for args in PARSIM_RUNS:
-        out = subprocess.run(
-            [str(BUILD / "bench" / "micro_parsim"), "--json", *args],
-            check=True,
-            capture_output=True,
-            text=True,
-        ).stdout
-        report["points"].update(json.loads(out)["points"])
-    validate_parsim(report)
-    warn_cores_limited(report, "BENCH_parsim")
-
-    path = ROOT / "BENCH_parsim.json"
-    result = {
-        "schema_version": PARSIM_SCHEMA_VERSION,
-        "context": {
-            "host": platform.node(),
-            "num_cpus": os.cpu_count(),
-            "date": datetime.datetime.now().astimezone().isoformat(timespec="seconds"),
-            **env_context(),
-        },
-        **report,
-        "history": load_history(path),
-    }
-
-    path.write_text(json.dumps(result, indent=2) + "\n")
-    print(f"wrote {path}")
-
-
-TOPOLOGY_SCHEMA_VERSION = 1
-
-TOPOLOGY_MODE_FIELDS = ("wall_ms", "elapsed_cycles", "events_total",
-                        "events_per_sec", "epochs", "barriers",
-                        "event_parallelism", "wall_vs_k1", "cores_limited")
-TOPOLOGY_LOOKAHEAD_FIELDS = ("uniform_ns", "matrix_min_ns", "matrix_max_ns",
-                             "shards")
+# One run per point. Schema v2 dropped v1's per-shard-count modes, their
+# epoch/barrier/event-parallelism counts and the lookahead block.
+TOPOLOGY_POINT_FIELDS = ("topology", "scenario", "nodes", "wall_ms",
+                         "elapsed_cycles", "events_total", "events_per_sec")
 TOPOLOGIES = ("banyan", "clos", "torus")
 SCENARIOS = ("incast", "permutation", "hotspot")
 TOPOLOGY_NODE_COUNTS = (256, 1024, 4096)
 
 
 def validate_topology(report: dict) -> None:
-    """Shape contract for BENCH_topology.json (schema v1): the full
-    topology x scenario x node-count grid is present, every point carries
-    the lookahead block (uniform floor plus matrix off-diagonal range), each
-    mode has the parsim honesty fields (wall_vs_k1 null iff cores_limited),
-    and K=1/K=4 agree on simulated elapsed cycles."""
+    """Shape contract for BENCH_topology.json (schema v2): the full
+    topology x scenario x node-count grid is present and every point carries
+    all TOPOLOGY_POINT_FIELDS."""
     points = report["points"]
     for topo in TOPOLOGIES:
         for sc in SCENARIOS:
@@ -304,32 +184,15 @@ def validate_topology(report: dict) -> None:
                 if key not in points:
                     raise ValueError(f"missing point {key}")
     for pname, point in points.items():
-        where = f"points.{pname}"
-        for field in TOPOLOGY_LOOKAHEAD_FIELDS:
-            if field not in point.get("lookahead", {}):
-                raise ValueError(f"{where}: lookahead missing {field}")
-        la = point["lookahead"]
-        if la["matrix_min_ns"] < la["uniform_ns"] - 2 * 150:
-            raise ValueError(
-                f"{where}: matrix floor below the topology's own bound")
-        cycles = set()
-        for mname, mode in point["modes"].items():
-            mwhere = f"{where}.modes.{mname}"
-            for field in TOPOLOGY_MODE_FIELDS:
-                if field not in mode:
-                    raise ValueError(f"{mwhere}: missing {field}")
-            if mode["cores_limited"] and mode["wall_vs_k1"] is not None:
-                raise ValueError(
-                    f"{mwhere}: wall_vs_k1 must be null when cores_limited")
-            cycles.add(mode["elapsed_cycles"])
-        if len(cycles) != 1:
-            raise ValueError(f"{where}: elapsed_cycles diverged across K")
+        for field in TOPOLOGY_POINT_FIELDS:
+            if field not in point:
+                raise ValueError(f"points.{pname}: missing {field}")
 
 
 def write_topology() -> None:
     # micro_topology is a plain binary (no google-benchmark); the full sweep
     # covers 256/1024/4096 nodes for all three topologies, so this is the
-    # slowest bench here (~a minute on one core).
+    # slowest bench here after fig_barrier_scaling.
     out = subprocess.run(
         [str(BUILD / "bench" / "micro_topology"), "--json"],
         check=True,
@@ -338,7 +201,6 @@ def write_topology() -> None:
     ).stdout
     report = json.loads(out)
     validate_topology(report)
-    warn_cores_limited(report, "BENCH_topology")
 
     result = {
         "schema_version": TOPOLOGY_SCHEMA_VERSION,
@@ -445,7 +307,7 @@ SUITE_BINARY_FIELDS = ("wall_s_median", "wall_s_cv", "wall_s_samples",
 SUITE_TOTAL_FIELDS = ("wall_s_median", "wall_s_cv", "wall_s_samples",
                       "peak_rss_mb", "slowest")
 SUITE_CONTEXT_FIELDS = ("host", "num_cpus", "date", "commit", "reps",
-                        "cni_bench_jobs", "cni_sim_shards", "cni_bench_fast")
+                        "cni_bench_jobs", "cni_bench_fast")
 
 
 def timed_run(cmd: list) -> tuple:
@@ -599,34 +461,15 @@ def _headline_obs(s: dict) -> dict:
     }
 
 
-def _headline_parsim(s: dict) -> dict:
-    points = s.get("points") or {}
-    k4 = _num(points, "jacobi", "modes", "k4") or {}
-    limited = sum(1 for p in points.values()
-                  for m in (p.get("modes") or {}).values()
-                  if m.get("cores_limited"))
-    return {
-        "jacobi_k4_event_parallelism": k4.get("event_parallelism"),
-        "jacobi_k4_wall_vs_k1": k4.get("wall_vs_k1"),
-        "cores_limited_modes": limited,
-    }
-
-
 def _headline_topology(s: dict) -> dict:
-    best_rate = None
-    best_par = None
+    rates = []
     for p in (s.get("points") or {}).values():
-        k4 = (p.get("modes") or {}).get("k4") or {}
-        rate = k4.get("events_per_sec")
-        par = k4.get("event_parallelism")
-        if rate is not None and (best_rate is None or rate > best_rate):
-            best_rate = rate
-        if par is not None and (best_par is None or par > best_par):
-            best_par = par
-    return {
-        "peak_k4_events_per_sec": best_rate,
-        "peak_k4_event_parallelism": best_par,
-    }
+        # Schema v1 snapshots in the history block keep each rate under a
+        # per-shard-count mode; their k1 mode is the same one-engine run.
+        rate = p.get("events_per_sec", _num(p, "modes", "k1", "events_per_sec"))
+        if rate is not None:
+            rates.append(rate)
+    return {"peak_events_per_sec": max(rates, default=None)}
 
 
 def _headline_collectives(s: dict) -> dict:
@@ -662,7 +505,6 @@ TRAJECTORY_BENCHES = (
     ("suite", "BENCH_suite.json", _headline_suite),
     ("engine", "BENCH_engine.json", _headline_engine),
     ("obs", "BENCH_obs.json", _headline_obs),
-    ("parsim", "BENCH_parsim.json", _headline_parsim),
     ("topology", "BENCH_topology.json", _headline_topology),
     ("collectives", "BENCH_collectives.json", _headline_collectives),
 )
@@ -729,11 +571,27 @@ def write_trajectory() -> None:
     print(f"wrote {ROOT / 'TRAJECTORY.md'}")
 
 
+def parse_args(argv=None) -> argparse.Namespace:
+    parser = argparse.ArgumentParser(
+        description="Regenerates the BENCH_*.json files from a build tree.")
+    parser.add_argument("build", nargs="?", default=str(ROOT / "build"),
+                        help="build directory holding bench/ (default: build)")
+    mode = parser.add_mutually_exclusive_group()
+    mode.add_argument("--suite", action="store_true",
+                      help="time the reproduction suite; writes BENCH_suite.json only")
+    mode.add_argument("--trajectory", action="store_true",
+                      help="run nothing; aggregate the BENCH files into TRAJECTORY.md")
+    return parser.parse_args(argv)
+
+
 def main() -> None:
-    if "--trajectory" in sys.argv[1:]:
+    global BUILD
+    args = parse_args()
+    BUILD = Path(args.build)
+    if args.trajectory:
         write_trajectory()
         return
-    if "--suite" in sys.argv[1:]:
+    if args.suite:
         write_suite()
         return
 
@@ -758,7 +616,6 @@ def main() -> None:
     print(f"wrote {path}")
 
     write_obs()
-    write_parsim()
     write_topology()
     write_collectives()
     write_trajectory()

@@ -29,18 +29,8 @@ checks the three that matter most (see DESIGN.md section 9):
                   site to materialize a heap-backed owning callable even
                   when the callee only invokes it and never stores it.
                   Non-owning callable parameters take util::FunctionRef
-                  (two words, no allocation — DESIGN.md §12); keep
+                  (two words, no allocation — DESIGN.md §8); keep
                   std::function for callables that are *stored*.
-  sharded-wall-clock
-                  The epoch crew (src/sim/sharded.*) must never consult host
-                  time: no timed waits, sleeps, std::chrono, or TSC reads.
-                  The barrier protocol is correct purely through the
-                  generation/arrival/progress words — a timeout or timed
-                  backoff would paper over a lost wakeup instead of
-                  deadlocking loudly, and would couple the epoch schedule to
-                  host timing jitter. This is stricter than `determinism`
-                  (which only bans the clock types that read wall time):
-                  here even reading a duration type is suspect.
 
 Plus an include-hygiene pass (skipped by --fast): every header under src/
 must compile on its own, verified by generating a one-line TU per header
@@ -109,20 +99,6 @@ FUNCTIONREF_PARAM_PATTERN = re.compile(
     r"\bconst\s+std\s*::\s*function\s*<.*>\s*&")
 
 BARE_ASSERT_PATTERN = re.compile(r"(?<![\w.:])assert\s*\(")
-
-# sharded-wall-clock: anything that reads or waits on host time inside the
-# epoch-crew implementation. Deliberately broader than DETERMINISM_PATTERNS:
-# std::chrono durations, timed waits and sleeps don't read a wall clock
-# directly but exist only to couple control flow to one.
-SHARDED_WALL_CLOCK_PATTERNS = [
-    (re.compile(r"\bstd\s*::\s*chrono\b"), "std::chrono"),
-    (re.compile(r"\bsleep_(?:for|until)\b"), "std::this_thread timed sleep"),
-    (re.compile(r"\bwait_(?:for|until)\b"), "timed wait (use untimed atomic wait)"),
-    (re.compile(r"(?<![\w.:])(?:nanosleep|usleep|sleep)\s*\("), "libc sleep"),
-    (re.compile(r"(?<![\w.:])clock\s*\("), "libc clock()"),
-    (re.compile(r"\b__?rdtscp?\b"), "TSC read"),
-]
-SHARDED_WALL_CLOCK_FILES = ("src/sim/sharded.cpp", "src/sim/sharded.hpp")
 
 # Paths (relative, forward slashes) where determinism primitives may live.
 DETERMINISM_EXEMPT = {"src/util/rng.hpp"}
@@ -282,7 +258,6 @@ def lint_file(root, rel, findings):
 
     rel_fs = rel.replace(os.sep, "/")
     in_hot_path = rel_fs.startswith(HOT_PATH_DIRS)
-    in_epoch_crew = rel_fs in SHARDED_WALL_CLOCK_FILES
     determinism_exempt = rel_fs in DETERMINISM_EXEMPT
 
     for lineno, line in enumerate(code_lines, start=1):
@@ -294,13 +269,6 @@ def lint_file(root, rel, findings):
                     check(lineno, "determinism",
                           f"{what} — all randomness/time must come from "
                           "util/rng.hpp seeded streams or sim::SimTime")
-        if in_epoch_crew:
-            for pat, what in SHARDED_WALL_CLOCK_PATTERNS:
-                if pat.search(line):
-                    check(lineno, "sharded-wall-clock",
-                          f"{what} — the epoch crew must not read or wait on "
-                          "host time; the barrier protocol is untimed by "
-                          "design (DESIGN.md §12)")
         if in_hot_path:
             for pat, what in HOT_PATH_PATTERNS:
                 if pat.search(line):

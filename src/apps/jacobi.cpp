@@ -92,10 +92,8 @@ void jacobi_node(dsm::DsmContext& ctx, const JacobiShared& sh) {
 
 }  // namespace
 
-namespace {
-
-RunResult run_jacobi_impl(const cluster::SimParams& params, const JacobiConfig& config,
-                          double* checksum, sim::ShardProfiler* prof) {
+RunResult run_jacobi(const cluster::SimParams& params, const JacobiConfig& config,
+                     double* checksum) {
   return run_app<JacobiShared>(
       params,
       [&](dsm::DsmSystem& dsmsys) {
@@ -109,19 +107,7 @@ RunResult run_jacobi_impl(const cluster::SimParams& params, const JacobiConfig& 
         sh.sums = dsmsys.alloc_at(params.processors * 8, "jacobi-sums", 0);
         return sh;
       },
-      jacobi_node, {}, prof);
-}
-
-}  // namespace
-
-RunResult run_jacobi(const cluster::SimParams& params, const JacobiConfig& config,
-                     double* checksum) {
-  return run_jacobi_impl(params, config, checksum, nullptr);
-}
-
-RunResult run_jacobi_profiled(const cluster::SimParams& params, const JacobiConfig& config,
-                              sim::ShardProfiler* prof) {
-  return run_jacobi_impl(params, config, nullptr, prof);
+      jacobi_node);
 }
 
 double jacobi_reference_checksum(const JacobiConfig& config) {

@@ -26,13 +26,6 @@ struct JacobiConfig {
 RunResult run_jacobi(const cluster::SimParams& params, const JacobiConfig& config,
                      double* checksum = nullptr);
 
-/// run_jacobi with a shard execution profiler attached (telemetry only; the
-/// simulated results are identical). A separate entry point so run_jacobi
-/// keeps its 3-parameter signature — the bench harness passes it around as a
-/// function pointer, where a grown default-argument list would not apply.
-RunResult run_jacobi_profiled(const cluster::SimParams& params, const JacobiConfig& config,
-                              sim::ShardProfiler* prof);
-
 /// Serial reference implementation (no simulation) for validation.
 double jacobi_reference_checksum(const JacobiConfig& config);
 

@@ -35,7 +35,7 @@ struct RunResult {
   obs::Snapshot snapshot;            ///< per-node metrics (+ trace when enabled)
   double hit_ratio_pct = 0;          ///< network cache hit ratio (paper's term)
   double answer = 0;  ///< sum of the nodes' DsmContext::add_answer tallies
-  sim::EpochStats parsim;            ///< epoch/event counts of the epoch scheduler
+  cluster::EventCount parsim;        ///< events the run executed (perfbench's name)
 
   // Per-processor averages in units of 1e9 cycles (the paper's Tables 2-4).
   double compute_e9 = 0;
@@ -63,16 +63,13 @@ struct RunResult {
 }
 
 /// Runs `body` on every node of a fresh cluster. `setup` allocates the
-/// shared regions and returns the app's shared-address bundle. `prof`
-/// (optional) attaches a shard execution profiler to the cluster — wall-time
-/// telemetry only, no effect on any simulated result.
+/// shared regions and returns the app's shared-address bundle.
 template <typename Shared>
 RunResult run_app(const cluster::SimParams& params,
                   util::FunctionRef<Shared(dsm::DsmSystem&)> setup,
                   util::FunctionRef<void(dsm::DsmContext&, const Shared&)> body,
-                  dsm::DsmParams dsm_params = {}, sim::ShardProfiler* prof = nullptr) {
+                  dsm::DsmParams dsm_params = {}) {
   cluster::Cluster cl(params);
-  cl.set_shard_profiler(prof);
   dsm::DsmSystem dsmsys(cl, dsm_params);
   const Shared shared = setup(dsmsys);
 

@@ -28,36 +28,17 @@ std::size_t BanyanSwitch::path_resource(NodeId src, NodeId dst, std::uint32_t st
   return static_cast<std::size_t>(stage) * ports_ + wire;
 }
 
-void BanyanSwitch::set_lanes(std::uint32_t n) {
-  CNI_CHECK(n >= 1);
-  if (n > tallies_.size()) tallies_.resize(n);
-}
-
-sim::SimDuration BanyanSwitch::contention_time() const {
-  sim::SimDuration total = 0;
-  for (const Tally& t : tallies_) total += t.contention;
-  return total;
-}
-
-std::uint64_t BanyanSwitch::bursts_routed() const {
-  std::uint64_t total = 0;
-  for (const Tally& t : tallies_) total += t.bursts;
-  return total;
-}
-
 sim::SimTime BanyanSwitch::route(sim::SimTime t, NodeId src, NodeId dst,
-                                 sim::SimDuration burst, std::uint32_t lane) {
+                                 sim::SimDuration burst) {
   CNI_CHECK(src < ports_ && dst < ports_);
-  CNI_DCHECK(lane < tallies_.size());
-  Tally& tally = tallies_[lane];
-  ++tally.bursts;
+  ++bursts_;
   const sim::SimDuration per_stage = fabric_latency_ / stages_;
   sim::SimTime head = t;  // when the burst's first bit reaches the next stage
   for (std::uint32_t s = 0; s < stages_; ++s) {
     sim::ServiceQueue& out = outputs_[path_resource(src, dst, s)];
     const sim::SimTime done = out.occupy(head, burst);
     const sim::SimTime started = done - burst;  // after any queueing delay
-    tally.contention += started - head;
+    contention_ += started - head;
     head = started + per_stage;  // cut-through: pipeline latency per stage
   }
   return head;

@@ -29,40 +29,25 @@ class BanyanSwitch {
   /// Routes a burst entering input `src` at time `t`, destined for output
   /// `dst`, that occupies each traversed resource for `burst` time.
   /// Returns when its first bit emerges at the output port. Contention with
-  /// earlier bursts sharing any element output delays it. `lane` selects the
-  /// statistics tally to charge: concurrent callers (the sharded fabric's
-  /// per-shard local drains) must each use a private lane so the counters
-  /// stay race-free without atomics.
-  sim::SimTime route(sim::SimTime t, NodeId src, NodeId dst, sim::SimDuration burst,
-                     std::uint32_t lane = 0);
-
-  /// Grows the statistics tally array to `n` lanes (default 1). Call before
-  /// any concurrent routing; existing counts are preserved in lane 0.
-  void set_lanes(std::uint32_t n);
+  /// earlier bursts sharing any element output delays it.
+  sim::SimTime route(sim::SimTime t, NodeId src, NodeId dst, sim::SimDuration burst);
 
   /// Total time bursts spent queued due to output contention (for stats).
-  /// Summed over lanes; call only while no concurrent route() is running
-  /// (at or after an epoch barrier).
-  [[nodiscard]] sim::SimDuration contention_time() const;
-  [[nodiscard]] std::uint64_t bursts_routed() const;
+  [[nodiscard]] sim::SimDuration contention_time() const { return contention_; }
+  [[nodiscard]] std::uint64_t bursts_routed() const { return bursts_; }
 
   /// The element output resource used at `stage` on the path src->dst,
   /// exposed for tests (identifies which flows collide).
   [[nodiscard]] std::size_t path_resource(NodeId src, NodeId dst, std::uint32_t stage) const;
 
  private:
-  /// One cache line per lane so concurrent local drains never false-share.
-  struct alignas(64) Tally {
-    sim::SimDuration contention = 0;
-    std::uint64_t bursts = 0;
-  };
-
   std::uint32_t ports_;
   std::uint32_t stages_;
   sim::SimDuration fabric_latency_;
   // One ServiceQueue per element output per stage: stages_ * ports_ queues.
   std::vector<sim::ServiceQueue> outputs_;
-  std::vector<Tally> tallies_{1};
+  sim::SimDuration contention_ = 0;
+  std::uint64_t bursts_ = 0;
 };
 
 }  // namespace cni::atm

@@ -22,7 +22,7 @@
 // favours narrow trees as N grows; Clos and torus amortize their taller
 // hop latency over wide fan-in at small N and diverge from the banyan
 // choice. Everything here is a pure function of (topology, N, costs) — no
-// simulation state — so the tree is identical across shard counts.
+// simulation state — so every run on the same shape builds the same tree.
 #pragma once
 
 #include <cstdint>

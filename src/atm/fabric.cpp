@@ -9,8 +9,7 @@ namespace {
 
 /// The canonical routing order: (head, src, seq). src+seq alone are unique,
 /// so this is a total order, and every key component comes from source-local
-/// state — the routing sequence is independent of the shard count, the epoch
-/// schedule and worker timing.
+/// state, so the routing sequence does not depend on when drains run.
 bool canonical_less(const WireTransfer& a, const WireTransfer& b) {
   if (a.head != b.head) return a.head < b.head;
   if (a.frame.src != b.frame.src) return a.frame.src < b.frame.src;
@@ -25,35 +24,21 @@ bool canonical_after(const WireTransfer& a, const WireTransfer& b) {
   return canonical_less(b, a);
 }
 
-void push_canonical(std::vector<WireTransfer>& heap, WireTransfer&& w) {
-  heap.push_back(std::move(w));
-  std::push_heap(heap.begin(), heap.end(), canonical_after);
-}
-
 }  // namespace
 
-Fabric::Fabric(const FabricParams& params, const sim::ShardPlan& plan,
-               std::span<sim::Engine* const> engines, sim::FusionLedger& ledger)
+Fabric::Fabric(const FabricParams& params, std::uint32_t nodes, sim::Engine& engine)
     : params_(params),
       geometry_(params.cell_mode),
       topology_(make_topology(params)),
+      engine_(engine),
       uplinks_(params.switch_ports),
       downlinks_(params.switch_ports),
-      hooks_(plan.nodes),
-      local_ok_(topology_->concurrent_local_routing(plan)),
-      ledger_(ledger),
-      engine_of_node_(plan.nodes),
-      shard_of_node_(plan.nodes),
-      send_seq_(plan.nodes, 0),
-      outboxes_(plan.shards),
-      lanes_(plan.shards) {
-  CNI_CHECK_MSG(plan.nodes <= params.switch_ports, "more nodes than switch ports");
-  CNI_CHECK(engines.size() == plan.shards);
-  for (std::uint32_t i = 0; i < plan.nodes; ++i) {
-    shard_of_node_[i] = plan.shard_of(i);
-    engine_of_node_[i] = engines[shard_of_node_[i]];
-  }
-  topology_->set_lanes(plan.shards);
+      hooks_(nodes),
+      send_seq_(nodes, 0) {
+  CNI_CHECK_MSG(nodes <= params.switch_ports, "more nodes than switch ports");
+  // Room for one frame in flight per node from the start, so the heap does
+  // not regrow through its smallest sizes early in every run.
+  pending_.reserve(nodes);
 }
 
 const BanyanSwitch& Fabric::fabric_switch() const {
@@ -63,42 +48,12 @@ const BanyanSwitch& Fabric::fabric_switch() const {
 }
 
 void Fabric::attach(NodeId node, DeliveryHook hook) {
-  CNI_CHECK_MSG(node < hooks_.size(), "node outside the shard plan");
+  CNI_CHECK_MSG(node < hooks_.size(), "node outside the cluster");
   CNI_CHECK_MSG(hooks_[node] == nullptr, "node already attached to fabric");
   hooks_[node] = std::move(hook);
 }
 
-std::uint64_t Fabric::frames_sent() const {
-  std::uint64_t total = 0;
-  for (const Lane& l : lanes_) total += l.frames;
-  return total;
-}
-
-std::uint64_t Fabric::cells_sent() const {
-  std::uint64_t total = 0;
-  for (const Lane& l : lanes_) total += l.cells;
-  return total;
-}
-
-sim::LookaheadMatrix Fabric::lookahead_matrix(const sim::ShardPlan& plan) const {
-  sim::LookaheadMatrix m;
-  m.shards = plan.shards;
-  m.entries.assign(static_cast<std::size_t>(plan.shards) * plan.shards, 0);
-  // The topology supplies the zero-load traversal floor between each pair of
-  // blocks; every path additionally pays the uplink propagation leg before
-  // the fabric and the downlink one after, so both legs join the bound.
-  topology_->fill_block_latency(plan, m);
-  for (std::uint32_t r = 0; r < plan.shards; ++r) {
-    for (std::uint32_t c = 0; c < plan.shards; ++c) {
-      sim::SimDuration& e = m.entries[static_cast<std::size_t>(r) * plan.shards + c];
-      e = r == c ? sim::LookaheadMatrix::kUnbounded : e + 2 * params_.propagation;
-    }
-  }
-  return m;
-}
-
-void Fabric::route_and_schedule(sim::SimTime head, sim::SimDuration burst, Frame frame,
-                                std::uint32_t lane) {
+void Fabric::route_and_schedule(sim::SimTime head, sim::SimDuration burst, Frame frame) {
   const NodeId dst = frame.dst;
   // Cut-through: the burst's head crosses the fabric stage by stage (or hop
   // by hop), delayed by contention with earlier bursts sharing a resource.
@@ -117,7 +72,7 @@ void Fabric::route_and_schedule(sim::SimTime head, sim::SimDuration burst, Frame
     rt.hops = pre.hops;
   }
   const sim::SimTime head_out =
-      topology_->route(head, frame.src, dst, burst, lane, traced ? &rt : nullptr);
+      topology_->route(head, frame.src, dst, burst, traced ? &rt : nullptr);
 
   // Downlink occupancy + propagation to the destination NIC. The last bit
   // arrives when the burst finishes serializing down the link.
@@ -138,9 +93,8 @@ void Fabric::route_and_schedule(sim::SimTime head, sim::SimDuration burst, Frame
     frame.fab = b.pack();
   }
 
-  Lane& tally = lanes_[lane];
-  ++tally.frames;
-  tally.cells += geometry_.cells_for(frame.size());
+  ++frames_;
+  cells_ += geometry_.cells_for(frame.size());
 
   // The delivery event carries only the hook pointer plus the frame's
   // flattened Parts (FrameTask): it fits InlineFn's inline buffer and shares
@@ -148,16 +102,13 @@ void Fabric::route_and_schedule(sim::SimTime head, sim::SimDuration burst, Frame
   // heap-allocated closure. hooks_ is sized once in the constructor, so the
   // element address is stable across the event's lifetime. The biased
   // delivery sequence makes same-instant ties against node-local events
-  // resolve by content, not by epoch schedule (DESIGN.md §12).
+  // resolve by content, not by the window schedule (DESIGN.md §12).
   FrameTask task([hook = &hooks_[dst]](Frame f) { (*hook)(std::move(f)); },
                  std::move(frame));
-  engine_of_node_[dst]->schedule_delivery(arrival, std::move(task));
+  engine_.schedule_delivery(arrival, std::move(task));
 }
 
 DeliveryTiming Fabric::send(sim::SimTime ready, Frame frame) {
-  // Held by protocol: a send executes on the sending node's owning shard
-  // (its events live on that shard's engine).
-  lane_role.assert_held();
   const NodeId src = frame.src;
   const NodeId dst = frame.dst;
   CNI_CHECK(src < hooks_.size() && dst < hooks_.size());
@@ -189,68 +140,26 @@ DeliveryTiming Fabric::send(sim::SimTime ready, Frame frame) {
   }
 
   // The switch and downlink are cross-node resources: defer the traversal
-  // and replay it in canonical (head, src, seq) order later — first come,
-  // first served at the switch. Intra-shard transfers park in the shard's
-  // private local queue when the topology granted concurrent local routing
-  // (the shard routes them itself mid-epoch: their paths are disjoint from
-  // every other shard's); everything else goes to the outbox for the next
-  // barrier drain and is recorded in the fusion ledger, whose stop rule ends
-  // a fused epoch before the delivery could be missed.
-  const std::uint32_t ss = shard_of_node_[src];
+  // and replay it in canonical (head, src, seq) order at a later drain —
+  // first come, first served at the switch.
   WireTransfer w;
   w.head = head;
   w.burst = serialization;
   w.seq = ++send_seq_[src];
   w.frame = std::move(frame);
-  if (local_ok_ && shard_of_node_[dst] == ss) {
-    push_canonical(lanes_[ss].local, std::move(w));
-  } else {
-    ledger_.note_send(up_start);
-    outboxes_[ss].push_back(std::move(w));
-  }
+  pending_.push_back(std::move(w));
+  std::push_heap(pending_.begin(), pending_.end(), canonical_after);
   return t;
 }
 
-sim::SimTime Fabric::route_below(std::vector<WireTransfer>& heap, sim::SimTime limit,
-                                 std::uint32_t lane) {
-  while (!heap.empty() && heap.front().head < limit) {
-    std::pop_heap(heap.begin(), heap.end(), canonical_after);
-    WireTransfer& w = heap.back();
-    route_and_schedule(w.head, w.burst, std::move(w.frame), lane);
-    heap.pop_back();
-  }
-  return heap.empty() ? sim::kNever : heap.front().head;
-}
-
-sim::SimTime Fabric::local_pending_min(std::uint32_t shard) const {
-  // Held by protocol: only `shard`'s own thread asks for its local minimum.
-  lane_role.assert_shared();
-  const std::vector<WireTransfer>& local = lanes_[shard].local;
-  return local.empty() ? sim::kNever : local.front().head;
-}
-
-sim::SimTime Fabric::local_drain(std::uint32_t shard, sim::SimTime limit) {
-  // Held by protocol: the fused loop invokes this hook only on the owning
-  // shard's thread, for that shard's lane.
-  lane_role.assert_held();
-  return route_below(lanes_[shard].local, limit, shard);
-}
-
 sim::SimTime Fabric::drain(sim::SimTime limit) {
-  // Held by protocol: drains run between epochs, when every worker is
-  // parked at the barrier — which is also what confers every shard's lane
-  // on the coordinator.
-  barrier_role.assert_held();
-  lane_role.assert_held();
-  for (std::vector<WireTransfer>& box : outboxes_) {
-    for (WireTransfer& w : box) push_canonical(pending_, std::move(w));
-    box.clear();
+  while (!pending_.empty() && pending_.front().head < limit) {
+    std::pop_heap(pending_.begin(), pending_.end(), canonical_after);
+    WireTransfer& w = pending_.back();
+    route_and_schedule(w.head, w.burst, std::move(w.frame));
+    pending_.pop_back();
   }
-  for (Lane& l : lanes_) {
-    for (WireTransfer& w : l.local) push_canonical(pending_, std::move(w));
-    l.local.clear();
-  }
-  return route_below(pending_, limit, 0);
+  return pending_.empty() ? sim::kNever : pending_.front().head;
 }
 
 }  // namespace cni::atm

@@ -28,7 +28,7 @@ using NodeId = std::uint32_t;
 /// Per-frame fabric-attribution breakdown, packed into Frame::fab by the
 /// fabric at route time and unpacked at delivery on the destination node —
 /// deferring the ring writes to delivery keeps trace order independent of
-/// the (K- and fusion-dependent) drain interleaving. Nanosecond fields
+/// when the fabric's drains run. Nanosecond fields
 /// saturate; `hops` counts switch stages / links traversed.
 struct FabBreakdown {
   std::uint32_t wire_ns = 0;      ///< serialization + propagation (20 bits)

@@ -81,32 +81,6 @@ sim::SimTime CreditLink::traverse(sim::SimTime head, sim::SimDuration burst,
   return start + latency_;
 }
 
-// ---- Topology (base) ----
-
-void Topology::fill_block_latency(const sim::ShardPlan& plan,
-                                  sim::LookaheadMatrix& matrix) const {
-  // Blocks are contiguous id ranges (ShardPlan::shard_of). Brute force over
-  // pairs, bailing out at the global floor — neighbor blocks hit it almost
-  // immediately, so the quadratic worst case only bites for far pairs.
-  const sim::SimDuration floor = min_cross_latency();
-  std::vector<NodeId> start(plan.shards + 1, 0);
-  for (std::uint32_t s = 0; s < plan.shards; ++s) start[s + 1] = start[s] + plan.count(s);
-  for (std::uint32_t r = 0; r < plan.shards; ++r) {
-    for (std::uint32_t c = r + 1; c < plan.shards; ++c) {
-      sim::SimDuration best = sim::LookaheadMatrix::kUnbounded;
-      for (NodeId a = start[r]; a < start[r + 1] && best > floor; ++a) {
-        for (NodeId b = start[c]; b < start[c + 1]; ++b) {
-          const sim::SimDuration d = min_latency(a, b);
-          if (d < best) best = d;
-          if (best <= floor) break;
-        }
-      }
-      matrix.entries[static_cast<std::size_t>(r) * plan.shards + c] = best;
-      matrix.entries[static_cast<std::size_t>(c) * plan.shards + r] = best;
-    }
-  }
-}
-
 // ---- SingleStageTopology ----
 
 SingleStageTopology::SingleStageTopology(std::uint32_t ports,
@@ -114,9 +88,8 @@ SingleStageTopology::SingleStageTopology(std::uint32_t ports,
     : Topology(ports), switch_(ports, switch_latency) {}
 
 sim::SimTime SingleStageTopology::route(sim::SimTime head, NodeId src, NodeId dst,
-                                        sim::SimDuration burst, std::uint32_t lane,
-                                        RouteTrace* rt) {
-  const sim::SimTime out = switch_.route(head, src, dst, burst, lane);
+                                        sim::SimDuration burst, RouteTrace* rt) {
+  const sim::SimTime out = switch_.route(head, src, dst, burst);
   if (rt != nullptr) {
     // One traversal of the shared pipeline: everything beyond the switch's
     // own latency is contention with earlier bursts. An uncontended route
@@ -140,25 +113,6 @@ sim::SimDuration SingleStageTopology::min_latency(NodeId src, NodeId dst) const 
 
 sim::SimDuration SingleStageTopology::min_cross_latency() const {
   return switch_.latency();
-}
-
-void SingleStageTopology::fill_block_latency(const sim::ShardPlan& plan,
-                                             sim::LookaheadMatrix& matrix) const {
-  // Every port is one traversal of the same shared pipeline: uniform rows.
-  for (std::uint32_t r = 0; r < plan.shards; ++r) {
-    for (std::uint32_t c = 0; c < plan.shards; ++c) {
-      if (r != c) {
-        matrix.entries[static_cast<std::size_t>(r) * plan.shards + c] = switch_.latency();
-      }
-    }
-  }
-}
-
-bool SingleStageTopology::concurrent_local_routing(const sim::ShardPlan& plan) const {
-  // Aligned power-of-two blocks make intra-block butterfly paths of
-  // different blocks resource-disjoint at every stage (sim::ShardPlan's
-  // aligned() doc carries the argument).
-  return plan.aligned();
 }
 
 // ---- ClosTopology ----
@@ -220,18 +174,15 @@ std::uint32_t ClosTopology::route_switch(std::uint32_t tier, NodeId a, NodeId b)
 }
 
 sim::SimTime ClosTopology::route(sim::SimTime head, NodeId src, NodeId dst,
-                                 sim::SimDuration burst, std::uint32_t lane,
-                                 RouteTrace* rt) {
+                                 sim::SimDuration burst, RouteTrace* rt) {
   CNI_CHECK(src < ports_ && dst < ports_);
-  CNI_DCHECK(lane < tallies_.size());
-  Tally& tally = tallies_[lane];
-  ++tally.bursts;
+  ++bursts_;
   sim::SimDuration queued = 0;
   const std::uint32_t h = ancestor_tier(src, dst);
   // A block traversal beyond the switch pipeline latency is contention.
   const auto block_route = [&](BanyanSwitch& b, std::uint32_t in, std::uint32_t out) {
     const sim::SimTime t0 = head;
-    head = b.route(head, in, out, burst, lane);
+    head = b.route(head, in, out, burst);
     if (rt != nullptr) {
       // Same clamp as SingleStageTopology::route: the block's cut-through
       // stages can undercut the nominal latency by rounding, and contention
@@ -265,7 +216,7 @@ sim::SimTime ClosTopology::route(sim::SimTime head, NodeId src, NodeId dst,
     const std::uint32_t child = route_switch(t - 1, dst, dst);
     block_route(blocks_[t - 1][child], down_ + digit(dst, t - 1), digit(dst, t - 1));
   }
-  tally.queued += queued;
+  queued_ += queued;
   return head;
 }
 
@@ -279,58 +230,11 @@ sim::SimDuration ClosTopology::min_cross_latency() const {
   return switch_latency_;
 }
 
-void ClosTopology::fill_block_latency(const sim::ShardPlan& plan,
-                                      sim::LookaheadMatrix& matrix) const {
-  // Blocks are contiguous id ranges, so the minimum ancestor tier between
-  // two blocks is an interval-overlap test per height: some a in r and b in
-  // c share their tier-(t+1) prefix iff the blocks' prefix ranges intersect.
-  std::vector<NodeId> start(plan.shards + 1, 0);
-  for (std::uint32_t s = 0; s < plan.shards; ++s) start[s + 1] = start[s] + plan.count(s);
-  for (std::uint32_t r = 0; r < plan.shards; ++r) {
-    for (std::uint32_t c = r + 1; c < plan.shards; ++c) {
-      std::uint32_t h = tiers_ - 1;
-      for (std::uint32_t t = 0; t + 1 < tiers_; ++t) {
-        const std::uint32_t shift = (t + 1) * down_bits_;
-        if ((start[r] >> shift) <= ((start[c + 1] - 1) >> shift) &&
-            (start[c] >> shift) <= ((start[r + 1] - 1) >> shift)) {
-          h = t;
-          break;
-        }
-      }
-      const sim::SimDuration d = (2 * h + 1) * switch_latency_ + 2 * h * propagation_;
-      matrix.entries[static_cast<std::size_t>(r) * plan.shards + c] = d;
-      matrix.entries[static_cast<std::size_t>(c) * plan.shards + r] = d;
-    }
-  }
-}
-
-bool ClosTopology::concurrent_local_routing(const sim::ShardPlan& plan) const {
-  // An aligned power-of-two block no larger than a leaf stays inside one
-  // leaf switch, where the single-stage butterfly-disjointness argument
-  // applies verbatim; larger blocks would share inner switches and links.
-  return plan.aligned() && plan.nodes / plan.shards <= down_;
-}
-
-void ClosTopology::set_lanes(std::uint32_t n) {
-  CNI_CHECK(n >= 1);
-  if (n > tallies_.size()) tallies_.resize(n);
-  for (std::vector<BanyanSwitch>& tier : blocks_) {
-    for (BanyanSwitch& b : tier) b.set_lanes(n);
-  }
-}
-
 sim::SimDuration ClosTopology::contention_time() const {
-  sim::SimDuration total = 0;
-  for (const Tally& t : tallies_) total += t.queued;
+  sim::SimDuration total = queued_;
   for (const std::vector<BanyanSwitch>& tier : blocks_) {
     for (const BanyanSwitch& b : tier) total += b.contention_time();
   }
-  return total;
-}
-
-std::uint64_t ClosTopology::bursts_routed() const {
-  std::uint64_t total = 0;
-  for (const Tally& t : tallies_) total += t.bursts;
   return total;
 }
 
@@ -379,12 +283,9 @@ std::uint32_t TorusTopology::hops(NodeId a, NodeId b) const {
 }
 
 sim::SimTime TorusTopology::route(sim::SimTime head, NodeId src, NodeId dst,
-                                  sim::SimDuration burst, std::uint32_t lane,
-                                  RouteTrace* rt) {
+                                  sim::SimDuration burst, RouteTrace* rt) {
   CNI_CHECK(src < ports_ && dst < ports_);
-  CNI_DCHECK(lane < tallies_.size());
-  Tally& tally = tallies_[lane];
-  ++tally.bursts;
+  ++bursts_;
   sim::SimDuration queued = 0;
   Dims cur = coords(src);
   const Dims to = coords(dst);
@@ -403,7 +304,7 @@ sim::SimTime TorusTopology::route(sim::SimTime head, NodeId src, NodeId dst,
       delta += neg ? 1 : -1;
     }
   }
-  tally.queued += queued;
+  queued_ += queued;
   return head;
 }
 
@@ -412,32 +313,6 @@ sim::SimDuration TorusTopology::min_latency(NodeId src, NodeId dst) const {
 }
 
 sim::SimDuration TorusTopology::min_cross_latency() const { return hop_cost_; }
-
-bool TorusTopology::concurrent_local_routing(const sim::ShardPlan& plan) const {
-  // Whole-z-slab blocks: every dimension-order route between two slab nodes
-  // stays inside the slab (x/y legs never leave the plane; the z leg of a
-  // contiguous slab of height <= Z/2 never takes the wrap path), so slabs
-  // touch disjoint links. Requires the id space to cover the full torus.
-  return plan.aligned() && plan.nodes == ports_ &&
-         (plan.nodes / plan.shards) % (dims_.x * dims_.y) == 0;
-}
-
-void TorusTopology::set_lanes(std::uint32_t n) {
-  CNI_CHECK(n >= 1);
-  if (n > tallies_.size()) tallies_.resize(n);
-}
-
-sim::SimDuration TorusTopology::contention_time() const {
-  sim::SimDuration total = 0;
-  for (const Tally& t : tallies_) total += t.queued;
-  return total;
-}
-
-std::uint64_t TorusTopology::bursts_routed() const {
-  std::uint64_t total = 0;
-  for (const Tally& t : tallies_) total += t.bursts;
-  return total;
-}
 
 // ---- Factory ----
 

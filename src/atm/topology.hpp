@@ -1,15 +1,13 @@
 // Interconnect topologies: routing + timing behind one interface.
 //
-// The paper's fabric is a single 32-port banyan; ROADMAP item 2 scales the
-// cluster past one switch. Every topology answers the same three questions:
+// The paper's fabric is a single 32-port banyan; the Clos and torus scale
+// the cluster past one switch. Every topology answers the same two
+// questions:
 //
 //   * route()        — when does a burst's head emerge at the destination
 //                      port, given contention with earlier bursts?
 //   * min_latency()  — the zero-load lower bound for a src/dst pair, the
-//                      ingredient of the per-shard-pair lookahead matrix;
-//   * concurrent_local_routing() — may shards route their own intra-block
-//                      transfers concurrently under this plan (disjoint
-//                      resources), or must everything cross a barrier?
+//                      ingredient of the collective tree's cost model.
 //
 // Three implementations: the original single-stage banyan (bit-identical to
 // the pre-topology fabric), a folded Clos (k-ary n-tree) of banyan blocks
@@ -24,7 +22,6 @@
 #include "atm/banyan.hpp"
 #include "atm/cell.hpp"
 #include "atm/packet.hpp"
-#include "sim/sharded.hpp"
 #include "sim/time.hpp"
 #include "util/units.hpp"
 
@@ -108,10 +105,9 @@ class CreditLink {
 };
 
 /// Routing + timing interface the Fabric delegates to. Stateful (contention
-/// queues): route() must be called in the fabric's canonical transfer order,
-/// and concurrently only for intra-block transfers of different shards when
-/// concurrent_local_routing() granted it. Virtual dispatch is fine here —
-/// route() is called once per frame, not per event.
+/// queues): route() must be called in the fabric's canonical transfer order.
+/// Virtual dispatch is fine here — route() is called once per frame, not per
+/// event.
 class Topology {
  public:
   virtual ~Topology() = default;
@@ -122,39 +118,19 @@ class Topology {
 
   /// Routes a burst entering at `src` at time `head` toward `dst`, occupying
   /// each traversed resource for `burst`. Returns when the head emerges at
-  /// the destination output (before the downlink). `lane` selects the
-  /// statistics tally, as in BanyanSwitch::route. A non-null `rt` collects
+  /// the destination output (before the downlink). A non-null `rt` collects
   /// the per-category attribution of this route without perturbing state.
   virtual sim::SimTime route(sim::SimTime head, NodeId src, NodeId dst,
-                             sim::SimDuration burst, std::uint32_t lane,
-                             RouteTrace* rt = nullptr) = 0;
+                             sim::SimDuration burst, RouteTrace* rt = nullptr) = 0;
 
-  /// Zero-load head latency src -> dst (no contention, no downlink). The
-  /// soundness floor for every lookahead derived from this pair.
+  /// Zero-load head latency src -> dst (no contention, no downlink).
   [[nodiscard]] virtual sim::SimDuration min_latency(NodeId src, NodeId dst) const = 0;
 
   /// min_latency minimized over all distinct pairs: the global cross-node
   /// traversal floor (Fabric::min_lookahead builds on it).
   [[nodiscard]] virtual sim::SimDuration min_cross_latency() const = 0;
 
-  /// Writes, for every off-diagonal (r, c), the minimum of min_latency(a, b)
-  /// over a in shard r's block and b in shard c's block. The base version
-  /// brute-forces pairs (early exit at min_cross_latency); topologies with
-  /// structure override it with closed forms. Diagonal entries are the
-  /// caller's business.
-  virtual void fill_block_latency(const sim::ShardPlan& plan,
-                                  sim::LookaheadMatrix& matrix) const;
-
-  /// True when, under `plan`, intra-block routes of different blocks touch
-  /// disjoint contention resources — the license for per-shard local drains
-  /// to call route() concurrently (DESIGN.md §14).
-  [[nodiscard]] virtual bool concurrent_local_routing(const sim::ShardPlan& plan) const = 0;
-
-  /// Grows the per-lane statistics tallies (call before concurrent routing).
-  virtual void set_lanes(std::uint32_t n) = 0;
-
-  /// Total queueing time (contention + credit waits), summed over lanes.
-  /// Call only at quiescence, like BanyanSwitch::contention_time.
+  /// Total queueing time (contention + credit waits).
   [[nodiscard]] virtual sim::SimDuration contention_time() const = 0;
   [[nodiscard]] virtual std::uint64_t bursts_routed() const = 0;
 
@@ -174,13 +150,9 @@ class SingleStageTopology final : public Topology {
 
   [[nodiscard]] TopologyKind kind() const override { return TopologyKind::kBanyan; }
   sim::SimTime route(sim::SimTime head, NodeId src, NodeId dst, sim::SimDuration burst,
-                     std::uint32_t lane, RouteTrace* rt = nullptr) override;
+                     RouteTrace* rt = nullptr) override;
   [[nodiscard]] sim::SimDuration min_latency(NodeId src, NodeId dst) const override;
   [[nodiscard]] sim::SimDuration min_cross_latency() const override;
-  void fill_block_latency(const sim::ShardPlan& plan,
-                          sim::LookaheadMatrix& matrix) const override;
-  [[nodiscard]] bool concurrent_local_routing(const sim::ShardPlan& plan) const override;
-  void set_lanes(std::uint32_t n) override { switch_.set_lanes(n); }
   [[nodiscard]] sim::SimDuration contention_time() const override {
     return switch_.contention_time();
   }
@@ -206,15 +178,11 @@ class ClosTopology final : public Topology {
 
   [[nodiscard]] TopologyKind kind() const override { return TopologyKind::kClos; }
   sim::SimTime route(sim::SimTime head, NodeId src, NodeId dst, sim::SimDuration burst,
-                     std::uint32_t lane, RouteTrace* rt = nullptr) override;
+                     RouteTrace* rt = nullptr) override;
   [[nodiscard]] sim::SimDuration min_latency(NodeId src, NodeId dst) const override;
   [[nodiscard]] sim::SimDuration min_cross_latency() const override;
-  void fill_block_latency(const sim::ShardPlan& plan,
-                          sim::LookaheadMatrix& matrix) const override;
-  [[nodiscard]] bool concurrent_local_routing(const sim::ShardPlan& plan) const override;
-  void set_lanes(std::uint32_t n) override;
   [[nodiscard]] sim::SimDuration contention_time() const override;
-  [[nodiscard]] std::uint64_t bursts_routed() const override;
+  [[nodiscard]] std::uint64_t bursts_routed() const override { return bursts_; }
 
   // ---- Structure, exposed for tests ----
 
@@ -246,11 +214,8 @@ class ClosTopology final : public Topology {
   std::vector<std::vector<BanyanSwitch>> blocks_;  // [tier][switch]
   std::vector<std::vector<CreditLink>> up_links_;  // [tier][switch*d + up_port]
   std::vector<std::vector<CreditLink>> down_links_;  // [tier][parent*d + down_port]
-  struct alignas(64) Tally {
-    sim::SimDuration queued = 0;  // credit/wire waits (block queueing is in blocks_)
-    std::uint64_t bursts = 0;
-  };
-  std::vector<Tally> tallies_{1};
+  sim::SimDuration queued_ = 0;  // credit/wire waits (block queueing is in blocks_)
+  std::uint64_t bursts_ = 0;
 };
 
 /// 3D torus, dimension-order (x, then y, then z) routing with shortest-wrap
@@ -268,13 +233,11 @@ class TorusTopology final : public Topology {
 
   [[nodiscard]] TopologyKind kind() const override { return TopologyKind::kTorus; }
   sim::SimTime route(sim::SimTime head, NodeId src, NodeId dst, sim::SimDuration burst,
-                     std::uint32_t lane, RouteTrace* rt = nullptr) override;
+                     RouteTrace* rt = nullptr) override;
   [[nodiscard]] sim::SimDuration min_latency(NodeId src, NodeId dst) const override;
   [[nodiscard]] sim::SimDuration min_cross_latency() const override;
-  [[nodiscard]] bool concurrent_local_routing(const sim::ShardPlan& plan) const override;
-  void set_lanes(std::uint32_t n) override;
-  [[nodiscard]] sim::SimDuration contention_time() const override;
-  [[nodiscard]] std::uint64_t bursts_routed() const override;
+  [[nodiscard]] sim::SimDuration contention_time() const override { return queued_; }
+  [[nodiscard]] std::uint64_t bursts_routed() const override { return bursts_; }
 
   // ---- Structure, exposed for tests ----
 
@@ -294,11 +257,8 @@ class TorusTopology final : public Topology {
   sim::SimDuration hop_cost_;  // torus_hop_latency + propagation
   // Directed link (node, dim, dir): links_[node*6 + dim*2 + (dir < 0)].
   std::vector<CreditLink> links_;
-  struct alignas(64) Tally {
-    sim::SimDuration queued = 0;
-    std::uint64_t bursts = 0;
-  };
-  std::vector<Tally> tallies_{1};
+  sim::SimDuration queued_ = 0;
+  std::uint64_t bursts_ = 0;
 };
 
 /// Builds the topology `params` asks for (validating shape constraints).

@@ -12,25 +12,6 @@ namespace {
 /// Logger time hook: stamps log lines with the engine's simulated clock.
 std::uint64_t engine_now(void* ctx) { return static_cast<sim::Engine*>(ctx)->now(); }
 
-/// Contiguous node blocks per shard (DESIGN.md §12).
-sim::ShardPlan plan_for(const SimParams& params) {
-  return sim::ShardPlan::balanced(params.processors, params.sim_shards);
-}
-
-std::vector<std::unique_ptr<sim::Engine>> make_engines(std::uint32_t n) {
-  std::vector<std::unique_ptr<sim::Engine>> engines;
-  engines.reserve(n);
-  for (std::uint32_t s = 0; s < n; ++s) engines.push_back(std::make_unique<sim::Engine>());
-  return engines;
-}
-
-std::vector<sim::Engine*> raw_engines(const std::vector<std::unique_ptr<sim::Engine>>& owned) {
-  std::vector<sim::Engine*> engines;
-  engines.reserve(owned.size());
-  for (const std::unique_ptr<sim::Engine>& e : owned) engines.push_back(e.get());
-  return engines;
-}
-
 }  // namespace
 
 Node::Node(sim::Engine& engine, atm::Fabric& fabric, const SimParams& params,
@@ -59,54 +40,55 @@ core::CniBoard& Node::cni() {
 
 Cluster::Cluster(const SimParams& params)
     : params_(params),
-      plan_(plan_for(params)),
-      shard_engines_(make_engines(plan_.shards)),
-      engines_(raw_engines(shard_engines_)),
-      fabric_(params.fabric, plan_, engines_, fusion_ledger_),
+      fabric_(params.fabric, params.processors, engine_),
       stats_(params.processors),
       obs_(params.processors, params.obs) {
   CNI_CHECK_MSG(params.processors >= 1, "a cluster needs at least one node");
   for (std::uint32_t i = 0; i < params.processors; ++i) {
     obs_.bind_node_stats(i, stats_.node(i));
-    nodes_.push_back(std::make_unique<Node>(*engines_[plan_.shard_of(i)], fabric_, params_,
-                                            i, stats_.node(i), &obs_.node(i)));
+    nodes_.push_back(std::make_unique<Node>(engine_, fabric_, params_, i, stats_.node(i),
+                                            &obs_.node(i)));
   }
 }
 
 sim::SimTime Cluster::run(util::FunctionRef<void(std::size_t, sim::SimThread&)> body) {
   // Every log line emitted while the engine runs carries its simulated time.
   // Thread-local install: parallel sweep jobs each stamp with their own
-  // engine's clock; the coordinator runs shard 0 inline and each worker
-  // thread installs its own shard's hook.
-  const util::ScopedLogTime log_time(&engine_now, engines_.front());
+  // engine's clock.
+  const util::ScopedLogTime log_time(&engine_now, &engine_);
   std::vector<std::unique_ptr<sim::SimThread>> threads;
   std::vector<sim::SimTime> finish(nodes_.size(), 0);
   threads.reserve(nodes_.size());
   for (std::size_t i = 0; i < nodes_.size(); ++i) {
     threads.push_back(std::make_unique<sim::SimThread>(
-        node(i).engine(), "node" + std::to_string(i),
+        engine_, "node" + std::to_string(i),
         [this, body, &finish, i](sim::SimThread& t) {
           body(i, t);
           node(i).cpu().sync(t);  // settle any trailing local charge
-          finish[i] = node(i).engine().now();
+          finish[i] = engine_.now();
         }));
   }
-  epoch_stats_ = sim::EpochStats{};
-  sim::EpochParams ep;
-  ep.lookahead = fabric_.min_lookahead();
-  ep.drain_horizon = fabric_.drain_horizon();
-  ep.pending_bound = fabric_.pending_bound();
-  // Named lambdas: FusedHooks borrows them for the whole run_epochs call.
-  auto local_drain = [this](std::uint32_t s, sim::SimTime limit) {
-    return fabric_.local_drain(s, limit);
-  };
-  auto local_min = [this](std::uint32_t s) { return fabric_.local_pending_min(s); };
-  const sim::FusedHooks hooks{local_drain, local_min, fusion_ledger_};
-  if (shard_prof_ != nullptr) shard_prof_->enable(plan_.shards);
-  sim::run_epochs(engines_, ep, fabric_.lookahead_matrix(plan_), hooks,
-                  [this](sim::SimTime limit) { return fabric_.drain(limit); },
-                  &epoch_stats_, shard_prof_);
-  if (shard_prof_ != nullptr) shard_prof_->finish();
+
+  // The run loop (DESIGN.md §12): route every buffered transfer whose head
+  // is final, then run the window of events no unrouted transfer can reach.
+  sim::EpochParams window;
+  window.lookahead = fabric_.min_lookahead();
+  window.drain_horizon = fabric_.drain_horizon();
+  window.pending_bound = fabric_.pending_bound();
+  // Each window advances by at least the lookahead (drain_horizon +
+  // pending_bound == lookahead), so the loop progresses only if it is positive.
+  CNI_CHECK_MSG(window.lookahead > 0, "the fabric's cross-node latency must be positive");
+  const std::uint64_t events_before = engine_.events_executed();
+  sim::SimTime ran_below = 0;  // every event below this time has run
+  for (;;) {
+    const sim::SimTime pending =
+        fabric_.drain(sim::sat_add(ran_below, window.drain_horizon));
+    const sim::SimTime next_event = engine_.next_time();
+    if (next_event == sim::kNever && pending == sim::kNever) break;
+    ran_below = sim::next_epoch_end(next_event, pending, window);
+    engine_.run_before(ran_below);
+  }
+  events_.events_total = engine_.events_executed() - events_before;
 
   for (std::size_t i = 0; i < threads.size(); ++i) {
     if (!threads[i]->finished()) {

@@ -2,10 +2,11 @@
 //
 // Builds, per node: memory bus + page table + host CPU + a network board
 // (CNI or standard, per SimParams::board), all attached to a shared banyan
-// fabric; then runs one simulated thread per node on the epoch scheduler
-// (sim::run_epochs) and settles the computation/overhead/delay accounts.
+// fabric; then runs one simulated thread per node on one event engine and
+// settles the computation/overhead/delay accounts.
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -17,8 +18,6 @@
 #include "obs/obs.hpp"
 #include "obs/snapshot.hpp"
 #include "sim/engine.hpp"
-#include "sim/shard_profiler.hpp"
-#include "sim/sharded.hpp"
 #include "sim/stats.hpp"
 #include "util/buf_pool.hpp"
 #include "util/function_ref.hpp"
@@ -35,8 +34,7 @@ class Node {
   [[nodiscard]] HostCpu& cpu() { return cpu_; }
   [[nodiscard]] nic::NicBoard& board() { return *board_; }
 
-  /// The engine this node's events run on: its shard's engine. Node-local
-  /// scheduling (board dispatch, DSM handlers) must go through this.
+  /// The engine this node's events run on (the cluster's one engine).
   [[nodiscard]] sim::Engine& engine() { return engine_; }
 
   /// The board as a CniBoard; check-fails on a standard-NIC cluster.
@@ -52,32 +50,30 @@ class Node {
   bool is_cni_;
 };
 
+/// The event count of a run, under the name perfbench/worker.cpp reads
+/// (`Cluster::epoch_stats().events_total`, `apps::RunResult::parsim`) until a
+/// benchmark PR renames it.
+struct EventCount {
+  std::uint64_t events_total = 0;  ///< events the engine executed in the run
+};
+
 class Cluster {
  public:
   explicit Cluster(const SimParams& params);
 
   [[nodiscard]] const SimParams& params() const { return params_; }
-  /// Shard 0's engine. Nodes of other shards schedule elsewhere: go through
-  /// Node::engine() for anything node-local.
-  [[nodiscard]] sim::Engine& engine() { return *engines_.front(); }
+  [[nodiscard]] sim::Engine& engine() { return engine_; }
   [[nodiscard]] atm::Fabric& fabric() { return fabric_; }
   [[nodiscard]] std::size_t size() const { return nodes_.size(); }
   [[nodiscard]] Node& node(std::size_t i) { return *nodes_.at(i); }
   [[nodiscard]] sim::StatsRegistry& stats() { return stats_; }
   [[nodiscard]] obs::RunObs& obs() { return obs_; }
 
-  /// Always true: every cluster runs on the epoch scheduler. Kept for
-  /// callers that record the engine mode.
-  [[nodiscard]] bool sharded() const { return true; }
-  /// Effective shard count (SimParams::sim_shards after clamping).
-  [[nodiscard]] std::uint32_t shards() const { return plan_.shards; }
-  /// Epoch/event counts of the last run.
-  [[nodiscard]] const sim::EpochStats& epoch_stats() const { return epoch_stats_; }
-
-  /// Opt-in wall-time attribution: run() enables `prof` with the shard count
-  /// and closes it after the epoch loop returns. Telemetry only — simulated
-  /// results are byte-identical with or without it. Pass null to detach.
-  void set_shard_profiler(sim::ShardProfiler* prof) { shard_prof_ = prof; }
+  // Kept for perfbench/worker.cpp, which records the engine mode and reads
+  // the event count through these names, until a benchmark PR renames them.
+  [[nodiscard]] bool sharded() const { return false; }
+  [[nodiscard]] std::uint32_t shards() const { return 1; }
+  [[nodiscard]] EventCount epoch_stats() const { return events_; }
 
   /// Materializes every bound counter, histogram, gauge and (when tracing)
   /// the trace rings into a Snapshot that outlives the cluster.
@@ -95,19 +91,11 @@ class Cluster {
  private:
   util::BufCachePurge buf_cache_purge_;  // first, so it is destroyed last
   SimParams params_;
-  // Shard s's nodes schedule on engines_[s]. Plan, engines and ledger come
-  // before fabric_, which binds all three at construction.
-  sim::ShardPlan plan_;
-  std::vector<std::unique_ptr<sim::Engine>> shard_engines_;
-  std::vector<sim::Engine*> engines_;  ///< shard_engines_, as run_epochs takes them
-  // The fabric records barrier-requiring sends here; run() passes it to the
-  // epoch runner, which re-arms it per fused epoch.
-  sim::FusionLedger fusion_ledger_;
+  sim::Engine engine_;  // before fabric_, which schedules deliveries on it
   atm::Fabric fabric_;
   sim::StatsRegistry stats_;
   obs::RunObs obs_;  // before nodes_: boards grab their NodeObs at construction
-  sim::EpochStats epoch_stats_;
-  sim::ShardProfiler* shard_prof_ = nullptr;  ///< borrowed; see set_shard_profiler
+  EventCount events_;
   std::vector<std::unique_ptr<Node>> nodes_;
   sim::SimTime elapsed_ = 0;
 };

@@ -1,31 +1,15 @@
 #include "cluster/params.hpp"
 
-#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <string>
 #include <string_view>
-#include <system_error>
 
 #include "obs/report.hpp"
 #include "sim/time.hpp"
-#include "util/check.hpp"
 
 namespace cni::cluster {
-
-std::uint32_t default_sim_shards() {
-  const char* env = std::getenv("CNI_SIM_SHARDS");
-  if (env == nullptr) return 1;
-  const std::string_view text(env);
-  std::uint32_t k = 0;
-  const auto [end, err] = std::from_chars(text.data(), text.data() + text.size(), k);
-  CNI_CHECK_MSG(err == std::errc{} && end == text.data() + text.size(),
-                ("CNI_SIM_SHARDS=" + std::string(text) +
-                 " is not a shard count (an integer >= 0)")
-                    .c_str());
-  return k;
-}
 
 namespace {
 CollectiveMode g_default_collective = CollectiveMode::kHost;

@@ -22,13 +22,6 @@ enum class BoardKind {
   kStandard,  ///< baseline: no ADC, no Message Cache, no AIH
 };
 
-/// Process-default shard count for the epoch scheduler: CNI_SIM_SHARDS if
-/// set, else 1. Any value but a non-negative decimal integer (`abc`, `-2`,
-/// `auto`) aborts with a message naming it; 0 is accepted and clamps to 1
-/// like any K below 1. Read once per call so every cluster in a sweep sees
-/// one consistent setting.
-[[nodiscard]] std::uint32_t default_sim_shards();
-
 /// Where DSM collective operations (barrier, reduce, broadcast) execute.
 enum class CollectiveMode : std::uint8_t {
   kHost,  ///< centralized host manager on node 0 (the seed protocol)
@@ -62,11 +55,6 @@ struct SimParams {
   std::uint64_t page_size = 4096;           ///< host + DSM + Message Cache buffer page
   std::uint32_t processors = 8;
   BoardKind board = BoardKind::kCni;
-  /// Engine shards K of the epoch scheduler (DESIGN.md §12), clamped into
-  /// [1, processors]; K = 1 runs inline with no threads. Results are
-  /// bit-identical for every K: the fabric resolves switch contention in
-  /// head-arrival order. Defaults from CNI_SIM_SHARDS.
-  std::uint32_t sim_shards = default_sim_shards();
 
   mem::CacheParams cache;     ///< 32 KB L1 / 1 MB L2, direct-mapped write-back
   mem::BusParams bus;         ///< 25 MHz, 4-cycle acquisition, 2 cycles/word

@@ -36,7 +36,7 @@ inline constexpr nic::MsgType kDsmRedDown = nic::kTypeHandlerBase + 13;  ///< re
 /// Combining operator of the small-payload reduce collective. All four are
 /// associative and commutative over u64 (kRoot keeps the tree root's own
 /// contribution — the broadcast), so the fold result is independent of
-/// arrival order and the artifacts stay byte-identical across shard counts.
+/// arrival order.
 enum class ReduceOp : std::uint8_t {
   kSum = 0,
   kMin = 1,

@@ -757,8 +757,7 @@ void DsmRuntime::on_col_up(Ctx& ctx, const atm::Frame& f) {
   if (col_.arrived < 1 + tree.children[self_].size()) return;
 
   // All contributions in: canonicalize the fold. Sorting makes the merged
-  // set independent of the (deterministic but schedule-shaped) arrival
-  // order, so serialized bytes are identical across K and fusion settings.
+  // set, and so its serialized bytes, independent of the arrival order.
   sort_unique_intervals(col_.ivs);
   std::sort(col_.child_min.begin(), col_.child_min.end(),
             [](const auto& a, const auto& b) { return a.first < b.first; });

@@ -163,8 +163,8 @@ class DsmRuntime {
 
   /// Canonical combined order for tree collectives: sorts by (writer, index)
   /// and drops duplicates, so the merged set is independent of the arrival
-  /// interleaving (byte-identity across shard counts) and per-writer
-  /// ascending (the dense-insert order IntervalStore requires).
+  /// interleaving and per-writer ascending (the dense-insert order
+  /// IntervalStore requires).
   static void sort_unique_intervals(std::vector<Interval>& ivs);
 
   /// Schedules this node's barrier release at `at`: processes `ivs` in

@@ -49,7 +49,7 @@ class DsmSystem {
   /// topology-derived k-ary tree rooted at node 0 in kNic mode, a star at
   /// the barrier manager in kHost mode. Built once in the constructor from
   /// the fabric's zero-load distances — a pure function of (topology, N,
-  /// handler costs), so identical across shard counts.
+  /// handler costs).
   [[nodiscard]] const atm::CollectiveTree& collective_tree() const { return coll_tree_; }
   [[nodiscard]] cluster::CollectiveMode collective() const { return params_.collective; }
 

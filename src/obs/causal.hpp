@@ -4,8 +4,8 @@
 // A token packs (origin node, origin sequence number, stage) into one u64.
 // Both components come from state the simulation already maintains — the
 // frame header's (src_node, seq) tuple — so tokens are a pure function of
-// the deterministic event stream and never depend on shard count, epoch
-// fusion, or drain interleaving. Every stage of a frame's journey derives
+// the deterministic event stream and never depend on when the fabric's
+// drains run. Every stage of a frame's journey derives
 // its own token from the header it carries; only the *cross-frame* parent
 // (the fault that caused a request, the request a reply answers) rides on
 // the wire, in atm::Frame::trace.

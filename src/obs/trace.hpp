@@ -15,7 +15,6 @@
 
 #include "obs/taxonomy.hpp"
 #include "sim/time.hpp"
-#include "util/thread_annotations.hpp"
 
 namespace cni::obs {
 
@@ -40,59 +39,36 @@ struct TraceRecord {
 };
 static_assert(sizeof(TraceRecord) == 40);
 
-/// Fixed-capacity overwrite-oldest ring of trace records.
-///
-/// Ownership (checked by Clang thread-safety analysis, DESIGN.md §13): each
-/// ring belongs to one node, and in sharded runs is written only by that
-/// node's owning shard mid-epoch. Readers (export, report assembly) run at
-/// quiescence — after the run, or between epochs on the coordinator — which
-/// is what confers the shared role they assert.
+/// Fixed-capacity overwrite-oldest ring of trace records, one per node.
 class TraceRing {
  public:
-  /// The owning role: the node's shard thread while recording; any thread
-  /// at quiescence for reads. Public so NodeObs::record can assert it.
-  util::Capability owner;
-
   /// Storage is allocated here, once; record() never allocates.
   explicit TraceRing(std::uint32_t capacity) : ring_(capacity == 0 ? 1 : capacity) {}
 
   void record(const TraceRecord& r) {
-    // Held by protocol: records originate from the node's own simulated
-    // events, which execute on its owning shard.
-    owner.assert_held();
     ring_[static_cast<std::size_t>(total_ % ring_.size())] = r;
     ++total_;
   }
 
   [[nodiscard]] std::uint32_t capacity() const {
-    owner.assert_shared();  // ring_ is sized once, at construction
     return static_cast<std::uint32_t>(ring_.size());
   }
   /// Records ever recorded, including those since overwritten.
-  [[nodiscard]] std::uint64_t recorded() const {
-    owner.assert_shared();  // quiescent read (see class comment)
-    return total_;
-  }
+  [[nodiscard]] std::uint64_t recorded() const { return total_; }
   /// Records lost to wrap-around (oldest-first).
   [[nodiscard]] std::uint64_t dropped() const {
-    owner.assert_shared();  // quiescent read (see class comment)
     return total_ > ring_.size() ? total_ - ring_.size() : 0;
   }
   /// Live records currently held.
   [[nodiscard]] std::size_t size() const {
-    owner.assert_shared();  // quiescent read (see class comment)
     return total_ < ring_.size() ? static_cast<std::size_t>(total_) : ring_.size();
   }
 
-  void clear() {
-    owner.assert_held();  // quiescent reset (tests, re-runs)
-    total_ = 0;
-  }
+  void clear() { total_ = 0; }
 
   /// Visits live records oldest-first.
   template <typename Fn>
   void for_each(Fn&& fn) const {
-    owner.assert_shared();  // quiescent read (see class comment)
     const std::size_t n = size();
     const std::uint64_t first = total_ - n;
     for (std::size_t i = 0; i < n; ++i) {
@@ -101,8 +77,8 @@ class TraceRing {
   }
 
  private:
-  std::vector<TraceRecord> ring_ CNI_GUARDED_BY(owner);
-  std::uint64_t total_ CNI_GUARDED_BY(owner) = 0;
+  std::vector<TraceRecord> ring_;
+  std::uint64_t total_ = 0;
 };
 
 }  // namespace cni::obs

@@ -75,11 +75,10 @@ class Engine {
   /// Schedules a network delivery at absolute time `t`. Deliveries draw their
   /// tie-break sequence from a separate biased counter, so a delivery and a
   /// node-local event scheduled for the same instant order by *content*
-  /// (local first, then delivery) — never by which epoch schedule happened to
-  /// insert the delivery earlier. The fabric inserts deliveries in the
-  /// canonical (head, src, seq) order, so among deliveries the biased sequence
-  /// is itself schedule-independent; this is what keeps artifacts byte-equal
-  /// when epoch fusion changes *when* a drain runs (DESIGN.md §12).
+  /// (local first, then delivery), never by when the fabric happened to route
+  /// the transfer. The fabric inserts deliveries in the canonical
+  /// (head, src, seq) order, so among deliveries the biased sequence does not
+  /// depend on the window schedule either (DESIGN.md §12).
   EventId schedule_delivery(SimTime t, Callback cb);
 
   /// Cancels a pending event, removing it from the heap immediately.
@@ -95,14 +94,14 @@ class Engine {
   void run_until(SimTime deadline);
 
   /// Runs events with time strictly < bound; events at or beyond it stay
-  /// queued and now() is left at the last executed event. This is the
-  /// epoch scheduler's primitive: an epoch [E, E') executes exactly the
-  /// events below E', and deliveries drained at the E' barrier may still be
-  /// scheduled at any t >= E' without tripping the past-scheduling check.
+  /// queued and now() is left at the last executed event. This is the run
+  /// loop's primitive: a window [E, E') executes exactly the events below
+  /// E', and deliveries routed after it may still be scheduled at any
+  /// t >= E' without tripping the past-scheduling check.
   void run_before(SimTime bound);
 
   /// Time of the earliest pending event, or kNever when the queue is empty.
-  /// The epoch scheduler peeks this to size the next lookahead window.
+  /// The run loop peeks this to size the next window.
   [[nodiscard]] SimTime next_time() const {
     return empty() ? kNever : heap_t_[kRoot];
   }
@@ -176,6 +175,34 @@ class Engine {
   std::vector<std::uint32_t> pos_;
   std::vector<std::uint32_t> free_slots_;
 };
+
+/// a + b, saturating at kNever (so "nothing pending" stays kNever).
+[[nodiscard]] constexpr SimTime sat_add(SimTime a, SimDuration b) {
+  return a > kNever - b ? kNever : a + b;
+}
+
+/// Interconnect margins that size the run loop's windows (Cluster::run;
+/// atm::Fabric derives them from its timing, DESIGN.md §12).
+struct EpochParams {
+  /// A send at t cannot affect another node before t + lookahead.
+  SimDuration lookahead = 0;
+  /// A buffered transfer with head H is final, and may be routed, once every
+  /// event at or before H - drain_horizon has run.
+  SimDuration drain_horizon = 0;
+  /// A buffered head at H cannot deliver before H + pending_bound.
+  SimDuration pending_bound = 0;
+};
+
+/// End of the next window (an "epoch"), given the earliest pending event
+/// (t_min) and the earliest transfer still buffered in the fabric
+/// (pending_min; kNever when none): running every event below it can
+/// neither miss a delivery nor schedule one into the past.
+[[nodiscard]] constexpr SimTime next_epoch_end(SimTime t_min, SimTime pending_min,
+                                               const EpochParams& p) {
+  const SimTime by_events = sat_add(t_min, p.lookahead);
+  const SimTime by_pending = sat_add(pending_min, p.pending_bound);
+  return by_events < by_pending ? by_events : by_pending;
+}
 
 /// Models a serially-reusable resource (a bus, a link, a NIC processor): jobs
 /// queue FIFO and each occupies the resource for its duration.

@@ -79,7 +79,7 @@ class SimThread {
 
   /// The SimThread whose body is executing on the calling OS thread, or
   /// nullptr when the engine (or no simulation) is running. One slot per OS
-  /// thread: parallel sweep jobs and shard workers each track their own.
+  /// thread: parallel sweep jobs each track their own.
   [[nodiscard]] static SimThread* current();
 
  private:

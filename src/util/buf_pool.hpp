@@ -14,9 +14,8 @@
 //
 //   * a block whose last reference drops on the thread that allocated it
 //     goes onto that thread's list for its size class;
-//   * a block dropped on any other thread (a frame that crossed engine
-//     shards, a buffer that outlived its thread) goes straight back to the
-//     heap;
+//   * a block dropped on any other thread (a buffer that outlived its
+//     thread) goes straight back to the heap;
 //   * destroying a cluster::Cluster returns its thread's cached blocks to
 //     the heap (`BufCachePurge`), so one simulation's buffers neither
 //     outlive it nor pin the heap under the next. Thread exit does the same.

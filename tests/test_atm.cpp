@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <utility>
 #include <vector>
 
@@ -8,7 +9,6 @@
 #include "atm/fabric.hpp"
 #include "atm/packet.hpp"
 #include "sim/engine.hpp"
-#include "sim/sharded.hpp"
 
 namespace cni::atm {
 namespace {
@@ -103,15 +103,13 @@ TEST_P(BanyanPathProperty, FinalStageKeyedByDestination) {
 
 INSTANTIATE_TEST_SUITE_P(PortCounts, BanyanPathProperty, ::testing::Values(4, 8, 16, 32));
 
-/// A fabric the way a one-shard cluster builds it: three nodes on one
-/// engine. Sends buffer until a drain routes them through the switch in
-/// head-arrival order; deliver_all() drains everything, then runs the
-/// delivery events, so hooks observe arrival times on the engine clock.
+/// A fabric the way a cluster builds it: three nodes on one engine. Sends
+/// buffer until a drain routes them through the switch in head-arrival
+/// order; deliver_all() drains everything, then runs the delivery events,
+/// so hooks observe arrival times on the engine clock.
 struct FabricFixture {
   sim::Engine engine;
-  std::vector<sim::Engine*> engines = {&engine};
-  sim::FusionLedger ledger;
-  Fabric fab{FabricParams{}, sim::ShardPlan::balanced(3, 1), engines, ledger};
+  Fabric fab{FabricParams{}, 3, engine};
 
   void deliver_all() {
     EXPECT_EQ(fab.drain(sim::kNever), sim::kNever);
@@ -233,6 +231,149 @@ TEST(Fabric, DeliveryIsZeroCopyAndStatsAreExact) {
   EXPECT_EQ(fx.fab.frames_sent(), 1u);
   // ceil(1000 / 48 payload bytes per cell) = 21 cells.
   EXPECT_EQ(fx.fab.cells_sent(), 21u);
+}
+
+// ---------------------------------------------------------------------------
+// Canonical drain order: the pending heap routes in (head, src, seq) order,
+// whatever order the sends arrived in and however the drains are split.
+
+/// Four nodes on one engine; records (dst, src) per delivery.
+struct OrderFixture {
+  sim::Engine engine;
+  FabricParams params;
+  Fabric fabric{params, 4, engine};
+  std::vector<std::pair<NodeId, NodeId>> deliveries;  // (dst, src)
+
+  OrderFixture() {
+    for (NodeId n = 0; n < 4; ++n) {
+      fabric.attach(n, [this, n](Frame f) { deliveries.emplace_back(n, f.src); });
+    }
+  }
+
+  static Frame frame(NodeId src, NodeId dst) {
+    Frame f;
+    f.src = src;
+    f.dst = dst;
+    return f;
+  }
+};
+
+TEST(Fabric, SendsBufferUntilDrain) {
+  OrderFixture fx;
+  fx.fabric.send(0, OrderFixture::frame(0, 2));
+  fx.engine.run();
+  EXPECT_TRUE(fx.deliveries.empty()) << "nothing may deliver before a drain";
+  EXPECT_EQ(fx.fabric.drain(sim::kNever), sim::kNever);
+  fx.engine.run();
+  ASSERT_EQ(fx.deliveries.size(), 1u);
+  EXPECT_EQ(fx.deliveries[0], (std::pair<NodeId, NodeId>{2, 0}));
+}
+
+TEST(Fabric, DrainRespectsLimitAndReturnsEarliestRemainingHead) {
+  OrderFixture fx;
+  // Heads at propagation and at 1 ms + propagation.
+  fx.fabric.send(0, OrderFixture::frame(0, 2));
+  fx.fabric.send(sim::kMillisecond, OrderFixture::frame(1, 3));
+  const sim::SimTime early_head = fx.params.propagation;
+  const sim::SimTime late_head = sim::kMillisecond + fx.params.propagation;
+  // A limit between the two heads routes only the first transfer.
+  EXPECT_EQ(fx.fabric.drain(early_head + 1), late_head);
+  fx.engine.run();
+  ASSERT_EQ(fx.deliveries.size(), 1u);
+  EXPECT_EQ(fx.deliveries[0].second, 0u);
+  // The next drain finishes the job.
+  EXPECT_EQ(fx.fabric.drain(sim::kNever), sim::kNever);
+  fx.engine.run();
+  ASSERT_EQ(fx.deliveries.size(), 2u);
+}
+
+TEST(Fabric, EqualHeadsBreakTiesBySourceNodeNotCallOrder) {
+  OrderFixture fx;
+  // Same ready instant on distinct uplinks -> identical head-at-switch
+  // times. Send from the *higher* node first: canonical order must still
+  // deliver node 1's frame first.
+  fx.fabric.send(0, OrderFixture::frame(2, 0));
+  fx.fabric.send(0, OrderFixture::frame(1, 0));
+  fx.fabric.drain(sim::kNever);
+  fx.engine.run();
+  ASSERT_EQ(fx.deliveries.size(), 2u);
+  EXPECT_EQ(fx.deliveries[0].second, 1u);
+  EXPECT_EQ(fx.deliveries[1].second, 2u);
+}
+
+TEST(Fabric, SameSourceKeepsSendSequenceOrder) {
+  OrderFixture fx;
+  // Two frames from one node, queued back-to-back on its uplink. The second
+  // has a later head; and even at equal heads the per-source sequence is the
+  // final tie-break, so FIFO per source always holds.
+  fx.fabric.send(0, OrderFixture::frame(0, 2));
+  fx.fabric.send(0, OrderFixture::frame(0, 3));
+  fx.fabric.drain(sim::kNever);
+  fx.engine.run();
+  ASSERT_EQ(fx.deliveries.size(), 2u);
+  EXPECT_EQ(fx.deliveries[0].first, 2u);
+  EXPECT_EQ(fx.deliveries[1].first, 3u);
+}
+
+TEST(Fabric, DeliveryOrderIsInvariantUnderEverySendInterleaving) {
+  // The order in which nodes hand their sends to the fabric follows event
+  // order, and the run loop decides where drains fall. The canonical
+  // (head, src, seq) drain must erase both: replay the same send set under
+  // every permutation of the cross-source order and several drain
+  // schedules, and require the same delivery sequence. Same-source sends
+  // keep their program order (the uplink serializes them), so permutations
+  // run over one send per source, with head-time ties.
+  struct Send {
+    sim::SimTime ready;
+    NodeId src, dst;
+  };
+  const sim::SimTime ms = sim::kMillisecond;
+  const std::vector<std::vector<Send>> send_sets = {
+      {{0, 0, 2}, {0, 1, 3}, {0, 2, 1}, {ms, 3, 0}},
+      // 1->0 ties 3->0's head at node 0.
+      {{ms, 0, 2}, {ms, 1, 0}, {0, 2, 3}, {ms, 3, 0}},
+  };
+  enum class Schedule { kOnce, kSplit, kPerHead };
+
+  auto deliveries_for = [](const std::vector<Send>& sends,
+                           const std::vector<std::size_t>& perm, Schedule schedule) {
+    OrderFixture fx;
+    std::vector<sim::SimTime> heads;
+    for (const std::size_t i : perm) {
+      const Send& s = sends[i];
+      fx.fabric.send(s.ready, OrderFixture::frame(s.src, s.dst));
+      heads.push_back(s.ready + fx.params.propagation);
+    }
+    if (schedule == Schedule::kSplit) {
+      // A window boundary between the early group and the millisecond group.
+      fx.fabric.drain(ms);
+    } else if (schedule == Schedule::kPerHead) {
+      // The finest schedule: one drain per distinct head.
+      std::sort(heads.begin(), heads.end());
+      for (const sim::SimTime h : heads) fx.fabric.drain(h + 1);
+    }
+    fx.fabric.drain(sim::kNever);
+    fx.engine.run();
+    return fx.deliveries;
+  };
+
+  std::uint64_t cases = 0;
+  for (const std::vector<Send>& sends : send_sets) {
+    std::vector<std::size_t> order(sends.size());
+    for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
+    const auto expected = deliveries_for(sends, order, Schedule::kOnce);
+    ASSERT_EQ(expected.size(), sends.size());
+    do {
+      for (const Schedule schedule :
+           {Schedule::kOnce, Schedule::kSplit, Schedule::kPerHead}) {
+        ASSERT_EQ(deliveries_for(sends, order, schedule), expected)
+            << "interleaving #" << cases << " schedule=" << static_cast<int>(schedule)
+            << " changed the delivery sequence";
+        ++cases;
+      }
+    } while (std::next_permutation(order.begin(), order.end()));
+  }
+  EXPECT_EQ(cases, 144u);  // 2 send sets x 4! send orders x 3 drain schedules
 }
 
 }  // namespace

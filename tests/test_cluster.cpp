@@ -2,10 +2,15 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <sstream>
 #include <string>
+#include <utility>
+#include <vector>
 
+#include "apps/jacobi.hpp"
 #include "apps/runner.hpp"
 #include "cluster/cluster.hpp"
+#include "obs/report.hpp"
 
 namespace cni::cluster {
 namespace {
@@ -21,35 +26,6 @@ TEST(SimParams, Table1Dump) {
   EXPECT_NE(t.find("33 MHz"), std::string::npos);
   EXPECT_NE(t.find("500 ns"), std::string::npos);
   EXPECT_NE(t.find("32 KB"), std::string::npos);
-}
-
-// CNI_SIM_SHARDS takes a decimal K >= 0; 0 clamps to one shard at cluster
-// build, as the golden tests rely on.
-TEST(SimParams, ShardCountComesFromTheEnvironment) {
-  const char* prior = std::getenv("CNI_SIM_SHARDS");
-  const std::string saved = prior != nullptr ? prior : "";
-  ASSERT_EQ(::setenv("CNI_SIM_SHARDS", "4", 1), 0);
-  EXPECT_EQ(default_sim_shards(), 4u);
-  ASSERT_EQ(::setenv("CNI_SIM_SHARDS", "0", 1), 0);
-  EXPECT_EQ(default_sim_shards(), 0u);
-  ASSERT_EQ(::unsetenv("CNI_SIM_SHARDS"), 0);
-  EXPECT_EQ(default_sim_shards(), 1u);
-  if (prior != nullptr) {
-    ASSERT_EQ(::setenv("CNI_SIM_SHARDS", saved.c_str(), 1), 0);
-  }
-}
-
-// Anything else aborts with a message naming the value, instead of quietly
-// running one shard.
-TEST(SimParamsDeathTest, MalformedShardCountAborts) {
-  for (const char* bad : {"abc", "-2", "auto", "4x", ""}) {
-    EXPECT_DEATH(
-        {
-          ::setenv("CNI_SIM_SHARDS", bad, 1);
-          (void)default_sim_shards();
-        },
-        std::string("CNI_SIM_SHARDS=") + bad + " is not a shard count");
-  }
 }
 
 TEST(Cluster, BuildsRequestedBoardKind) {
@@ -80,6 +56,69 @@ TEST(Cluster, DeadlockIsDiagnosed) {
     if (i == 1) t.block();  // nobody will ever wake node 1
   }),
                std::runtime_error);
+}
+
+// perfbench/worker.cpp reads the run's event count and engine mode through
+// these names; they must report the one engine's count for the last run.
+TEST(ParsimCluster, EpochStatsAreConsistent) {
+  Cluster cl(make_params(BoardKind::kCni, 3));
+  EXPECT_FALSE(cl.sharded());
+  EXPECT_EQ(cl.shards(), 1u);
+  EXPECT_EQ(cl.epoch_stats().events_total, 0u);
+  cl.run([](std::size_t i, sim::SimThread& t) { t.delay((i + 1) * sim::kMillisecond); });
+  EXPECT_GT(cl.epoch_stats().events_total, 0u);
+  EXPECT_EQ(cl.epoch_stats().events_total, cl.engine().events_executed());
+
+  apps::JacobiConfig config;
+  config.n = 16;
+  config.iterations = 2;
+  const SimParams params = make_params(BoardKind::kCni, 4);
+  const apps::RunResult r = apps::run_jacobi(params, config);
+  EXPECT_GT(r.parsim.events_total, 0u);
+  EXPECT_EQ(apps::run_jacobi(params, config).parsim.events_total, r.parsim.events_total)
+      << "the event count is a property of the simulation";
+}
+
+/// Everything a run can observably produce, flattened to bytes.
+std::string run_fingerprint(const SimParams& params, const apps::JacobiConfig& config) {
+  double checksum = 0;
+  const apps::RunResult r = apps::run_jacobi(params, config, &checksum);
+  obs::ReportPoint point;
+  point.label = "determinism";
+  point.values.emplace_back("elapsed_cycles", static_cast<double>(r.elapsed_cycles));
+  for (const sim::NodeStats::Field& f : sim::NodeStats::fields()) {
+    point.legacy.emplace_back(f.name, r.totals.*(f.member));
+  }
+  point.snapshot = r.snapshot;
+  std::ostringstream out;
+  out.precision(17);
+  out << r.elapsed << '|' << r.elapsed_cycles << '|' << checksum << '|'
+      << r.hit_ratio_pct << '|' << r.compute_e9 << '|' << r.overhead_e9 << '|'
+      << r.delay_e9 << '\n';
+  const std::vector<obs::ReportPoint> points = {point};
+  out << obs::run_report_json("test_cluster", {{"app", "jacobi"}}, points);
+  out << obs::chrome_trace_json(points);
+  return std::move(out).str();
+}
+
+TEST(ParsimDeterminism, ConcurrentSweepPoolDoesNotPerturbResults) {
+  // Four runs on a 4-worker sweep pool must reproduce the sequential
+  // fingerprint exactly (each point builds its own cluster; the pool only
+  // adds host-thread interleaving, which determinism must shrug off).
+  apps::JacobiConfig config;
+  config.n = 16;
+  config.iterations = 2;
+  SimParams params = make_params(BoardKind::kCni, 4);
+  params.obs.trace = true;  // trace export identity too
+  const std::string expected = run_fingerprint(params, config);
+
+  ASSERT_EQ(::setenv("CNI_BENCH_JOBS", "4", 1), 0);
+  std::vector<std::string> got(4);
+  apps::parallel_indexed(got.size(), [&](std::size_t i) {
+    got[i] = run_fingerprint(params, config);
+  });
+  ASSERT_EQ(::unsetenv("CNI_BENCH_JOBS"), 0);
+  for (const std::string& g : got) EXPECT_EQ(expected, g);
 }
 
 TEST(HostCpu, AccountingIdentity) {

@@ -170,9 +170,7 @@ TEST(DsmProtocol, LocksAreMutuallyExclusive) {
 
 TEST(DsmProtocol, BarrierHoldsEveryoneBack) {
   Fixture f(3);
-  // Per-node slots, reduced after the run: node bodies may execute on
-  // different shard threads (CNI_SIM_SHARDS), so they must not fold into a
-  // shared accumulator mid-run.
+  // Per-node slots, reduced after the run.
   std::vector<sim::SimTime> arrivals(3);
   std::vector<sim::SimTime> departures(3);
   f.run([&](DsmContext& ctx) {

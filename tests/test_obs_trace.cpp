@@ -147,41 +147,49 @@ TEST(ObsReport, ChromeTraceShapeAndMetricsTotalsMatchLegacy) {
   EXPECT_NE(report.find("\"critpath\":"), std::string::npos);
 }
 
-/// One traced Jacobi run on `topo` with a fixed shard count. Four nodes so a
-/// K=4 run puts every node in its own shard — the maximal cross-shard case.
-apps::RunResult traced_topo_run(atm::TopologyKind topo, std::uint32_t shards) {
+/// One Jacobi run on `topo`, traced or not.
+apps::RunResult topo_run(atm::TopologyKind topo, bool traced) {
   cluster::SimParams params = make_params(BoardKind::kCni, 4);
   params.fabric.topology = topo;
-  params.sim_shards = shards;
-  params.obs.trace = true;
+  params.obs.trace = traced;
   params.obs.trace_capacity = 8192;
   return apps::run_jacobi(params, apps::JacobiConfig{24, 3, 6}, nullptr);
 }
 
-/// Trace export under every fabric topology (test_obs_trace was banyan-only
-/// before the causal-tracing PR): the causal spans ride the same frames the
-/// topology routes, so per-hop Clos/torus paths must neither perturb the
-/// simulation nor make the exports shard-count-dependent.
+/// Trace export under every fabric topology: the causal spans ride the same
+/// frames the topology routes, so per-hop Clos/torus paths must neither
+/// perturb the simulation nor make the exports irreproducible.
 class ObsTraceTopology : public ::testing::TestWithParam<atm::TopologyKind> {};
 
-TEST_P(ObsTraceTopology, ExportsByteIdenticalAcrossK1AndK4) {
-  const apps::RunResult k1 = traced_topo_run(GetParam(), 1);
-  const apps::RunResult k4 = traced_topo_run(GetParam(), 4);
+TEST_P(ObsTraceTopology, TracingLeavesTheRunUnchangedAndExportsReproduce) {
+  const apps::RunResult off = topo_run(GetParam(), false);
+  const apps::RunResult on = topo_run(GetParam(), true);
 
-  EXPECT_EQ(k1.elapsed, k4.elapsed);  // simulated result first
+  EXPECT_EQ(off.elapsed, on.elapsed);  // simulated result first
   for (const sim::NodeStats::Field& f : sim::NodeStats::fields()) {
-    EXPECT_EQ(k1.totals.*f.member, k4.totals.*f.member) << f.name;
+    EXPECT_EQ(off.totals.*f.member, on.totals.*f.member) << f.name;
+  }
+  // Every metric counter as well: tracing adds records, never counts.
+  ASSERT_EQ(off.snapshot.nodes.size(), on.snapshot.nodes.size());
+  for (std::size_t n = 0; n < off.snapshot.nodes.size(); ++n) {
+    for (const obs::CounterSnapshot& c : off.snapshot.nodes[n].counters) {
+      EXPECT_EQ(on.snapshot.nodes[n].counter_or(c.name, ~std::uint64_t{0}), c.value)
+          << "node " << n << " " << c.name;
+    }
   }
 
-  const std::vector<obs::ReportPoint> p1{to_point(k1)};
-  const std::vector<obs::ReportPoint> p4{to_point(k4)};
-  EXPECT_EQ(obs::chrome_trace_json(p1), obs::chrome_trace_json(p4));
+  // A second traced run exports the same bytes.
+  const apps::RunResult again = topo_run(GetParam(), true);
+  const std::vector<obs::ReportPoint> p1{to_point(on)};
+  const std::vector<obs::ReportPoint> p2{to_point(again)};
+  EXPECT_EQ(obs::chrome_trace_json(p1), obs::chrome_trace_json(p2));
   EXPECT_EQ(obs::run_report_json("test_obs_trace", {}, p1),
-            obs::run_report_json("test_obs_trace", {}, p4));
+            obs::run_report_json("test_obs_trace", {}, p2));
 }
 
 TEST_P(ObsTraceTopology, CausalSpansSurviveTheTopology) {
-  const std::string trace = obs::chrome_trace_json({to_point(traced_topo_run(GetParam(), 4))});
+  const std::string trace =
+      obs::chrome_trace_json({to_point(topo_run(GetParam(), true))});
   // The remote-fault chain's anchor stages must appear regardless of how
   // many switch stages or dimension hops sit between the endpoints.
   EXPECT_NE(trace.find("causal.tx"), std::string::npos);

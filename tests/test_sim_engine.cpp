@@ -176,6 +176,34 @@ TEST(Engine, SchedulingInPastAborts) {
   e.run();
 }
 
+// ---------------------------------------------------------------------------
+// Window bound of the cluster run loop (DESIGN.md §12)
+
+TEST(EpochMath, SatAddSaturatesAtNever) {
+  EXPECT_EQ(sat_add(10, 5), 15u);
+  EXPECT_EQ(sat_add(kNever, 1), kNever);
+  EXPECT_EQ(sat_add(kNever - 3, 10), kNever);
+  EXPECT_EQ(sat_add(kNever - 3, 3), kNever);
+}
+
+TEST(EpochMath, NextEpochEndTakesTheTighterBound) {
+  EpochParams p;
+  p.lookahead = 800;
+  p.drain_horizon = 150;
+  p.pending_bound = 650;
+  // No pending transfers: the window is t_min + L.
+  EXPECT_EQ(next_epoch_end(1000, kNever, p), 1800u);
+  // A pending head close below t_min tightens the window: its delivery at
+  // head + pending_bound must stay outside the window.
+  EXPECT_EQ(next_epoch_end(1000, 900, p), 1550u);
+  // A pending head far in the future is not the binding constraint.
+  EXPECT_EQ(next_epoch_end(1000, 5000, p), 1800u);
+  // An idle engine with a pending transfer still makes progress.
+  EXPECT_EQ(next_epoch_end(kNever, 900, p), 1550u);
+  // Nothing anywhere: the run loop is about to stop.
+  EXPECT_EQ(next_epoch_end(kNever, kNever, p), kNever);
+}
+
 TEST(ServiceQueue, BackToBackJobsQueue) {
   ServiceQueue q;
   EXPECT_EQ(q.occupy(100, 50), 150u);

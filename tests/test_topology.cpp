@@ -1,22 +1,10 @@
 // Topology layer tests (DESIGN.md §14): banyan self-routing collision
-// theory, Clos block mapping, torus dimension-order distances, the
-// distance-aware lookahead matrix, and cross-K identity for the multi-stage
-// topologies.
-#include <set>
-#include <sstream>
-#include <string>
-#include <vector>
-
+// theory, Clos block mapping, torus dimension-order distances and CLI
+// parsing.
 #include <gtest/gtest.h>
 
-#include "apps/jacobi.hpp"
-#include "apps/runner.hpp"
 #include "atm/banyan.hpp"
-#include "atm/fabric.hpp"
 #include "atm/topology.hpp"
-#include "cluster/params.hpp"
-#include "sim/engine.hpp"
-#include "sim/sharded.hpp"
 #include "sim/time.hpp"
 
 namespace {
@@ -147,7 +135,7 @@ TEST(ClosMapping, PrunedTopTierStillRoutesEveryPair) {
     for (atm::NodeId b = 0; b < 128; b += 13) {
       if (a == b) continue;
       head += sim::kMicrosecond;
-      const sim::SimTime out = clos.route(head, a, b, /*burst=*/0, /*lane=*/0);
+      const sim::SimTime out = clos.route(head, a, b, /*burst=*/0);
       EXPECT_EQ(out - head, clos.min_latency(a, b)) << a << " -> " << b;
       ++routed;
     }
@@ -210,110 +198,12 @@ TEST(TorusMapping, ZeroLoadRouteCostIsHopsTimesHopCost) {
     for (atm::NodeId b = 0; b < 64; b += 11) {
       if (a == b) continue;
       head += sim::kMicrosecond;
-      const sim::SimTime out = t.route(head, a, b, /*burst=*/0, /*lane=*/0);
+      const sim::SimTime out = t.route(head, a, b, /*burst=*/0);
       EXPECT_EQ(out - head, t.hops(a, b) * hop_cost) << a << " -> " << b;
       EXPECT_EQ(t.min_latency(a, b), t.hops(a, b) * hop_cost);
     }
   }
   EXPECT_EQ(t.contention_time(), 0u);
-}
-
-// ---------------------------------------------------------------------------
-// Distance-aware lookahead (the acceptance assertion)
-
-TEST(DistanceLookahead, TorusNonNeighborPairsExceedTheBanyanBound) {
-  // 256-node torus (8 x 8 x 4), 4 shards = one z-plane each. Neighbor planes
-  // sit one hop apart; planes 0<->2 and 1<->3 are two hops apart, so their
-  // exported lookahead must strictly exceed the single-stage banyan's
-  // uniform 800 ns bound — the slack the tentpole exists to unlock.
-  sim::Engine eng;
-  atm::FabricParams fp;
-  fp.switch_ports = 256;
-  fp.topology = atm::TopologyKind::kTorus;
-  const std::vector<sim::Engine*> engines = {&eng};
-  sim::FusionLedger ledger;
-  const atm::Fabric fabric(fp, sim::ShardPlan::balanced(256, 1), engines, ledger);
-  const sim::ShardPlan plan = sim::ShardPlan::balanced(256, 4);
-  const sim::LookaheadMatrix m = fabric.lookahead_matrix(plan);
-
-  const sim::SimDuration banyan_bound = 500 * sim::kNanosecond + 2 * kPropagation;
-  const sim::SimDuration hop_cost = kHop + kPropagation;  // 350 ns
-  EXPECT_EQ(fabric.min_lookahead(), hop_cost + 2 * kPropagation);  // 650 ns
-
-  // Neighbor planes: exactly the uniform torus floor.
-  EXPECT_EQ(m.at(0, 1), hop_cost + 2 * kPropagation);
-  EXPECT_EQ(m.at(0, 3), hop_cost + 2 * kPropagation);  // wrap neighbor
-  // Opposite planes: two hops, strictly beyond the banyan bound.
-  EXPECT_EQ(m.at(0, 2), 2 * hop_cost + 2 * kPropagation);  // 1000 ns
-  EXPECT_EQ(m.at(1, 3), 2 * hop_cost + 2 * kPropagation);
-  EXPECT_GT(m.at(0, 2), banyan_bound);
-  EXPECT_GT(m.at(1, 3), banyan_bound);
-}
-
-TEST(DistanceLookahead, ClosMatrixReflectsAncestorHeightPerPair) {
-  // 64-node Clos of radix-8 blocks, 16 shards = one leaf each: adjacent
-  // leaves in one group are 3 switches + 2 links apart, leaves of different
-  // groups 5 + 4 — and every entry clears the banyan bound.
-  sim::Engine eng;
-  atm::FabricParams fp;
-  fp.switch_ports = 64;
-  fp.topology = atm::TopologyKind::kClos;
-  fp.clos_radix = 8;
-  const std::vector<sim::Engine*> engines = {&eng};
-  sim::FusionLedger ledger;
-  const atm::Fabric fabric(fp, sim::ShardPlan::balanced(64, 1), engines, ledger);
-  const sim::LookaheadMatrix m =
-      fabric.lookahead_matrix(sim::ShardPlan::balanced(64, 16));
-
-  const sim::SimDuration two_prop = 2 * kPropagation;
-  EXPECT_EQ(m.at(0, 1), 3 * kSwitchLatency + 2 * kPropagation + two_prop);
-  EXPECT_EQ(m.at(0, 4), 5 * kSwitchLatency + 4 * kPropagation + two_prop);
-  EXPECT_EQ(m.at(3, 12), 5 * kSwitchLatency + 4 * kPropagation + two_prop);
-  const sim::SimDuration banyan_bound = 500 * sim::kNanosecond + two_prop;
-  for (std::uint32_t r = 0; r < m.shards; ++r) {
-    for (std::uint32_t c = 0; c < m.shards; ++c) {
-      if (r != c) {
-        EXPECT_GT(m.at(r, c), banyan_bound);
-      }
-    }
-  }
-}
-
-TEST(DistanceLookahead, MatrixNeverUndercutsTheBruteForcePairMinimum) {
-  // The closed-form fill_block_latency overrides must agree with the
-  // brute-force pair minimum the base class computes from min_latency().
-  for (const atm::TopologyKind kind :
-       {atm::TopologyKind::kClos, atm::TopologyKind::kTorus}) {
-    atm::FabricParams fp;
-    fp.switch_ports = 64;
-    fp.topology = kind;
-    fp.clos_radix = 8;
-    const std::unique_ptr<atm::Topology> topo = atm::make_topology(fp);
-    for (const std::uint32_t shards : {2u, 4u, 8u}) {
-      const sim::ShardPlan plan = sim::ShardPlan::balanced(64, shards);
-      sim::LookaheadMatrix m;
-      m.shards = plan.shards;
-      m.entries.assign(static_cast<std::size_t>(plan.shards) * plan.shards, 0);
-      topo->fill_block_latency(plan, m);
-      std::vector<atm::NodeId> start(plan.shards + 1, 0);
-      for (std::uint32_t s = 0; s < plan.shards; ++s) {
-        start[s + 1] = start[s] + plan.count(s);
-      }
-      for (std::uint32_t r = 0; r < plan.shards; ++r) {
-        for (std::uint32_t c = 0; c < plan.shards; ++c) {
-          if (r == c) continue;
-          sim::SimDuration best = sim::LookaheadMatrix::kUnbounded;
-          for (atm::NodeId a = start[r]; a < start[r + 1]; ++a) {
-            for (atm::NodeId b = start[c]; b < start[c + 1]; ++b) {
-              best = std::min(best, topo->min_latency(a, b));
-            }
-          }
-          ASSERT_EQ(m.at(r, c), best)
-              << topo->name() << " K=" << shards << " (" << r << "," << c << ")";
-        }
-      }
-    }
-  }
 }
 
 // ---------------------------------------------------------------------------
@@ -330,36 +220,6 @@ TEST(TopologyCli, ParseAcceptsExactlyTheThreeNames) {
   EXPECT_FALSE(atm::parse_topology("mesh", k));
   EXPECT_FALSE(atm::parse_topology("Torus", k));
   EXPECT_FALSE(atm::parse_topology("", k));
-}
-
-// ---------------------------------------------------------------------------
-// Cross-K identity on the multi-stage topologies
-
-TEST(TopologyIdentity, ClosAndTorusClustersAreIdenticalAcrossK) {
-  apps::JacobiConfig config;
-  config.n = 16;
-  config.iterations = 2;
-  for (const atm::TopologyKind kind :
-       {atm::TopologyKind::kClos, atm::TopologyKind::kTorus}) {
-    cluster::SimParams params = apps::make_params(cluster::BoardKind::kCni, 8);
-    params.fabric.topology = kind;
-    std::string base;
-    for (const std::uint32_t k : {1u, 2u, 4u}) {
-      params.sim_shards = k;
-      double checksum = 0;
-      const apps::RunResult r = apps::run_jacobi(params, config, &checksum);
-      std::ostringstream out;
-      out.precision(17);
-      out << r.elapsed_cycles << '|' << checksum << '|' << r.hit_ratio_pct
-          << '|' << r.compute_e9 << '|' << r.overhead_e9 << '|' << r.delay_e9;
-      if (base.empty()) {
-        base = out.str();
-      } else {
-        EXPECT_EQ(base, out.str())
-            << atm::topology_name(kind) << " diverged at K=" << k;
-      }
-    }
-  }
 }
 
 }  // namespace
