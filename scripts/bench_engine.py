@@ -288,7 +288,7 @@ def write_collectives() -> None:
     print(f"wrote {path}")
 
 
-SUITE_SCHEMA_VERSION = 1
+SUITE_SCHEMA_VERSION = 2
 
 # The reproduction suite: every fig/tab binary plus abl_mechanisms, the set
 # the golden_* ctests pin (tests/CMakeLists.txt).
@@ -306,7 +306,7 @@ SUITE_BINARY_FIELDS = ("wall_s_median", "wall_s_cv", "wall_s_samples",
                        "peak_rss_mb", "exit_status")
 SUITE_TOTAL_FIELDS = ("wall_s_median", "wall_s_cv", "wall_s_samples",
                       "peak_rss_mb", "slowest")
-SUITE_CONTEXT_FIELDS = ("host", "num_cpus", "date", "commit", "reps",
+SUITE_CONTEXT_FIELDS = ("host", "num_cpus", "date", "base_commit", "dirty", "reps",
                         "cni_bench_jobs", "cni_bench_fast")
 
 
@@ -333,22 +333,27 @@ def cv(samples: list) -> float:
     return statistics.stdev(samples) / statistics.mean(samples)
 
 
-def build_commit(build: Path) -> str:
-    """`git describe --always --dirty` of the source tree `build` was
-    configured from — the same id the binaries stamp into run reports."""
+def build_commit(build: Path) -> dict:
+    """The commit checked out in the source tree `build` was configured from
+    (`git describe --always`) as `base_commit`, and as `dirty` whether any of
+    the tree's files differ from it or are new (ignored build output aside).
+    Outside a checkout: "unknown" and None."""
     src = ROOT
     cache = build / "CMakeCache.txt"
     if cache.exists():
         for line in cache.read_text().splitlines():
             if line.startswith("CMAKE_HOME_DIRECTORY:"):
                 src = Path(line.split("=", 1)[1])
-    out = subprocess.run(["git", "-C", str(src), "describe", "--always", "--dirty"],
-                         capture_output=True, text=True)
-    return out.stdout.strip() if out.returncode == 0 else "unknown"
+    git = ["git", "-C", str(src)]
+    head = subprocess.run(git + ["describe", "--always"], capture_output=True, text=True)
+    status = subprocess.run(git + ["status", "--porcelain"], capture_output=True, text=True)
+    if head.returncode != 0 or status.returncode != 0:
+        return {"base_commit": "unknown", "dirty": None}
+    return {"base_commit": head.stdout.strip(), "dirty": status.stdout.strip() != ""}
 
 
 def validate_suite(report: dict) -> None:
-    """Shape contract for BENCH_suite.json (schema v1): context, one entry per
+    """Shape contract for BENCH_suite.json (schema v2): context, one entry per
     suite binary with its wall/RSS/exit fields, every exit status zero, and a
     totals row whose per-repetition sums match the binaries'."""
     if report.get("schema_version") != SUITE_SCHEMA_VERSION:
@@ -412,7 +417,7 @@ def write_suite() -> None:
             "host": platform.node(),
             "num_cpus": os.cpu_count(),
             "date": datetime.datetime.now().astimezone().isoformat(timespec="seconds"),
-            "commit": build_commit(BUILD),
+            **build_commit(BUILD),
             "reps": SUITE_REPS,
             "cni_bench_fast": os.environ.get("CNI_BENCH_FAST"),
             **env_context(),
@@ -490,15 +495,36 @@ def _headline_collectives(s: dict) -> dict:
     }
 
 
+def _suite_commit(s: dict):
+    """The commit a suite row measured: `<sha>+wt` for a working tree that
+    differed from commit <sha>. Rows older than schema v2 keep their
+    `git describe --dirty` id."""
+    base = _num(s, "context", "base_commit")
+    if base is None:
+        return _num(s, "context", "commit")
+    return base + "+wt" if _num(s, "context", "dirty") else base
+
+
 def _headline_suite(s: dict) -> dict:
     return {
-        "commit": _num(s, "context", "commit"),
+        "commit": _suite_commit(s),
         "bench_jobs": _num(s, "context", "cni_bench_jobs"),
         "total_wall_s": _num(s, "total", "wall_s_median"),
         "total_wall_cv": _num(s, "total", "wall_s_cv"),
         "peak_rss_mb": _num(s, "total", "peak_rss_mb"),
         "slowest": _num(s, "total", "slowest"),
     }
+
+
+def within_noise(row: dict, older: dict) -> bool:
+    """True when a suite row's total wall time differs from the next older
+    row's by less than twice the larger of the two rows' run-to-run CVs:
+    such a delta is not a measured change."""
+    new, old = row.get("total_wall_s"), older.get("total_wall_s")
+    cvs = [c for c in (row.get("total_wall_cv"), older.get("total_wall_cv")) if c is not None]
+    if new is None or old is None or not cvs:
+        return False
+    return abs(new - old) < 2 * max(cvs) * old
 
 
 TRAJECTORY_BENCHES = (
@@ -548,7 +574,9 @@ def write_trajectory() -> None:
         f"come from each BENCH file's history block (capped at {HISTORY_DEPTH}",
         "entries). Wall-clock columns are host-bound — compare rows only when",
         "host/num_cpus match. Regenerated by `scripts/bench_engine.py",
-        "--trajectory` (and automatically after a full bench run).",
+        "--trajectory` (and automatically after a full bench run). A suite",
+        "total marked (within noise) differs from the row below it by less",
+        "than twice the larger of the two rows' total_wall_cv.",
         "",
     ]
     for name, rows in benches.items():
@@ -560,8 +588,11 @@ def write_trajectory() -> None:
         cols = list(rows[0].keys())
         lines.append("| " + " | ".join(cols) + " |")
         lines.append("|" + "|".join(" --- " for _ in cols) + "|")
-        for row in rows:
+        for i, row in enumerate(rows):
             cells = ["-" if row.get(c) is None else str(row[c]) for c in cols]
+            if name == "suite" and i + 1 < len(rows) and within_noise(row, rows[i + 1]):
+                at = cols.index("total_wall_s")
+                cells[at] += " (within noise)"
             lines.append("| " + " | ".join(cells) + " |")
         lines.append("")
     md = "\n".join(lines)

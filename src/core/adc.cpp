@@ -1,23 +1,34 @@
 #include "core/adc.hpp"
 
+#include <algorithm>
+#include <utility>
+
 #include "util/check.hpp"
 
 namespace cni::core {
 
-DescriptorRing::DescriptorRing(std::uint32_t slots) : ring_(slots), slots_(slots) {
+DescriptorRing::DescriptorRing(std::uint32_t slots) : slots_(slots) {
   CNI_CHECK(slots > 0);
+}
+
+void DescriptorRing::grow() {
+  const std::uint32_t cap = std::min(std::max(kFirstCapacity, 2 * capacity()), slots_);
+  std::vector<AdcDescriptor> grown(cap);
+  for (std::uint32_t k = tail_; k != head_; ++k) grown[k % cap] = ring_[k % ring_.size()];
+  ring_ = std::move(grown);
 }
 
 bool DescriptorRing::push(const AdcDescriptor& d) {
   if (full()) return false;
-  ring_[head_ % slots_] = d;
+  if (count() == capacity()) grow();
+  ring_[head_ % ring_.size()] = d;
   ++head_;
   return true;
 }
 
 std::optional<AdcDescriptor> DescriptorRing::pop() {
   if (empty()) return std::nullopt;
-  AdcDescriptor d = ring_[tail_ % slots_];
+  AdcDescriptor d = ring_[tail_ % ring_.size()];
   ++tail_;
   return d;
 }

@@ -29,14 +29,24 @@ struct AdcDescriptor {
 /// A single-producer/single-consumer descriptor ring. Head and tail are each
 /// written by exactly one side, which is what makes plain (atomic-load/store)
 /// manipulation safe on real hardware.
+///
+/// The modelled ring always has `slots` entries of board memory; the host
+/// array behind it holds none until the first push and then doubles from
+/// kFirstCapacity up to `slots` as the outstanding count needs.
 class DescriptorRing {
  public:
+  static constexpr std::uint32_t kFirstCapacity = 8;
+
   explicit DescriptorRing(std::uint32_t slots);
 
   [[nodiscard]] bool full() const { return count() == slots_; }
   [[nodiscard]] bool empty() const { return head_ == tail_; }
   [[nodiscard]] std::uint32_t count() const { return head_ - tail_; }
   [[nodiscard]] std::uint32_t slots() const { return slots_; }
+  /// Descriptors the host array holds now (0 before the first push).
+  [[nodiscard]] std::uint32_t capacity() const {
+    return static_cast<std::uint32_t>(ring_.size());
+  }
 
   /// Producer side. Returns false (ring full) without enqueueing.
   bool push(const AdcDescriptor& d);
@@ -50,7 +60,10 @@ class DescriptorRing {
   }
 
  private:
-  std::vector<AdcDescriptor> ring_;
+  /// Doubles the host array (capped at slots_), keeping [tail_, head_) in order.
+  void grow();
+
+  std::vector<AdcDescriptor> ring_;  ///< entry k lives at k % ring_.size()
   std::uint32_t slots_;
   std::uint32_t head_ = 0;  // written by producer only
   std::uint32_t tail_ = 0;  // written by consumer only

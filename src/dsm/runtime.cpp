@@ -984,9 +984,7 @@ void DsmRuntime::on_page_reply(Ctx& ctx, const atm::Frame& f) {
   const nic::MsgHeader hdr = f.header<nic::MsgHeader>();
   ByteReader r = body_reader(f);
   const PageId page = r.u64();
-  VectorClock content = r.clock();
-  // Zero-copy: `data` views the received frame's payload; `keep` pins that
-  // pooled buffer by refcount until apply_fetch_results consumes it.
+  (void)r.clock_view();
   const std::span<const std::byte> data = r.bytes();
   CNI_CHECK_MSG(fetch_.active && fetch_.req_id == hdr.aux && fetch_.page == page,
                 "page reply does not match the outstanding fetch");
@@ -1000,18 +998,20 @@ void DsmRuntime::on_page_reply(Ctx& ctx, const atm::Frame& f) {
                      obs::causal_token(hdr.src_node, hdr.seq, obs::Stage::kDeliver),
                      ctx.trace());
   }
-  node_.engine().schedule_at(
-      ctx.cursor(),
-      [this, data, keep = r.backing(), content = std::move(content)]() mutable {
-        fetch_.base = data;
-        fetch_.base_keep = std::move(keep);
-        fetch_.base_vc = std::move(content);
-        fetch_.base_done = true;
-        if (fetch_.diffs_got == fetch_.diffs_wanted) {
-          fetch_.complete = true;
-          wq_.notify_all();
-        }
-      });
+  defer(node_.engine(), ctx.cursor(), f, [this](const atm::Frame& reply) {
+    ByteReader g = body_reader(reply);
+    (void)g.u64();
+    fetch_.base_vc.assign(g.clock_view());
+    // Zero-copy: `base` views the received frame's payload, and `base_keep`
+    // pins that pooled buffer by refcount until apply_fetch_results consumes it.
+    fetch_.base = g.bytes();
+    fetch_.base_keep = g.backing();
+    fetch_.base_done = true;
+    if (fetch_.diffs_got == fetch_.diffs_wanted) {
+      fetch_.complete = true;
+      wq_.notify_all();
+    }
+  });
 }
 
 void DsmRuntime::on_diff_req(Ctx& ctx, const atm::Frame& f) {

@@ -12,13 +12,16 @@ CacheModel::CacheModel(const CacheParams& p) : params_(p) {
   CNI_CHECK(util::is_pow2(p.l1_size) && p.l1_size % p.line_size == 0);
   CNI_CHECK(util::is_pow2(p.l2_size) && p.l2_size % p.line_size == 0);
   line_shift_ = static_cast<unsigned>(std::countr_zero(p.line_size));
-  l1_mask_ = p.l1_size / p.line_size - 1;
   l2_mask_ = p.l2_size / p.line_size - 1;
-  l1_.resize(l1_mask_ + 1);
 }
 
-CacheAccess CacheModel::miss(PAddr line, Line& e1, bool is_write) {
-  if (l2_.empty()) l2_.resize(l2_mask_ + 1);
+CacheAccess CacheModel::miss(PAddr line, bool is_write) {
+  if (l2_.empty()) {
+    l1_mask_ = params_.l1_size / params_.line_size - 1;
+    l1_.assign(l1_mask_ + 1, 0);
+    l2_.resize(l2_mask_ + 1);
+  }
+  Line& e1 = l1_[l1_index(line)];
   CacheAccess r;
   Line& e2 = l2_[l2_index(line)];
   if (holds(e2, line)) {

@@ -45,7 +45,7 @@ class CacheModel {
     ++accesses_;
     const PAddr line = line_addr(addr);
     Line& e1 = l1_[l1_index(line)];
-    if (!holds(e1, line)) return miss(line, e1, is_write);
+    if (!holds(e1, line)) return miss(line, is_write);
     ++l1_hits_;
     CacheAccess r{.cpu_cycles = params_.l1_latency_cycles, .l1_hit = true};
     if (is_write) store(e1, line, r);
@@ -92,15 +92,16 @@ class CacheModel {
     }
   }
 
-  /// Everything but an L1 hit: L2 lookup or fill, L1 victim, refill of `e1`.
-  CacheAccess miss(PAddr line, Line& e1, bool is_write);
+  /// Everything but an L1 hit: L2 lookup or fill, L1 victim, L1 refill. The
+  /// first miss allocates both levels in place of the L1 sentinel.
+  CacheAccess miss(PAddr line, bool is_write);
 
   CacheParams params_;
   unsigned line_shift_ = 0;  ///< log2(line_size)
-  std::size_t l1_mask_ = 0;  ///< L1 lines - 1
+  std::size_t l1_mask_ = 0;  ///< L1 lines - 1; 0 (the sentinel's index) until the first miss
   std::size_t l2_mask_ = 0;  ///< L2 lines - 1
-  std::vector<Line> l1_;
-  std::vector<Line> l2_;  ///< empty until the first L1 miss
+  std::vector<Line> l1_ = std::vector<Line>(1);  ///< one invalid line until the first miss
+  std::vector<Line> l2_;     ///< empty until the first miss
   std::uint64_t accesses_ = 0;
   std::uint64_t l1_hits_ = 0;
   std::uint64_t l2_hits_ = 0;

@@ -30,7 +30,7 @@ std::optional<VAddr> PageTable::reverse(PAddr pa) const {
 }
 
 Tlb::Tlb(std::size_t entries, std::uint32_t miss_penalty_cycles)
-    : entries_(entries), miss_penalty_(miss_penalty_cycles) {
+    : size_(entries), miss_penalty_(miss_penalty_cycles) {
   CNI_CHECK(entries > 0);
 }
 

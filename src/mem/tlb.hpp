@@ -48,7 +48,9 @@ class PageTable {
 };
 
 /// A direct-mapped translation cache (used for both the board TLB and RTLB).
-/// Data-less: it consults the page table on miss and records the cost.
+/// Data-less: it consults the page table on miss and records the cost. Its
+/// entry array is allocated at the first lookup; until then every entry is
+/// invalid, so invalidation has nothing to do.
 class Tlb {
  public:
   Tlb(std::size_t entries, std::uint32_t miss_penalty_cycles);
@@ -59,7 +61,8 @@ class Tlb {
   template <typename Resolve>
   std::optional<PageNum> lookup(PageNum key, Resolve&& resolve, std::uint64_t* cycles) {
     ++lookups_;
-    Entry& e = entries_[key % entries_.size()];
+    if (entries_.empty()) entries_.resize(size_);
+    Entry& e = entries_[key % size_];
     if (e.valid && e.key == key) {
       ++hits_;
       return e.value;
@@ -75,7 +78,8 @@ class Tlb {
   }
 
   void invalidate(PageNum key) {
-    Entry& e = entries_[key % entries_.size()];
+    if (entries_.empty()) return;
+    Entry& e = entries_[key % size_];
     if (e.valid && e.key == key) e.valid = false;
   }
 
@@ -91,7 +95,8 @@ class Tlb {
     PageNum value = 0;
     bool valid = false;
   };
-  std::vector<Entry> entries_;
+  std::size_t size_;            ///< entries the TLB models
+  std::vector<Entry> entries_;  ///< empty until the first lookup
   std::uint32_t miss_penalty_;
   std::uint64_t lookups_ = 0;
   std::uint64_t hits_ = 0;

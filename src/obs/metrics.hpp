@@ -13,7 +13,7 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -80,10 +80,15 @@ class Gauge {
   std::int64_t max_ = 0;
 };
 
-/// One node's named metrics. Registration happens at setup; deques keep
-/// every handed-out pointer stable for the life of the registry.
+/// One node's named metrics. Registration happens at setup; each owned
+/// value is its own allocation, so every handed-out pointer stays stable for
+/// the life of the registry, and an empty registry allocates nothing.
 class Metrics {
  public:
+  /// Makes room for `n` more counters, so a known batch of bindings
+  /// allocates once.
+  void reserve_counters(std::size_t n) { counters_.reserve(counters_.size() + n); }
+
   /// Registers `name` as a view onto an externally-owned counter field.
   void bind_counter(std::string name, const std::uint64_t* value) {
     CNI_CHECK(value != nullptr);
@@ -96,25 +101,23 @@ class Metrics {
     for (CounterEntry& e : counters_) {
       if (e.owned != nullptr && e.name == name) return e.owned;
     }
-    owned_counters_.push_back(0);
-    counters_.push_back(CounterEntry{name, &owned_counters_.back(), &owned_counters_.back()});
-    return &owned_counters_.back();
+    std::uint64_t* owned = owned_counters_.emplace_back(std::make_unique<std::uint64_t>(0)).get();
+    counters_.push_back(CounterEntry{name, owned, owned});
+    return owned;
   }
 
   [[nodiscard]] Hist* histogram(const std::string& name) {
-    for (HistEntry& e : hists_) {
-      if (e.name == name) return &e.hist;
+    for (const auto& e : hists_) {
+      if (e->name == name) return &e->hist;
     }
-    hists_.push_back(HistEntry{name, Hist{}});
-    return &hists_.back().hist;
+    return &hists_.emplace_back(std::make_unique<HistEntry>(HistEntry{name, Hist{}}))->hist;
   }
 
   [[nodiscard]] Gauge* gauge(const std::string& name) {
-    for (GaugeEntry& e : gauges_) {
-      if (e.name == name) return &e.gauge;
+    for (const auto& e : gauges_) {
+      if (e->name == name) return &e->gauge;
     }
-    gauges_.push_back(GaugeEntry{name, Gauge{}});
-    return &gauges_.back().gauge;
+    return &gauges_.emplace_back(std::make_unique<GaugeEntry>(GaugeEntry{name, Gauge{}}))->gauge;
   }
 
   /// fn(name, value) over every counter, in registration order.
@@ -126,13 +129,13 @@ class Metrics {
   /// fn(name, const Hist&) in registration order.
   template <typename Fn>
   void for_each_histogram(Fn&& fn) const {
-    for (const HistEntry& e : hists_) fn(e.name, e.hist);
+    for (const auto& e : hists_) fn(e->name, e->hist);
   }
 
   /// fn(name, const Gauge&) in registration order.
   template <typename Fn>
   void for_each_gauge(Fn&& fn) const {
-    for (const GaugeEntry& e : gauges_) fn(e.name, e.gauge);
+    for (const auto& e : gauges_) fn(e->name, e->gauge);
   }
 
  private:
@@ -151,9 +154,9 @@ class Metrics {
   };
 
   std::vector<CounterEntry> counters_;
-  std::deque<std::uint64_t> owned_counters_;  // stable addresses
-  std::deque<HistEntry> hists_;
-  std::deque<GaugeEntry> gauges_;
+  std::vector<std::unique_ptr<std::uint64_t>> owned_counters_;
+  std::vector<std::unique_ptr<HistEntry>> hists_;
+  std::vector<std::unique_ptr<GaugeEntry>> gauges_;
 };
 
 }  // namespace cni::obs

@@ -3,9 +3,10 @@
 namespace cni::obs {
 
 void RunObs::bind_node_stats(std::uint32_t i, const sim::NodeStats& st) {
-  NodeObs& n = node(i);
+  Metrics& m = node(i).metrics();
+  m.reserve_counters(sim::NodeStats::fields().size());
   for (const sim::NodeStats::Field& f : sim::NodeStats::fields()) {
-    n.metrics().bind_counter(f.name, &(st.*f.member));
+    m.bind_counter(f.name, &(st.*f.member));
   }
 }
 

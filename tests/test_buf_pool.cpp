@@ -1,15 +1,13 @@
 // util::Buf and its per-thread block cache: refcount lifecycle, size-class
 // reuse, cross-thread release, thread teardown and the Cluster purge. Heap
 // traffic is observed directly: this binary replaces the global operator
-// new/delete with counting versions.
+// new/delete with counting versions (heap_calls.hpp).
 #include <gtest/gtest.h>
 
 #include <cstddef>
 #include <cstdint>
-#include <cstdlib>
 #include <cstring>
 #include <mutex>
-#include <new>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -17,61 +15,13 @@
 #include "apps/runner.hpp"
 #include "cluster/cluster.hpp"
 #include "dsm/interval.hpp"
+#include "heap_calls.hpp"
 #include "util/buf_pool.hpp"
-
-// ---- global allocation interposer (this test binary only) ------------------
-
-// The replaced operators route through malloc/aligned_alloc + free, which is
-// internally consistent; GCC's -Wmismatched-new-delete can't see that once
-// the calls inline, so silence it for this TU.
-#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
-
-namespace {
-// Per thread, so a test reads only the heap calls its own thread made.
-thread_local std::uint64_t t_heap_news = 0;
-thread_local std::uint64_t t_heap_deletes = 0;
-}  // namespace
-
-void* operator new(std::size_t n) {
-  ++t_heap_news;
-  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t n) { return ::operator new(n); }
-void* operator new(std::size_t n, std::align_val_t a) {
-  ++t_heap_news;
-  const auto align = static_cast<std::size_t>(a);
-  if (void* p = std::aligned_alloc(align, (n + align - 1) & ~(align - 1))) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t n, std::align_val_t a) { return ::operator new(n, a); }
-void operator delete(void* p) noexcept {
-  if (p != nullptr) ++t_heap_deletes;
-  std::free(p);
-}
-void operator delete[](void* p) noexcept { ::operator delete(p); }
-void operator delete(void* p, std::size_t) noexcept { ::operator delete(p); }
-void operator delete[](void* p, std::size_t) noexcept { ::operator delete(p); }
-void operator delete(void* p, std::align_val_t) noexcept { ::operator delete(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { ::operator delete(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept { ::operator delete(p); }
-void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
-  ::operator delete(p);
-}
 
 namespace cni::util {
 namespace {
 
-/// The calling thread's heap calls since construction.
-class HeapCalls {
- public:
-  [[nodiscard]] std::uint64_t news() const { return t_heap_news - news_; }
-  [[nodiscard]] std::uint64_t deletes() const { return t_heap_deletes - deletes_; }
-
- private:
-  std::uint64_t news_ = t_heap_news;
-  std::uint64_t deletes_ = t_heap_deletes;
-};
+using test_support::HeapCalls;
 
 TEST(BufPool, ClassOfMapsPowersOfTwo) {
   EXPECT_EQ(Buf::class_of(1), 0u);

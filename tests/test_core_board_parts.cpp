@@ -2,6 +2,9 @@
 // hybrid polling governor.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <vector>
+
 #include "core/adc.hpp"
 #include "core/aih.hpp"
 #include "core/dual_port.hpp"
@@ -57,6 +60,53 @@ TEST(DescriptorRing, PushPopWrapAround) {
       EXPECT_EQ(d->buffer_va, 0x1000 + i);
     }
     EXPECT_FALSE(ring.pop().has_value());
+  }
+}
+
+TEST(DescriptorRing, GrowsOnDemandKeepingPushOrder) {
+  // 200 is not a power of two: the last growth step is 128 -> 200.
+  for (const std::uint32_t slots : {256u, 200u}) {
+    DescriptorRing ring(slots);
+    EXPECT_FALSE(ring.pop().has_value());
+    EXPECT_EQ(ring.capacity(), 0u);  // a fresh ring holds no storage
+    std::uint64_t pushed = 0;
+    std::uint64_t popped = 0;
+    std::vector<std::uint32_t> capacities;
+    // Each round pushes three and pops two, so the outstanding count climbs
+    // by one per round while head and tail both keep moving: every growth
+    // step copies a live range that has wrapped around the old array.
+    while (!ring.full()) {
+      for (int i = 0; i < 3 && !ring.full(); ++i) {
+        ASSERT_TRUE(ring.push(AdcDescriptor{0x1000 + pushed, 64, 0, 0}));
+        ++pushed;
+        if (capacities.empty() || capacities.back() != ring.capacity()) {
+          capacities.push_back(ring.capacity());
+        }
+      }
+      if (ring.full()) break;
+      for (int i = 0; i < 2; ++i) {
+        auto d = ring.pop();
+        ASSERT_TRUE(d.has_value());
+        EXPECT_EQ(d->buffer_va, 0x1000 + popped) << "pop " << popped;
+        ++popped;
+      }
+    }
+    // full() holds exactly at `slots` outstanding descriptors.
+    EXPECT_EQ(ring.count(), slots);
+    EXPECT_EQ(pushed - popped, slots);
+    EXPECT_FALSE(ring.push(AdcDescriptor{}));
+    std::vector<std::uint32_t> want;
+    for (std::uint32_t c = DescriptorRing::kFirstCapacity; c < slots; c *= 2) want.push_back(c);
+    want.push_back(slots);
+    EXPECT_EQ(capacities, want);
+    // Draining yields the rest in push order; one pop frees one slot.
+    auto d = ring.pop();
+    ASSERT_TRUE(d.has_value());
+    EXPECT_EQ(d->buffer_va, 0x1000 + popped++);
+    EXPECT_FALSE(ring.full());
+    while (auto next = ring.pop()) EXPECT_EQ(next->buffer_va, 0x1000 + popped++);
+    EXPECT_EQ(popped, pushed);
+    EXPECT_EQ(ring.capacity(), slots);
   }
 }
 

@@ -290,6 +290,28 @@ TEST(DsmProtocol, NoticesCostNoClockCopies) {
   EXPECT_LT(grown, std::uint64_t{150} << 20) << "resident set grew " << grown << " bytes";
 }
 
+TEST(Cluster, IdleNodesCommitNoPerNodeTables) {
+  if (CNI_MEMORY_SANITIZER) GTEST_SKIP() << "sanitizer shadow memory swamps the bound";
+  // The fig_barrier_scaling shape: 1,024 CNI nodes on a Clos fabric with
+  // NIC-resident collectives. Until a node touches memory, its L1 tags
+  // (like its L2 tags), TLB/RTLB entries and ADC descriptor rings (≈ 23 KB
+  // a node, 23 MB in all) must not exist. What such a build does commit is its
+  // boards, DSM runtimes with two 1,024-entry clocks each, the fabric and
+  // the metric registries: ≈ 24 MB.
+  constexpr std::uint32_t kNodes = 1024;
+  cluster::SimParams params = make_params(BoardKind::kCni, kNodes);
+  params.fabric.switch_ports = kNodes;
+  params.fabric.topology = atm::TopologyKind::kClos;
+  DsmParams dp;
+  dp.collective = cluster::CollectiveMode::kNic;
+  const std::uint64_t before = test_support::resident_bytes();
+  cluster::Cluster cl(params);
+  DsmSystem sys(cl, dp);
+  const std::uint64_t after = test_support::resident_bytes();
+  const std::uint64_t grown = after > before ? after - before : 0;
+  EXPECT_LT(grown, std::uint64_t{36} << 20) << "resident set grew " << grown << " bytes";
+}
+
 TEST(DsmProtocol, WorksOnStandardBoardToo) {
   Fixture f(3, BoardKind::kStandard);
   const mem::VAddr x = f.sys.alloc(256, "x");

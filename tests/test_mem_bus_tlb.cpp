@@ -65,6 +65,11 @@ TEST(PageTable, ReverseOfUnmappedIsEmpty) {
 TEST(Tlb, HitAfterMiss) {
   PageTable pt{PageGeometry(4096)};
   Tlb tlb(16, 20);
+  // Before the first lookup the TLB holds no entries, so invalidation is a
+  // no-op, and the first lookup misses.
+  tlb.invalidate(5);
+  tlb.invalidate_all();
+  EXPECT_EQ(tlb.lookups(), 0u);
   auto resolve = [&](PageNum vpn) { return std::optional<PageNum>(pt.frame_of(vpn)); };
   std::uint64_t cycles = 0;
   auto r1 = tlb.lookup(5, resolve, &cycles);

@@ -4,6 +4,7 @@
 #include <string>
 #include <vector>
 
+#include "heap_calls.hpp"
 #include "mem/cache.hpp"
 #include "util/rng.hpp"
 
@@ -287,7 +288,9 @@ void PrintTo(const Geometry& g, std::ostream* os) {
 // a long seeded mix of loads, stores, flushes and invalidations. L1 and L2
 // are tiny and the address pool spans 4 L2 sizes, so L1 conflicts, L2
 // conflicts, dirty victims whose L2 copy is gone and refills of invalidated
-// dirty lines all occur thousands of times.
+// dirty lines all occur thousands of times. The reference allocates both
+// levels up front and the model at its first miss, so fresh models are
+// also driven through their first calls.
 class CacheDifferential : public ::testing::TestWithParam<Geometry> {};
 
 TEST_P(CacheDifferential, PackedModelMatchesReference) {
@@ -302,14 +305,35 @@ TEST_P(CacheDifferential, PackedModelMatchesReference) {
   const std::uint64_t span = 4 * p.l2_size;
   const PAddr base = 0x10000;
 
-  // Before the first miss there is no L2: flush and invalidate must still
-  // charge the probes and find nothing.
+  // A fresh model whose very first call is an access: its one-line
+  // sentinel misses, and the first miss builds the state the reference
+  // starts in.
+  {
+    CacheModel fresh(p);
+    ReferenceCache fresh_want(p);
+    // A store, an L1 conflict that folds the dirty line into L2, an L2 hit
+    // that brings it back, and an L1 hit.
+    const PAddr conflict = base + p.l1_size;
+    expect_same(fresh.access(base, true), fresh_want.access(base, true), -6);
+    expect_same(fresh.access(conflict, false), fresh_want.access(conflict, false), -5);
+    expect_same(fresh.access(base, false), fresh_want.access(base, false), -4);
+    expect_same(fresh.access(base, true), fresh_want.access(base, true), -3);
+    expect_same_counters(fresh, fresh_want);
+  }
+
+  // Before the first miss there are no tables: flush and invalidate must
+  // still charge the probes, find nothing and allocate nothing.
   std::uint64_t got_cycles = 0;
   std::uint64_t want_cycles = 0;
-  EXPECT_EQ(got.flush_range(base, span, &got_cycles),
-            want.flush_range(base, span, &want_cycles));
+  std::vector<PAddr> flushed;
+  {
+    const test_support::HeapCalls calls;
+    flushed = got.flush_range(base, span, &got_cycles);
+    got.invalidate_range(base, span);
+    EXPECT_EQ(calls.news(), 0u);
+  }
+  EXPECT_EQ(flushed, want.flush_range(base, span, &want_cycles));
   EXPECT_EQ(got_cycles, want_cycles);
-  got.invalidate_range(base, span);
   want.invalidate_range(base, span);
 
   // A dirty line dropped by invalidation is refilled clean: no write-back.
