@@ -1,8 +1,8 @@
 // Shared helpers for the paper-reproduction benchmark binaries.
 //
 // Every binary regenerates one table or figure from the paper's §3 and
-// prints the same rows/series. `CNI_BENCH_FAST=1` (or --fast) shrinks the
-// sweep for smoke runs; the default matches paper scale.
+// prints the same rows/series. `CNI_BENCH_FAST=1` shrinks the sweep for
+// smoke runs; the default matches paper scale.
 //
 // Sweeps run their points on a thread pool (`CNI_BENCH_JOBS`, defaulting to
 // hardware_concurrency): every (procs, board-kind, page-size) point is an
@@ -11,11 +11,15 @@
 // the printed ordering never depends on completion order.
 #pragma once
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <initializer_list>
+#include <span>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -27,6 +31,49 @@
 #include "util/table.hpp"
 
 namespace cni::bench {
+
+/// Exits before anything runs if argv holds an argument the binary does not
+/// take. `own` lists the binary's own flags, written as its usage shows them
+/// ("--json", "--nodes=N"); a flag with "=" matches any value. Unless
+/// `report_and_fabric` is false, the obs::Reporter and
+/// cluster::apply_fabric_cli flags are accepted too. `--help` prints the
+/// usage and exits 0; any other argument prints it to stderr and exits 2, so
+/// a misspelt flag cannot silently drop a report or change the sweep.
+inline void check_args(int argc, char** argv,
+                       std::initializer_list<std::string_view> own = {},
+                       bool report_and_fabric = true) {
+  static constexpr std::string_view kShared[] = {
+      "--trace-out=FILE", "--metrics-out=FILE", "--critpath-out=FILE",
+      "--trace-capacity=N", "--topology=banyan|clos|torus", "--ports=N",
+      "--collective=nic|host"};
+  const std::span<const std::string_view> shared(
+      kShared, report_and_fabric ? std::size(kShared) : 0);
+  const auto print_flag = [](std::FILE* out, std::string_view f) {
+    std::fprintf(out, " [%.*s]", static_cast<int>(f.size()), f.data());
+  };
+  const auto usage = [&](std::FILE* out) {
+    std::fprintf(out, "usage: %s", argv[0]);
+    for (const std::string_view f : own) print_flag(out, f);
+    for (const std::string_view f : shared) print_flag(out, f);
+    std::fprintf(out, "\nCNI_BENCH_FAST=1 in the environment trims the sweep.\n");
+  };
+  for (int i = 1; i < argc; ++i) {
+    const std::string_view arg = argv[i];
+    if (arg == "--help") {
+      usage(stdout);
+      std::exit(0);
+    }
+    const auto takes = [arg](std::string_view flag) {
+      const std::size_t eq = flag.find('=');
+      return eq == std::string_view::npos ? arg == flag
+                                          : arg.starts_with(flag.substr(0, eq + 1));
+    };
+    if (std::ranges::any_of(own, takes) || std::ranges::any_of(shared, takes)) continue;
+    std::fprintf(stderr, "error: unknown argument '%s'\n", argv[i]);
+    usage(stderr);
+    std::exit(2);
+  }
+}
 
 inline bool fast_mode() {
   const char* env = std::getenv("CNI_BENCH_FAST");

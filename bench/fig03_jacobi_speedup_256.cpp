@@ -6,6 +6,7 @@
 #include "bench_common.hpp"
 
 int main(int argc, char** argv) {
+  cni::bench::check_args(argc, argv);
   using namespace cni;
   obs::Reporter reporter(argc, argv, "fig03_jacobi_speedup_256");
   cluster::apply_fabric_cli(argc, argv, &reporter);

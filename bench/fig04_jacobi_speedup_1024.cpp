@@ -5,6 +5,7 @@
 #include "bench_common.hpp"
 
 int main(int argc, char** argv) {
+  cni::bench::check_args(argc, argv);
   using namespace cni;
   obs::Reporter reporter(argc, argv, "fig04_jacobi_speedup_1024");
   cluster::apply_fabric_cli(argc, argv, &reporter);

@@ -3,6 +3,7 @@
 #include "bench_common.hpp"
 
 int main(int argc, char** argv) {
+  cni::bench::check_args(argc, argv);
   using namespace cni;
   obs::Reporter reporter(argc, argv, "fig07_water_speedup_216");
   cluster::apply_fabric_cli(argc, argv, &reporter);

@@ -85,6 +85,7 @@ sim::SimDuration measure(cluster::BoardKind board, std::uint64_t bytes,
 }  // namespace
 
 int main(int argc, char** argv) {
+  cni::bench::check_args(argc, argv);
   cni::obs::Reporter reporter(argc, argv, "fig14_latency_micro");
   cni::cluster::apply_fabric_cli(argc, argv, &reporter);
   reporter.add_config("figure", "fig14");

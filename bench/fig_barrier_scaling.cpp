@@ -167,6 +167,7 @@ void print_table(const Point& p) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  cni::bench::check_args(argc, argv, {"--json", "--fast", "--nodes=N", "--rounds=N"});
   using namespace cni;
   obs::Reporter reporter(argc, argv, "fig_barrier_scaling");
   cluster::apply_fabric_cli(argc, argv, &reporter);

@@ -160,6 +160,8 @@ void print_table(const std::vector<Point>& points) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  cni::bench::check_args(argc, argv, {"--json", "--fast", "--nodes=N", "--rounds=N"},
+                         /*report_and_fabric=*/false);
   bool json = false;
   bool fast = cni::bench::fast_mode();
   std::uint32_t nodes_arg = 0;

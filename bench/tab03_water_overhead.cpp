@@ -5,6 +5,7 @@
 #include "bench_common.hpp"
 
 int main(int argc, char** argv) {
+  cni::bench::check_args(argc, argv);
   using namespace cni;
   obs::Reporter reporter(argc, argv, "tab03_water_overhead");
   cluster::apply_fabric_cli(argc, argv, &reporter);

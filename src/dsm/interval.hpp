@@ -8,8 +8,9 @@
 // "lazy invalidate" protocol the paper runs, after Keleher et al.).
 //
 // An interval *is* its wire record (DESIGN.md §10): the writer encodes it
-// once, every node copies it once into its IntervalStore's arena, forwards
-// it with one memcpy, and reads its clock and notices in place.
+// once into the simulation's IntervalLog, every node's IntervalStore refers
+// to that one copy, forwards it with one memcpy, and reads its clock and
+// notices in place.
 #pragma once
 
 #include <algorithm>
@@ -29,7 +30,7 @@ using PageId = std::uint64_t;  ///< shared-region page index
 /// One interval as its wire record `wire`: u32 writer, u32 index, the
 /// writer's clock (u32 n, n x u32), u32 m, m x u64 noticed pages. The record
 /// lies in `keep` (a received frame, or encode()'s buffer) or, when `keep`
-/// is empty, in an IntervalStore's arena or a frame a handler is reading.
+/// is empty, in an IntervalLog's arena or a frame a handler is reading.
 struct Interval {
   std::uint32_t writer = 0;  ///< node that created the interval
   std::uint32_t index = 0;   ///< per-writer interval sequence number (1-based)
@@ -100,75 +101,44 @@ struct Interval {
   }
 };
 
-/// Every interval a node knows about — its own and those received in grants
-/// and barrier releases. A releaser forwards the subset the acquirer has not
-/// seen, which makes causality transitive. The store holds the node's one
-/// copy of each record: a write notice names its interval by (writer, index)
-/// and resolves the clock through at().
+/// Every interval record of one simulation, stored once (DsmSystem owns
+/// it). The writer logs a record when it closes the interval; every later
+/// note() of the same (writer, index), from any node's store, copies
+/// nothing and CNI_CHECKs that the bytes equal the logged ones, so a
+/// forwarding bug still fails loudly.
 ///
 /// Records are copied into an append-only arena of Buf chunks (4 KB,
 /// doubling up to 64 KB; a larger record gets a chunk of its own). Chunks
-/// never move and no record straddles two, so the views at() and unseen_by()
-/// hand out stay valid for the life of the store. An interval costs its
-/// record bytes plus one 16-byte span.
-///
-/// Intervals of one writer always arrive densely (an interval's clock covers
-/// the writer's earlier intervals, and senders forward complete unseen
-/// suffixes), so each writer's log is a plain vector indexed by
-/// interval-number-1, and the logs sit in a vector indexed by writer —
-/// making at() O(1) and unseen_by() O(writers + answer). This matters:
-/// fine-grained apps create hundreds of thousands of intervals.
-class IntervalStore {
+/// never move and no record straddles two, so the views record() hands out
+/// stay valid for the life of the log. A writer's records arrive densely
+/// (an interval's clock covers the writer's earlier ones), so each writer's
+/// spans are a plain vector indexed by interval-number-1.
+class IntervalLog {
  public:
   static constexpr std::size_t kFirstChunkBytes = 4 * 1024;
   static constexpr std::size_t kMaxChunkBytes = 64 * 1024;
 
-  /// Copies `iv`'s record in if absent. Returns false, copying nothing, if
-  /// it was already stored.
-  bool insert(const Interval& iv) {
+  /// Logs `iv` if it is its writer's next record; otherwise checks it
+  /// against the logged one.
+  void note(const Interval& iv) {
     if (iv.writer >= per_writer_.size()) per_writer_.resize(iv.writer + std::size_t{1});
     std::vector<std::span<const std::byte>>& log = per_writer_[iv.writer];
-    if (iv.index <= log.size()) return false;  // already known
-    CNI_CHECK_MSG(iv.index == log.size() + 1,
-                  "interval gap: causal delivery violated");
+    if (iv.index <= log.size()) {
+      CNI_CHECK_MSG(std::ranges::equal(log[iv.index - 1], iv.wire),
+                    "interval record differs from the logged one");
+      return;
+    }
+    CNI_CHECK_MSG(iv.index == log.size() + 1, "interval gap: causal delivery violated");
     log.push_back(copy_in(iv.wire));
-    ++size_;
-    return true;
   }
 
-  [[nodiscard]] bool contains(std::uint32_t writer, std::uint32_t index) const {
-    return writer < per_writer_.size() && index >= 1 &&
-           index <= per_writer_[writer].size();
+  /// The logged record of interval `index` (1-based) of `writer`.
+  [[nodiscard]] std::span<const std::byte> record(std::uint32_t writer,
+                                                  std::uint32_t index) const {
+    return per_writer_[writer][index - 1];
   }
 
-  /// The stored interval `index` of `writer`. Every pending write notice
-  /// names one, so a miss is a protocol bug and aborts.
-  [[nodiscard]] Interval at(std::uint32_t writer, std::uint32_t index) const {
-    CNI_CHECK_MSG(contains(writer, index), "notice names an interval not in the store");
-    return Interval{writer, index, {}, per_writer_[writer][index - 1]};
-  }
-
-  /// Intervals with index beyond `seen[writer]`, in deterministic
-  /// (writer, index) order.
-  [[nodiscard]] std::vector<Interval> unseen_by(ClockView seen) const {
-    std::vector<Interval> out;
-    std::size_t n = 0;
-    for (std::uint32_t w = 0; w < per_writer_.size(); ++w) {
-      n += per_writer_[w].size() - std::min<std::size_t>(per_writer_[w].size(), seen[w]);
-    }
-    out.reserve(n);
-    for (std::uint32_t w = 0; w < per_writer_.size(); ++w) {
-      const std::vector<std::span<const std::byte>>& log = per_writer_[w];
-      for (std::size_t i = seen[w]; i < log.size(); ++i) {
-        out.push_back(Interval{w, static_cast<std::uint32_t>(i + 1), {}, log[i]});
-      }
-    }
-    return out;
-  }
-
-  [[nodiscard]] std::size_t size() const { return size_; }
-
-  /// Arena bytes held: the stored records, the open chunk's free tail, and a
+  /// Arena bytes held: the logged records, the open chunk's free tail, and a
   /// tail shorter than one record at the end of each full chunk.
   [[nodiscard]] std::size_t bytes() const { return held_; }
 
@@ -192,6 +162,69 @@ class IntervalStore {
   std::size_t used_ = 0;           ///< bytes filled in chunks_.back()
   std::size_t held_ = 0;           ///< Σ chunk sizes
   std::vector<std::vector<std::span<const std::byte>>> per_writer_;  ///< by writer
+};
+
+/// Every interval a node knows about — its own and those received in grants
+/// and barrier releases. A releaser forwards the subset the acquirer has not
+/// seen, which makes causality transitive. A write notice names its interval
+/// by (writer, index) and resolves the clock through at().
+///
+/// Intervals of one writer always arrive densely (senders forward complete
+/// unseen suffixes), so what a store knows is a prefix of each writer's
+/// records: one count per writer, the records themselves in the shared
+/// IntervalLog. That makes at() O(1) and unseen_by() O(writers + answer),
+/// which matters: fine-grained apps create hundreds of thousands of
+/// intervals.
+class IntervalStore {
+ public:
+  explicit IntervalStore(IntervalLog& log) : log_(log) {}
+
+  /// Adds `iv` to what this store knows, noting it in the log. Returns
+  /// false, touching nothing, if it was already known.
+  bool insert(const Interval& iv) {
+    if (iv.writer >= known_.size()) known_.resize(iv.writer + std::size_t{1});
+    std::uint32_t& known = known_[iv.writer];
+    if (iv.index <= known) return false;
+    CNI_CHECK_MSG(iv.index == known + 1, "interval gap: causal delivery violated");
+    log_.note(iv);
+    ++known;
+    ++size_;
+    return true;
+  }
+
+  [[nodiscard]] bool contains(std::uint32_t writer, std::uint32_t index) const {
+    return writer < known_.size() && index >= 1 && index <= known_[writer];
+  }
+
+  /// The stored interval `index` of `writer`. Every pending write notice
+  /// names one, so a miss is a protocol bug and aborts.
+  [[nodiscard]] Interval at(std::uint32_t writer, std::uint32_t index) const {
+    CNI_CHECK_MSG(contains(writer, index), "notice names an interval not in the store");
+    return Interval{writer, index, {}, log_.record(writer, index)};
+  }
+
+  /// Intervals with index beyond `seen[writer]`, in deterministic
+  /// (writer, index) order.
+  [[nodiscard]] std::vector<Interval> unseen_by(ClockView seen) const {
+    std::vector<Interval> out;
+    std::size_t n = 0;
+    for (std::uint32_t w = 0; w < known_.size(); ++w) {
+      n += known_[w] - std::min(known_[w], seen[w]);
+    }
+    out.reserve(n);
+    for (std::uint32_t w = 0; w < known_.size(); ++w) {
+      for (std::uint32_t i = seen[w] + 1; i <= known_[w]; ++i) {
+        out.push_back(Interval{w, i, {}, log_.record(w, i)});
+      }
+    }
+    return out;
+  }
+
+  [[nodiscard]] std::size_t size() const { return size_; }
+
+ private:
+  IntervalLog& log_;
+  std::vector<std::uint32_t> known_;  ///< per writer: intervals 1..known_[w] are known
   std::size_t size_ = 0;
 };
 

@@ -20,8 +20,8 @@ enum class PageMode : std::uint8_t {
 /// An unapplied write notice: `writer` dirtied this page in its interval
 /// `index`. Kept until the next fault fetches the data. A notice is a
 /// reference, not a copy: the interval's wire record, clock included, lives
-/// once in the node's IntervalStore arena, and IntervalStore::at(writer,
-/// index) resolves it.
+/// once in the simulation's IntervalLog, and the node's
+/// IntervalStore::at(writer, index) resolves it.
 struct Notice {
   std::uint32_t writer = 0;
   std::uint32_t index = 0;
@@ -34,7 +34,9 @@ struct PageEntry {
   // cni-lint: allow(payload-copy): the page frame models host memory itself,
   // not a wire payload — it is the ground truth payloads are built from.
   std::vector<std::byte> data;   ///< the node's frame (allocated on first touch)
-  util::Buf twin;                ///< pooled pre-write image (nonempty while writing)
+  /// Pre-write image (nonempty while writing): a pooled copy, or the
+  /// system's shared zero page, which nothing writes through.
+  util::Buf twin;
   std::vector<Diff> retained;    ///< own per-interval diffs (exact vc tags)
   std::vector<Notice> pending;   ///< invalidating notices not yet satisfied
 

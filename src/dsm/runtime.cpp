@@ -72,6 +72,7 @@ DsmRuntime::DsmRuntime(DsmSystem& system, std::uint32_t self)
       self_(self),
       nprocs_(static_cast<std::uint32_t>(system.cluster().size())),
       vc_(nprocs_),
+      store_(system.interval_log()),
       last_barrier_vc_(nprocs_) {
   obs_ = cpu_.obs();
   if (obs_ != nullptr) {
@@ -205,13 +206,20 @@ void DsmRuntime::fault(PageId p, bool write) {
 
 void DsmRuntime::write_upgrade(PageEntry& e, PageId p) {
   if (e.twin.empty()) {
-    // The pre-write image diffs are computed against; pooled, so repeated
-    // twin/close cycles recycle the same block instead of reallocating.
-    e.twin = util::Buf::alloc(e.data.size());
-    std::memcpy(e.twin.data(), e.data.data(), e.data.size());
+    // The pre-write image diffs are computed against. A frame that still
+    // holds only zeros shares the system's zero page; any other is copied
+    // into a pooled block, which repeated twin/close cycles recycle. Either
+    // way the simulated node pays for the copy.
+    const util::Buf& zero = sys_.zero_page();
+    if (std::memcmp(e.data.data(), zero.data(), e.data.size()) == 0) {
+      e.twin = zero;
+    } else {
+      e.twin = util::Buf::alloc(e.data.size());
+      std::memcpy(e.twin.data(), e.data.data(), e.data.size());
+    }
     cpu_.charge_overhead(*thread_, page_words() * sys_.params().twin_word_cycles);
   }
-  dirty_.insert(p);
+  dirty_.push_back(p);
   e.mode = PageMode::kReadWrite;
 }
 
@@ -429,6 +437,8 @@ void DsmRuntime::subtract_shadowed(Diff& older, const Diff& newer) {
 void DsmRuntime::close_interval() {
   if (dirty_.empty()) return;
   cpu_.charge_overhead(*thread_, sys_.params().release_local_cycles);
+  std::sort(dirty_.begin(), dirty_.end());
+  dirty_.erase(std::unique(dirty_.begin(), dirty_.end()), dirty_.end());
   vc_.advance(self_);
   const std::uint32_t index = vc_[self_];
   // Snapshot this interval's modifications per page (tagged with exactly
@@ -653,7 +663,7 @@ void DsmRuntime::on_bar_arrive(Ctx& ctx, const atm::Frame& f) {
     // cni-lint: allow(hot-path-alloc): the centralized manager state is
     // allocated once, on the manager node's first arrive — the other N-1
     // runtimes never carry it, and no later message allocates again.
-    barrier_mgr_ = std::make_unique<BarrierManager>();
+    barrier_mgr_ = std::make_unique<BarrierManager>(sys_.interval_log());
   }
   BarrierManager& M = *barrier_mgr_;
   if (M.node_vcs.empty()) M.node_vcs.assign(nprocs_, VectorClock(nprocs_));

@@ -28,7 +28,6 @@
 #include <deque>
 #include <map>
 #include <memory>
-#include <set>
 #include <span>
 #include <vector>
 
@@ -148,9 +147,9 @@ class DsmRuntime {
   void write_upgrade(PageEntry& e, PageId p);
   void close_interval();
 
-  /// Handles one incoming interval: copies its record into the store,
-  /// merges the clock component, records pending notices and invalidates
-  /// affected pages (preserving any local modifications as retained diffs).
+  /// Handles one incoming interval: adds it to the store, merges the clock
+  /// component, records pending notices and invalidates affected pages
+  /// (preserving any local modifications as retained diffs).
   void process_incoming_interval(const Interval& iv);
 
   /// Snapshots the page's open modifications (twin vs data) as a retained
@@ -214,6 +213,7 @@ class DsmRuntime {
   //    manager node at its first arrive, so the other N-1 runtimes never
   //    carry the state) --
   struct BarrierManager {
+    explicit BarrierManager(IntervalLog& log) : store(log) {}
     std::uint32_t arrived = 0;
     std::uint32_t epoch = 0;
     std::vector<VectorClock> node_vcs;
@@ -269,7 +269,7 @@ class DsmRuntime {
   IntervalStore store_;
   VectorClock last_barrier_vc_;  ///< global clock of the last barrier release
   std::vector<PageEntry> pages_;
-  std::set<PageId> dirty_;  ///< write notices of the open interval
+  std::vector<PageId> dirty_;  ///< pages written in the open interval (sorted at close)
   std::uint32_t next_req_id_ = 1;
 
   std::map<std::uint32_t, LockHome> lock_homes_;

@@ -40,7 +40,8 @@ DsmSystem::DsmSystem(cluster::Cluster& cluster, DsmParams params)
     : cluster_(cluster),
       params_(params),
       coll_tree_(build_collective_tree(cluster, params_)),
-      geo_(cluster.params().page_size) {
+      geo_(cluster.params().page_size),
+      zero_page_(util::Buf::alloc_zeroed(geo_.size())) {
   runtimes_.reserve(cluster.size());
   for (std::size_t i = 0; i < cluster.size(); ++i) {
     // cni-lint: allow(hot-path-alloc): one DsmRuntime per node at system

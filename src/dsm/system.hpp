@@ -38,6 +38,11 @@ class DsmSystem {
   [[nodiscard]] DsmRuntime& runtime(std::size_t i) { return *runtimes_.at(i); }
   [[nodiscard]] cluster::Cluster& cluster() { return cluster_; }
   [[nodiscard]] const DsmParams& params() const { return params_; }
+  /// The simulation's one copy of every interval record.
+  [[nodiscard]] IntervalLog& interval_log() { return log_; }
+  /// A zero-filled page, shared as the twin of every frame that still holds
+  /// only zeros when it is first written (DsmRuntime::write_upgrade).
+  [[nodiscard]] const util::Buf& zero_page() const { return zero_page_; }
   [[nodiscard]] std::uint32_t nodes() const { return static_cast<std::uint32_t>(runtimes_.size()); }
 
   [[nodiscard]] const mem::PageGeometry& geometry() const { return geo_; }
@@ -69,6 +74,8 @@ class DsmSystem {
   DsmParams params_;
   atm::CollectiveTree coll_tree_;
   mem::PageGeometry geo_;
+  IntervalLog log_;    ///< before runtimes_: every view of it outlives them
+  util::Buf zero_page_;
   std::vector<std::unique_ptr<DsmRuntime>> runtimes_;
   std::vector<std::uint32_t> homes_;  ///< per shared page
   std::uint64_t next_offset_ = 0;     ///< allocation cursor (bytes into region)

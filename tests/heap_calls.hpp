@@ -46,6 +46,15 @@ void* operator new(std::size_t n, std::align_val_t a) {
   throw std::bad_alloc();
 }
 void* operator new[](std::size_t n, std::align_val_t a) { return ::operator new(n, a); }
+// The nothrow forms too (std::stable_sort's temporary buffer uses one), so
+// every block the replaced operator delete frees came from std::malloc.
+void* operator new(std::size_t n, const std::nothrow_t&) noexcept {
+  ++cni::test_support::t_heap_news;
+  return std::malloc(n == 0 ? 1 : n);
+}
+void* operator new[](std::size_t n, const std::nothrow_t& t) noexcept {
+  return ::operator new(n, t);
+}
 void operator delete(void* p) noexcept {
   if (p != nullptr) ++cni::test_support::t_heap_deletes;
   std::free(p);
@@ -59,3 +68,5 @@ void operator delete(void* p, std::size_t, std::align_val_t) noexcept { ::operat
 void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
   ::operator delete(p);
 }
+void operator delete(void* p, const std::nothrow_t&) noexcept { ::operator delete(p); }
+void operator delete[](void* p, const std::nothrow_t&) noexcept { ::operator delete(p); }

@@ -4,17 +4,21 @@
 // new/delete with counting versions (heap_calls.hpp).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
 #include <mutex>
+#include <span>
 #include <thread>
 #include <utility>
 #include <vector>
 
 #include "apps/runner.hpp"
 #include "cluster/cluster.hpp"
+#include "dsm/context.hpp"
 #include "dsm/interval.hpp"
+#include "dsm/system.hpp"
 #include "heap_calls.hpp"
 #include "util/buf_pool.hpp"
 
@@ -139,6 +143,50 @@ TEST(BufPool, BackedIntervalDecodeMakesNoHeapCall) {
   EXPECT_EQ(calls.news(), 0u);
   EXPECT_EQ(calls.deletes(), 0u);
   EXPECT_EQ(last, 4u);
+}
+
+TEST(BufPool, FirstWriteToAFreshPageMakesNoHeapCall) {
+  // A frame that still holds only zeros takes the system's zero page as its
+  // twin instead of a pooled copy, so the write fault allocates nothing.
+  // Node 1 holds a valid copy of the page, so it later applies node 0's
+  // diff; its page must equal the writer's, as with a copied twin.
+  cluster::Cluster cl(apps::make_params(cluster::BoardKind::kCni, 2));
+  dsm::DsmSystem sys(cl);
+  const std::uint64_t page_bytes = sys.geometry().size();
+  const mem::VAddr warm = sys.alloc_at(page_bytes, "warm", 0);
+  const mem::VAddr fresh = sys.alloc_at(page_bytes, "fresh", 0);
+  std::uint64_t news = ~std::uint64_t{0};
+  std::vector<std::uint64_t> seen[2];
+  cl.run([&](std::size_t i, sim::SimThread& t) {
+    dsm::DsmContext ctx(sys, i, t);
+    (void)ctx.read<std::uint64_t>(fresh + 64);
+    // Warm-up: a first write fault on another page, closed by the barrier.
+    if (i == 0) ctx.write<std::uint64_t>(warm, 1);
+    ctx.barrier();
+    // Both simulated threads run on this host thread, so node 1 finishes its
+    // barrier release and sleeps before node 0's write is counted. With the
+    // block cache emptied, a pooled twin would have to call the heap.
+    if (i == 0) {
+      ctx.thread().delay(sim::kMillisecond);
+      detail::BufCache::local()->purge();
+      const HeapCalls calls;
+      ctx.write<std::uint64_t>(fresh + 64, 0x5eed);
+      news = calls.news();
+    } else {
+      ctx.thread().delay(2 * sim::kMillisecond);
+    }
+    ctx.barrier();
+    for (std::uint64_t off = 0; off < page_bytes; off += 8) {
+      seen[i].push_back(ctx.read<std::uint64_t>(fresh + off));
+    }
+  });
+  EXPECT_EQ(news, 0u);
+  EXPECT_EQ(seen[1], seen[0]);
+  EXPECT_EQ(seen[1][8], 0x5eedu);
+  EXPECT_GE(cl.stats().node(1).diffs_applied, 1u);
+  const std::span<const std::byte> zero = sys.zero_page().span();
+  EXPECT_TRUE(std::all_of(zero.begin(), zero.end(),
+                          [](std::byte b) { return b == std::byte{0}; }));
 }
 
 TEST(BufPool, CrossThreadReleaseFreesToTheHeap) {

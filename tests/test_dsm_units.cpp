@@ -240,7 +240,8 @@ TEST(Interval, BackedDeserializeAliasesTheFramePayload) {
 }
 
 TEST(IntervalStore, InsertDedupsAndCounts) {
-  IntervalStore s;
+  IntervalLog log;
+  IntervalStore s(log);
   EXPECT_TRUE(s.insert(make_interval(0, 1)));
   EXPECT_EQ(pages_of(s.at(0, 1)), std::vector<PageId>{1});
   EXPECT_FALSE(s.insert(make_interval(0, 1)));
@@ -254,17 +255,84 @@ TEST(IntervalStore, InsertDedupsAndCounts) {
   EXPECT_EQ(s.at(0, 2).vc()[0], 2u);
 }
 
-TEST(IntervalStore, DuplicateInsertCopiesNothing) {
-  IntervalStore s;
+TEST(IntervalLog, DuplicateInsertCopiesNothing) {
+  IntervalLog log;
+  IntervalStore s(log);
   for (std::uint32_t i = 1; i <= 3; ++i) s.insert(make_interval(2, i, 4, 2));
-  const std::size_t bytes = s.bytes();
+  const std::size_t bytes = log.bytes();
   const std::byte* first = s.at(2, 1).wire.data();
   EXPECT_FALSE(s.insert(make_interval(2, 2, 4, 2)));
   EXPECT_FALSE(s.insert(make_interval(2, 3, 4, 7)));  // same id, other bytes
-  EXPECT_EQ(s.bytes(), bytes);
+  EXPECT_EQ(log.bytes(), bytes);
   EXPECT_EQ(s.size(), 3u);
   EXPECT_EQ(s.at(2, 1).wire.data(), first);
   EXPECT_EQ(pages_of(s.at(2, 3)).size(), 2u);
+}
+
+TEST(IntervalLog, ThirtyTwoStoresHoldOneCopy) {
+  // Every node of a 32-node system learns the same 400 records; the log
+  // holds them once, and every store's view is the logged bytes.
+  constexpr std::uint32_t kNodes = 32;
+  IntervalLog log;
+  std::vector<IntervalStore> stores;
+  stores.reserve(kNodes);
+  for (std::uint32_t n = 0; n < kNodes; ++n) stores.emplace_back(log);
+  std::vector<Interval> records;
+  std::size_t record_bytes = 0;
+  for (std::uint32_t w = 0; w < 8; ++w) {
+    for (std::uint32_t i = 1; i <= 50; ++i) {
+      records.push_back(make_interval(w, i, kNodes, (w + i) % 7));
+      record_bytes += records.back().wire.size();
+    }
+  }
+  for (const Interval& iv : records) ASSERT_TRUE(stores[0].insert(iv));
+  const std::size_t one_copy = log.bytes();
+  EXPECT_GE(one_copy, record_bytes);
+  EXPECT_LE(one_copy, record_bytes + IntervalLog::kMaxChunkBytes);
+  for (std::uint32_t n = 1; n < kNodes; ++n) {
+    for (const Interval& iv : records) ASSERT_TRUE(stores[n].insert(iv));
+  }
+  EXPECT_EQ(log.bytes(), one_copy);
+  for (const IntervalStore& s : stores) {
+    EXPECT_EQ(s.size(), records.size());
+    EXPECT_EQ(s.at(7, 50).wire.data(), stores[0].at(7, 50).wire.data());
+  }
+}
+
+TEST(IntervalLog, DifferingRecordAborts) {
+  // The second store's copy of (0, 1) notices other pages than the logged
+  // record: a forwarding bug, caught where it is inserted.
+  IntervalLog log;
+  IntervalStore writer(log);
+  IntervalStore reader(log);
+  writer.insert(make_interval(0, 1, 4, 2));
+  EXPECT_DEATH(reader.insert(make_interval(0, 1, 4, 3)),
+               "interval record differs from the logged one");
+}
+
+TEST(IntervalLog, ManagerAndNodeStoresKeepSeparateCounts) {
+  // The host-mode barrier manager's store and its node's own store share the
+  // log but not what they know: the manager learning an interval must not
+  // mark it seen for the node.
+  IntervalLog log;
+  IntervalStore node(log);
+  IntervalStore manager(log);
+  for (std::uint32_t i = 1; i <= 3; ++i) manager.insert(make_interval(1, i));
+  manager.insert(make_interval(2, 1));
+  EXPECT_TRUE(node.insert(make_interval(1, 1)));
+  EXPECT_EQ(manager.size(), 4u);
+  EXPECT_EQ(node.size(), 1u);
+  EXPECT_TRUE(manager.contains(1, 3));
+  EXPECT_FALSE(node.contains(1, 2));
+  EXPECT_FALSE(node.contains(2, 1));
+  EXPECT_EQ(node.unseen_by(VectorClock(4)).size(), 1u);
+  EXPECT_EQ(manager.unseen_by(VectorClock(4)).size(), 4u);
+  // The node learns the rest later, from the log's one copy.
+  const std::size_t bytes = log.bytes();
+  EXPECT_TRUE(node.insert(make_interval(1, 2)));
+  EXPECT_FALSE(manager.insert(make_interval(1, 2)));
+  EXPECT_EQ(log.bytes(), bytes);
+  EXPECT_EQ(node.at(1, 2).wire.data(), manager.at(1, 2).wire.data());
 }
 
 TEST(IntervalStore, ForwardingIsByteExact) {
@@ -280,7 +348,8 @@ TEST(IntervalStore, ForwardingIsByteExact) {
   for (const Interval& iv : sent) iv.serialize(in);
   const util::Buf frame = in.take();
 
-  IntervalStore s;
+  IntervalLog log;
+  IntervalStore s(log);
   ByteReader r(frame, 0);
   while (!r.done()) s.insert(Interval::view(r));
   ByteWriter out;
@@ -300,8 +369,9 @@ TEST(IntervalStore, ForwardingIsByteExact) {
   EXPECT_TRUE(std::ranges::equal(tail[0].wire, sent[7].wire));
 }
 
-TEST(IntervalStore, ViewsSurviveLaterInserts) {
-  IntervalStore s;
+TEST(IntervalLog, ViewsSurviveLaterInserts) {
+  IntervalLog log;
+  IntervalStore s(log);
   s.insert(make_interval(0, 1, 32, 3));
   const Interval early = s.at(0, 1);
   const ClockView early_vc = early.vc();
@@ -333,18 +403,20 @@ TEST(IntervalStore, ViewsSurviveLaterInserts) {
     }
   }
   // The arena holds the records plus at most about one chunk of slack.
-  EXPECT_GE(s.bytes(), record_bytes);
-  EXPECT_LE(s.bytes(), record_bytes + IntervalStore::kMaxChunkBytes);
+  EXPECT_GE(log.bytes(), record_bytes);
+  EXPECT_LE(log.bytes(), record_bytes + IntervalLog::kMaxChunkBytes);
 }
 
 TEST(IntervalStore, GapAborts) {
-  IntervalStore s;
+  IntervalLog log;
+  IntervalStore s(log);
   s.insert(make_interval(0, 1));
   EXPECT_DEATH(s.insert(make_interval(0, 3)), "gap");
 }
 
 TEST(IntervalStore, AtMissingAborts) {
-  IntervalStore s;
+  IntervalLog log;
+  IntervalStore s(log);
   s.insert(make_interval(0, 1));
   EXPECT_DEATH((void)s.at(0, 2), "notice names an interval not in the store");
   EXPECT_DEATH((void)s.at(3, 1), "notice names an interval not in the store");
@@ -352,7 +424,8 @@ TEST(IntervalStore, AtMissingAborts) {
 }
 
 TEST(IntervalStore, UnseenByReturnsSuffixes) {
-  IntervalStore s;
+  IntervalLog log;
+  IntervalStore s(log);
   for (std::uint32_t i = 1; i <= 5; ++i) s.insert(make_interval(0, i));
   for (std::uint32_t i = 1; i <= 2; ++i) s.insert(make_interval(1, i));
   VectorClock seen(4);
@@ -364,7 +437,8 @@ TEST(IntervalStore, UnseenByReturnsSuffixes) {
   EXPECT_EQ(unseen[2].writer, 1u);
 
   // Sparse writers: only writer 3 has a log under a size-4 clock.
-  IntervalStore sparse;
+  IntervalLog sparse_log;
+  IntervalStore sparse(sparse_log);
   for (std::uint32_t i = 1; i <= 3; ++i) sparse.insert(make_interval(3, i));
   VectorClock floor(4);
   floor.set(3, 1);
