@@ -28,20 +28,39 @@
 #include "apps/runner.hpp"
 #include "apps/water.hpp"
 #include "obs/report.hpp"
+#include "util/cli.hpp"
 #include "util/table.hpp"
+#include "util/units.hpp"
 
 namespace cni::bench {
 
+/// A count flag check_args parses (`--nodes=N`): the value must be decimal
+/// digits that fit a u32, at least `min`, and a power of two if `pow2`.
+struct CountFlag {
+  std::string_view flag;  ///< as the usage shows it, e.g. "--nodes=N"
+  std::uint32_t min = 1;
+  bool pow2 = false;
+  std::uint32_t* value = nullptr;  ///< written when given; untouched otherwise
+};
+
+/// `--nodes=N`: a power of two >= 2, the fabric's own precondition.
+inline CountFlag nodes_flag(std::uint32_t* value) { return {"--nodes=N", 2, true, value}; }
+/// `--rounds=N`: at least one round.
+inline CountFlag rounds_flag(std::uint32_t* value) { return {"--rounds=N", 1, false, value}; }
+
 /// Exits before anything runs if argv holds an argument the binary does not
 /// take. `own` lists the binary's own flags, written as its usage shows them
-/// ("--json", "--nodes=N"); a flag with "=" matches any value. Unless
+/// ("--json", "--topology=T"); a flag with "=" matches any value. `counts`
+/// are its count flags, parsed into their `value`. Unless
 /// `report_and_fabric` is false, the obs::Reporter and
 /// cluster::apply_fabric_cli flags are accepted too. `--help` prints the
-/// usage and exits 0; any other argument prints it to stderr and exits 2, so
-/// a misspelt flag cannot silently drop a report or change the sweep.
+/// usage and exits 0; any other argument, or a count flag whose value breaks
+/// its rule, prints it to stderr and exits 2, so a misspelt flag or a
+/// malformed value cannot silently drop a report or change the sweep.
 inline void check_args(int argc, char** argv,
                        std::initializer_list<std::string_view> own = {},
-                       bool report_and_fabric = true) {
+                       bool report_and_fabric = true,
+                       std::initializer_list<CountFlag> counts = {}) {
   static constexpr std::string_view kShared[] = {
       "--trace-out=FILE", "--metrics-out=FILE", "--critpath-out=FILE",
       "--trace-capacity=N", "--topology=banyan|clos|torus", "--ports=N",
@@ -54,6 +73,7 @@ inline void check_args(int argc, char** argv,
   const auto usage = [&](std::FILE* out) {
     std::fprintf(out, "usage: %s", argv[0]);
     for (const std::string_view f : own) print_flag(out, f);
+    for (const CountFlag& c : counts) print_flag(out, c.flag);
     for (const std::string_view f : shared) print_flag(out, f);
     std::fprintf(out, "\nCNI_BENCH_FAST=1 in the environment trims the sweep.\n");
   };
@@ -63,13 +83,27 @@ inline void check_args(int argc, char** argv,
       usage(stdout);
       std::exit(0);
     }
-    const auto takes = [arg](std::string_view flag) {
-      const std::size_t eq = flag.find('=');
-      return eq == std::string_view::npos ? arg == flag
-                                          : arg.starts_with(flag.substr(0, eq + 1));
+    const auto prefix = [](std::string_view flag) {
+      return flag.substr(0, flag.find('=') + 1);  // "--nodes=N" -> "--nodes="
+    };
+    const auto takes = [&](std::string_view flag) {
+      return flag.find('=') == std::string_view::npos ? arg == flag
+                                                      : arg.starts_with(prefix(flag));
     };
     if (std::ranges::any_of(own, takes) || std::ranges::any_of(shared, takes)) continue;
-    std::fprintf(stderr, "error: unknown argument '%s'\n", argv[i]);
+    const CountFlag* count = std::ranges::find_if(
+        counts, [&](const CountFlag& c) { return arg.starts_with(prefix(c.flag)); });
+    if (count != counts.end()) {
+      const auto v = util::parse_u32(arg.substr(prefix(count->flag).size()));
+      if (v && *v >= count->min && (!count->pow2 || util::is_pow2(*v))) {
+        *count->value = *v;
+        continue;
+      }
+      std::fprintf(stderr, "error: invalid value in '%s' (need %s%u)\n", argv[i],
+                   count->pow2 ? "a power of two >= " : "a count >= ", count->min);
+    } else {
+      std::fprintf(stderr, "error: unknown argument '%s'\n", argv[i]);
+    }
     usage(stderr);
     std::exit(2);
   }

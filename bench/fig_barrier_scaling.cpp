@@ -24,8 +24,9 @@
 //
 // Usage: fig_barrier_scaling [--json] [--fast] [--nodes=N] [--rounds=N]
 //                            [--topology=banyan|clos|torus] [report flags]
+// --nodes takes a power of two >= 2 and --rounds a count >= 1; any other
+// value exits 2 with the usage before a cluster is built.
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -167,7 +168,11 @@ void print_table(const Point& p) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  cni::bench::check_args(argc, argv, {"--json", "--fast", "--nodes=N", "--rounds=N"});
+  std::uint32_t nodes_arg = 0;
+  std::uint32_t rounds_arg = 0;
+  cni::bench::check_args(argc, argv, {"--json", "--fast"}, true,
+                         {cni::bench::nodes_flag(&nodes_arg),
+                          cni::bench::rounds_flag(&rounds_arg)});
   using namespace cni;
   obs::Reporter reporter(argc, argv, "fig_barrier_scaling");
   cluster::apply_fabric_cli(argc, argv, &reporter);
@@ -177,18 +182,10 @@ int main(int argc, char** argv) {
   bool json = false;
   bool fast = bench::fast_mode();
   bool topo_pinned = false;
-  std::uint32_t nodes_arg = 0;
-  std::uint32_t rounds_arg = 0;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--json") == 0) json = true;
     if (std::strcmp(argv[i], "--fast") == 0) fast = true;
     if (std::strncmp(argv[i], "--topology=", 11) == 0) topo_pinned = true;
-    if (std::strncmp(argv[i], "--nodes=", 8) == 0) {
-      nodes_arg = static_cast<std::uint32_t>(std::atoi(argv[i] + 8));
-    }
-    if (std::strncmp(argv[i], "--rounds=", 9) == 0) {
-      rounds_arg = static_cast<std::uint32_t>(std::atoi(argv[i] + 9));
-    }
   }
 
   std::vector<std::uint32_t> node_counts;

@@ -17,9 +17,9 @@
 // one run, so the cost of each topology's routing shows at every scale.
 //
 // Usage: micro_topology [--json] [--fast] [--nodes=N] [--rounds=N]
+// (--nodes a power of two >= 2, --rounds >= 1; anything else exits 2)
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -160,21 +160,16 @@ void print_table(const std::vector<Point>& points) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  cni::bench::check_args(argc, argv, {"--json", "--fast", "--nodes=N", "--rounds=N"},
-                         /*report_and_fabric=*/false);
-  bool json = false;
-  bool fast = cni::bench::fast_mode();
   std::uint32_t nodes_arg = 0;
   std::uint32_t rounds_arg = 0;
+  cni::bench::check_args(argc, argv, {"--json", "--fast"}, /*report_and_fabric=*/false,
+                         {cni::bench::nodes_flag(&nodes_arg),
+                          cni::bench::rounds_flag(&rounds_arg)});
+  bool json = false;
+  bool fast = cni::bench::fast_mode();
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--json") == 0) json = true;
     if (std::strcmp(argv[i], "--fast") == 0) fast = true;
-    if (std::strncmp(argv[i], "--nodes=", 8) == 0) {
-      nodes_arg = static_cast<std::uint32_t>(std::atoi(argv[i] + 8));
-    }
-    if (std::strncmp(argv[i], "--rounds=", 9) == 0) {
-      rounds_arg = static_cast<std::uint32_t>(std::atoi(argv[i] + 9));
-    }
   }
 
   std::vector<std::uint32_t> node_counts;

@@ -1,5 +1,6 @@
 #include "apps/jacobi.hpp"
 
+#include <algorithm>
 #include <vector>
 
 namespace cni::apps {
@@ -111,33 +112,34 @@ RunResult run_jacobi(const cluster::SimParams& params, const JacobiConfig& confi
 }
 
 double jacobi_reference_checksum(const JacobiConfig& config) {
+  // One grid, swept in place: row i's new values need the old rows i-1 and
+  // i, which two saved rows keep (row i+1 is not yet overwritten). The sums
+  // are the two-grid sweep's, term for term, so the result is bit-identical.
   const std::uint32_t n = config.n;
   std::vector<double> a(static_cast<std::size_t>(n) * n);
-  std::vector<double> b(static_cast<std::size_t>(n) * n);
-  auto at = [n](std::vector<double>& g, std::uint32_t i, std::uint32_t j) -> double& {
-    return g[static_cast<std::size_t>(i) * n + j];
+  std::vector<double> above(n);  // old row i-1
+  std::vector<double> row(n);    // old row i
+  auto at = [&a, n](std::uint32_t i, std::uint32_t j) -> double& {
+    return a[static_cast<std::size_t>(i) * n + j];
   };
   for (std::uint32_t i = 0; i < n; ++i) {
-    for (std::uint32_t j = 0; j < n; ++j) {
-      at(a, i, j) = at(b, i, j) = init_value(i, j, n);
-    }
+    for (std::uint32_t j = 0; j < n; ++j) at(i, j) = init_value(i, j, n);
   }
   for (std::uint32_t it = 0; it < config.iterations; ++it) {
+    std::copy_n(a.data(), n, above.begin());
     for (std::uint32_t i = 1; i + 1 < n; ++i) {
+      std::copy_n(a.data() + std::size_t{i} * n, n, row.begin());
       for (std::uint32_t j = 1; j + 1 < n; ++j) {
-        at(b, i, j) = 0.25 * (at(a, i - 1, j) + at(a, i + 1, j) + at(a, i, j - 1) +
-                              at(a, i, j + 1));
+        at(i, j) = 0.25 * (above[j] + at(i + 1, j) + row[j - 1] + row[j + 1]);
       }
-    }
-    for (std::uint32_t i = 1; i + 1 < n; ++i) {
-      for (std::uint32_t j = 1; j + 1 < n; ++j) at(a, i, j) = at(b, i, j);
+      above.swap(row);
     }
   }
   // Row-major full-grid order equals the p=1 run's summation order; tests
   // compare multi-p runs with a tolerance and same-p runs exactly.
   double sum = 0;
   for (std::uint32_t i = 0; i < n; ++i) {
-    for (std::uint32_t j = 0; j < n; ++j) sum += at(a, i, j);
+    for (std::uint32_t j = 0; j < n; ++j) sum += at(i, j);
   }
   return sum;
 }

@@ -8,6 +8,7 @@
 
 #include "obs/report.hpp"
 #include "sim/time.hpp"
+#include "util/cli.hpp"
 
 namespace cni::cluster {
 
@@ -57,17 +58,15 @@ void apply_fabric_cli(int argc, char** argv, obs::Reporter* report) {
         std::exit(2);
       }
     } else if (std::strncmp(arg, "--ports=", 8) == 0) {
-      char* end = nullptr;
-      const unsigned long v = std::strtoul(arg + 8, &end, 10);
-      if (end == arg + 8 || *end != '\0' || v < 2 || v > 65536 ||
-          !util::is_pow2(static_cast<std::uint64_t>(v))) {
+      const auto v = util::parse_u32(arg + 8);
+      if (!v || *v < 2 || *v > 65536 || !util::is_pow2(*v)) {
         std::fprintf(stderr,
                      "error: invalid --ports=%s (the fabric port count must be a power "
                      "of two between 2 and 65536, e.g. --ports=4096)\n",
                      arg + 8);
         std::exit(2);
       }
-      ports = static_cast<std::uint32_t>(v);
+      ports = *v;
     } else if (std::strncmp(arg, "--collective=", 13) == 0) {
       CollectiveMode mode = collective;
       if (!parse_collective(arg + 13, mode)) {

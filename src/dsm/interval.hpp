@@ -104,8 +104,8 @@ struct Interval {
 /// Every interval record of one simulation, stored once (DsmSystem owns
 /// it). The writer logs a record when it closes the interval; every later
 /// note() of the same (writer, index), from any node's store, copies
-/// nothing and CNI_CHECKs that the bytes equal the logged ones, so a
-/// forwarding bug still fails loudly.
+/// nothing and CNI_CHECKs (one size test plus one memcmp) that the bytes
+/// equal the logged ones, so a forwarding bug still fails loudly.
 ///
 /// Records are copied into an append-only arena of Buf chunks (4 KB,
 /// doubling up to 64 KB; a larger record gets a chunk of its own). Chunks
@@ -124,7 +124,9 @@ class IntervalLog {
     if (iv.writer >= per_writer_.size()) per_writer_.resize(iv.writer + std::size_t{1});
     std::vector<std::span<const std::byte>>& log = per_writer_[iv.writer];
     if (iv.index <= log.size()) {
-      CNI_CHECK_MSG(std::ranges::equal(log[iv.index - 1], iv.wire),
+      const std::span<const std::byte> logged = log[iv.index - 1];
+      CNI_CHECK_MSG(logged.size() == iv.wire.size() &&
+                        std::memcmp(logged.data(), iv.wire.data(), logged.size()) == 0,
                     "interval record differs from the logged one");
       return;
     }

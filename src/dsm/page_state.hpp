@@ -1,6 +1,7 @@
 // Per-node, per-page DSM state.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -38,7 +39,7 @@ struct PageEntry {
   /// system's shared zero page, which nothing writes through.
   util::Buf twin;
   std::vector<Diff> retained;    ///< own per-interval diffs (exact vc tags)
-  std::vector<Notice> pending;   ///< invalidating notices not yet satisfied
+  std::vector<Notice> pending;   ///< unapplied notices: newest per writer, by writer
 
   /// The causal point the current bytes represent: everything at or below
   /// this clock is already folded into `data`. Diff requests carry it as a
@@ -47,6 +48,15 @@ struct PageEntry {
 
   // Physical base for the fast access path; every fault sets it.
   mem::PAddr pa_base = 0;
+
+  /// Records a write notice. A writer's intervals arrive in index order, so
+  /// `n` replaces its writer's pending notice (readers want only per-writer
+  /// maxima, DESIGN.md §10).
+  void add_notice(Notice n) {
+    auto at = std::ranges::lower_bound(pending, n.writer, {}, &Notice::writer);
+    if (at == pending.end() || at->writer != n.writer) at = pending.insert(at, n);
+    at->index = n.index;
+  }
 
   [[nodiscard]] bool readable() const { return mode != PageMode::kInvalid; }
   [[nodiscard]] bool writable() const { return mode == PageMode::kReadWrite; }

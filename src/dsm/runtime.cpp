@@ -238,14 +238,11 @@ void DsmRuntime::fetch_page_data(PageEntry& e, PageId p) {
     return;
   }
 
-  // The newest pending notice per writer (retained diffs are per-interval,
-  // so the newest notice identifies everything we may need from a writer).
-  std::map<std::uint32_t, Notice> latest;
-  for (const Notice& n : e.pending) {
-    auto it = latest.find(n.writer);
-    if (it == latest.end() || n.index > it->second.index) latest[n.writer] = n;
-  }
-
+  // e.pending holds the newest notice per writer, in writer order (retained
+  // diffs are per-interval, so the newest notice identifies everything we
+  // may need from a writer). It cannot change while the fetch waits: notices
+  // arrive only in lock grants and barrier releases, and a faulting thread
+  // awaits neither.
   fetch_ = Fetch{};
   fetch_.active = true;
   fetch_.req_id = next_req_id_++;
@@ -266,11 +263,11 @@ void DsmRuntime::fetch_page_data(PageEntry& e, PageId p) {
   if (!e.ever_valid) {
     std::uint32_t from = sys_.home_of(p);
     const Notice* base = nullptr;
-    for (const auto& [w, n] : latest) {
+    for (const Notice& n : e.pending) {
       const ClockView vc = store_.at(n.writer, n.index).vc();
       bool dominated = false;
-      for (const auto& [w2, n2] : latest) {
-        if (w2 != w && vc.dominated_by(store_.at(n2.writer, n2.index).vc())) {
+      for (const Notice& n2 : e.pending) {
+        if (n2.writer != n.writer && vc.dominated_by(store_.at(n2.writer, n2.index).vc())) {
           dominated = true;
           break;
         }
@@ -305,9 +302,9 @@ void DsmRuntime::fetch_page_data(PageEntry& e, PageId p) {
 
   // Phase 2 — per-interval diffs from every pending writer the floor does
   // not cover. The base node's own writes are always in its copy.
-  for (const auto& [w, n] : latest) {
-    if (w == fetch_.base_from) continue;
-    if (n.index <= fetch_.floor[w]) continue;
+  for (const Notice& n : e.pending) {
+    if (n.writer == fetch_.base_from) continue;
+    if (n.index <= fetch_.floor[n.writer]) continue;
     ++fetch_.diffs_wanted;
     ByteWriter wr(kMsgHeadroom);
     wr.u64(p);
@@ -319,7 +316,7 @@ void DsmRuntime::fetch_page_data(PageEntry& e, PageId p) {
     // fetch of those would replay older bytes over it.
     wr.u32(n.index);
     wr.clock(fetch_.floor);
-    send_request(w, kDsmDiffReq, fetch_.req_id, wr.take(), fault_tok);
+    send_request(n.writer, kDsmDiffReq, fetch_.req_id, wr.take(), fault_tok);
   }
   if (fetch_.diffs_wanted != 0) {
     wq_.wait(*thread_, [this] { return fetch_.complete; });
@@ -467,7 +464,7 @@ void DsmRuntime::process_incoming_interval(const Interval& iv) {
     // A notice is bookkeeping only: a page this node never touched gets no
     // frame here, only at its first access. (A valid page already has one.)
     PageEntry& e = meta(p);
-    e.pending.push_back(Notice{iv.writer, iv.index});
+    e.add_notice(Notice{iv.writer, iv.index});
     if (e.mode != PageMode::kInvalid) {
       if (!e.twin.empty()) {
         // We are a concurrent writer of this page: preserve our open mods
@@ -619,16 +616,18 @@ void DsmRuntime::barrier() {
   close_interval();
   barrier_released_ = false;
 
-  const std::vector<Interval> unseen = store_.unseen_by(last_barrier_vc_);
   // Tree up-sweep contribution: this node's clock (the subtree-min seed)
   // plus everything new since the last barrier. It enters the combining
   // tree at our own board — the kDsmColUp handler at self is the leaf's
   // combine step, and on a CNI never touches the host again until release.
   const bool nic = sys_.collective() == cluster::CollectiveMode::kNic;
-  util::Buf body =
-      nic ? interval_set({}, vc_, unseen) : interval_set({self_}, vc_, unseen);
-  cpu_.charge_overhead(
-      *thread_, unseen.size() * sys_.params().handler_per_interval_cycles);
+  util::Buf body;
+  {  // the unseen list is freed here, not held through the barrier wait
+    const std::vector<Interval> unseen = store_.unseen_by(last_barrier_vc_);
+    body = nic ? interval_set({}, vc_, unseen) : interval_set({self_}, vc_, unseen);
+    cpu_.charge_overhead(
+        *thread_, unseen.size() * sys_.params().handler_per_interval_cycles);
+  }
   // Root of this barrier episode's causal tree (seq: the node's barrier
   // count); the arrive frame carries it, so manager fan-in/fan-out chains
   // under it, and the span itself measures this node's barrier wait.

@@ -3,6 +3,9 @@
 #include <atomic>
 #include <cstdlib>
 
+#include "util/check.hpp"
+#include "util/cli.hpp"
+
 namespace cni::obs {
 namespace {
 
@@ -22,8 +25,9 @@ PackedOptions from_env() {
   const char* trace = std::getenv("CNI_TRACE");
   p.trace = trace != nullptr && trace[0] != '\0' && trace[0] != '0';
   if (const char* cap = std::getenv("CNI_TRACE_CAPACITY"); cap != nullptr) {
-    const unsigned long v = std::strtoul(cap, nullptr, 10);
-    if (v > 0) p.capacity = static_cast<std::uint32_t>(v);
+    const auto v = util::parse_u32(cap);
+    CNI_CHECK_MSG(v && *v > 0, "CNI_TRACE_CAPACITY must be a record count >= 1");
+    p.capacity = *v;
   }
   return p;
 }

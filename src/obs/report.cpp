@@ -7,6 +7,7 @@
 #include <cstring>
 
 #include "obs/critpath.hpp"
+#include "util/cli.hpp"
 #include "util/log.hpp"
 
 namespace cni::obs {
@@ -341,8 +342,12 @@ Reporter::Reporter(int argc, char** argv, std::string binary)
       critpath_path_ = arg + 15;
       opts.trace = true;  // critpath extraction needs the causal records
     } else if (std::strncmp(arg, "--trace-capacity=", 17) == 0) {
-      opts.trace_capacity =
-          static_cast<std::uint32_t>(std::strtoul(arg + 17, nullptr, 10));
+      const auto v = util::parse_u32(arg + 17);
+      if (!v || *v == 0) {
+        std::fprintf(stderr, "error: invalid --trace-capacity=%s (need a count >= 1)\n", arg + 17);
+        std::exit(2);
+      }
+      opts.trace_capacity = *v;
     }
   }
   // Install before any sweep thread exists: worker threads read the default

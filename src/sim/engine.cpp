@@ -6,6 +6,18 @@
 
 namespace cni::sim {
 
+namespace {
+
+/// The heap order (time, then sequence) as one 128-bit key: comparing two
+/// keys is a cmp/sbb pair, which a min scan turns into conditional moves.
+using HeapKey = unsigned __int128;
+
+constexpr HeapKey make_key(SimTime t, std::uint64_t seq) {
+  return (static_cast<HeapKey>(t) << 64) | seq;
+}
+
+}  // namespace
+
 EventId Engine::schedule_at(SimTime t, Callback cb) {
   return schedule_with_seq(t, seq_++, std::move(cb));
 }
@@ -108,15 +120,18 @@ bool Engine::sift_down(std::uint32_t i) {
     const std::uint32_t first = kFanout * i - 48;
     if (first >= size) break;
     // Min of the up-to-kFanout children: a scan over the dense time array.
+    // Which child wins is unpredictable, so the scan selects by conditional
+    // moves on one key compare per child instead of branching.
     std::uint32_t best = first;
+    HeapKey best_key = make_key(heap_t_[first], heap_seq_[first]);
     const std::uint32_t end = std::min(first + kFanout, size);
     for (std::uint32_t c = first + 1; c < end; ++c) {
-      if (heap_t_[c] < heap_t_[best] ||
-          (heap_t_[c] == heap_t_[best] && heap_seq_[c] < heap_seq_[best])) {
-        best = c;
-      }
+      const HeapKey k = make_key(heap_t_[c], heap_seq_[c]);
+      const bool less = k < best_key;
+      best = less ? c : best;
+      best_key = less ? k : best_key;
     }
-    if (t < heap_t_[best] || (t == heap_t_[best] && seq < heap_seq_[best])) break;
+    if (make_key(t, seq) < best_key) break;
     heap_t_[i] = heap_t_[best];
     heap_seq_[i] = heap_seq_[best];
     heap_slot_[i] = heap_slot_[best];

@@ -1,47 +1,24 @@
-// Tiny command-line flag parser for the bench and example binaries.
+// Strict parsing of the counts that flags and environment variables carry.
 //
-// Supports --flag=value, --flag value, and bare --flag booleans. Unknown
-// flags are an error so typos in sweep scripts fail loudly.
+// A malformed count must stop the binary that reads it: read as 0, it would
+// mean "not given" and silently run the default (a sweep, a trace capacity).
 #pragma once
 
+#include <charconv>
 #include <cstdint>
-#include <map>
-#include <string>
-#include <vector>
+#include <optional>
+#include <string_view>
 
 namespace cni::util {
 
-class Cli {
- public:
-  /// Parses argv. On error prints the problem plus registered flags and
-  /// exits(2). Call add_* before parse.
-  Cli(std::string program_description);
-
-  void add_flag(const std::string& name, const std::string& help, bool default_value);
-  void add_int(const std::string& name, const std::string& help, std::int64_t default_value);
-  void add_double(const std::string& name, const std::string& help, double default_value);
-  void add_string(const std::string& name, const std::string& help, std::string default_value);
-
-  void parse(int argc, char** argv);
-
-  [[nodiscard]] bool flag(const std::string& name) const;
-  [[nodiscard]] std::int64_t get_int(const std::string& name) const;
-  [[nodiscard]] double get_double(const std::string& name) const;
-  [[nodiscard]] const std::string& get_string(const std::string& name) const;
-
- private:
-  enum class Kind { kFlag, kInt, kDouble, kString };
-  struct Option {
-    Kind kind;
-    std::string help;
-    std::string value;  // textual form; parsed on access
-  };
-
-  [[noreturn]] void usage_and_exit(const std::string& error) const;
-  const Option& lookup(const std::string& name, Kind kind) const;
-
-  std::string description_;
-  std::map<std::string, Option> options_;
-};
+/// A count: decimal digits only (no sign, space or suffix) of a value that
+/// fits a u32; nullopt for anything else, the empty string included.
+inline std::optional<std::uint32_t> parse_u32(std::string_view text) {
+  std::uint32_t v = 0;
+  const char* end = text.data() + text.size();
+  const auto [stop, ec] = std::from_chars(text.data(), end, v);
+  if (ec != std::errc{} || stop != end) return std::nullopt;
+  return v;
+}
 
 }  // namespace cni::util

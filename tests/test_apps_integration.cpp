@@ -3,6 +3,11 @@
 // processor counts — this exercises every layer of the stack at once.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <utility>
+#include <vector>
+
 #include "apps/cholesky.hpp"
 #include "apps/jacobi.hpp"
 #include "apps/runner.hpp"
@@ -18,6 +23,43 @@ TEST(JacobiIntegration, SerialMatchesReference) {
   double sum = 0;
   run_jacobi(make_params(BoardKind::kCni, 1), cfg, &sum);
   EXPECT_DOUBLE_EQ(sum, jacobi_reference_checksum(cfg));
+}
+
+TEST(JacobiIntegration, OneGridReferenceMatchesTwoGridSweepBitForBit) {
+  // The textbook reference: sweep grid a into grid b, copy b's interior
+  // back. jacobi_reference_checksum sweeps one grid in place instead.
+  const auto two_grid = [](const JacobiConfig& cfg) {
+    const std::size_t n = cfg.n;
+    std::vector<double> a(n * n);
+    for (std::size_t i = 0; i < n; ++i) {
+      for (std::size_t j = 0; j < n; ++j) {
+        const bool edge = i == 0 || j == 0 || i == n - 1 || j == n - 1;
+        a[i * n + j] = edge ? 1.0 + 0.25 * static_cast<double>((i + j) % 7) : 0.0;
+      }
+    }
+    std::vector<double> b = a;
+    for (std::uint32_t it = 0; it < cfg.iterations; ++it) {
+      for (std::size_t i = 1; i + 1 < n; ++i) {
+        for (std::size_t j = 1; j + 1 < n; ++j) {
+          b[i * n + j] = 0.25 * (a[(i - 1) * n + j] + a[(i + 1) * n + j] +
+                                 a[i * n + j - 1] + a[i * n + j + 1]);
+        }
+      }
+      for (std::size_t i = 1; i + 1 < n; ++i) {
+        for (std::size_t j = 1; j + 1 < n; ++j) a[i * n + j] = b[i * n + j];
+      }
+    }
+    double sum = 0;
+    for (const double v : a) sum += v;
+    return sum;
+  };
+  constexpr std::pair<std::uint32_t, std::uint32_t> kCases[] = {{8, 3}, {64, 5}, {256, 20}};
+  for (const auto& [n, iterations] : kCases) {
+    const JacobiConfig cfg{n, iterations, 6};
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(jacobi_reference_checksum(cfg)),
+              std::bit_cast<std::uint64_t>(two_grid(cfg)))
+        << "n=" << n << " iterations=" << iterations;
+  }
 }
 
 TEST(JacobiIntegration, CniMatchesReferenceAcrossProcs) {

@@ -253,6 +253,36 @@ TEST(DsmProtocol, NoticeAloneAllocatesNoFrame) {
   });
 }
 
+TEST(DsmProtocol, PendingNoticesStayBoundedPerWriter) {
+  // Writers 1..W each make K lock-protected writes to their own slot of one
+  // page that node 0 never touches, so the barrier hands node 0 K x W
+  // notices for it. Node 0 keeps the newest per writer, and its first read
+  // still sees every writer's last value.
+  constexpr std::uint32_t kWriters = 3;
+  constexpr std::uint32_t kWrites = 5;
+  Fixture f(kWriters + 1);
+  const mem::VAddr base = f.sys.alloc(8 * (kWriters + 1), "slots");
+  const PageId page = f.sys.page_of_va(base);
+  f.run([&](DsmContext& ctx) {
+    const std::uint32_t self = ctx.self();
+    if (self != 0) {
+      for (std::uint32_t k = 1; k <= kWrites; ++k) {
+        ctx.acquire(self);
+        ctx.write<std::uint64_t>(base + 8 * self, 100 * self + k);
+        ctx.release(self);
+      }
+    }
+    ctx.barrier();
+    if (self != 0) return;
+    EXPECT_EQ(ctx.runtime().pending_notices(page), kWriters);
+    for (std::uint32_t w = 1; w <= kWriters; ++w) {
+      EXPECT_EQ(ctx.read<std::uint64_t>(base + 8 * w), 100 * w + kWrites);
+    }
+    EXPECT_EQ(ctx.runtime().pending_notices(page), 0u);
+  });
+  EXPECT_GE(f.cl.stats().node(0).write_notices_received, kWriters * kWrites);
+}
+
 TEST(DsmProtocol, NoticesCostNoClockCopies) {
   // Sanitizer runtimes shadow every allocation, so a resident-set bound
   // says nothing under them.

@@ -12,8 +12,10 @@
 #include "dsm/diff.hpp"
 #include "dsm/interval.hpp"
 #include "dsm/msg.hpp"
+#include "dsm/page_state.hpp"
 #include "dsm/vector_clock.hpp"
 #include "dsm/wire_format.hpp"
+#include "heap_calls.hpp"
 #include "util/buf_pool.hpp"
 #include "util/rng.hpp"
 
@@ -308,6 +310,41 @@ TEST(IntervalLog, DifferingRecordAborts) {
   writer.insert(make_interval(0, 1, 4, 2));
   EXPECT_DEATH(reader.insert(make_interval(0, 1, 4, 3)),
                "interval record differs from the logged one");
+}
+
+TEST(IntervalLog, DifferingLengthRecordAborts) {
+  // The same (writer, index) with its logged bytes plus one more: equal on
+  // every byte the two share, so only the length tells them apart.
+  IntervalLog log;
+  IntervalStore writer(log);
+  IntervalStore reader(log);
+  const Interval logged = make_interval(0, 1, 4, 2);
+  writer.insert(logged);
+  std::vector<std::byte> longer(logged.wire.begin(), logged.wire.end());
+  longer.push_back(std::byte{0});
+  const Interval forwarded{0, 1, {}, longer};
+  EXPECT_DEATH(reader.insert(forwarded), "interval record differs from the logged one");
+}
+
+TEST(PageEntry, PendingKeepsTheNewestNoticePerWriter) {
+  // Notices arrive in any writer order; the list stays sorted by writer with
+  // one entry each, and a writer's second notice overwrites its first in
+  // place, with no operator new.
+  PageEntry e;
+  e.add_notice({2, 1});
+  e.add_notice({0, 4});
+  e.add_notice({5, 1});
+  const test_support::HeapCalls calls;
+  e.add_notice({2, 2});
+  e.add_notice({0, 5});
+  EXPECT_EQ(calls.news(), 0u);
+  ASSERT_EQ(e.pending.size(), 3u);
+  EXPECT_EQ(e.pending[0].writer, 0u);
+  EXPECT_EQ(e.pending[0].index, 5u);
+  EXPECT_EQ(e.pending[1].writer, 2u);
+  EXPECT_EQ(e.pending[1].index, 2u);
+  EXPECT_EQ(e.pending[2].writer, 5u);
+  EXPECT_EQ(e.pending[2].index, 1u);
 }
 
 TEST(IntervalLog, ManagerAndNodeStoresKeepSeparateCounts) {

@@ -7,6 +7,8 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <set>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -114,6 +116,91 @@ TEST(EngineProperties, SameInstantFifoSurvivesInterleavedExecution) {
   e.run();
   ASSERT_EQ(order.size(), 64u);
   for (int i = 0; i < 64; ++i) EXPECT_EQ(order[static_cast<std::size_t>(i)], i);
+}
+
+// ---- Property: pops follow (time, seq) at heap scale, local and delivery ----
+//
+// 2,400 events over 32 instants, schedule_at and schedule_delivery mixed, and
+// every fired event schedules and cancels others. A reference set ordered by
+// (time, seq), with seq assigned as the engine documents it (locals count up
+// from 0, deliveries from 2^63), must hold the engine's event at its front
+// on every pop.
+
+class MixedScheduleModel {
+ public:
+  static constexpr std::size_t kInitial = 2400;
+  static constexpr std::size_t kTotal = 8000;
+
+  MixedScheduleModel() {
+    for (std::size_t i = 0; i < kInitial; ++i) schedule(rng_.next_below(32));
+  }
+
+  void run() {
+    EXPECT_GE(engine_.pending(), kInitial);
+    engine_.run();
+    EXPECT_TRUE(engine_.empty());
+    EXPECT_TRUE(ref_.empty());
+    EXPECT_EQ(out_of_order_, 0u);
+    EXPECT_EQ(fired_ + cancelled_, ids_.size());
+    EXPECT_GT(cancelled_, 0u);
+    EXPECT_EQ(ids_.size(), kTotal);
+  }
+
+ private:
+  struct Fire {
+    MixedScheduleModel* m;
+    std::size_t tag;
+    void operator()() const { m->fire(tag); }
+  };
+
+  void schedule(SimTime t) {
+    const std::size_t tag = ids_.size();
+    std::uint64_t seq = 0;
+    if (rng_.next_below(2) == 0) {
+      seq = locals_++;
+      ids_.push_back(engine_.schedule_at(t, Fire{this, tag}));
+    } else {
+      seq = (std::uint64_t{1} << 63) + deliveries_++;
+      ids_.push_back(engine_.schedule_delivery(t, Fire{this, tag}));
+    }
+    keys_.emplace_back(t, seq, tag);
+    ref_.insert(keys_.back());
+  }
+
+  void fire(std::size_t tag) {
+    ++fired_;
+    if (ref_.empty() || *ref_.begin() != keys_[tag] || std::get<0>(keys_[tag]) != engine_.now()) {
+      ++out_of_order_;
+    }
+    ref_.erase(keys_[tag]);
+    // Spawn up to three events at now .. now + 3 (same-instant ties
+    // included), then maybe cancel a random earlier one, pending or not.
+    for (auto k = rng_.next_below(4); k > 0 && ids_.size() < kTotal; --k) {
+      schedule(engine_.now() + rng_.next_below(4));
+    }
+    if (rng_.next_below(3) == 0) {
+      const auto victim = static_cast<std::size_t>(rng_.next_below(ids_.size()));
+      const bool pending = ref_.erase(keys_[victim]) == 1;
+      EXPECT_EQ(engine_.cancel(ids_[victim]), pending);
+      if (pending) ++cancelled_;
+    }
+  }
+
+  Engine engine_;
+  util::SplitMix64 rng_{0x5EEDu};
+  std::vector<EventId> ids_;
+  std::vector<std::tuple<SimTime, std::uint64_t, std::size_t>> keys_;  // by tag
+  std::set<std::tuple<SimTime, std::uint64_t, std::size_t>> ref_;      // pending
+  std::uint64_t locals_ = 0;
+  std::uint64_t deliveries_ = 0;
+  std::size_t fired_ = 0;
+  std::size_t cancelled_ = 0;
+  std::size_t out_of_order_ = 0;
+};
+
+TEST(EngineProperties, DenseMixedSchedulesPopInTimeSeqOrder) {
+  MixedScheduleModel model;
+  model.run();
 }
 
 }  // namespace

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <unordered_map>
 
 #include "util/cli.hpp"
@@ -88,26 +89,15 @@ TEST(Table, FormatDoubleTrimsZeros) {
   EXPECT_EQ(format_double(13.31, 2), "13.31");
 }
 
-TEST(Cli, ParsesTypes) {
-  Cli cli("test");
-  cli.add_flag("verbose", "v", false);
-  cli.add_int("n", "count", 10);
-  cli.add_double("ratio", "r", 0.5);
-  cli.add_string("name", "s", "x");
-  const char* argv[] = {"prog", "--verbose", "--n=42", "--ratio", "1.25", "--name=abc"};
-  cli.parse(6, const_cast<char**>(argv));
-  EXPECT_TRUE(cli.flag("verbose"));
-  EXPECT_EQ(cli.get_int("n"), 42);
-  EXPECT_DOUBLE_EQ(cli.get_double("ratio"), 1.25);
-  EXPECT_EQ(cli.get_string("name"), "abc");
-}
-
-TEST(Cli, DefaultsHold) {
-  Cli cli("test");
-  cli.add_int("n", "count", 10);
-  const char* argv[] = {"prog"};
-  cli.parse(1, const_cast<char**>(argv));
-  EXPECT_EQ(cli.get_int("n"), 10);
+TEST(ParseU32, TakesDecimalDigitsThatFitOnly) {
+  EXPECT_EQ(parse_u32("0"), 0u);
+  EXPECT_EQ(parse_u32("4096"), 4096u);
+  EXPECT_EQ(parse_u32("007"), 7u);
+  EXPECT_EQ(parse_u32("4294967295"), 4294967295u);
+  for (const char* bad : {"", "abc", "3x", "x3", "-1", "+1", " 1", "1 ", "0x10", "1.5",
+                          "4294967296", "99999999999999999999"}) {
+    EXPECT_EQ(parse_u32(bad), std::nullopt) << "'" << bad << "'";
+  }
 }
 
 TEST(U64FlatMap, InsertFindEraseBasics) {
