@@ -109,10 +109,7 @@ inline void check_args(int argc, char** argv,
   }
 }
 
-inline bool fast_mode() {
-  const char* env = std::getenv("CNI_BENCH_FAST");
-  return env != nullptr && env[0] != '0';
-}
+inline bool fast_mode() { return util::env_flag("CNI_BENCH_FAST").value_or(false); }
 
 /// Processor counts along the paper's x-axis (figures run 1..32).
 inline std::vector<std::uint32_t> processor_sweep() {

@@ -1,10 +1,24 @@
 #!/usr/bin/env python3
-"""Regenerates BENCH_engine.json, BENCH_obs.json, BENCH_topology.json and
-BENCH_collectives.json.
+"""Regenerates BENCH_layers.json, BENCH_topology.json and
+BENCH_collectives.json, then the trajectory.
 
 Usage: scripts/bench_engine.py [build-dir]
        scripts/bench_engine.py --suite [build-dir]
        scripts/bench_engine.py --trajectory
+
+The default mode writes:
+- BENCH_layers.json: host time by simulator layer (`cni::<layer>`) for each
+  suite binary in LAYER_BINARIES. They run round-robin at full size on one
+  sweep worker under the SIGPROF sampler (tools/layer_prof.cpp), each in a
+  temporary directory, until each one's sample files hold
+  LAYER_MIN_SAMPLES; profile_layers.py attributes the samples.
+- BENCH_topology.json: the fabric-topology scaling grid from micro_topology
+  (banyan/Clos/torus at 256/1024/4096 nodes under incast, permutation and
+  hot-spot traffic).
+- BENCH_collectives.json: the collective scaling grid from
+  fig_barrier_scaling (barrier/reduce latency per episode for the
+  NIC-resident combining tree vs the centralized baselines, all three
+  fabrics).
 
 With --suite only BENCH_suite.json is written: the end-to-end wall time and
 peak RSS of the whole reproduction suite (every fig/tab binary plus
@@ -18,32 +32,26 @@ perf-trajectory table (TRAJECTORY.md + BENCH_trajectory.json, also printed
 to stdout) so the headline numbers' drift across sessions is visible in one
 place instead of scattered over five files.
 
-Captures the machine-readable throughput numbers the PR/README quote:
-events/sec from micro_engine, lookups/sec from micro_mcache, the
-observability overhead ladder from micro_obs (live metrics, causal
-records and full tracing over the runtime-off default), the fabric-topology
-scaling grid from micro_topology (banyan/Clos/torus at 256/1024/4096 nodes
-under incast, permutation and hot-spot traffic), and the collective scaling
-grid from fig_barrier_scaling (barrier/reduce latency per episode for the
-NIC-resident combining tree vs the centralized baselines, all three
-fabrics).
-
 Every context block records CNI_BENCH_JOBS and the resolved sweep worker
 count so runs taken under different fan-out settings are never compared
-apples-to-oranges. An unknown flag prints usage and exits 2 before anything
-runs or is written.
+apples-to-oranges. A CNI_BENCH_JOBS the binaries would reject (anything but
+a count >= 1) stops the script, naming it, and an unknown flag prints usage
+and exits 2, both before anything runs or is written.
 """
 import argparse
 import datetime
 import json
 import os
 import platform
+import re
 import statistics
 import subprocess
 import sys
 import tempfile
 import time
 from pathlib import Path
+
+import profile_layers
 
 ROOT = Path(__file__).resolve().parent.parent
 # The build tree whose bench/ binaries run; main() sets it from the command
@@ -73,25 +81,16 @@ def load_history(path: Path) -> list:
     return history[:HISTORY_DEPTH]
 
 
-def run(binary: str) -> dict:
-    out = subprocess.run(
-        [str(BUILD / "bench" / binary), "--benchmark_format=json", "--benchmark_min_time=0.5"],
-        check=True,
-        capture_output=True,
-        text=True,
-    ).stdout
-    return json.loads(out)
-
-
 def sweep_jobs() -> int:
-    """Worker count the sweep runner would use — mirrors apps::parallel_indexed."""
+    """Worker count the sweep runner would use. Mirrors apps::sweep_jobs,
+    which takes CNI_BENCH_JOBS only as a count >= 1 (decimal digits of a
+    value that fits 32 bits): any other value stops the script."""
     env = os.environ.get("CNI_BENCH_JOBS")
-    if env is not None:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return os.cpu_count() or 1
+    if env is None:
+        return os.cpu_count() or 1
+    if not re.fullmatch(r"[0-9]+", env) or not 1 <= int(env) < 2**32:
+        sys.exit(f"bench_engine.py: CNI_BENCH_JOBS must be a count >= 1, not '{env}'")
+    return int(env)
 
 
 def env_context() -> dict:
@@ -101,64 +100,6 @@ def env_context() -> dict:
         "cni_bench_jobs": os.environ.get("CNI_BENCH_JOBS"),
         "sweep_workers": sweep_jobs(),
     }
-
-
-def context_of(report: dict) -> dict:
-    return {
-        "host": report["context"]["host_name"],
-        "num_cpus": report["context"]["num_cpus"],
-        "mhz_per_cpu": report["context"]["mhz_per_cpu"],
-        "date": report["context"]["date"],
-        **env_context(),
-    }
-
-
-def write_obs() -> None:
-    report = run("micro_obs")
-    by_name = {b["name"]: b for b in report["benchmarks"]}
-
-    NS_PER = {"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}
-
-    def ns(name: str) -> float:
-        b = by_name[name]
-        return b["real_time"] * NS_PER[b.get("time_unit", "ns")]
-
-    # The reference is the shipped default: null handles, tracing off (one
-    # pointer test per emit site).
-    base = ns("BM_ProbeRuntimeOff")
-
-    def pct_over_base(name: str) -> float:
-        return round(100.0 * (ns(name) - base) / base, 2)
-
-    jac_off = ns("BM_JacobiRuntimeOff")
-    jac_on = ns("BM_JacobiTracingOn")
-    result = {
-        "context": context_of(report),
-        "probe": {
-            "runtime_off_ns": round(base, 2),
-            "metrics_on_ns": round(ns("BM_ProbeMetricsOn"), 2),
-            "metrics_on_overhead_pct": pct_over_base("BM_ProbeMetricsOn"),
-            # Trace ring live, metrics handles null: the span + instant +
-            # causal record sites alone — the cost added per hot-path op by
-            # causal span propagation when tracing is actually on.
-            "causal_on_ns": round(ns("BM_ProbeCausalOn"), 2),
-            "causal_on_overhead_pct": pct_over_base("BM_ProbeCausalOn"),
-            "tracing_on_ns": round(ns("BM_ProbeTracingOn"), 2),
-            "tracing_on_overhead_pct": pct_over_base("BM_ProbeTracingOn"),
-        },
-        "jacobi_end_to_end": {
-            # Whole-simulation cost of the *runtime* switch (trace rings +
-            # snapshot materialization). Tracing is opt-in via --trace-out.
-            "runtime_off_ms": round(jac_off / 1e6, 3),
-            "tracing_on_ms": round(jac_on / 1e6, 3),
-            "tracing_on_overhead_pct": round(100.0 * (jac_on - jac_off) / jac_off, 2),
-        },
-    }
-
-    path = ROOT / "BENCH_obs.json"
-    result["history"] = load_history(path)
-    path.write_text(json.dumps(result, indent=2) + "\n")
-    print(f"wrote {path}")
 
 
 TOPOLOGY_SCHEMA_VERSION = 2
@@ -190,9 +131,8 @@ def validate_topology(report: dict) -> None:
 
 
 def write_topology() -> None:
-    # micro_topology is a plain binary (no google-benchmark); the full sweep
-    # covers 256/1024/4096 nodes for all three topologies, so this is the
-    # slowest bench here after fig_barrier_scaling.
+    # The full sweep covers 256/1024/4096 nodes for all three topologies, so
+    # this is the slowest bench here after fig_barrier_scaling.
     out = subprocess.run(
         [str(BUILD / "bench" / "micro_topology"), "--json"],
         check=True,
@@ -439,6 +379,111 @@ def write_suite() -> None:
     print(f"wrote {path}")
 
 
+LAYERS_SCHEMA_VERSION = 1
+
+# The suite binaries that use >= 1 CPU-s in one full-size pass on one sweep
+# worker (fig08, the largest Water figure, used 0.9 CPU-s on a 4-core VM);
+# a shorter run gives too few samples at the kernel tick to be worth
+# repeating. fig13 and tab05 run Water among their apps.
+LAYER_BINARIES = (
+    "fig03_jacobi_speedup_256", "fig04_jacobi_speedup_1024", "fig05_jacobi_pagesize",
+    "tab02_jacobi_overhead", "fig11_cholesky_bcsstk15", "fig13_mcache_size",
+    "fig_barrier_scaling", "tab05_cellsize",
+)
+# Samples per binary: about 16 CPU-s at the ~250 Hz tick.
+LAYER_MIN_SAMPLES = 4000
+LAYER_TOP = 5
+LAYER_CONTEXT_FIELDS = ("host", "num_cpus", "date", "base_commit", "dirty", "cni_bench_jobs")
+LAYER_ROW_FIELDS = ("samples", "runs", "layers", "top")
+
+
+def validate_layers(report: dict) -> None:
+    """Shape contract for BENCH_layers.json (schema v1): context, one row per
+    LAYER_BINARIES entry with at least LAYER_MIN_SAMPLES samples, layer
+    shares that sum to 100 % (within their rounding), and at most LAYER_TOP
+    top functions, each in one of the row's layers."""
+    if report.get("schema_version") != LAYERS_SCHEMA_VERSION:
+        raise ValueError("layers: wrong schema_version")
+    for field in LAYER_CONTEXT_FIELDS:
+        if field not in report["context"]:
+            raise ValueError(f"layers: context missing {field}")
+    binaries = report["binaries"]
+    if sorted(binaries) != sorted(LAYER_BINARIES):
+        raise ValueError("layers: binary set differs from LAYER_BINARIES")
+    for name, row in binaries.items():
+        for field in LAYER_ROW_FIELDS:
+            if field not in row:
+                raise ValueError(f"layers: {name} missing {field}")
+        if row["samples"] < LAYER_MIN_SAMPLES or row["runs"] < 1:
+            raise ValueError(f"layers: {name} has {row['samples']} samples in "
+                             f"{row['runs']} runs, want >= {LAYER_MIN_SAMPLES}")
+        shares = row["layers"].values()
+        if min(shares) < 0 or abs(sum(shares) - 100.0) > 0.1:
+            raise ValueError(f"layers: {name}'s shares sum to {sum(shares)}, not 100")
+        if not 1 <= len(row["top"]) <= LAYER_TOP:
+            raise ValueError(f"layers: {name} lists {len(row['top'])} top functions")
+        for entry in row["top"]:
+            if entry["layer"] not in row["layers"] or not 0 < entry["pct"] <= 100:
+                raise ValueError(f"layers: {name}: bad top entry {entry}")
+
+
+def write_layers() -> None:
+    """Profiles every LAYER_BINARIES entry under the layer sampler and writes
+    BENCH_layers.json. Every CNI_* variable but CNI_BENCH_JOBS=1 is dropped,
+    so each binary runs at full size on one sweep worker whatever the
+    caller's environment says, in a temporary directory of its own. The
+    binaries run in round-robin passes, each pass running those whose sample
+    files hold fewer than LAYER_MIN_SAMPLES, so slow host drift spreads over
+    every row."""
+    lib = BUILD / "tools" / "libcni_layer_prof.so"
+    if not lib.exists():
+        sys.exit(f"{lib} is missing: build the cni_layer_prof target")
+    env = {k: v for k, v in os.environ.items() if not k.startswith("CNI_")}
+    env.update(CNI_BENCH_JOBS="1", LD_PRELOAD=str(lib))
+    runs = dict.fromkeys(LAYER_BINARIES, 0)
+    samples = dict.fromkeys(LAYER_BINARIES, 0)
+    with tempfile.TemporaryDirectory() as tmp:
+        dirs = {name: Path(tmp, name) for name in LAYER_BINARIES}
+        for d in dirs.values():
+            d.mkdir()
+
+        def files(name):
+            return sorted(str(f) for f in dirs[name].glob("layer_prof.*.out"))
+
+        while todo := [n for n in LAYER_BINARIES if samples[n] < LAYER_MIN_SAMPLES]:
+            for name in todo:
+                subprocess.run([str(BUILD / "bench" / name)], cwd=dirs[name], env=env,
+                               check=True, stdout=subprocess.DEVNULL)
+                runs[name] += 1
+                before, samples[name] = samples[name], sum(
+                    len(profile_layers.read_samples(f)[1]) for f in files(name))
+                if samples[name] == before:
+                    sys.exit(f"{name}: a run under {lib} left no samples")
+                print(f"  {name}: {samples[name]} samples in {runs[name]} runs")
+        binaries = {}
+        for name in LAYER_BINARIES:
+            prof = profile_layers.rounded(profile_layers.profile(files(name), top=LAYER_TOP))
+            binaries[name] = {"samples": prof["samples"], "runs": runs[name],
+                              "layers": prof["layers"], "top": prof["top"]}
+    result = {
+        "schema_version": LAYERS_SCHEMA_VERSION,
+        "context": {
+            "host": platform.node(),
+            "num_cpus": os.cpu_count(),
+            "date": datetime.datetime.now().astimezone().isoformat(timespec="seconds"),
+            **build_commit(BUILD),
+            "cni_bench_jobs": "1",
+        },
+        "binaries": binaries,
+    }
+    validate_layers(result)
+
+    path = ROOT / "BENCH_layers.json"
+    result["history"] = load_history(path)
+    path.write_text(json.dumps(result, indent=2) + "\n")
+    print(f"wrote {path}")
+
+
 def _num(d, *path):
     """Digs `path` out of nested dicts, returning None on any missing key —
     history blocks written by older schema versions may lack newer fields."""
@@ -448,22 +493,6 @@ def _num(d, *path):
             return None
         cur = cur[key]
     return cur
-
-
-def _headline_engine(s: dict) -> dict:
-    rates = s.get("engine_events_per_sec") or {}
-    mcache = s.get("mcache_lookups_per_sec") or {}
-    return {
-        "peak_engine_events_per_sec": max(rates.values(), default=None),
-        "peak_mcache_lookups_per_sec": max(mcache.values(), default=None),
-    }
-
-
-def _headline_obs(s: dict) -> dict:
-    return {
-        "probe_tracing_on_pct": _num(s, "probe", "tracing_on_overhead_pct"),
-        "jacobi_tracing_pct": _num(s, "jacobi_end_to_end", "tracing_on_overhead_pct"),
-    }
 
 
 def _headline_topology(s: dict) -> dict:
@@ -495,10 +524,10 @@ def _headline_collectives(s: dict) -> dict:
     }
 
 
-def _suite_commit(s: dict):
-    """The commit a suite row measured: `<sha>+wt` for a working tree that
-    differed from commit <sha>. Rows older than schema v2 keep their
-    `git describe --dirty` id."""
+def _row_commit(s: dict):
+    """The commit a suite or layers row measured: `<sha>+wt` for a working
+    tree that differed from commit <sha>. Suite rows older than schema v2
+    keep their `git describe --dirty` id."""
     base = _num(s, "context", "base_commit")
     if base is None:
         return _num(s, "context", "commit")
@@ -507,13 +536,27 @@ def _suite_commit(s: dict):
 
 def _headline_suite(s: dict) -> dict:
     return {
-        "commit": _suite_commit(s),
+        "commit": _row_commit(s),
         "bench_jobs": _num(s, "context", "cni_bench_jobs"),
         "total_wall_s": _num(s, "total", "wall_s_median"),
         "total_wall_cv": _num(s, "total", "wall_s_cv"),
         "peak_rss_mb": _num(s, "total", "peak_rss_mb"),
         "slowest": _num(s, "total", "slowest"),
     }
+
+
+def _headline_layers(s: dict) -> dict:
+    """The sample-weighted share of each layer across the profiled binaries,
+    largest first."""
+    rows = (s.get("binaries") or {}).values()
+    total = sum(r["samples"] for r in rows)
+    weighted = {}
+    for r in rows:
+        for layer, share in r["layers"].items():
+            weighted[layer] = weighted.get(layer, 0.0) + share * r["samples"] / total
+    order = sorted(weighted, key=lambda k: (-weighted[k], k))
+    return {"commit": _row_commit(s), "samples": total,
+            **{layer: round(weighted[layer], 1) for layer in order}}
 
 
 def within_noise(row: dict, older: dict) -> bool:
@@ -529,8 +572,7 @@ def within_noise(row: dict, older: dict) -> bool:
 
 TRAJECTORY_BENCHES = (
     ("suite", "BENCH_suite.json", _headline_suite),
-    ("engine", "BENCH_engine.json", _headline_engine),
-    ("obs", "BENCH_obs.json", _headline_obs),
+    ("layers", "BENCH_layers.json", _headline_layers),
     ("topology", "BENCH_topology.json", _headline_topology),
     ("collectives", "BENCH_collectives.json", _headline_collectives),
 )
@@ -618,35 +660,16 @@ def parse_args(argv=None) -> argparse.Namespace:
 def main() -> None:
     global BUILD
     args = parse_args()
-    BUILD = Path(args.build)
+    # Resolved here: the layer binaries run with a temporary directory as cwd.
+    BUILD = Path(args.build).resolve()
+    sweep_jobs()  # exits on a CNI_BENCH_JOBS the binaries would reject
     if args.trajectory:
         write_trajectory()
         return
     if args.suite:
         write_suite()
         return
-
-    engine = run("micro_engine")
-    mcache = run("micro_mcache")
-
-    result = {
-        "context": context_of(engine),
-        "engine_events_per_sec": {},
-        "mcache_lookups_per_sec": {},
-    }
-    for b in engine["benchmarks"]:
-        if b.get("items_per_second"):
-            result["engine_events_per_sec"][b["name"]] = round(b["items_per_second"])
-    for b in mcache["benchmarks"]:
-        # mcache benches report one lookup/insert per iteration.
-        result["mcache_lookups_per_sec"][b["name"]] = round(1e9 / b["real_time"])
-
-    path = ROOT / "BENCH_engine.json"
-    result["history"] = load_history(path)
-    path.write_text(json.dumps(result, indent=2) + "\n")
-    print(f"wrote {path}")
-
-    write_obs()
+    write_layers()
     write_topology()
     write_collectives()
     write_trajectory()

@@ -32,20 +32,27 @@ TOP = 15  # functions listed
 
 
 class Symbols:
-    """Function symbols of one ELF file, looked up by file address."""
+    """Function symbols of one ELF file, looked up by file address.
+    `entries` are (address, demangled name) pairs in address order; `pie`
+    says the addresses are relative to the load base."""
 
-    def __init__(self, path):
+    def __init__(self, entries, pie):
+        self.addrs = [addr for addr, _ in entries]
+        self.names = [name for _, name in entries]
+        self.pie = pie
+
+    @classmethod
+    def of_file(cls, path):
         out = subprocess.run(["nm", "-C", "-n", "--defined-only", path],
                              capture_output=True, text=True, check=True).stdout
-        self.addrs, self.names = [], []
+        entries = []
         for line in out.splitlines():
             parts = line.split(" ", 2)
             if len(parts) == 3 and parts[1] in "tTwW":
-                self.addrs.append(int(parts[0], 16))
-                self.names.append(parts[2])
+                entries.append((int(parts[0], 16), parts[2]))
         with open(path, "rb") as f:
             header = f.read(18)
-        self.pie = header[16] == 3  # e_type ET_DYN: addresses are load-relative
+        return cls(entries, pie=header[16] == 3)  # e_type ET_DYN
 
     def name(self, addr):
         i = bisect.bisect_right(self.addrs, addr) - 1
@@ -113,47 +120,67 @@ def attribute(samples, ranges, syms):
         yield layer or "other", function or "(outside the executable)"
 
 
+def summarize(charged, top=TOP):
+    """Layer shares and the `top` functions of (layer, function) pairs, in
+    percent of all pairs: {"samples", "layers", "top"}."""
+    layers, functions = {}, {}
+    for layer, function in charged:
+        layers[layer] = layers.get(layer, 0) + 1
+        functions[(function, layer)] = functions.get((function, layer), 0) + 1
+    total = sum(layers.values())
+    ranked = sorted(functions.items(), key=lambda kv: (-kv[1], kv[0]))[:top]
+    return {
+        "samples": total,
+        "layers": {k: 100.0 * n / total for k, n in sorted(layers.items())},
+        "top": [{"function": fn, "layer": layer, "pct": 100.0 * n / total}
+                for (fn, layer), n in ranked],
+    }
+
+
+def rounded(prof):
+    """`prof` with its percentages rounded to two decimals, for JSON."""
+    return {**prof,
+            "layers": {k: round(v, 2) for k, v in prof["layers"].items()},
+            "top": [{**row, "pct": round(row["pct"], 2)} for row in prof["top"]]}
+
+
+def profile(paths, top=TOP):
+    """summarize() over every sample of `paths`, sample files of one
+    executable, plus that executable's file name as "exe"."""
+    charged, exe, syms = [], None, None
+    for path in paths:
+        this_exe, samples, maps = read_samples(path)
+        if this_exe is None:
+            sys.exit(f"profile_layers: {path} is not a layer_prof sample file")
+        if exe is None:
+            exe, syms = this_exe, Symbols.of_file(this_exe)
+        elif this_exe != exe:
+            sys.exit(f"profile_layers: {path} profiled {this_exe}, not {exe}")
+        charged.extend(attribute(samples, exe_ranges(maps, exe), syms))
+    if not charged:
+        sys.exit("profile_layers: no samples (run for longer: about 250 arrive per CPU second)")
+    return {"exe": os.path.basename(exe), **summarize(charged, top)}
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("samples", nargs="+", help="layer_prof.<pid>.out files")
     ap.add_argument("--json", metavar="OUT", help="also write the shares as JSON")
     args = ap.parse_args(argv)
 
-    layers, functions, total, exe, syms = {}, {}, 0, None, None
-    for path in args.samples:
-        this_exe, samples, maps = read_samples(path)
-        if this_exe is None:
-            sys.exit(f"profile_layers: {path} is not a layer_prof sample file")
-        if exe is None:
-            exe, syms = this_exe, Symbols(this_exe)
-        elif this_exe != exe:
-            sys.exit(f"profile_layers: {path} profiled {this_exe}, not {exe}")
-        for layer, function in attribute(samples, exe_ranges(maps, exe), syms):
-            total += 1
-            layers[layer] = layers.get(layer, 0) + 1
-            key = (function, layer)
-            functions[key] = functions.get(key, 0) + 1
-    if total == 0:
-        sys.exit("profile_layers: no samples (run for longer: about 250 arrive per CPU second)")
-
-    def pct(n):
-        return 100.0 * n / total
-
-    print(f"{os.path.basename(exe)}: {total} samples")
+    prof = profile(args.samples)
+    print(f"{prof['exe']}: {prof['samples']} samples")
     print(f"{'layer':<10} {'share':>7}")
-    for layer, n in sorted(layers.items(), key=lambda kv: (-kv[1], kv[0])):
-        print(f"{layer:<10} {pct(n):6.1f}%")
+    for layer, pct in sorted(prof["layers"].items(), key=lambda kv: (-kv[1], kv[0])):
+        print(f"{layer:<10} {pct:6.1f}%")
     print(f"\ntop {TOP} functions (libc charged to its caller)")
-    top = sorted(functions.items(), key=lambda kv: (-kv[1], kv[0]))[:TOP]
-    for (function, layer), n in top:
+    for row in prof["top"]:
+        function = row["function"]
         short = function if len(function) <= 100 else function[:97] + "..."
-        print(f"{pct(n):6.1f}%  {layer:<8} {short}")
+        print(f"{row['pct']:6.1f}%  {row['layer']:<8} {short}")
     if args.json:
         with open(args.json, "w") as f:
-            json.dump({"exe": os.path.basename(exe), "samples": total,
-                       "layers": {k: round(pct(v), 2) for k, v in sorted(layers.items())},
-                       "top": [{"function": fn, "layer": layer, "pct": round(pct(n), 2)}
-                               for (fn, layer), n in top]}, f, indent=1)
+            json.dump(rounded(prof), f, indent=1)
             f.write("\n")
     return 0
 

@@ -1,20 +1,17 @@
 #include "apps/runner.hpp"
 
 #include <atomic>
-#include <cstdlib>
 #include <exception>
 #include <mutex>
 #include <thread>
 #include <vector>
 
+#include "util/cli.hpp"
+
 namespace cni::apps {
 
 std::size_t sweep_jobs() {
-  if (const char* env = std::getenv("CNI_BENCH_JOBS"); env != nullptr) {
-    char* end = nullptr;
-    const long v = std::strtol(env, &end, 10);
-    if (end != env && v >= 1) return static_cast<std::size_t>(v);
-  }
+  if (const auto v = util::env_count("CNI_BENCH_JOBS", 1)) return *v;
   const unsigned hc = std::thread::hardware_concurrency();
   return hc == 0 ? 1 : hc;
 }

@@ -16,7 +16,8 @@
 namespace cni::apps {
 
 /// Worker count for running independent simulation points concurrently:
-/// CNI_BENCH_JOBS if set (>= 1), else std::thread::hardware_concurrency().
+/// CNI_BENCH_JOBS if set, else std::thread::hardware_concurrency(). A value
+/// that is not a count >= 1 fails a CNI_CHECK naming the variable.
 [[nodiscard]] std::size_t sweep_jobs();
 
 /// Runs fn(0), ..., fn(n-1) across a pool of sweep_jobs() threads. Each index

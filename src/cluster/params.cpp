@@ -3,6 +3,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <optional>
 #include <string>
 #include <string_view>
 
@@ -17,11 +18,13 @@ CollectiveMode g_default_collective = CollectiveMode::kHost;
 }  // namespace
 
 CollectiveMode default_collective() {
-  if (const char* env = std::getenv("CNI_COLLECTIVE"); env != nullptr) {
-    CollectiveMode mode = g_default_collective;
-    if (parse_collective(env, mode)) return mode;
-  }
-  return g_default_collective;
+  const auto env = util::env_value("CNI_COLLECTIVE", "nic or host",
+                                   [](const char* text) -> std::optional<CollectiveMode> {
+                                     CollectiveMode mode{};
+                                     if (parse_collective(text, mode)) return mode;
+                                     return std::nullopt;
+                                   });
+  return env.value_or(g_default_collective);
 }
 
 void set_default_collective(CollectiveMode mode) { g_default_collective = mode; }

@@ -28,9 +28,10 @@ enum class CollectiveMode : std::uint8_t {
   kNic,   ///< NIC-resident combining tree: AIH handlers combine and forward
 };
 
-/// Process-default collective mode: CNI_COLLECTIVE (`nic` or `host`), else
-/// whatever set_default_collective installed, else kHost. Host stays the
-/// default so existing figure artifacts are untouched.
+/// Process-default collective mode: CNI_COLLECTIVE (`nic` or `host`; any
+/// other value fails a CNI_CHECK), else whatever set_default_collective
+/// installed, else kHost. Host stays the default so existing figure
+/// artifacts are untouched.
 [[nodiscard]] CollectiveMode default_collective();
 void set_default_collective(CollectiveMode mode);
 [[nodiscard]] const char* collective_name(CollectiveMode mode);

@@ -3,11 +3,11 @@
 //
 // Trace records have one off switch: Options::trace (CNI_TRACE env /
 // --trace-out). When off, a trace site is one pointer test and one
-// predictable branch (bench/micro_obs measures that residue against live
-// recording). Histograms and gauges record whenever their handle is set.
+// predictable branch. Histograms and gauges record whenever their handle is
+// set.
 //
-// The macros deliberately gate on the NodeObs pointer so unit tests and
-// microbenchmarks can instrument components without a full cluster.
+// The macros deliberately gate on the NodeObs pointer so unit tests can
+// instrument components without a full cluster.
 #pragma once
 
 #include <cstdint>

@@ -1,9 +1,7 @@
 #include "obs/options.hpp"
 
 #include <atomic>
-#include <cstdlib>
 
-#include "util/check.hpp"
 #include "util/cli.hpp"
 
 namespace cni::obs {
@@ -22,13 +20,8 @@ std::atomic<PackedOptions> g_defaults{PackedOptions{}};
 PackedOptions from_env() {
   PackedOptions p;
   p.init = true;
-  const char* trace = std::getenv("CNI_TRACE");
-  p.trace = trace != nullptr && trace[0] != '\0' && trace[0] != '0';
-  if (const char* cap = std::getenv("CNI_TRACE_CAPACITY"); cap != nullptr) {
-    const auto v = util::parse_u32(cap);
-    CNI_CHECK_MSG(v && *v > 0, "CNI_TRACE_CAPACITY must be a record count >= 1");
-    p.capacity = *v;
-  }
+  p.trace = util::env_flag("CNI_TRACE").value_or(false);
+  if (const auto v = util::env_count("CNI_TRACE_CAPACITY", 1)) p.capacity = *v;
   return p;
 }
 

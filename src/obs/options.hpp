@@ -21,9 +21,9 @@ struct Options {
 };
 
 /// Process-wide default options, consulted by SimParams. Initialized once
-/// from the environment (CNI_TRACE=1, CNI_TRACE_CAPACITY=<records>); a bench
-/// binary's --trace-out flag overrides them via set_default_options() before
-/// any sweep thread starts.
+/// from the environment (CNI_TRACE=0|1, CNI_TRACE_CAPACITY=<records >= 1>;
+/// any other value fails a CNI_CHECK); a bench binary's --trace-out flag
+/// overrides them via set_default_options() before any sweep thread starts.
 [[nodiscard]] Options default_options();
 void set_default_options(const Options& opts);
 

@@ -2,8 +2,9 @@
 
 #include <atomic>
 #include <cinttypes>
-#include <cstdlib>
 #include <cstring>
+
+#include "util/cli.hpp"
 
 namespace cni::util {
 namespace {
@@ -18,12 +19,8 @@ thread_local Logger::TimeFn t_time_fn = nullptr;
 thread_local void* t_time_ctx = nullptr;
 
 int read_env_level() {
-  const char* env = std::getenv("CNI_LOG_LEVEL");
-  if (env == nullptr) return static_cast<int>(LogLevel::kWarn);
-  int v = std::atoi(env);
-  if (v < 0) v = 0;
-  if (v > 4) v = 4;
-  return v;
+  const auto v = env_count("CNI_LOG_LEVEL", 0, static_cast<std::uint32_t>(LogLevel::kTrace));
+  return v ? static_cast<int>(*v) : static_cast<int>(LogLevel::kWarn);
 }
 
 const char* prefix(LogLevel lvl) {
@@ -86,8 +83,7 @@ bool Logger::json() {
   // relaxed: standalone config word (see level()).
   int v = g_json.load(std::memory_order_relaxed);
   if (v < 0) {
-    const char* env = std::getenv("CNI_LOG_JSON");
-    v = (env != nullptr && env[0] != '\0' && env[0] != '0') ? 1 : 0;
+    v = env_flag("CNI_LOG_JSON").value_or(false) ? 1 : 0;
     // relaxed: caching the env lookup; any thread recomputes the same value.
     g_json.store(v, std::memory_order_relaxed);
   }

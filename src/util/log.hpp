@@ -29,6 +29,7 @@ class Logger {
   using TimeFn = std::uint64_t (*)(void* ctx);
 
   /// Global log level; reads CNI_LOG_LEVEL (0..4) from the environment once.
+  /// Any other value fails a CNI_CHECK naming the variable.
   static LogLevel level();
   static void set_level(LogLevel lvl);
 
@@ -37,7 +38,8 @@ class Logger {
   /// Installs/clears this thread's sim-time source. Pass fn=nullptr to clear.
   static void set_time_hook(TimeFn fn, void* ctx);
 
-  /// Structured one-object-per-line JSON output; reads CNI_LOG_JSON once.
+  /// Structured one-object-per-line JSON output; reads CNI_LOG_JSON (0 or 1)
+  /// once.
   static bool json();
   static void set_json(bool on);
 

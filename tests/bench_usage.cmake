@@ -1,11 +1,14 @@
-# Runs BIN with one argument ARG and fails unless it exits with RC and its
-# stdout plus stderr matches MATCH (and, if given, does not match NOT_MATCH).
+# Runs BIN with one argument ARG (or none) and fails unless its result
+# matches RC whole (an exit code, or a pattern such as ".*aborted" for a
+# child killed by SIGABRT, whose wording varies across CMake versions) and
+# its stdout plus stderr matches MATCH (and, if given, does not match
+# NOT_MATCH).
 #
-#   cmake -DBIN=<binary> -DARG=<argument> -DRC=<exit code> -DMATCH=<regex>
+#   cmake -DBIN=<binary> [-DARG=<argument>] -DRC=<exit code> -DMATCH=<regex>
 #         [-DNOT_MATCH=<regex>] -P bench_usage.cmake
-execute_process(COMMAND "${BIN}" "${ARG}"
+execute_process(COMMAND "${BIN}" ${ARG}
                 RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
-if(NOT rc EQUAL RC)
+if(NOT rc MATCHES "^(${RC})$")
   message(FATAL_ERROR "${BIN} ${ARG} exited ${rc}, not ${RC}:\n${out}${err}")
 endif()
 if(NOT "${out}${err}" MATCHES "${MATCH}")

@@ -1,10 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <optional>
+#include <string>
 #include <unordered_map>
 
+#include "apps/runner.hpp"
+#include "cluster/params.hpp"
+#include "obs/options.hpp"
 #include "util/cli.hpp"
 #include "util/flat_map.hpp"
+#include "util/log.hpp"
 #include "util/rng.hpp"
 #include "util/table.hpp"
 #include "util/units.hpp"
@@ -98,6 +104,120 @@ TEST(ParseU32, TakesDecimalDigitsThatFitOnly) {
                           "4294967296", "99999999999999999999"}) {
     EXPECT_EQ(parse_u32(bad), std::nullopt) << "'" << bad << "'";
   }
+}
+
+/// Sets an environment variable for one scope, then restores its old state.
+class ScopedEnv {
+ public:
+  ScopedEnv(const char* name, const char* value) : name_(name) {
+    if (const char* old = std::getenv(name)) old_ = old;
+    ::setenv(name, value, 1);
+  }
+  ScopedEnv(const ScopedEnv&) = delete;
+  ScopedEnv& operator=(const ScopedEnv&) = delete;
+  ~ScopedEnv() {
+    if (old_) {
+      ::setenv(name_, old_->c_str(), 1);
+    } else {
+      ::unsetenv(name_);
+    }
+  }
+
+ private:
+  const char* name_;
+  std::optional<std::string> old_;
+};
+
+// Every CNI_* variable goes through env_value: a value it does not take
+// aborts naming the variable and what it takes, instead of running the
+// default. Logger and obs::default_options() cache their first read for the
+// whole process, so their tests run the death statement in a freshly
+// started copy of this binary ("threadsafe" style) rather than a fork that
+// would inherit a value an earlier test already cached.
+using EnvValueDeathTest = ::testing::Test;
+
+TEST_F(EnvValueDeathTest, CountsTakeTheirRangeAndFlagsTakeZeroOrOne) {
+  EXPECT_EQ(env_count("CNI_TEST_UNSET_VARIABLE", 1), std::nullopt);
+  EXPECT_EQ(env_flag("CNI_TEST_UNSET_VARIABLE"), std::nullopt);
+  {
+    const ScopedEnv env("CNI_TEST_VALUE", "4");
+    EXPECT_EQ(env_count("CNI_TEST_VALUE", 0, 4), 4u);
+    EXPECT_DEATH((void)env_count("CNI_TEST_VALUE", 0, 3),
+                 "CNI_TEST_VALUE must be a count from 0 to 3, not '4'");
+  }
+  for (const char* bad : {"", "4x", " 4", "-1", "0x4"}) {
+    const ScopedEnv env("CNI_TEST_VALUE", bad);
+    EXPECT_DEATH((void)env_count("CNI_TEST_VALUE", 1), "CNI_TEST_VALUE must be a count >= 1")
+        << "'" << bad << "'";
+  }
+  for (const char* good : {"0", "1"}) {
+    const ScopedEnv env("CNI_TEST_VALUE", good);
+    EXPECT_EQ(env_flag("CNI_TEST_VALUE"), good[0] == '1');
+  }
+  for (const char* bad : {"", "01", "2", "no", "off", "true"}) {
+    const ScopedEnv env("CNI_TEST_VALUE", bad);
+    EXPECT_DEATH((void)env_flag("CNI_TEST_VALUE"), "CNI_TEST_VALUE must be 0 or 1")
+        << "'" << bad << "'";
+  }
+}
+
+TEST_F(EnvValueDeathTest, BenchJobsTakesACountOfAtLeastOne) {
+  {
+    const ScopedEnv env("CNI_BENCH_JOBS", "3");
+    EXPECT_EQ(apps::sweep_jobs(), 3u);
+  }
+  for (const char* bad : {"abc", "0", "4x"}) {
+    const ScopedEnv env("CNI_BENCH_JOBS", bad);
+    EXPECT_DEATH((void)apps::sweep_jobs(),
+                 std::string("CNI_BENCH_JOBS must be a count >= 1, not '") + bad + "'");
+  }
+}
+
+TEST_F(EnvValueDeathTest, BenchFastTakesZeroOrOne) {
+  // bench::fast_mode() is env_flag("CNI_BENCH_FAST"); the bench_rejects_fast_no
+  // ctest runs a bench binary under CNI_BENCH_FAST=no.
+  const ScopedEnv env("CNI_BENCH_FAST", "no");
+  EXPECT_DEATH((void)env_flag("CNI_BENCH_FAST"), "CNI_BENCH_FAST must be 0 or 1, not 'no'");
+}
+
+TEST_F(EnvValueDeathTest, TraceTakesZeroOrOne) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  const ScopedEnv env("CNI_TRACE", "off");
+  EXPECT_DEATH((void)obs::default_options(), "CNI_TRACE must be 0 or 1, not 'off'");
+}
+
+TEST_F(EnvValueDeathTest, TraceCapacityTakesACountOfAtLeastOne) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  for (const char* bad : {"0", "abc"}) {
+    const ScopedEnv env("CNI_TRACE_CAPACITY", bad);
+    EXPECT_DEATH((void)obs::default_options(),
+                 std::string("CNI_TRACE_CAPACITY must be a count >= 1, not '") + bad + "'");
+  }
+}
+
+TEST_F(EnvValueDeathTest, LogLevelTakesZeroToFour) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  for (const char* bad : {"debug", "5"}) {
+    const ScopedEnv env("CNI_LOG_LEVEL", bad);
+    EXPECT_DEATH((void)Logger::level(),
+                 std::string("CNI_LOG_LEVEL must be a count from 0 to 4, not '") + bad + "'");
+  }
+}
+
+TEST_F(EnvValueDeathTest, LogJsonTakesZeroOrOne) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  const ScopedEnv env("CNI_LOG_JSON", "yes");
+  EXPECT_DEATH((void)Logger::json(), "CNI_LOG_JSON must be 0 or 1, not 'yes'");
+}
+
+TEST_F(EnvValueDeathTest, CollectiveTakesNicOrHost) {
+  {
+    const ScopedEnv env("CNI_COLLECTIVE", "nic");
+    EXPECT_EQ(cluster::default_collective(), cluster::CollectiveMode::kNic);
+  }
+  const ScopedEnv env("CNI_COLLECTIVE", "bogus");
+  EXPECT_DEATH((void)cluster::default_collective(),
+               "CNI_COLLECTIVE must be nic or host, not 'bogus'");
 }
 
 TEST(U64FlatMap, InsertFindEraseBasics) {
