@@ -7,10 +7,8 @@
 #include "bench_common.hpp"
 
 int main(int argc, char** argv) {
-  cni::bench::check_args(argc, argv);
   using namespace cni;
-  obs::Reporter reporter(argc, argv, "abl_mechanisms");
-  cluster::apply_fabric_cli(argc, argv, &reporter);
+  auto reporter = bench::parse_args(argc, argv, "abl_mechanisms").report;
   reporter.add_config("table", "ablation");
   reporter.add_config("app", "water");
   apps::WaterConfig cfg{bench::fast_mode() ? 64u : 216u, 2};
@@ -30,17 +28,24 @@ int main(int argc, char** argv) {
       {"full CNI", cluster::BoardKind::kCni, true, true},
   };
 
-  util::Table t("Ablation: mechanism contributions (Water 216, p=8)");
-  t.set_header({"configuration", "time (ms)", "vs standard (%)", "hit ratio (%)",
-                "host interrupts"});
   const bench::Reference ref = bench::reference_of(cfg);
-  double base = 0;
+  std::vector<bench::Job<apps::RunResult>> jobs;
   for (const Variant& v : variants) {
     cluster::SimParams params = apps::make_params(v.kind, procs);
     params.cni.enable_message_cache = v.mcache;
     params.cni.enable_aih = v.aih;
-    const apps::RunResult r = bench::run_checked(apps::run_water, params, cfg, ref,
-                                                 std::string("variant=") + v.name);
+    jobs.push_back(bench::app_job(apps::run_water, params, cfg, ref,
+                                  std::string("variant=") + v.name));
+  }
+  const std::vector<apps::RunResult> results = bench::run_points(jobs);
+
+  util::Table t("Ablation: mechanism contributions (Water 216, p=8)");
+  t.set_header({"configuration", "time (ms)", "vs standard (%)", "hit ratio (%)",
+                "host interrupts"});
+  double base = 0;
+  for (std::size_t i = 0; i < std::size(variants); ++i) {
+    const Variant& v = variants[i];
+    const apps::RunResult& r = results[i];
     const double ms = static_cast<double>(r.elapsed) / 1e9;
     if (base == 0) base = ms;
     t.add_row(v.name,

@@ -4,11 +4,12 @@
 // prints the same rows/series. `CNI_BENCH_FAST=1` shrinks the sweep for
 // smoke runs; the default matches paper scale.
 //
-// Sweeps run their points on a thread pool (`CNI_BENCH_JOBS`, defaulting to
-// hardware_concurrency): every (procs, board-kind, page-size) point is an
-// independent simulation with its own cluster, each point's result is
-// bit-identical to a sequential run, and results land in per-point slots so
-// the printed ordering never depends on completion order.
+// A binary reads its command line once, in parse_args, against the one flag
+// table there. Its figure points then run through run_points, on a pool of
+// `CNI_BENCH_JOBS` workers (default hardware_concurrency): every point is
+// an independent simulation with its own cluster, each point's result is
+// bit-identical to a sequential run, and results come back by index so the
+// printed ordering never depends on completion order.
 #pragma once
 
 #include <algorithm>
@@ -16,8 +17,9 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <initializer_list>
-#include <span>
+#include <functional>
+#include <numeric>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -27,6 +29,8 @@
 #include "apps/jacobi.hpp"
 #include "apps/runner.hpp"
 #include "apps/water.hpp"
+#include "atm/topology.hpp"
+#include "cluster/params.hpp"
 #include "obs/report.hpp"
 #include "util/cli.hpp"
 #include "util/table.hpp"
@@ -34,88 +38,145 @@
 
 namespace cni::bench {
 
-/// A count flag check_args parses (`--nodes=N`): the value must be decimal
-/// digits that fit a u32, at least `min`, and a power of two if `pow2`.
-struct CountFlag {
-  std::string_view flag;  ///< as the usage shows it, e.g. "--nodes=N"
-  std::uint32_t min = 1;
-  bool pow2 = false;
-  std::uint32_t* value = nullptr;  ///< written when given; untouched otherwise
+/// A bench binary's command line, read once by parse_args.
+struct Args {
+  obs::Reporter report;                       ///< the report files asked for
+  std::optional<atm::TopologyKind> topology;  ///< --topology, when given
+  bool json = false;                          ///< --json
+  std::uint32_t nodes = 0;   ///< --nodes; 0 = the binary's own node counts
+  std::uint32_t rounds = 0;  ///< --rounds; 0 = the binary's default
 };
 
-/// `--nodes=N`: a power of two >= 2, the fabric's own precondition.
-inline CountFlag nodes_flag(std::uint32_t* value) { return {"--nodes=N", 2, true, value}; }
-/// `--rounds=N`: at least one round.
-inline CountFlag rounds_flag(std::uint32_t* value) { return {"--rounds=N", 1, false, value}; }
+/// The flag sets a binary takes: the report and fabric flags of every
+/// figure binary, and the scale flags of the node-count sweeps.
+enum FlagSet : unsigned { kFigureFlags = 1u, kScaleFlags = 2u };
 
-/// Exits before anything runs if argv holds an argument the binary does not
-/// take. `own` lists the binary's own flags, written as its usage shows them
-/// ("--json", "--topology=T"); a flag with "=" matches any value. `counts`
-/// are its count flags, parsed into their `value`. Unless
-/// `report_and_fabric` is false, the obs::Reporter and
-/// cluster::apply_fabric_cli flags are accepted too. `--help` prints the
-/// usage and exits 0; any other argument, or a count flag whose value breaks
-/// its rule, prints it to stderr and exits 2, so a misspelt flag or a
-/// malformed value cannot silently drop a report or change the sweep.
-inline void check_args(int argc, char** argv,
-                       std::initializer_list<std::string_view> own = {},
-                       bool report_and_fabric = true,
-                       std::initializer_list<CountFlag> counts = {}) {
-  static constexpr std::string_view kShared[] = {
-      "--trace-out=FILE", "--metrics-out=FILE", "--critpath-out=FILE",
-      "--trace-capacity=N", "--topology=banyan|clos|torus", "--ports=N",
-      "--collective=nic|host"};
-  const std::span<const std::string_view> shared(
-      kShared, report_and_fabric ? std::size(kShared) : 0);
-  const auto print_flag = [](std::FILE* out, std::string_view f) {
-    std::fprintf(out, " [%.*s]", static_cast<int>(f.size()), f.data());
+/// Reads argv against the flag table below, keeping the flags in `sets`.
+/// `--help` prints the usage and exits 0. An unknown argument, or a value
+/// its flag rejects, prints the error and the usage to stderr and exits 2
+/// before anything runs, so a typo cannot silently drop a report or change
+/// the sweep. Then it installs the defaults every SimParams and DsmParams
+/// built afterwards picks up (trace options, fabric shape, collective mode),
+/// so it runs before any sweep worker starts; the report records the shape
+/// and mode, so every artifact says which fabric and barrier path made it.
+inline Args parse_args(int argc, char** argv, std::string binary,
+                       unsigned sets = kFigureFlags) {
+  struct Parsed {
+    obs::ReportFiles files;
+    obs::Options obs = obs::default_options();
+    std::optional<atm::TopologyKind> topology;
+    std::uint32_t ports = atm::default_switch_ports();
+    cluster::CollectiveMode collective = cluster::default_collective();
+    bool json = false;
+    std::uint32_t nodes = 0;
+    std::uint32_t rounds = 0;
   };
+  // One flag: its name (ending in '=' when it takes a value, which follows
+  // it in the same argument), what the usage shows for the value, its set,
+  // the error for a value it rejects (%s is the value) and where it goes.
+  struct Flag {
+    std::string_view name;
+    const char* metavar;
+    unsigned set;
+    const char* bad;
+    bool (*apply)(const char* value, Parsed& p);
+  };
+  static constexpr auto count = [](const char* text, std::uint32_t& out, std::uint32_t lo,
+                                   bool pow2 = false, std::uint32_t hi = UINT32_MAX) {
+    const auto v = util::parse_u32(text);
+    if (!v || *v < lo || *v > hi || (pow2 && !util::is_pow2(*v))) return false;
+    out = *v;
+    return true;
+  };
+  static constexpr auto path = [](const char* text, std::string& out) {
+    out = text;
+    return !out.empty();
+  };
+  static constexpr Flag kFlags[] = {
+      {"--json", "", kScaleFlags, "",
+       [](const char*, Parsed& p) { return p.json = true; }},
+      {"--nodes=", "N", kScaleFlags,
+       "invalid value in '--nodes=%s' (need a power of two >= 2)",
+       [](const char* v, Parsed& p) { return count(v, p.nodes, 2, true); }},
+      {"--rounds=", "N", kScaleFlags,
+       "invalid value in '--rounds=%s' (need a count >= 1)",
+       [](const char* v, Parsed& p) { return count(v, p.rounds, 1); }},
+      {"--trace-out=", "FILE", kFigureFlags, "missing file name in '--trace-out=%s'",
+       [](const char* v, Parsed& p) { return path(v, p.files.trace); }},
+      {"--metrics-out=", "FILE", kFigureFlags, "missing file name in '--metrics-out=%s'",
+       [](const char* v, Parsed& p) { return path(v, p.files.metrics); }},
+      {"--critpath-out=", "FILE", kFigureFlags,
+       "missing file name in '--critpath-out=%s'",
+       [](const char* v, Parsed& p) { return path(v, p.files.critpath); }},
+      {"--trace-capacity=", "N", kFigureFlags,
+       "invalid --trace-capacity=%s (need a count >= 1)",
+       [](const char* v, Parsed& p) { return count(v, p.obs.trace_capacity, 1); }},
+      {"--topology=", "banyan|clos|torus", kFigureFlags,
+       "unknown topology '%s' (--topology takes banyan, clos or torus)",
+       [](const char* v, Parsed& p) {
+         return atm::parse_topology(v, p.topology.emplace());
+       }},
+      {"--ports=", "N", kFigureFlags,
+       "invalid --ports=%s (the fabric port count must be a power of two between 2 and "
+       "65536, e.g. --ports=4096)",
+       [](const char* v, Parsed& p) { return count(v, p.ports, 2, true, 65536); }},
+      {"--collective=", "nic|host", kFigureFlags,
+       "unknown collective mode '%s' (--collective takes nic or host)",
+       [](const char* v, Parsed& p) {
+         return cluster::parse_collective(v, p.collective);
+       }},
+  };
+
   const auto usage = [&](std::FILE* out) {
     std::fprintf(out, "usage: %s", argv[0]);
-    for (const std::string_view f : own) print_flag(out, f);
-    for (const CountFlag& c : counts) print_flag(out, c.flag);
-    for (const std::string_view f : shared) print_flag(out, f);
+    for (const Flag& f : kFlags) {
+      if ((f.set & sets) != 0) {
+        std::fprintf(out, " [%.*s%s]", static_cast<int>(f.name.size()), f.name.data(),
+                     f.metavar);
+      }
+    }
     std::fprintf(out, "\nCNI_BENCH_FAST=1 in the environment trims the sweep.\n");
   };
+  Parsed p;
   for (int i = 1; i < argc; ++i) {
     const std::string_view arg = argv[i];
     if (arg == "--help") {
       usage(stdout);
       std::exit(0);
     }
-    const auto prefix = [](std::string_view flag) {
-      return flag.substr(0, flag.find('=') + 1);  // "--nodes=N" -> "--nodes="
-    };
-    const auto takes = [&](std::string_view flag) {
-      return flag.find('=') == std::string_view::npos ? arg == flag
-                                                      : arg.starts_with(prefix(flag));
-    };
-    if (std::ranges::any_of(own, takes) || std::ranges::any_of(shared, takes)) continue;
-    const CountFlag* count = std::ranges::find_if(
-        counts, [&](const CountFlag& c) { return arg.starts_with(prefix(c.flag)); });
-    if (count != counts.end()) {
-      const auto v = util::parse_u32(arg.substr(prefix(count->flag).size()));
-      if (v && *v >= count->min && (!count->pow2 || util::is_pow2(*v))) {
-        *count->value = *v;
-        continue;
-      }
-      std::fprintf(stderr, "error: invalid value in '%s' (need %s%u)\n", argv[i],
-                   count->pow2 ? "a power of two >= " : "a count >= ", count->min);
-    } else {
+    const Flag* flag = std::ranges::find_if(kFlags, [&](const Flag& f) {
+      return (f.set & sets) != 0 &&
+             (f.name.ends_with('=') ? arg.starts_with(f.name) : arg == f.name);
+    });
+    if (flag == std::end(kFlags)) {
       std::fprintf(stderr, "error: unknown argument '%s'\n", argv[i]);
+    } else if (const char* value = argv[i] + flag->name.size(); flag->apply(value, p)) {
+      continue;
+    } else {
+      std::fprintf(stderr, "error: ");
+      std::fprintf(stderr, flag->bad, value);
+      std::fprintf(stderr, "\n");
     }
     usage(stderr);
     std::exit(2);
   }
+
+  // A trace file, and a critical path (extracted from the causal records),
+  // need the trace rings on.
+  p.obs.trace = p.obs.trace || !p.files.trace.empty() || !p.files.critpath.empty();
+  obs::set_default_options(p.obs);
+  const atm::TopologyKind topology = p.topology.value_or(atm::default_topology());
+  atm::set_default_fabric_shape(topology, p.ports);
+  cluster::set_default_collective(p.collective);
+  Args args{obs::Reporter(std::move(binary), std::move(p.files)), p.topology, p.json,
+            p.nodes, p.rounds};
+  args.report.add_config("topology", atm::topology_name(topology));
+  args.report.add_config("fabric_ports", std::to_string(p.ports));
+  args.report.add_config("collective", cluster::collective_name(p.collective));
+  return args;
 }
 
 inline bool fast_mode() { return util::env_flag("CNI_BENCH_FAST").value_or(false); }
-
-/// Processor counts along the paper's x-axis (figures run 1..32).
-inline std::vector<std::uint32_t> processor_sweep() {
-  if (fast_mode()) return {1, 2, 4, 8};
-  return {1, 2, 4, 8, 16, 24, 32};
-}
 
 // ---------------------------------------------------------------------------
 // Answer checks. Every figure point compares its run's answer with the
@@ -159,19 +220,72 @@ apps::RunResult run_checked(RunFn run, const cluster::SimParams& params,
   return r;
 }
 
-/// One config on the CNI board, then on the standard board (Tables 2-4).
+// ---------------------------------------------------------------------------
+// The sweep pool. Every binary but micro_topology (whose points each time
+// their own wall clock) hands its figure points to run_points.
+// ---------------------------------------------------------------------------
+
+/// One figure point: the simulated nodes of the largest cluster it builds
+/// at once, and the run that produces its result.
+template <typename R>
+struct Job {
+  std::uint32_t nodes = 0;
+  std::function<R()> run;
+};
+
+/// Runs every job on the sweep pool and returns the results in the jobs'
+/// order, whatever order they finish in. The largest clusters start first,
+/// so the longest points do not trail the sweep, and the pool holds no more
+/// clusters at once than their fiber stacks fit under the kernel's mapping
+/// limit (apps::map_bounded_jobs, sized by the largest job).
+template <typename R>
+std::vector<R> run_points(const std::vector<Job<R>>& jobs) {
+  std::vector<std::size_t> order(jobs.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::ranges::stable_sort(order, std::greater{},
+                           [&](std::size_t i) { return jobs[i].nodes; });
+  const std::uint32_t largest = jobs.empty() ? 0 : jobs[order.front()].nodes;
+  const std::size_t workers =
+      apps::map_bounded_jobs(apps::max_map_count(), largest, apps::sweep_jobs());
+  std::vector<R> out(jobs.size());
+  apps::parallel_indexed(order.size(), workers,
+                         [&](std::size_t k) { out[order[k]] = jobs[order[k]].run(); });
+  return out;
+}
+
+/// A job that runs `cfg` on `params` through run_checked. `cfg` and `ref`
+/// are borrowed: they must outlive run_points.
+template <typename Config, typename RunFn>
+Job<apps::RunResult> app_job(RunFn run, const cluster::SimParams& params,
+                             const Config& cfg, const Reference& ref, std::string point) {
+  return {params.processors, [run, params, &cfg, &ref, point = std::move(point)] {
+            return run_checked(run, params, cfg, ref, point);
+          }};
+}
+
+/// Appends one config's run on the CNI board, then on the standard board,
+/// each named `at` plus its system.
+template <typename Config, typename RunFn>
+void add_both_boards(std::vector<Job<apps::RunResult>>& jobs, RunFn run,
+                     const Config& cfg, const Reference& ref, std::uint32_t procs,
+                     std::uint64_t page_size, const std::string& at) {
+  using cluster::BoardKind;
+  jobs.push_back(app_job(run, apps::make_params(BoardKind::kCni, procs, page_size), cfg,
+                         ref, at + "system=cni"));
+  jobs.push_back(app_job(run, apps::make_params(BoardKind::kStandard, procs, page_size),
+                         cfg, ref, at + "system=standard"));
+}
+
+/// One config on the CNI board and on the standard board (Tables 2-4).
 template <typename Config, typename RunFn>
 std::pair<apps::RunResult, apps::RunResult> run_both_boards(RunFn run, const Config& cfg,
                                                             std::uint32_t procs,
                                                             std::uint64_t page_size = 4096) {
   const Reference ref = reference_of(cfg);
-  const auto params = [&](cluster::BoardKind kind) {
-    return apps::make_params(kind, procs, page_size);
-  };
-  // A braced list evaluates left to right: CNI runs first.
-  return {run_checked(run, params(cluster::BoardKind::kCni), cfg, ref, "system=cni"),
-          run_checked(run, params(cluster::BoardKind::kStandard), cfg, ref,
-                      "system=standard")};
+  std::vector<Job<apps::RunResult>> jobs;
+  add_both_boards(jobs, run, cfg, ref, procs, page_size, "");
+  std::vector<apps::RunResult> r = run_points(jobs);
+  return {std::move(r[0]), std::move(r[1])};
 }
 
 // ---------------------------------------------------------------------------
@@ -251,25 +365,23 @@ inline void report_speedup_series(obs::Reporter& rep,
   }
 }
 
-/// Runs one app config over the processor sweep on both board kinds. The
-/// 2 × |sweep| simulations are independent, so they run as parallel jobs.
+/// Runs one app config on both board kinds at each processor count along
+/// the paper's x-axis: 1..32 (1..8 in fast mode).
 template <typename Config, typename RunFn>
 std::vector<SpeedupPoint> speedup_sweep(RunFn run, const Config& cfg,
                                         std::uint64_t page_size = 4096) {
-  const std::vector<std::uint32_t> procs = processor_sweep();
   const Reference ref = reference_of(cfg);
-  std::vector<SpeedupPoint> out(procs.size());
-  for (std::size_t i = 0; i < procs.size(); ++i) out[i].procs = procs[i];
-  apps::parallel_indexed(procs.size() * 2, [&](std::size_t job) {
-    const std::size_t i = job / 2;
-    const bool is_cni = (job % 2) == 0;
-    const auto kind = is_cni ? cluster::BoardKind::kCni : cluster::BoardKind::kStandard;
-    apps::RunResult r =
-        run_checked(run, apps::make_params(kind, procs[i], page_size), cfg, ref,
-                    "procs=" + std::to_string(procs[i]) +
-                        (is_cni ? " system=cni" : " system=standard"));
-    (is_cni ? out[i].cni : out[i].standard) = std::move(r);
-  });
+  std::vector<Job<apps::RunResult>> jobs;
+  for (const std::uint32_t p : {1u, 2u, 4u, 8u, 16u, 24u, 32u}) {
+    if (p > 8 && fast_mode()) break;
+    const std::string at = "procs=" + std::to_string(p) + " ";
+    add_both_boards(jobs, run, cfg, ref, p, page_size, at);
+  }
+  std::vector<apps::RunResult> r = run_points(jobs);
+  std::vector<SpeedupPoint> out;
+  for (std::size_t i = 0; i < r.size(); i += 2) {
+    out.push_back({jobs[i].nodes, std::move(r[i]), std::move(r[i + 1])});
+  }
   return out;
 }
 
@@ -280,25 +392,23 @@ void print_pagesize_series(const std::string& title, RunFn run, const Config& cf
                            std::uint32_t procs,
                            const std::vector<std::uint64_t>& page_sizes,
                            obs::Reporter* rep = nullptr) {
-  // Four independent runs per page size: {CNI, standard} × {1, procs}.
+  // Four runs per page size: {CNI, standard} at 1 processor, then at `procs`.
   const Reference ref = reference_of(cfg);
-  std::vector<apps::RunResult> results(page_sizes.size() * 4);
-  apps::parallel_indexed(results.size(), [&](std::size_t job) {
-    const std::uint64_t ps = page_sizes[job / 4];
-    const bool is_cni = (job % 4) < 2;
-    const auto kind = is_cni ? cluster::BoardKind::kCni : cluster::BoardKind::kStandard;
-    const std::uint32_t p = (job % 2) == 0 ? 1 : procs;
-    results[job] = run_checked(run, apps::make_params(kind, p, ps), cfg, ref,
-                               "page_bytes=" + std::to_string(ps) +
-                                   " procs=" + std::to_string(p) +
-                                   (is_cni ? " system=cni" : " system=standard"));
-  });
+  std::vector<Job<apps::RunResult>> jobs;
+  for (const std::uint64_t ps : page_sizes) {
+    for (const std::uint32_t p : {1u, procs}) {
+      const std::string at =
+          "page_bytes=" + std::to_string(ps) + " procs=" + std::to_string(p) + " ";
+      add_both_boards(jobs, run, cfg, ref, p, ps, at);
+    }
+  }
+  const std::vector<apps::RunResult> results = run_points(jobs);
   util::Table t(title);
   t.set_header({"page bytes", "CNI speedup", "Standard speedup", "HitRatio(%)"});
   for (std::size_t i = 0; i < page_sizes.size(); ++i) {
     const apps::RunResult& cni1 = results[i * 4 + 0];
-    const apps::RunResult& cnip = results[i * 4 + 1];
-    const apps::RunResult& std1 = results[i * 4 + 2];
+    const apps::RunResult& std1 = results[i * 4 + 1];
+    const apps::RunResult& cnip = results[i * 4 + 2];
     const apps::RunResult& stdp = results[i * 4 + 3];
     const double cni_speedup =
         static_cast<double>(cni1.elapsed) / static_cast<double>(cnip.elapsed);

@@ -7,10 +7,8 @@
 #include "bench_common.hpp"
 
 int main(int argc, char** argv) {
-  cni::bench::check_args(argc, argv);
   using namespace cni;
-  obs::Reporter reporter(argc, argv, "fig02_jacobi_speedup_128");
-  cluster::apply_fabric_cli(argc, argv, &reporter);
+  auto reporter = bench::parse_args(argc, argv, "fig02_jacobi_speedup_128").report;
   reporter.add_config("figure", "fig02");
   reporter.add_config("app", "jacobi");
   apps::JacobiConfig cfg{128, bench::fast_mode() ? 6u : 40u, 16};

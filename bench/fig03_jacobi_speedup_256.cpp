@@ -6,10 +6,8 @@
 #include "bench_common.hpp"
 
 int main(int argc, char** argv) {
-  cni::bench::check_args(argc, argv);
   using namespace cni;
-  obs::Reporter reporter(argc, argv, "fig03_jacobi_speedup_256");
-  cluster::apply_fabric_cli(argc, argv, &reporter);
+  auto reporter = bench::parse_args(argc, argv, "fig03_jacobi_speedup_256").report;
   reporter.add_config("figure", "fig03");
   reporter.add_config("app", "jacobi");
   apps::JacobiConfig cfg{256, bench::fast_mode() ? 6u : 40u, 16};

@@ -5,10 +5,8 @@
 #include "bench_common.hpp"
 
 int main(int argc, char** argv) {
-  cni::bench::check_args(argc, argv);
   using namespace cni;
-  obs::Reporter reporter(argc, argv, "fig04_jacobi_speedup_1024");
-  cluster::apply_fabric_cli(argc, argv, &reporter);
+  auto reporter = bench::parse_args(argc, argv, "fig04_jacobi_speedup_1024").report;
   reporter.add_config("figure", "fig04");
   reporter.add_config("app", "jacobi");
   apps::JacobiConfig cfg = bench::fast_mode() ? apps::JacobiConfig{256, 5, 16}

@@ -6,10 +6,8 @@
 #include "bench_common.hpp"
 
 int main(int argc, char** argv) {
-  cni::bench::check_args(argc, argv);
   using namespace cni;
-  obs::Reporter reporter(argc, argv, "fig05_jacobi_pagesize");
-  cluster::apply_fabric_cli(argc, argv, &reporter);
+  auto reporter = bench::parse_args(argc, argv, "fig05_jacobi_pagesize").report;
   reporter.add_config("figure", "fig05");
   reporter.add_config("app", "jacobi");
   apps::JacobiConfig cfg = bench::fast_mode() ? apps::JacobiConfig{256, 5, 16}

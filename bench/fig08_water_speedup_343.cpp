@@ -3,10 +3,8 @@
 #include "bench_common.hpp"
 
 int main(int argc, char** argv) {
-  cni::bench::check_args(argc, argv);
   using namespace cni;
-  obs::Reporter reporter(argc, argv, "fig08_water_speedup_343");
-  cluster::apply_fabric_cli(argc, argv, &reporter);
+  auto reporter = bench::parse_args(argc, argv, "fig08_water_speedup_343").report;
   reporter.add_config("figure", "fig08");
   reporter.add_config("app", "water");
   apps::WaterConfig cfg{343, 2};

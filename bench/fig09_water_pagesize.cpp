@@ -6,10 +6,8 @@
 #include "bench_common.hpp"
 
 int main(int argc, char** argv) {
-  cni::bench::check_args(argc, argv);
   using namespace cni;
-  obs::Reporter reporter(argc, argv, "fig09_water_pagesize");
-  cluster::apply_fabric_cli(argc, argv, &reporter);
+  auto reporter = bench::parse_args(argc, argv, "fig09_water_pagesize").report;
   reporter.add_config("figure", "fig09");
   reporter.add_config("app", "water");
   apps::WaterConfig cfg{216, 2};

@@ -7,10 +7,8 @@
 #include "bench_common.hpp"
 
 int main(int argc, char** argv) {
-  cni::bench::check_args(argc, argv);
   using namespace cni;
-  obs::Reporter reporter(argc, argv, "fig12_cholesky_pagesize");
-  cluster::apply_fabric_cli(argc, argv, &reporter);
+  auto reporter = bench::parse_args(argc, argv, "fig12_cholesky_pagesize").report;
   reporter.add_config("figure", "fig12");
   reporter.add_config("app", "cholesky");
   apps::CholeskyConfig cfg = apps::CholeskyConfig::bcsstk14();

@@ -10,10 +10,8 @@
 #include "bench_common.hpp"
 
 int main(int argc, char** argv) {
-  cni::bench::check_args(argc, argv);
   using namespace cni;
-  obs::Reporter reporter(argc, argv, "fig13_mcache_size");
-  cluster::apply_fabric_cli(argc, argv, &reporter);
+  auto reporter = bench::parse_args(argc, argv, "fig13_mcache_size").report;
   reporter.add_config("figure", "fig13");
   const bool fast = bench::fast_mode();
   apps::JacobiConfig jac = fast ? apps::JacobiConfig{128, 5, 16}
@@ -26,31 +24,35 @@ int main(int argc, char** argv) {
   const bench::Reference wat_ref = bench::reference_of(wat);
   const bench::Reference cho_ref = bench::reference_of(cho);
 
+  // Three jobs per cache size, one per app, on the CNI board at p=8.
+  const std::uint64_t sizes_kb[] = {32, 64, 128, 256, 512, 1024};
+  std::vector<bench::Job<apps::RunResult>> jobs;
+  for (const std::uint64_t kb : sizes_kb) {
+    const auto params = apps::make_params(cluster::BoardKind::kCni, 8, 4096, kb * 1024);
+    const std::string at = "cache_kb=" + std::to_string(kb);
+    jobs.push_back(
+        bench::app_job(apps::run_jacobi, params, jac, jac_ref, at + " app=jacobi"));
+    jobs.push_back(
+        bench::app_job(apps::run_water, params, wat, wat_ref, at + " app=water"));
+    jobs.push_back(
+        bench::app_job(apps::run_cholesky, params, cho, cho_ref, at + " app=cholesky"));
+  }
+  const std::vector<apps::RunResult> results = bench::run_points(jobs);
+
   util::Table t("Figure 13: hit ratio vs Message Cache size (p=8)");
   t.set_header({"cache KB", "Jacobi (%)", "Water (%)", "Cholesky (%)"});
-  for (std::uint64_t kb : {32ull, 64ull, 128ull, 256ull, 512ull, 1024ull}) {
-    auto params = [&](std::uint64_t cache_kb) {
-      return apps::make_params(cluster::BoardKind::kCni, 8, 4096, cache_kb * 1024);
-    };
-    const std::string at = "cache_kb=" + std::to_string(kb);
-    const auto j = bench::run_checked(apps::run_jacobi, params(kb), jac, jac_ref,
-                                      at + " app=jacobi");
-    const auto w = bench::run_checked(apps::run_water, params(kb), wat, wat_ref,
-                                      at + " app=water");
-    const auto c = bench::run_checked(apps::run_cholesky, params(kb), cho, cho_ref,
-                                      at + " app=cholesky");
-    t.add_row(std::to_string(kb),
-              {j.hit_ratio_pct, w.hit_ratio_pct, c.hit_ratio_pct}, 1);
+  for (std::size_t k = 0; k < std::size(sizes_kb); ++k) {
+    const apps::RunResult* r = &results[3 * k];  // jacobi, water, cholesky
+    const std::string cache_kb = std::to_string(sizes_kb[k]);
+    t.add_row(cache_kb, {r[0].hit_ratio_pct, r[1].hit_ratio_pct, r[2].hit_ratio_pct}, 1);
     if (reporter.active()) {
-      const std::string cache_kb = std::to_string(kb);
-      const auto point = [&](const char* app, const apps::RunResult& r) {
-        reporter.add_point(bench::run_point(
-            "cache_kb=" + cache_kb + " app=" + app,
-            {{"cache_kb", cache_kb}, {"app", app}}, {}, r));
-      };
-      point("jacobi", j);
-      point("water", w);
-      point("cholesky", c);
+      const char* const names[] = {"jacobi", "water", "cholesky"};
+      for (std::size_t a = 0; a < std::size(names); ++a) {
+        const std::string app = names[a];
+        reporter.add_point(bench::run_point("cache_kb=" + cache_kb + " app=" + app,
+                                            {{"cache_kb", cache_kb}, {"app", app}}, {},
+                                            r[a]));
+      }
     }
   }
   t.print();

@@ -8,6 +8,7 @@
 // 0..4096 bytes, the CNI's source buffer pre-warmed into the Message Cache.
 #include <cstdio>
 #include <string>
+#include <vector>
 
 #include "bench_common.hpp"
 #include "cluster/cluster.hpp"
@@ -21,11 +22,10 @@ using namespace cni;
 
 constexpr nic::MsgType kPingType = nic::kTypeAppBase + 1;
 
-/// One-way latency for a message of `bytes`, measured at the receiver.
-/// Reports one point per run when `rep` is active (this binary has no
-/// RunResult, so the point is assembled from the cluster directly).
-sim::SimDuration measure(cluster::BoardKind board, std::uint64_t bytes,
-                         obs::Reporter* rep) {
+/// One-way latency for a message of `bytes`, measured at the receiver, as
+/// the run's report point (this binary has no RunResult, so the point is
+/// assembled from the cluster directly): its one value is the latency in us.
+obs::ReportPoint measure(cluster::BoardKind board, std::uint64_t bytes) {
   cluster::SimParams params = apps::make_params(board, 2);
   cluster::Cluster cl(params);
 
@@ -68,39 +68,44 @@ sim::SimDuration measure(cluster::BoardKind board, std::uint64_t bytes,
       arrival = t.engine().now();
     }
   });
-  const sim::SimDuration latency = arrival - send_start;
-  if (rep != nullptr && rep->active()) {
-    const char* system = board == cluster::BoardKind::kCni ? "cni" : "standard";
-    obs::ReportPoint pt;
-    pt.label = std::string("bytes=") + std::to_string(bytes) + " system=" + system;
-    pt.config = {{"bytes", std::to_string(bytes)}, {"system", system}};
-    pt.values = {{"latency_us", sim::to_micros(latency)}};
-    bench::fill_legacy(pt, cl.stats().total());
-    pt.snapshot = cl.snapshot();
-    rep->add_point(std::move(pt));
-  }
-  return latency;
+  const char* system = board == cluster::BoardKind::kCni ? "cni" : "standard";
+  obs::ReportPoint pt;
+  pt.label = std::string("bytes=") + std::to_string(bytes) + " system=" + system;
+  pt.config = {{"bytes", std::to_string(bytes)}, {"system", system}};
+  pt.values = {{"latency_us", sim::to_micros(arrival - send_start)}};
+  bench::fill_legacy(pt, cl.stats().total());
+  pt.snapshot = cl.snapshot();
+  return pt;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  cni::bench::check_args(argc, argv);
-  cni::obs::Reporter reporter(argc, argv, "fig14_latency_micro");
-  cni::cluster::apply_fabric_cli(argc, argv, &reporter);
+  cni::obs::Reporter reporter =
+      cni::bench::parse_args(argc, argv, "fig14_latency_micro").report;
   reporter.add_config("figure", "fig14");
+  const std::uint64_t sizes[] = {0, 512, 1024, 1536, 2048, 2560, 3072, 3584, 4096};
+  using cni::cluster::BoardKind;
+  std::vector<cni::bench::Job<cni::obs::ReportPoint>> jobs;  // per size: CNI, standard
+  for (const std::uint64_t bytes : sizes) {
+    for (const BoardKind board : {BoardKind::kCni, BoardKind::kStandard}) {
+      jobs.push_back({2, [=] { return measure(board, bytes); }});
+    }
+  }
+  std::vector<cni::obs::ReportPoint> points = cni::bench::run_points(jobs);
+
   cni::util::Table t("Figure 14: node-to-node latency vs message size");
   t.set_header({"bytes", "CNI (us)", "Standard (us)", "reduction (%)"});
   double reduction_4k = 0;
-  for (std::uint64_t bytes : {0ull, 512ull, 1024ull, 1536ull, 2048ull, 2560ull,
-                              3072ull, 3584ull, 4096ull}) {
-    const double cni = cni::sim::to_micros(
-        measure(cni::cluster::BoardKind::kCni, bytes, &reporter));
-    const double std_ = cni::sim::to_micros(
-        measure(cni::cluster::BoardKind::kStandard, bytes, &reporter));
+  for (std::size_t i = 0; i < std::size(sizes); ++i) {
+    const double cni = points[2 * i].values.front().second;
+    const double std_ = points[2 * i + 1].values.front().second;
     const double red = 100.0 * (std_ - cni) / std_;
-    if (bytes == 4096) reduction_4k = red;
-    t.add_row(std::to_string(bytes), {cni, std_, red}, 2);
+    if (sizes[i] == 4096) reduction_4k = red;
+    t.add_row(std::to_string(sizes[i]), {cni, std_, red}, 2);
+  }
+  if (reporter.active()) {
+    for (cni::obs::ReportPoint& pt : points) reporter.add_point(std::move(pt));
   }
   t.print();
   std::printf("\npaper: ~33%% lower latency for a 4 KB page transfer; measured: %.1f%%\n",

@@ -22,12 +22,12 @@
 // arrival (DESIGN.md §12), which is what the centralized baselines' O(N)
 // message storms stress hardest.
 //
-// Usage: fig_barrier_scaling [--json] [--fast] [--nodes=N] [--rounds=N]
+// Usage: fig_barrier_scaling [--json] [--nodes=N] [--rounds=N]
 //                            [--topology=banyan|clos|torus] [report flags]
 // --nodes takes a power of two >= 2 and --rounds a count >= 1; any other
-// value exits 2 with the usage before a cluster is built.
+// value exits 2 with the usage before a cluster is built. Every
+// (topology, nodes, mode) point is one job on the sweep pool.
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -168,79 +168,70 @@ void print_table(const Point& p) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::uint32_t nodes_arg = 0;
-  std::uint32_t rounds_arg = 0;
-  cni::bench::check_args(argc, argv, {"--json", "--fast"}, true,
-                         {cni::bench::nodes_flag(&nodes_arg),
-                          cni::bench::rounds_flag(&rounds_arg)});
   using namespace cni;
-  obs::Reporter reporter(argc, argv, "fig_barrier_scaling");
-  cluster::apply_fabric_cli(argc, argv, &reporter);
+  bench::Args args = bench::parse_args(argc, argv, "fig_barrier_scaling",
+                                       bench::kFigureFlags | bench::kScaleFlags);
+  obs::Reporter& reporter = args.report;
   reporter.add_config("figure", "fig_barrier_scaling");
   reporter.add_config("app", "barrier");
 
-  bool json = false;
-  bool fast = bench::fast_mode();
-  bool topo_pinned = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--json") == 0) json = true;
-    if (std::strcmp(argv[i], "--fast") == 0) fast = true;
-    if (std::strncmp(argv[i], "--topology=", 11) == 0) topo_pinned = true;
-  }
+  const bool fast = bench::fast_mode();
+  std::vector<std::uint32_t> node_counts = {256, 1024, 4096};
+  if (fast) node_counts = {64, 256};
+  if (args.nodes != 0) node_counts = {args.nodes};
+  const std::uint32_t rounds = args.rounds != 0 ? args.rounds : (fast ? 4 : 8);
 
-  std::vector<std::uint32_t> node_counts;
-  if (nodes_arg != 0) {
-    node_counts = {nodes_arg};
-  } else if (fast) {
-    node_counts = {64, 256};
-  } else {
-    node_counts = {256, 1024, 4096};
-  }
-  const std::uint32_t rounds = rounds_arg != 0 ? rounds_arg : (fast ? 4 : 8);
-
-  // --topology pins the sweep to one fabric (apply_fabric_cli already made
-  // it the default); otherwise cover all three.
+  // --topology pins the sweep to one fabric; otherwise cover all three.
   std::vector<TopologyKind> kinds = {TopologyKind::kBanyan, TopologyKind::kClos,
                                      TopologyKind::kTorus};
-  if (topo_pinned) kinds = {atm::default_topology()};
+  if (args.topology) kinds = {*args.topology};
 
   std::vector<Point> points;
+  std::vector<bench::Job<ModeResult>> jobs;  // per point: one per kModes entry
   for (const TopologyKind kind : kinds) {
     for (const std::uint32_t nodes : node_counts) {
       Point p;
       p.topology = atm::topology_name(kind);
       p.nodes = nodes;
       p.name = std::string(p.topology) + "/" + std::to_string(nodes);
-      for (const Mode& mode : kModes) {
-        p.modes.push_back(run_mode(kind, mode, nodes, rounds));
-      }
-      // The tree must beat the centralized protocols once the O(N) manager
-      // serialization dominates — the acceptance bar for this figure.
-      if (nodes >= 1024) {
-        CNI_CHECK_MSG(p.modes[0].barrier_ps < p.modes[1].barrier_ps &&
-                          p.modes[0].barrier_ps < p.modes[2].barrier_ps,
-                      "NIC tree barrier lost to the centralized baseline");
-      }
-      if (!json) print_table(p);
-      if (reporter.active()) {
-        for (const ModeResult& m : p.modes) {
-          obs::ReportPoint pt;
-          pt.label = p.name + " mode=" + m.name;
-          pt.config = {{"topology", p.topology},
-                       {"nodes", std::to_string(p.nodes)},
-                       {"mode", m.name}};
-          pt.values = {{"barrier_ps", static_cast<double>(m.barrier_ps)},
-                       {"reduce_ps", static_cast<double>(m.reduce_ps)},
-                       {"fanin", static_cast<double>(m.fanin)},
-                       {"depth", static_cast<double>(m.depth)}};
-          bench::fill_legacy(pt, m.totals);
-          pt.snapshot = m.snapshot;
-          reporter.add_point(std::move(pt));
-        }
-      }
       points.push_back(std::move(p));
+      for (const Mode& mode : kModes) {
+        jobs.push_back({nodes, [=] { return run_mode(kind, mode, nodes, rounds); }});
+      }
     }
   }
-  if (json) print_json(points, rounds);
+  std::vector<ModeResult> results = bench::run_points(jobs);
+
+  for (std::size_t pi = 0; pi < points.size(); ++pi) {
+    Point& p = points[pi];
+    for (std::size_t m = 0; m < std::size(kModes); ++m) {
+      p.modes.push_back(std::move(results[pi * std::size(kModes) + m]));
+    }
+    // The tree must beat the centralized protocols once the O(N) manager
+    // serialization dominates — the acceptance bar for this figure.
+    if (p.nodes >= 1024) {
+      CNI_CHECK_MSG(p.modes[0].barrier_ps < p.modes[1].barrier_ps &&
+                        p.modes[0].barrier_ps < p.modes[2].barrier_ps,
+                    "NIC tree barrier lost to the centralized baseline");
+    }
+    if (!args.json) print_table(p);
+    if (reporter.active()) {
+      for (const ModeResult& m : p.modes) {
+        obs::ReportPoint pt;
+        pt.label = p.name + " mode=" + m.name;
+        pt.config = {{"topology", p.topology},
+                     {"nodes", std::to_string(p.nodes)},
+                     {"mode", m.name}};
+        pt.values = {{"barrier_ps", static_cast<double>(m.barrier_ps)},
+                     {"reduce_ps", static_cast<double>(m.reduce_ps)},
+                     {"fanin", static_cast<double>(m.fanin)},
+                     {"depth", static_cast<double>(m.depth)}};
+        bench::fill_legacy(pt, m.totals);
+        pt.snapshot = m.snapshot;
+        reporter.add_point(std::move(pt));
+      }
+    }
+  }
+  if (args.json) print_json(points, rounds);
   return reporter.finish() ? 0 : 1;
 }

@@ -14,13 +14,14 @@
 //     aimed at one hot node: mixed background plus a moving contention spot.
 //
 // Each point records wall clock, simulated elapsed cycles and events/sec of
-// one run, so the cost of each topology's routing shows at every scale.
+// one run, so the cost of each topology's routing shows at every scale. The
+// points therefore run one at a time, not on the sweep pool: a point's wall
+// clock must not share the host with its neighbours.
 //
-// Usage: micro_topology [--json] [--fast] [--nodes=N] [--rounds=N]
+// Usage: micro_topology [--json] [--nodes=N] [--rounds=N]
 // (--nodes a power of two >= 2, --rounds >= 1; anything else exits 2)
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -160,27 +161,13 @@ void print_table(const std::vector<Point>& points) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::uint32_t nodes_arg = 0;
-  std::uint32_t rounds_arg = 0;
-  cni::bench::check_args(argc, argv, {"--json", "--fast"}, /*report_and_fabric=*/false,
-                         {cni::bench::nodes_flag(&nodes_arg),
-                          cni::bench::rounds_flag(&rounds_arg)});
-  bool json = false;
-  bool fast = cni::bench::fast_mode();
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--json") == 0) json = true;
-    if (std::strcmp(argv[i], "--fast") == 0) fast = true;
-  }
-
-  std::vector<std::uint32_t> node_counts;
-  if (nodes_arg != 0) {
-    node_counts = {nodes_arg};
-  } else if (fast) {
-    node_counts = {64};
-  } else {
-    node_counts = {256, 1024, 4096};
-  }
-  const std::uint32_t rounds = rounds_arg != 0 ? rounds_arg : (fast ? 3 : 6);
+  const cni::bench::Args args =
+      cni::bench::parse_args(argc, argv, "micro_topology", cni::bench::kScaleFlags);
+  const bool fast = cni::bench::fast_mode();
+  std::vector<std::uint32_t> node_counts = {256, 1024, 4096};
+  if (fast) node_counts = {64};
+  if (args.nodes != 0) node_counts = {args.nodes};
+  const std::uint32_t rounds = args.rounds != 0 ? args.rounds : (fast ? 3 : 6);
 
   constexpr TopologyKind kKinds[] = {TopologyKind::kBanyan, TopologyKind::kClos,
                                      TopologyKind::kTorus};
@@ -199,7 +186,7 @@ int main(int argc, char** argv) {
       }
     }
   }
-  if (json) {
+  if (args.json) {
     print_json(points);
   } else {
     print_table(points);

@@ -5,10 +5,8 @@
 #include "bench_common.hpp"
 
 int main(int argc, char** argv) {
-  cni::bench::check_args(argc, argv);
   using namespace cni;
-  obs::Reporter reporter(argc, argv, "tab03_water_overhead");
-  cluster::apply_fabric_cli(argc, argv, &reporter);
+  auto reporter = bench::parse_args(argc, argv, "tab03_water_overhead").report;
   reporter.add_config("table", "tab03");
   reporter.add_config("app", "water");
   apps::WaterConfig cfg{216, 2};

@@ -6,10 +6,8 @@
 #include "bench_common.hpp"
 
 int main(int argc, char** argv) {
-  cni::bench::check_args(argc, argv);
   using namespace cni;
-  obs::Reporter reporter(argc, argv, "tab04_cholesky_overhead");
-  cluster::apply_fabric_cli(argc, argv, &reporter);
+  auto reporter = bench::parse_args(argc, argv, "tab04_cholesky_overhead").report;
   reporter.add_config("table", "tab04");
   reporter.add_config("app", "cholesky");
   apps::CholeskyConfig cfg = apps::CholeskyConfig::bcsstk14();

@@ -36,7 +36,7 @@ BINARIES=(
 
 # The fast goldens' pinned environment (tests/CMakeLists.txt) at full size,
 # so the ambient environment cannot move the bytes.
-export CNI_BENCH_FAST=0 CNI_BENCH_JOBS="${CNI_BENCH_JOBS:-4}" CNI_COLLECTIVE=host \
+export CNI_BENCH_FAST=0 CNI_BENCH_JOBS="${CNI_BENCH_JOBS:-4}" \
   CNI_TRACE=0 CNI_TRACE_CAPACITY=4096 CNI_LOG_LEVEL=1 CNI_LOG_JSON=0
 
 out_dir="$(mktemp -d)"

@@ -7,6 +7,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 
 #include "cluster/cluster.hpp"
 #include "dsm/context.hpp"
@@ -20,14 +21,28 @@ namespace cni::apps {
 /// that is not a count >= 1 fails a CNI_CHECK naming the variable.
 [[nodiscard]] std::size_t sweep_jobs();
 
-/// Runs fn(0), ..., fn(n-1) across a pool of sweep_jobs() threads. Each index
-/// must be an independent unit of work (a full simulation builds its own
-/// cluster, so points never share mutable state); callers keep output
-/// ordering stable by writing results into a preallocated slot per index.
-/// With one job (or n <= 1) everything runs on the calling thread. The first
-/// exception thrown by any index is rethrown after all workers finish.
-/// The callee outlives every call, so a non-owning FunctionRef suffices.
-void parallel_indexed(std::size_t n, util::FunctionRef<void(std::size_t)> fn);
+/// /proc/sys/vm/max_map_count, the kernel's limit on a process's memory
+/// mappings; Linux's default 65,530 where it cannot be read.
+[[nodiscard]] std::uint64_t max_map_count();
+
+/// How many of `jobs` workers may each hold a cluster of `nodes` nodes under
+/// `map_limit` mappings: a node's fiber stack takes two (stack and guard
+/// page), a worker a few of its own, and an eighth of the limit stays for
+/// the rest of the process. At least 1, so one oversized cluster still runs
+/// and fails loudly in SimThread's mmap.
+[[nodiscard]] std::size_t map_bounded_jobs(std::uint64_t map_limit, std::uint64_t nodes,
+                                           std::size_t jobs);
+
+/// Runs fn(0), ..., fn(n-1) on `jobs` workers, the calling thread among
+/// them, each taking the next index as it frees up. Each index must be an
+/// independent unit of work (a full simulation builds its own cluster, so
+/// points never share mutable state); callers keep output ordering stable
+/// by writing results into a preallocated slot per index. Every index runs
+/// even when another throws; the first exception is rethrown once all have
+/// ended. The callee outlives every call, so a non-owning FunctionRef
+/// suffices.
+void parallel_indexed(std::size_t n, std::size_t jobs,
+                      util::FunctionRef<void(std::size_t)> fn);
 
 struct RunResult {
   sim::SimTime elapsed = 0;

@@ -41,12 +41,6 @@ Fabric::Fabric(const FabricParams& params, std::uint32_t nodes, sim::Engine& eng
   pending_.reserve(nodes);
 }
 
-const BanyanSwitch& Fabric::fabric_switch() const {
-  const BanyanSwitch* sw = topology_->single_stage();
-  CNI_CHECK_MSG(sw != nullptr, "fabric_switch() on a non-banyan topology");
-  return *sw;
-}
-
 void Fabric::attach(NodeId node, DeliveryHook hook) {
   CNI_CHECK_MSG(node < hooks_.size(), "node outside the cluster");
   CNI_CHECK_MSG(hooks_[node] == nullptr, "node already attached to fabric");

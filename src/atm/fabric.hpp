@@ -59,7 +59,6 @@ class Fabric {
 
   [[nodiscard]] const FabricParams& params() const { return params_; }
   [[nodiscard]] const CellGeometry& cells() const { return geometry_; }
-  [[nodiscard]] std::uint32_t node_limit() const { return params_.switch_ports; }
 
   /// Registers the receive hook for a node (its NIC's reassembly input).
   void attach(NodeId node, DeliveryHook hook);
@@ -97,8 +96,6 @@ class Fabric {
   [[nodiscard]] std::uint64_t frames_sent() const { return frames_; }
   [[nodiscard]] std::uint64_t cells_sent() const { return cells_; }
   [[nodiscard]] const Topology& topology() const { return *topology_; }
-  /// The banyan when the fabric is single-stage; check-fails otherwise.
-  [[nodiscard]] const BanyanSwitch& fabric_switch() const;
 
  private:
   /// The switch-to-NIC leg: topology traversal, downlink occupancy,

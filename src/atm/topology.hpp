@@ -40,7 +40,7 @@ enum class TopologyKind : std::uint8_t {
 [[nodiscard]] bool parse_topology(const char* text, TopologyKind& out);
 
 /// Process-wide default fabric shape, consumed by FabricParams' default
-/// member initializers. Set once at startup (cluster::apply_fabric_cli,
+/// member initializers. Set once at startup (the bench harness's argv parse,
 /// before any sweep worker builds a SimParams) — the same single-writer-
 /// then-read-only discipline as obs::default_options().
 [[nodiscard]] TopologyKind default_topology();
@@ -134,9 +134,6 @@ class Topology {
   [[nodiscard]] virtual sim::SimDuration contention_time() const = 0;
   [[nodiscard]] virtual std::uint64_t bursts_routed() const = 0;
 
-  /// The underlying switch when this is the single-stage banyan, else null.
-  [[nodiscard]] virtual const BanyanSwitch* single_stage() const { return nullptr; }
-
  protected:
   explicit Topology(std::uint32_t ports) : ports_(ports) {}
 
@@ -159,7 +156,6 @@ class SingleStageTopology final : public Topology {
   [[nodiscard]] std::uint64_t bursts_routed() const override {
     return switch_.bursts_routed();
   }
-  [[nodiscard]] const BanyanSwitch* single_stage() const override { return &switch_; }
 
  private:
   BanyanSwitch switch_;

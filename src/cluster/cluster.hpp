@@ -1,9 +1,10 @@
-// Cluster assembly: N workstations on one ATM switch.
+// Cluster assembly: N workstations on one ATM fabric.
 //
 // Builds, per node: memory bus + page table + host CPU + a network board
-// (CNI or standard, per SimParams::board), all attached to a shared banyan
-// fabric; then runs one simulated thread per node on one event engine and
-// settles the computation/overhead/delay accounts.
+// (CNI or standard, per SimParams::board), all attached to one fabric of
+// the topology SimParams::fabric names (banyan, Clos or torus); then runs
+// one simulated thread per node on one event engine and settles the
+// computation/overhead/delay accounts.
 #pragma once
 
 #include <cstdint>

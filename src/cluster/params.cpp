@@ -1,15 +1,9 @@
 #include "cluster/params.hpp"
 
-#include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <optional>
 #include <string>
 #include <string_view>
 
-#include "obs/report.hpp"
 #include "sim/time.hpp"
-#include "util/cli.hpp"
 
 namespace cni::cluster {
 
@@ -17,15 +11,7 @@ namespace {
 CollectiveMode g_default_collective = CollectiveMode::kHost;
 }  // namespace
 
-CollectiveMode default_collective() {
-  const auto env = util::env_value("CNI_COLLECTIVE", "nic or host",
-                                   [](const char* text) -> std::optional<CollectiveMode> {
-                                     CollectiveMode mode{};
-                                     if (parse_collective(text, mode)) return mode;
-                                     return std::nullopt;
-                                   });
-  return env.value_or(g_default_collective);
-}
+CollectiveMode default_collective() { return g_default_collective; }
 
 void set_default_collective(CollectiveMode mode) { g_default_collective = mode; }
 
@@ -44,51 +30,6 @@ bool parse_collective(const char* text, CollectiveMode& out) {
     return true;
   }
   return false;
-}
-
-void apply_fabric_cli(int argc, char** argv, obs::Reporter* report) {
-  atm::TopologyKind kind = atm::default_topology();
-  std::uint32_t ports = atm::default_switch_ports();
-  CollectiveMode collective = default_collective();
-  for (int i = 1; i < argc; ++i) {
-    const char* arg = argv[i];
-    if (std::strncmp(arg, "--topology=", 11) == 0) {
-      if (!atm::parse_topology(arg + 11, kind)) {
-        std::fprintf(stderr,
-                     "error: unknown topology '%s' (--topology takes banyan, clos or "
-                     "torus)\n",
-                     arg + 11);
-        std::exit(2);
-      }
-    } else if (std::strncmp(arg, "--ports=", 8) == 0) {
-      const auto v = util::parse_u32(arg + 8);
-      if (!v || *v < 2 || *v > 65536 || !util::is_pow2(*v)) {
-        std::fprintf(stderr,
-                     "error: invalid --ports=%s (the fabric port count must be a power "
-                     "of two between 2 and 65536, e.g. --ports=4096)\n",
-                     arg + 8);
-        std::exit(2);
-      }
-      ports = *v;
-    } else if (std::strncmp(arg, "--collective=", 13) == 0) {
-      CollectiveMode mode = collective;
-      if (!parse_collective(arg + 13, mode)) {
-        std::fprintf(stderr,
-                     "error: unknown collective mode '%s' (--collective takes nic or "
-                     "host)\n",
-                     arg + 13);
-        std::exit(2);
-      }
-      collective = mode;
-    }
-  }
-  atm::set_default_fabric_shape(kind, ports);
-  set_default_collective(collective);
-  if (report != nullptr) {
-    report->add_config("topology", atm::topology_name(kind));
-    report->add_config("fabric_ports", std::to_string(ports));
-    report->add_config("collective", collective_name(collective));
-  }
 }
 
 util::Table SimParams::to_table() const {

@@ -11,10 +11,6 @@
 #include "obs/options.hpp"
 #include "util/table.hpp"
 
-namespace cni::obs {
-class Reporter;
-}  // namespace cni::obs
-
 namespace cni::cluster {
 
 enum class BoardKind {
@@ -28,28 +24,14 @@ enum class CollectiveMode : std::uint8_t {
   kNic,   ///< NIC-resident combining tree: AIH handlers combine and forward
 };
 
-/// Process-default collective mode: CNI_COLLECTIVE (`nic` or `host`; any
-/// other value fails a CNI_CHECK), else whatever set_default_collective
-/// installed, else kHost. Host stays the default so existing figure
-/// artifacts are untouched.
+/// Process-default collective mode: whatever set_default_collective
+/// installed (a bench binary's --collective= flag), else kHost. Host stays
+/// the default so existing figure artifacts are untouched.
 [[nodiscard]] CollectiveMode default_collective();
 void set_default_collective(CollectiveMode mode);
 [[nodiscard]] const char* collective_name(CollectiveMode mode);
 /// Parses `nic` / `host`; returns false (out unchanged) on anything else.
 [[nodiscard]] bool parse_collective(const char* text, CollectiveMode& out);
-
-/// Applies `--topology=banyan|clos|torus`, `--ports=N` and
-/// `--collective=nic|host` from argv to the process-wide defaults
-/// (atm::set_default_fabric_shape / set_default_collective), so every
-/// SimParams / DsmParams built afterwards picks them up. Validates eagerly —
-/// unknown topology names, non-power-of-two port counts and unknown
-/// collective modes exit(2) with a message naming the accepted values — and
-/// ignores unrelated argv entries (obs::Reporter's flags and the benchmark's
-/// own). When `report` is given, the effective shape and collective mode are
-/// recorded in the run report's config block, flags or not, so every
-/// artifact says which fabric and barrier path produced it. Call once at
-/// startup, before any sweep worker builds a SimParams.
-void apply_fabric_cli(int argc, char** argv, obs::Reporter* report = nullptr);
 
 struct SimParams {
   std::uint64_t cpu_freq_hz = 166'000'000;  ///< Table 1: 166 MHz Alpha
@@ -63,8 +45,8 @@ struct SimParams {
   atm::FabricParams fabric;   ///< 622 Mb/s links, 500 ns banyan switch
   core::CniConfig cni;        ///< 32 KB Message Cache etc.
   /// Observability switches. Defaults come from the process-wide options
-  /// (CNI_TRACE env / Reporter flags), captured when the SimParams is built
-  /// so every cluster in a sweep sees one consistent setting.
+  /// (CNI_TRACE env / bench report flags), captured when the SimParams is
+  /// built so every cluster in a sweep sees one consistent setting.
   obs::Options obs = obs::default_options();
 
   /// Renders the Table 1 parameter dump.

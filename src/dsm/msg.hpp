@@ -56,7 +56,6 @@ struct DsmParams {
   std::uint32_t handler_per_notice_cycles = 8;
   std::uint32_t diff_word_cycles = 1;            ///< make/apply diffs, per 8 bytes
   std::uint32_t twin_word_cycles = 2;            ///< twin copy, per 8 bytes (host)
-  std::uint32_t max_retained_diffs = 8;          ///< coalesce beyond this
   std::uint64_t handler_code_bytes = 16 * 1024;  ///< AIH object-code footprint
   /// Where barriers run: kHost = the seed's centralized manager on node 0,
   /// kNic = the NIC-resident combining tree (reduce/broadcast always use the

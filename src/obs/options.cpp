@@ -8,8 +8,9 @@ namespace cni::obs {
 namespace {
 
 // Packed {initialized, trace, capacity} so reads are a single atomic load.
-// Writers (env init, Reporter construction) run before sweep threads spawn;
-// the atomic keeps the cross-thread *reads* well-defined under TSan.
+// Writers (env init, the bench harness's argv parse) run before sweep
+// threads spawn; the atomic keeps the cross-thread *reads* well-defined
+// under TSan.
 struct PackedOptions {
   bool init = false;
   bool trace = false;

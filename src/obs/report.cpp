@@ -3,11 +3,8 @@
 #include <cinttypes>
 #include <cstdarg>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 
 #include "obs/critpath.hpp"
-#include "util/cli.hpp"
 #include "util/log.hpp"
 
 namespace cni::obs {
@@ -328,48 +325,21 @@ bool write_text_file(const std::string& path, const std::string& contents) {
   return ok;
 }
 
-Reporter::Reporter(int argc, char** argv, std::string binary)
-    : binary_(std::move(binary)) {
-  Options opts = default_options();
-  for (int i = 1; i < argc; ++i) {
-    const char* arg = argv[i];
-    if (std::strncmp(arg, "--trace-out=", 12) == 0) {
-      trace_path_ = arg + 12;
-      opts.trace = true;
-    } else if (std::strncmp(arg, "--metrics-out=", 14) == 0) {
-      metrics_path_ = arg + 14;
-    } else if (std::strncmp(arg, "--critpath-out=", 15) == 0) {
-      critpath_path_ = arg + 15;
-      opts.trace = true;  // critpath extraction needs the causal records
-    } else if (std::strncmp(arg, "--trace-capacity=", 17) == 0) {
-      const auto v = util::parse_u32(arg + 17);
-      if (!v || *v == 0) {
-        std::fprintf(stderr, "error: invalid --trace-capacity=%s (need a count >= 1)\n", arg + 17);
-        std::exit(2);
-      }
-      opts.trace_capacity = *v;
-    }
-  }
-  // Install before any sweep thread exists: worker threads read the default
-  // when they build SimParams, and a post-spawn write would race.
-  set_default_options(opts);
-}
-
 bool Reporter::finish() const {
   bool ok = true;
-  if (!trace_path_.empty()) {
-    ok = write_text_file(trace_path_, chrome_trace_json(points_)) && ok;
+  if (!files_.trace.empty()) {
+    ok = write_text_file(files_.trace, chrome_trace_json(points_)) && ok;
   }
-  if (!metrics_path_.empty()) {
-    ok = write_text_file(metrics_path_, run_report_json(binary_, config_, points_)) && ok;
+  if (!files_.metrics.empty()) {
+    ok = write_text_file(files_.metrics, run_report_json(binary_, config_, points_)) && ok;
   }
-  if (!critpath_path_.empty()) {
+  if (!files_.critpath.empty()) {
     std::vector<std::pair<std::string, CritPath>> cps;
     cps.reserve(points_.size());
     for (const ReportPoint& pt : points_) {
       cps.emplace_back(pt.label, extract_critical_path(pt.snapshot));
     }
-    ok = write_text_file(critpath_path_, critpath_json(cps)) && ok;
+    ok = write_text_file(files_.critpath, critpath_json(cps)) && ok;
   }
   return ok;
 }

@@ -7,10 +7,11 @@
 //     config, figure values, per-node metrics and histogram percentiles —
 //     what scripts/bench_engine.py and scripts/validate_report.py consume.
 //
-// The Reporter class is the harness the runner and every bench main share:
-// it owns flag parsing (--trace-out / --metrics-out / --trace-capacity),
-// flips the process-default Options *before* sweep threads start, collects
-// one ReportPoint per sweep point, and writes the files at the end.
+// The Reporter class is what every bench main hands its finished points:
+// it is built with the output files the command line asked for (the bench
+// harness reads argv and installs the trace options before any sweep
+// thread starts), collects one ReportPoint per sweep point, and writes the
+// files at the end.
 #pragma once
 
 #include <cstdint>
@@ -57,20 +58,24 @@ struct ReportPoint {
 /// Writes `contents` to `path`; returns false (and logs) on failure.
 bool write_text_file(const std::string& path, const std::string& contents);
 
-/// Flag-driven reporting for a figure/table binary. Construction parses and
-/// strips the obs flags and, if tracing was requested, installs the process
-/// default Options — it must therefore run before any sweep thread starts.
+/// The files a figure/table binary writes when it finishes; an empty path
+/// is a file not asked for.
+struct ReportFiles {
+  std::string trace;     ///< --trace-out: Chrome trace_event JSON
+  std::string metrics;   ///< --metrics-out: cni-run-report JSON
+  std::string critpath;  ///< --critpath-out: cni-critpath JSON
+};
+
+/// Reporting for a figure/table binary: collects its points and writes the
+/// files it was built with.
 class Reporter {
  public:
-  Reporter(int argc, char** argv, std::string binary);
+  Reporter(std::string binary, ReportFiles files)
+      : binary_(std::move(binary)), files_(std::move(files)) {}
 
-  /// Was --trace-out or --critpath-out given (so clusters should record)?
-  [[nodiscard]] bool tracing() const {
-    return !trace_path_.empty() || !critpath_path_.empty();
-  }
   /// Is any output file requested at all?
   [[nodiscard]] bool active() const {
-    return !trace_path_.empty() || !metrics_path_.empty() || !critpath_path_.empty();
+    return !files_.trace.empty() || !files_.metrics.empty() || !files_.critpath.empty();
   }
 
   void add_config(std::string key, std::string value) {
@@ -83,9 +88,7 @@ class Reporter {
 
  private:
   std::string binary_;
-  std::string trace_path_;
-  std::string metrics_path_;
-  std::string critpath_path_;  ///< --critpath-out: cni-critpath JSON target
+  ReportFiles files_;
   std::vector<std::pair<std::string, std::string>> config_;
   std::vector<ReportPoint> points_;
 };

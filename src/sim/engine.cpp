@@ -48,7 +48,6 @@ EventId Engine::schedule_with_seq(SimTime t, std::uint64_t seq, Callback cb) {
   heap_t_.push_back(t);
   heap_seq_.push_back(seq);
   heap_slot_.push_back(s);
-  ++scheduled_;
   sift_up(static_cast<std::uint32_t>(heap_t_.size() - 1));  // physical index
   return make_id(s, sl.gen);
 }

@@ -115,7 +115,6 @@ class Engine {
     return heap_t_.empty() ? 0 : heap_t_.size() - kPad;
   }
   [[nodiscard]] std::uint64_t events_executed() const { return executed_; }
-  [[nodiscard]] std::uint64_t events_scheduled() const { return scheduled_; }
   [[nodiscard]] std::uint64_t events_cancelled() const { return cancelled_; }
 
  private:
@@ -159,7 +158,6 @@ class Engine {
   SimTime now_ = 0;
   std::uint64_t seq_ = 0;
   std::uint64_t delivery_seq_ = 0;
-  std::uint64_t scheduled_ = 0;
   std::uint64_t executed_ = 0;
   std::uint64_t cancelled_ = 0;
   // The heap, struct-of-arrays: node i is (heap_t_[i], heap_seq_[i],

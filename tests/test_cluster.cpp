@@ -1,7 +1,6 @@
 // Cluster assembly, host CPU accounting and run mechanics.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -112,12 +111,10 @@ TEST(ParsimDeterminism, ConcurrentSweepPoolDoesNotPerturbResults) {
   params.obs.trace = true;  // trace export identity too
   const std::string expected = run_fingerprint(params, config);
 
-  ASSERT_EQ(::setenv("CNI_BENCH_JOBS", "4", 1), 0);
   std::vector<std::string> got(4);
-  apps::parallel_indexed(got.size(), [&](std::size_t i) {
+  apps::parallel_indexed(got.size(), 4, [&](std::size_t i) {
     got[i] = run_fingerprint(params, config);
   });
-  ASSERT_EQ(::unsetenv("CNI_BENCH_JOBS"), 0);
   for (const std::string& g : got) EXPECT_EQ(expected, g);
 }
 

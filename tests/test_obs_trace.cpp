@@ -3,7 +3,6 @@
 // the parallel sweep runner, and tracing must never perturb the simulation.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -90,18 +89,10 @@ TEST(ObsDeterminism, ParallelSweepMatchesSequentialByteForByte) {
   const std::string ref = obs::chrome_trace_json({to_point(traced_run(2))});
 
   // Same simulation on 4 worker threads; every copy must match the reference.
-  char* old_jobs = std::getenv("CNI_BENCH_JOBS");
-  const std::string saved = old_jobs != nullptr ? old_jobs : "";
-  ::setenv("CNI_BENCH_JOBS", "4", 1);
   std::vector<std::string> exports(4);
-  apps::parallel_indexed(exports.size(), [&](std::size_t i) {
+  apps::parallel_indexed(exports.size(), 4, [&](std::size_t i) {
     exports[i] = obs::chrome_trace_json({to_point(traced_run(2))});
   });
-  if (old_jobs != nullptr) {
-    ::setenv("CNI_BENCH_JOBS", saved.c_str(), 1);
-  } else {
-    ::unsetenv("CNI_BENCH_JOBS");
-  }
   for (const std::string& e : exports) EXPECT_EQ(e, ref);
 }
 

@@ -6,7 +6,6 @@
 #include <unordered_map>
 
 #include "apps/runner.hpp"
-#include "cluster/params.hpp"
 #include "obs/options.hpp"
 #include "util/cli.hpp"
 #include "util/flat_map.hpp"
@@ -208,16 +207,6 @@ TEST_F(EnvValueDeathTest, LogJsonTakesZeroOrOne) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   const ScopedEnv env("CNI_LOG_JSON", "yes");
   EXPECT_DEATH((void)Logger::json(), "CNI_LOG_JSON must be 0 or 1, not 'yes'");
-}
-
-TEST_F(EnvValueDeathTest, CollectiveTakesNicOrHost) {
-  {
-    const ScopedEnv env("CNI_COLLECTIVE", "nic");
-    EXPECT_EQ(cluster::default_collective(), cluster::CollectiveMode::kNic);
-  }
-  const ScopedEnv env("CNI_COLLECTIVE", "bogus");
-  EXPECT_DEATH((void)cluster::default_collective(),
-               "CNI_COLLECTIVE must be nic or host, not 'bogus'");
 }
 
 TEST(U64FlatMap, InsertFindEraseBasics) {
