@@ -708,16 +708,32 @@ void DsmRuntime::on_bar_release(Ctx& ctx, const atm::Frame& f) {
   });
 }
 
+/// A barrier release as an engine event. A std::vector and a VectorClock
+/// (a pointer and a size) both stay valid when their bytes are copied
+/// elsewhere, so the event opts into InlineFn's memcpy relocation and stays
+/// in its inline buffer.
+struct DsmRuntime::BarrierRelease {
+  static constexpr bool kTriviallyRelocatable = true;
+
+  DsmRuntime* rt;
+  std::vector<Interval> ivs;
+  VectorClock global;
+
+  void operator()() {
+    for (const Interval& iv : ivs) rt->process_incoming_interval(iv);
+    rt->vc_.merge(global);
+    rt->last_barrier_vc_ = std::move(global);
+    rt->barrier_released_ = true;
+    rt->wq_.notify_all();
+  }
+};
+
 void DsmRuntime::schedule_barrier_release(sim::SimTime at, std::vector<Interval> ivs,
                                           VectorClock global) {
-  node_.engine().schedule_at(
-      at, [this, ivs = std::move(ivs), global = std::move(global)]() mutable {
-        for (const Interval& iv : ivs) process_incoming_interval(iv);
-        vc_.merge(global);
-        last_barrier_vc_ = std::move(global);
-        barrier_released_ = true;
-        wq_.notify_all();
-      });
+  BarrierRelease release{this, std::move(ivs), std::move(global)};
+  static_assert(sizeof(release) <= sim::InlineFn::kInlineBytes,
+                "a barrier release must fit the event's inline buffer");
+  node_.engine().schedule_at(at, std::move(release));
 }
 
 // ---------------------------------------------------------------------------

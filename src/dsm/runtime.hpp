@@ -171,6 +171,7 @@ class DsmRuntime {
   /// and wakes the app thread. Used by both ends of the tree down-sweep.
   void schedule_barrier_release(sim::SimTime at, std::vector<Interval> ivs,
                                 VectorClock global);
+  struct BarrierRelease;  ///< that release's event (runtime.cpp)
 
   /// Down-sweep fan-out of the parked barrier fold: per child, the episode
   /// intervals that child's subtree floor does not cover, plus the global

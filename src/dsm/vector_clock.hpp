@@ -7,8 +7,9 @@
 #include <cstring>
 #include <functional>
 #include <iterator>
+#include <memory>
 #include <span>
-#include <vector>
+#include <utility>
 
 #include "util/check.hpp"
 
@@ -68,43 +69,113 @@ class WireArray {
 /// A clock as it lies on the wire: its entries, read in place.
 using ClockView = WireArray<std::uint32_t>;
 
+/// A vector timestamp. A clock whose entries are all zero holds no entry
+/// storage, only its size: it reads and compares as zeros, and its view is
+/// the shared zero block. It allocates at its first nonzero `set`,
+/// `advance`, `merge` or `assign`, and frees its storage again when it is
+/// assigned or min-folded to all zeros. A program that closes no interval
+/// (a barrier-only run) so keeps N nodes' clocks, and every copy of them,
+/// in O(N) bytes rather than O(N^2) (DESIGN.md §16).
 class VectorClock {
  public:
+  /// The widest clock: node ids are 16 bits on the wire.
+  static constexpr std::size_t kMaxEntries = std::size_t{1} << 16;
+
   VectorClock() = default;
-  explicit VectorClock(std::size_t nodes) : v_(nodes, 0) {}
-  explicit VectorClock(ClockView o) : v_(o.begin(), o.end()) {}
+  explicit VectorClock(std::size_t nodes) : n_(checked_size(nodes)) {}
+  explicit VectorClock(ClockView o) { assign(o); }
 
-  [[nodiscard]] std::size_t size() const { return v_.size(); }
-  [[nodiscard]] std::uint32_t operator[](std::size_t i) const { return v_.at(i); }
-  void set(std::size_t i, std::uint32_t val) { v_.at(i) = val; }
+  VectorClock(const VectorClock& o) : n_(o.n_) {
+    if (o.v_) store(o.bytes(), o.n_);
+  }
+  VectorClock& operator=(const VectorClock& o) {
+    if (this == &o) return *this;
+    if (o.v_) {
+      store(o.bytes(), o.n_);
+    } else {
+      v_.reset();
+      n_ = o.n_;
+    }
+    return *this;
+  }
+  VectorClock(VectorClock&&) noexcept = default;
+  VectorClock& operator=(VectorClock&&) noexcept = default;
 
-  void advance(std::size_t i) { ++v_.at(i); }
+  [[nodiscard]] std::size_t size() const { return n_; }
+  [[nodiscard]] std::uint32_t operator[](std::size_t i) const {
+    CNI_CHECK_LT(i, n_);
+    return v_ ? v_[i] : 0;
+  }
+  void set(std::size_t i, std::uint32_t val) {
+    CNI_CHECK_LT(i, n_);
+    if (!v_) {
+      if (val == 0) return;
+      materialize();
+    }
+    v_[i] = val;
+  }
 
-  /// Copies a wire clock's entries into this clock's storage.
-  void assign(ClockView o) { v_.assign(o.begin(), o.end()); }
+  void advance(std::size_t i) {
+    CNI_CHECK_LT(i, n_);
+    if (!v_) materialize();
+    ++v_[i];
+  }
+
+  /// Copies a wire clock's entries into this clock's storage; an all-zero
+  /// clock frees it instead.
+  void assign(ClockView o) {
+    const std::uint32_t n = checked_size(o.size());
+    if (all_zero(o)) {
+      v_.reset();
+      n_ = n;
+    } else {
+      store(o.bytes().data(), n);
+    }
+  }
 
   /// Pointwise maximum (the acquirer's clock after an acquire).
   void merge(const VectorClock& o) {
-    CNI_CHECK(o.size() == size());
-    for (std::size_t i = 0; i < v_.size(); ++i) v_[i] = std::max(v_[i], o.v_[i]);
+    CNI_CHECK(o.n_ == n_);
+    if (!o.v_) return;
+    if (!v_) {
+      store(o.bytes(), n_);
+      return;
+    }
+    for (std::size_t i = 0; i < n_; ++i) v_[i] = std::max(v_[i], o.v_[i]);
   }
   void merge(ClockView o) {
-    CNI_CHECK(o.size() == size());
-    std::transform(v_.begin(), v_.end(), o.begin(), v_.begin(),
+    CNI_CHECK(o.size() == n_);
+    if (!v_) {
+      assign(o);
+      return;
+    }
+    std::transform(v_.get(), v_.get() + n_, o.begin(), v_.get(),
                    [](std::uint32_t a, std::uint32_t b) { return std::max(a, b); });
   }
 
   /// Pointwise minimum (a combining tree's subtree floor).
   void min_in_place(const VectorClock& o) {
-    CNI_CHECK(o.size() == size());
-    for (std::size_t i = 0; i < v_.size(); ++i) v_[i] = std::min(v_[i], o.v_[i]);
+    CNI_CHECK(o.n_ == n_);
+    if (!v_) return;
+    if (!o.v_) {
+      v_.reset();
+      return;
+    }
+    std::uint32_t any = 0;
+    for (std::size_t i = 0; i < n_; ++i) {
+      v_[i] = std::min(v_[i], o.v_[i]);
+      any |= v_[i];
+    }
+    if (any == 0) v_.reset();
   }
 
   /// True iff this <= o pointwise (this happened-before-or-equals o).
   [[nodiscard]] bool dominated_by(const VectorClock& o) const {
-    CNI_CHECK(o.size() == size());
-    for (std::size_t i = 0; i < v_.size(); ++i) {
-      if (v_[i] > o.v_[i]) return false;
+    CNI_CHECK(o.n_ == n_);
+    if (!v_) return true;
+    const std::uint32_t* b = o.entries();
+    for (std::size_t i = 0; i < n_; ++i) {
+      if (v_[i] > b[i]) return false;
     }
     return true;
   }
@@ -114,16 +185,71 @@ class VectorClock {
     return !dominated_by(o) && !o.dominated_by(*this);
   }
 
-  bool operator==(const VectorClock&) const = default;
-
-  /// This clock's entries in wire form; valid while the clock lives unresized.
-  // NOLINTNEXTLINE(google-explicit-constructor): a clock *is* its entries
-  operator ClockView() const {
-    return {reinterpret_cast<const std::byte*>(v_.data()), v_.size()};
+  /// Equal sizes and entries, however each clock holds them.
+  bool operator==(const VectorClock& o) const {
+    if (n_ != o.n_) return false;
+    if (!v_ && !o.v_) return true;
+    return std::memcmp(entries(), o.entries(), std::size_t{n_} * 4) == 0;
   }
 
+  /// This clock's entries in wire form; valid until the clock's next
+  /// mutation. (A view of a clock with no storage reads the zero block, and
+  /// keeps reading zeros after the clock allocates.)
+  // NOLINTNEXTLINE(google-explicit-constructor): a clock *is* its entries
+  operator ClockView() const { return {bytes(), n_}; }
+
  private:
-  std::vector<std::uint32_t> v_;
+  /// What a clock with no storage reads: zero-initialized and const, so it
+  /// needs no dynamic initializer and any thread may read it.
+  alignas(64) static inline const std::uint32_t kZeros[kMaxEntries]{};
+
+  static std::uint32_t checked_size(std::size_t n) {
+    CNI_CHECK_LE(n, kMaxEntries);
+    return static_cast<std::uint32_t>(n);
+  }
+
+  /// True iff every entry of `o` is zero: a view of the zero block, or one
+  /// memcmp against it, which compares whole vector words and stops at the
+  /// first that differs. (checked_size bounds `o` to the block's length.)
+  static bool all_zero(ClockView o) {
+    const std::span<const std::byte> b = o.bytes();
+    const auto* zeros = reinterpret_cast<const std::byte*>(kZeros);
+    return b.empty() || b.data() == zeros || std::memcmp(b.data(), zeros, b.size()) == 0;
+  }
+
+  [[nodiscard]] const std::uint32_t* entries() const { return v_ ? v_.get() : kZeros; }
+  [[nodiscard]] const std::byte* bytes() const {
+    return reinterpret_cast<const std::byte*>(entries());
+  }
+
+  /// Gives a clock with no storage its entries, all zero.
+  void materialize() {
+    // cni-lint: allow(hot-path-alloc): a clock's first nonzero entry; a run
+    // whose clocks stay zero never gets here.
+    v_ = std::make_unique<std::uint32_t[]>(n_);
+  }
+
+  /// Holds `n` entries copied from `src` (which may lie in this clock's own
+  /// storage: a new block is filled before the old one is freed).
+  void store(const std::byte* src, std::uint32_t n) {
+    if (v_ && n_ == n) {
+      std::memmove(v_.get(), src, std::size_t{n} * 4);
+    } else {
+      // cni-lint: allow(hot-path-alloc): a copy of a clock with a nonzero
+      // entry; copies of all-zero clocks allocate nothing.
+      auto fresh = std::make_unique_for_overwrite<std::uint32_t[]>(n);
+      std::memcpy(fresh.get(), src, std::size_t{n} * 4);
+      v_ = std::move(fresh);
+    }
+    n_ = n;
+  }
+
+  std::unique_ptr<std::uint32_t[]> v_;  ///< n_ entries, or null while all are zero
+  std::uint32_t n_ = 0;
 };
+
+// A PageEntry per shared page per node embeds one, and the barrier-release
+// event carries one in InlineFn's 48-byte buffer beside a std::vector.
+static_assert(sizeof(VectorClock) <= 16, "a clock is a pointer and a 32-bit size");
 
 }  // namespace cni::dsm

@@ -157,8 +157,13 @@ class ByteReader {
     return ClockView(take(std::size_t{n} * 4).data(), n);
   }
 
-  /// The next clock, copied out (each entry written once).
-  VectorClock clock() { return VectorClock(clock_view()); }
+  /// The next clock, copied out (an all-zero one holds no entries). One
+  /// wider than 16-bit node ids can address is malformed.
+  VectorClock clock() {
+    const ClockView vc = clock_view();
+    if (vc.size() > VectorClock::kMaxEntries) throw WireError("DSM clock too wide");
+    return VectorClock(vc);
+  }
 
   /// A view of the next `n` bytes (no length prefix).
   std::span<const std::byte> take(std::size_t n) {

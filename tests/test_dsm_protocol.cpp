@@ -4,6 +4,7 @@
 // fabric, caches) with hand-written node programs, checking both the
 // memory-model semantics and the protocol bookkeeping.
 #include <gtest/gtest.h>
+#include <malloc.h>
 
 #include <algorithm>
 #include <cstdint>
@@ -399,24 +400,65 @@ TEST(DsmProtocol, JacobiPeakMemoryStaysFlatAsIterationsGrow) {
 
 TEST(Cluster, IdleNodesCommitNoPerNodeTables) {
   if (CNI_MEMORY_SANITIZER) GTEST_SKIP() << "sanitizer shadow memory swamps the bound";
-  // The fig_barrier_scaling shape: 1,024 CNI nodes on a Clos fabric with
-  // NIC-resident collectives. Until a node touches memory, its L1 tags
-  // (like its L2 tags), TLB/RTLB entries and ADC descriptor rings (≈ 23 KB
-  // a node, 23 MB in all) must not exist. What such a build does commit is its
-  // boards, DSM runtimes with two 1,024-entry clocks each, the fabric and
-  // the metric registries: ≈ 24 MB.
-  constexpr std::uint32_t kNodes = 1024;
-  cluster::SimParams params = make_params(BoardKind::kCni, kNodes);
-  params.fabric.switch_ports = kNodes;
-  params.fabric.topology = atm::TopologyKind::kClos;
-  DsmParams dp;
-  dp.collective = cluster::CollectiveMode::kNic;
-  const std::uint64_t before = test_support::resident_bytes();
-  cluster::Cluster cl(params);
-  DsmSystem sys(cl, dp);
-  const std::uint64_t after = test_support::resident_bytes();
-  const std::uint64_t grown = after > before ? after - before : 0;
-  EXPECT_LT(grown, std::uint64_t{36} << 20) << "resident set grew " << grown << " bytes";
+  // The fig_barrier_scaling shapes, one cluster alive at a time. Until a node
+  // touches memory, its L1 tags (like its L2 tags), TLB/RTLB entries and ADC
+  // descriptor rings (≈ 23 KB a node) must not exist. A barrier-only program
+  // closes no interval, so every clock it holds stays all zeros: the
+  // runtimes' own two, the host-mode manager's N arrival clocks and the
+  // tree's subtree floors. An all-zero clock holds no entries, so a build
+  // commits only its boards, runtimes, fabric and metric registries, and a
+  // barrier adds what its frames and fibers hold while in flight.
+  struct Shape {
+    const char* what;
+    std::uint32_t nodes;
+    atm::TopologyKind topology;
+    cluster::CollectiveMode mode;
+    std::uint32_t barriers;  ///< 0: measure the build alone
+    std::uint64_t bound_mb;
+  };
+  // Measured growth in the comments; dense N-entry clocks exceed each bound.
+  const Shape shapes[] = {
+      {"1,024-node Clos build", 1024, atm::TopologyKind::kClos,
+       cluster::CollectiveMode::kNic, 0, 20},  // 16 MB; dense: 24
+      {"4,096-node banyan build", 4096, atm::TopologyKind::kBanyan,
+       cluster::CollectiveMode::kNic, 0, 80},  // 55 MB; dense: 190
+      {"two host-mode barriers", 4096, atm::TopologyKind::kBanyan,
+       cluster::CollectiveMode::kHost, 2, 250},  // 168 MB; dense: 369
+      {"two NIC-tree barriers", 4096, atm::TopologyKind::kBanyan,
+       cluster::CollectiveMode::kNic, 2, 250},  // 168 MB; dense: 437
+  };
+  for (const Shape& s : shapes) {
+    const std::uint64_t before = test_support::resident_bytes();
+    std::uint64_t after = 0;
+    {
+      cluster::SimParams params = make_params(BoardKind::kCni, s.nodes);
+      params.fabric.switch_ports = s.nodes;
+      params.fabric.topology = s.topology;
+      DsmParams dp;
+      dp.collective = s.mode;
+      cluster::Cluster cl(params);
+      DsmSystem sys(cl, dp);
+      if (s.barriers == 0) {
+        after = test_support::resident_bytes();
+      } else {
+        cl.run([&](std::size_t i, sim::SimThread& t) {
+          DsmContext ctx(sys, i, t);
+          for (std::uint32_t b = 0; b < s.barriers; ++b) ctx.barrier();
+        });
+        EXPECT_EQ(cl.stats().total().barriers, std::uint64_t{s.nodes} * s.barriers) << s.what;
+        // The high-water mark, so whatever the run freed again still counts.
+        // It also keeps any higher peak of an earlier shape, which only
+        // makes a later shape's figure an upper bound.
+        after = test_support::peak_resident_bytes();
+      }
+    }
+    // Hand what the cluster freed back to the kernel, so the next shape's
+    // baseline is not inflated by free heap it would reuse.
+    malloc_trim(0);
+    const std::uint64_t grown = after > before ? after - before : 0;
+    EXPECT_LT(grown, s.bound_mb << 20) << s.what << ": resident set grew " << grown
+                                       << " bytes";
+  }
 }
 
 TEST(DsmProtocol, WorksOnStandardBoardToo) {

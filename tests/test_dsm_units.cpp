@@ -3,6 +3,8 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstring>
+#include <functional>
 #include <initializer_list>
 #include <numeric>
 #include <span>
@@ -46,6 +48,153 @@ TEST(VectorClock, MergeIsPointwiseMax) {
   EXPECT_EQ(a[2], 3u);
 }
 
+/// The entries of `vc` as one dense vector, read through its view.
+std::vector<std::uint32_t> view_entries(ClockView vc) { return {vc.begin(), vc.end()}; }
+
+TEST(VectorClock, RandomOperationsMatchADenseReference) {
+  // Two clocks and two plain vectors take the same seeded operations. Values
+  // stay small and sparse, so the clocks keep falling back to all zeros (no
+  // storage) and leaving them again; whichever way a clock holds its
+  // entries, reads, view bytes, == and dominated_by must match the vectors.
+  using Dense = std::vector<std::uint32_t>;
+  for (const std::size_t n : {std::size_t{1}, std::size_t{32}, std::size_t{1024},
+                              std::size_t{4096}}) {
+    util::SplitMix64 rng(0xC10C0000ULL + n);
+    const Dense zeros(n);
+    std::vector<VectorClock> clock(2, VectorClock(n));
+    std::vector<Dense> ref(2, Dense(n));
+    for (int step = 0; step < 600; ++step) {
+      const std::size_t a = rng.next() % 2;
+      const std::size_t b = 1 - a;
+      const std::size_t i = rng.next() % n;
+      const auto small = static_cast<std::uint32_t>(rng.next() % 3);
+      switch (rng.next() % 10) {
+        case 0:
+          clock[a].set(i, small);
+          ref[a][i] = small;
+          break;
+        case 1:
+          clock[a].advance(i);
+          ++ref[a][i];
+          break;
+        case 2:
+          clock[a].merge(clock[b]);
+          for (std::size_t k = 0; k < n; ++k) ref[a][k] = std::max(ref[a][k], ref[b][k]);
+          break;
+        case 3: {
+          // From a view as it lies in a frame: the other clock's wire bytes.
+          const Dense wire = view_entries(clock[b]);
+          clock[a].merge(ClockView(reinterpret_cast<const std::byte*>(wire.data()), n));
+          for (std::size_t k = 0; k < n; ++k) ref[a][k] = std::max(ref[a][k], ref[b][k]);
+          break;
+        }
+        case 4:
+        case 5:
+          clock[a].min_in_place(clock[b]);
+          for (std::size_t k = 0; k < n; ++k) ref[a][k] = std::min(ref[a][k], ref[b][k]);
+          break;
+        case 6:
+          clock[a].assign(ClockView(reinterpret_cast<const std::byte*>(zeros.data()), n));
+          ref[a] = zeros;
+          break;
+        case 7: {
+          Dense wire(n);
+          wire[i] = 1 + small;
+          wire[rng.next() % n] = small;
+          clock[a].assign(ClockView(reinterpret_cast<const std::byte*>(wire.data()), n));
+          ref[a] = wire;
+          break;
+        }
+        case 8: {
+          const VectorClock copy(clock[b]);
+          clock[a] = copy;
+          ref[a] = ref[b];
+          break;
+        }
+        default:
+          clock[a] = VectorClock(n);
+          ref[a] = zeros;
+          break;
+      }
+      for (std::size_t k = 0; k < 2; ++k) {
+        ASSERT_EQ(clock[k].size(), n);
+        Dense read(n);
+        for (std::size_t e = 0; e < n; ++e) read[e] = clock[k][e];
+        ASSERT_EQ(read, ref[k]) << "n=" << n << " step " << step;
+        const ClockView view = clock[k];
+        ASSERT_EQ(view.size(), n);
+        ASSERT_EQ(std::memcmp(view.bytes().data(), ref[k].data(), n * 4), 0)
+            << "n=" << n << " step " << step;
+      }
+      ASSERT_EQ(clock[0] == clock[1], ref[0] == ref[1]) << "n=" << n << " step " << step;
+      const auto dense_le = [](const Dense& x, const Dense& y) {
+        return std::equal(x.begin(), x.end(), y.begin(), std::less_equal<std::uint32_t>());
+      };
+      ASSERT_EQ(clock[0].dominated_by(clock[1]), dense_le(ref[0], ref[1]));
+      ASSERT_EQ(clock[1].dominated_by(clock[0]), dense_le(ref[1], ref[0]));
+    }
+  }
+}
+
+TEST(VectorClock, AllZeroClocksMakeNoHeapCall) {
+  // 4,096 entries: what every node of a barrier-only fig_barrier_scaling
+  // point holds, and copies into frames, manager slots and tree floors.
+  constexpr std::size_t kNodes = 4096;
+  const std::vector<std::uint32_t> wire(kNodes);  // a zero clock as a frame holds it
+  const ClockView zero_view(reinterpret_cast<const std::byte*>(wire.data()), kNodes);
+  VectorClock folded(kNodes);
+  folded.advance(7);
+  VectorClock reassigned(kNodes);
+  reassigned.set(3, 9);
+
+  const test_support::HeapCalls calls;
+  VectorClock built(kNodes);
+  VectorClock copy = built;
+  copy.assign(zero_view);
+  copy.merge(built);
+  copy.merge(zero_view);
+  built.min_in_place(copy);
+  const ClockView view = copy;
+  // Folded or assigned back to zeros, a clock frees its entries, so copies
+  // of it allocate nothing either.
+  folded.min_in_place(built);
+  reassigned.assign(zero_view);
+  const VectorClock copies[] = {folded, reassigned};
+  const std::uint64_t news = calls.news();
+  const std::uint64_t deletes = calls.deletes();
+
+  EXPECT_EQ(news, 0u);
+  EXPECT_EQ(deletes, 2u);  // folded's and reassigned's entries
+  EXPECT_EQ(copy, built);
+  EXPECT_EQ(copies[0], built);
+  EXPECT_EQ(copies[1], built);
+  ASSERT_EQ(view.size(), kNodes);
+  EXPECT_EQ(std::memcmp(view.bytes().data(), wire.data(), kNodes * 4), 0);
+  // A storage-less clock equals a materialized all-zero one.
+  VectorClock materialized(kNodes);
+  materialized.advance(0);
+  materialized.set(0, 0);
+  EXPECT_EQ(materialized, built);
+  EXPECT_TRUE(materialized.dominated_by(built));
+  EXPECT_TRUE(built.dominated_by(materialized));
+}
+
+TEST(VectorClockDeathTest, WiderThanTheZeroBlockAborts) {
+  // Node ids are 16 bits on the wire: 65,536 entries is the widest clock.
+  VectorClock widest(VectorClock::kMaxEntries);
+  widest.set(VectorClock::kMaxEntries - 1, 1);
+  EXPECT_EQ(widest[VectorClock::kMaxEntries - 1], 1u);
+  EXPECT_EQ(ClockView(VectorClock(VectorClock::kMaxEntries))[VectorClock::kMaxEntries - 1], 0u);
+  EXPECT_DEATH(VectorClock(VectorClock::kMaxEntries + 1), "CNI_CHECK failed");
+  const std::vector<std::uint32_t> wire(VectorClock::kMaxEntries + 1);
+  const ClockView wide(reinterpret_cast<const std::byte*>(wire.data()), wire.size());
+  EXPECT_DEATH(VectorClock{wide}, "CNI_CHECK failed");
+  VectorClock three(3);
+  EXPECT_DEATH((void)three[3], "CNI_CHECK failed");
+  EXPECT_DEATH(three.set(3, 1), "CNI_CHECK failed");
+  EXPECT_DEATH(three.advance(3), "CNI_CHECK failed");
+}
+
 TEST(WireFormat, RoundTrip) {
   ByteWriter w;
   w.u32(42);
@@ -87,6 +236,14 @@ TEST(WireFormat, OversizedClockCountThrowsBeforeAllocating) {
   one_short.u32(2);
   ByteReader r2(one_short.data());
   EXPECT_THROW(r2.clock(), WireError);
+}
+
+TEST(WireFormat, ClockWiderThanNodeIdsThrows) {
+  const std::vector<std::uint32_t> wide(VectorClock::kMaxEntries + 1);
+  ByteWriter w;
+  w.clock(ClockView(reinterpret_cast<const std::byte*>(wide.data()), wide.size()));
+  ByteReader r(w.data());
+  EXPECT_THROW(r.clock(), WireError);
 }
 
 TEST(WireFormat, LargeClockBytesMatchPerEntryEncoding) {
