@@ -4,6 +4,7 @@ BENCH_collectives.json, then the trajectory.
 
 Usage: scripts/bench_engine.py [build-dir]
        scripts/bench_engine.py --suite [build-dir]
+       scripts/bench_engine.py --scaling [build-dir]
        scripts/bench_engine.py --trajectory
 
 The default mode writes:
@@ -25,6 +26,12 @@ peak RSS of the whole reproduction suite (every fig/tab binary plus
 abl_mechanisms), each binary run SUITE_REPS times, interleaved round-robin.
 Any nonzero exit fails the writer. CNI_BENCH_FAST=1 gives the smoke-size
 suite CI runs; the committed file is the full-size one.
+
+With --scaling only BENCH_scaling.json is written: host wall time and peak
+RSS against node count, from `fig_barrier_scaling --nodes=N
+--topology=banyan --rounds=2` on one sweep worker for N = 512 .. 4096, each
+node count run SCALING_REPS times, interleaved round-robin (ROADMAP item 4's
+table; about half a minute). Any nonzero exit fails the writer.
 
 With --trajectory no benchmark runs: the script aggregates the current
 payload plus the history blocks of every BENCH_*.json into one cross-PR
@@ -250,14 +257,15 @@ SUITE_CONTEXT_FIELDS = ("host", "num_cpus", "date", "base_commit", "dirty", "rep
                         "cni_bench_jobs", "cni_bench_fast")
 
 
-def timed_run(cmd: list) -> tuple:
+def timed_run(cmd: list, env=None) -> tuple:
     """(wall seconds, peak RSS in MB, exit status, stderr tail) of one child
-    process. Peak RSS is the child's ru_maxrss, read with os.wait4; it counts
-    the forked interpreter's pages before exec, so no binary reads below the
-    launching Python's RSS (about 16 MB)."""
+    process, run with `env` (default: this process's environment). Peak RSS
+    is the child's ru_maxrss, read with os.wait4; it counts the forked
+    interpreter's pages before exec, so no binary reads below the launching
+    Python's RSS (about 16 MB)."""
     with tempfile.TemporaryFile() as err:
         start = time.perf_counter()
-        proc = subprocess.Popen(cmd, stdout=subprocess.DEVNULL, stderr=err)
+        proc = subprocess.Popen(cmd, stdout=subprocess.DEVNULL, stderr=err, env=env)
         _, status, usage = os.wait4(proc.pid, 0)
         wall = time.perf_counter() - start
         proc.returncode = os.waitstatus_to_exitcode(status)
@@ -374,6 +382,105 @@ def write_suite() -> None:
     validate_suite(result)
 
     path = ROOT / "BENCH_suite.json"
+    result["history"] = load_history(path)
+    path.write_text(json.dumps(result, indent=2) + "\n")
+    print(f"wrote {path}")
+
+
+SCALING_SCHEMA_VERSION = 1
+
+SCALING_NODE_COUNTS = (512, 1024, 2048, 4096)
+SCALING_REPS = 3
+SCALING_ARGS = ("--topology=banyan", "--rounds=2")
+SCALING_POINT_FIELDS = ("wall_s_median", "wall_s_samples", "peak_rss_mb",
+                        "peak_rss_mb_samples")
+SCALING_CONTEXT_FIELDS = ("host", "num_cpus", "date", "base_commit", "dirty", "reps",
+                          "command", "cni_bench_jobs", "launcher_floor_mb")
+
+
+def validate_scaling(report: dict) -> None:
+    """Shape contract for BENCH_scaling.json (schema v1): context, one point
+    per node count in SCALING_NODE_COUNTS with `reps` wall and RSS samples
+    and their medians, and the per-doubling peak-RSS ratios."""
+    if report.get("schema_version") != SCALING_SCHEMA_VERSION:
+        raise ValueError("scaling: wrong schema_version")
+    for field in SCALING_CONTEXT_FIELDS:
+        if field not in report["context"]:
+            raise ValueError(f"scaling: context missing {field}")
+    reps = report["context"]["reps"]
+    points = report["points"]
+    if sorted(points, key=int) != [str(n) for n in SCALING_NODE_COUNTS]:
+        raise ValueError("scaling: node counts differ from SCALING_NODE_COUNTS")
+    for nodes, point in points.items():
+        for field in SCALING_POINT_FIELDS:
+            if field not in point:
+                raise ValueError(f"scaling: {nodes} missing {field}")
+        for field in ("wall_s_samples", "peak_rss_mb_samples"):
+            if len(point[field]) != reps:
+                raise ValueError(f"scaling: {nodes} has {len(point[field])} {field}, "
+                                 f"want {reps}")
+        if point["peak_rss_mb"] != statistics.median(point["peak_rss_mb_samples"]):
+            raise ValueError(f"scaling: {nodes} peak_rss_mb is not the samples' median")
+    ratios = report["peak_rss_ratio"]
+    for lo, hi in zip(SCALING_NODE_COUNTS, SCALING_NODE_COUNTS[1:]):
+        if f"{lo}->{hi}" not in ratios:
+            raise ValueError(f"scaling: missing peak_rss_ratio {lo}->{hi}")
+
+
+def write_scaling() -> None:
+    """Runs fig_barrier_scaling at each node count in SCALING_NODE_COUNTS,
+    SCALING_REPS times round-robin on one sweep worker, and writes
+    BENCH_scaling.json: median wall time and wait4 peak RSS per node count,
+    and how the peak grows per doubling."""
+    binary = str(BUILD / "bench" / "fig_barrier_scaling")
+    env = {**os.environ, "CNI_BENCH_JOBS": "1", "CNI_BENCH_FAST": "0", "CNI_TRACE": "0"}
+    # What wait4 reports for a child that maps almost nothing: the peaks
+    # below cannot read lower (see timed_run).
+    _, floor, _, _ = timed_run(["true"])
+    walls = {n: [] for n in SCALING_NODE_COUNTS}
+    peaks = {n: [] for n in SCALING_NODE_COUNTS}
+    for rep in range(SCALING_REPS):
+        for nodes in SCALING_NODE_COUNTS:
+            wall, peak, status, err = timed_run([binary, f"--nodes={nodes}", *SCALING_ARGS],
+                                                env)
+            if status != 0:
+                sys.exit(f"fig_barrier_scaling --nodes={nodes} exited {status} "
+                         f"(repetition {rep + 1}):\n{err}")
+            walls[nodes].append(round(wall, 3))
+            peaks[nodes].append(round(peak, 1))
+            print(f"  [{rep + 1}/{SCALING_REPS}] {nodes} nodes: {wall:.2f} s, {peak:.1f} MB")
+
+    points = {
+        str(n): {
+            "wall_s_median": statistics.median(walls[n]),
+            "wall_s_samples": walls[n],
+            "peak_rss_mb": statistics.median(peaks[n]),
+            "peak_rss_mb_samples": peaks[n],
+        }
+        for n in SCALING_NODE_COUNTS
+    }
+    rss = {n: points[str(n)]["peak_rss_mb"] for n in SCALING_NODE_COUNTS}
+    result = {
+        "schema_version": SCALING_SCHEMA_VERSION,
+        "context": {
+            "host": platform.node(),
+            "num_cpus": os.cpu_count(),
+            "date": datetime.datetime.now().astimezone().isoformat(timespec="seconds"),
+            **build_commit(BUILD),
+            "reps": SCALING_REPS,
+            "command": "fig_barrier_scaling --nodes=N " + " ".join(SCALING_ARGS),
+            "cni_bench_jobs": env["CNI_BENCH_JOBS"],
+            "launcher_floor_mb": round(floor, 1),
+        },
+        "points": points,
+        "peak_rss_ratio": {
+            f"{lo}->{hi}": round(rss[hi] / rss[lo], 2)
+            for lo, hi in zip(SCALING_NODE_COUNTS, SCALING_NODE_COUNTS[1:])
+        },
+    }
+    validate_scaling(result)
+
+    path = ROOT / "BENCH_scaling.json"
     result["history"] = load_history(path)
     path.write_text(json.dumps(result, indent=2) + "\n")
     print(f"wrote {path}")
@@ -545,6 +652,17 @@ def _headline_suite(s: dict) -> dict:
     }
 
 
+def _headline_scaling(s: dict) -> dict:
+    points = s.get("points") or {}
+    row = {"commit": _row_commit(s)}
+    for nodes in SCALING_NODE_COUNTS:
+        row[f"rss_mb_{nodes}"] = _num(points, str(nodes), "peak_rss_mb")
+    for nodes in SCALING_NODE_COUNTS:
+        row[f"wall_s_{nodes}"] = _num(points, str(nodes), "wall_s_median")
+    row["rss_ratio_2048_4096"] = _num(s, "peak_rss_ratio", "2048->4096")
+    return row
+
+
 def _headline_layers(s: dict) -> dict:
     """The sample-weighted share of each layer across the profiled binaries,
     largest first."""
@@ -575,6 +693,7 @@ TRAJECTORY_BENCHES = (
     ("layers", "BENCH_layers.json", _headline_layers),
     ("topology", "BENCH_topology.json", _headline_topology),
     ("collectives", "BENCH_collectives.json", _headline_collectives),
+    ("scaling", "BENCH_scaling.json", _headline_scaling),
 )
 
 
@@ -652,6 +771,9 @@ def parse_args(argv=None) -> argparse.Namespace:
     mode = parser.add_mutually_exclusive_group()
     mode.add_argument("--suite", action="store_true",
                       help="time the reproduction suite; writes BENCH_suite.json only")
+    mode.add_argument("--scaling", action="store_true",
+                      help="time fig_barrier_scaling against node count; writes "
+                           "BENCH_scaling.json only")
     mode.add_argument("--trajectory", action="store_true",
                       help="run nothing; aggregate the BENCH files into TRAJECTORY.md")
     return parser.parse_args(argv)
@@ -668,6 +790,9 @@ def main() -> None:
         return
     if args.suite:
         write_suite()
+        return
+    if args.scaling:
+        write_scaling()
         return
     write_layers()
     write_topology()

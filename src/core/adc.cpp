@@ -38,7 +38,7 @@ std::optional<AdcChannel> AdcChannel::open(DualPortMemory& board_mem,
                                            mem::VAddr region_base, std::uint64_t region_len,
                                            std::uint32_t slots) {
   const std::uint64_t bytes = 3 * DescriptorRing::footprint_bytes(slots);
-  auto offset = board_mem.alloc(bytes, "adc-channel");
+  auto offset = board_mem.alloc(bytes);
   if (!offset.has_value()) return std::nullopt;
   return AdcChannel(channel_id, region_base, region_len, slots, *offset);
 }

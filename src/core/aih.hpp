@@ -12,12 +12,13 @@
 // accounts the board-memory residency and the swap-in transfer.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <optional>
+#include <vector>
 
 #include "core/dual_port.hpp"
 #include "util/check.hpp"
-#include "util/flat_map.hpp"
 
 namespace cni::core {
 
@@ -34,29 +35,29 @@ class AihRegion {
   /// nullopt if board memory is exhausted (the caller decides whether that
   /// is fatal; for the DSM protocol it is).
   std::optional<Segment> install(std::uint32_t handler_id, std::uint64_t code_bytes) {
-    CNI_CHECK_MSG(!segments_.contains(handler_id), "handler id already has a segment");
-    auto offset = mem_.alloc(code_bytes, "aih-segment");
+    CNI_CHECK_MSG(!resident(handler_id), "handler id already has a segment");
+    auto offset = mem_.alloc(code_bytes);
     // Exhaustion is a clean refusal: no segment is recorded and the
     // residency accounting is untouched, so the caller can diagnose (or
     // evict and retry) against consistent numbers.
     if (!offset.has_value()) return std::nullopt;
-    Segment seg{*offset, code_bytes};
-    segments_.insert(handler_id, seg);
+    const Segment seg{*offset, code_bytes};
+    segments_.push_back(Installed{handler_id, seg});
     resident_bytes_ += code_bytes;
     return seg;
   }
 
   /// Removes a handler's code from the board.
   void remove(std::uint32_t handler_id) {
-    const Segment* seg = segments_.find(handler_id);
-    CNI_CHECK_MSG(seg != nullptr, "removing an uninstalled handler");
-    mem_.free(seg->board_offset);
-    resident_bytes_ -= seg->code_bytes;
-    segments_.erase(handler_id);
+    const auto it = find(handler_id);
+    CNI_CHECK_MSG(it != segments_.end(), "removing an uninstalled handler");
+    mem_.free(it->seg.board_offset);
+    resident_bytes_ -= it->seg.code_bytes;
+    segments_.erase(it);
   }
 
   [[nodiscard]] bool resident(std::uint32_t handler_id) const {
-    return segments_.contains(handler_id);
+    return find(handler_id) != segments_.end();
   }
 
   [[nodiscard]] std::uint64_t resident_bytes() const { return resident_bytes_; }
@@ -65,8 +66,20 @@ class AihRegion {
   [[nodiscard]] const DualPortMemory& board_memory() const { return mem_; }
 
  private:
+  struct Installed {
+    std::uint32_t handler_id;
+    Segment seg;
+  };
+
+  /// Installs and removes happen at setup, a handful per board, so the
+  /// segments sit in one array searched in order.
+  [[nodiscard]] std::vector<Installed>::const_iterator find(std::uint32_t id) const {
+    return std::find_if(segments_.begin(), segments_.end(),
+                        [id](const Installed& i) { return i.handler_id == id; });
+  }
+
   DualPortMemory& mem_;
-  util::U64FlatMap<Segment> segments_;
+  std::vector<Installed> segments_;
   std::uint64_t resident_bytes_ = 0;
 };
 

@@ -28,7 +28,7 @@ CniBoard::CniBoard(sim::Engine& engine, atm::Fabric& fabric, nic::HostSystem& ho
   }
 
   // The Message Cache's cached buffers live in dual-ported memory.
-  auto mc_region = board_mem_.alloc(config.message_cache_bytes, "message-cache");
+  auto mc_region = board_mem_.alloc(config.message_cache_bytes);
   CNI_CHECK_MSG(mc_region.has_value(), "Message Cache does not fit board memory");
 
   // The snoopy interface watches every write transaction on the host bus.
@@ -58,7 +58,7 @@ void CniBoard::add_type_pattern(nic::MsgType type) {
   Pattern p;
   p.comparisons.push_back(Comparison{0, 0xFFFF, type});
   p.target = type;
-  pathfinder_.add_pattern(std::move(p));
+  pathfinder_.add_pattern(p);
 }
 
 void CniBoard::install_handler(nic::MsgType type, Handler handler,

@@ -9,9 +9,8 @@
 #pragma once
 
 #include <cstdint>
-#include <list>
 #include <optional>
-#include <string>
+#include <vector>
 
 namespace cni::core {
 
@@ -20,8 +19,8 @@ class DualPortMemory {
   explicit DualPortMemory(std::uint64_t capacity_bytes);
 
   /// First-fit allocation; returns the byte offset of the block, or nullopt
-  /// when no hole is large enough. `what` labels the allocation for debug.
-  std::optional<std::uint64_t> alloc(std::uint64_t bytes, const std::string& what);
+  /// when no hole is large enough.
+  std::optional<std::uint64_t> alloc(std::uint64_t bytes);
 
   /// Frees a block previously returned by alloc (exact offset required).
   void free(std::uint64_t offset);
@@ -36,14 +35,13 @@ class DualPortMemory {
     std::uint64_t offset;
     std::uint64_t bytes;
     bool allocated;
-    std::string what;
   };
-
-  void coalesce();
 
   std::uint64_t capacity_;
   std::uint64_t used_ = 0;
-  std::list<Block> blocks_;
+  /// The whole capacity in address order, with no two free blocks adjacent
+  /// (free() merges a freed block into its free neighbours).
+  std::vector<Block> blocks_;
 };
 
 }  // namespace cni::core

@@ -2,26 +2,35 @@
 
 #include <algorithm>
 #include <cstring>
+#include <iterator>
 
 #include "util/check.hpp"
 
 namespace cni::core {
 
-Pathfinder::PatternId Pathfinder::add_pattern(Pattern pattern) {
+Pathfinder::PatternId Pathfinder::add_pattern(const Pattern& pattern) {
   CNI_CHECK_MSG(!pattern.comparisons.empty(), "a pattern needs at least one comparison");
   const PatternId id = next_id_++;
-  patterns_.push_back(Installed{std::move(pattern), id, true});
+  const auto first = static_cast<std::uint32_t>(comparisons_.size());
+  const auto count = static_cast<std::uint32_t>(pattern.comparisons.size());
+  patterns_.push_back(Installed{id, pattern.target, first, count});
+  comparisons_.insert(comparisons_.end(), pattern.comparisons.begin(),
+                      pattern.comparisons.end());
   return id;
 }
 
 void Pathfinder::remove_pattern(PatternId id) {
-  auto it = std::find_if(patterns_.begin(), patterns_.end(),
-                         [id](const Installed& p) { return p.id == id && p.active; });
+  const auto it = std::find_if(patterns_.begin(), patterns_.end(),
+                               [id](const Installed& p) { return p.id == id; });
   CNI_CHECK_MSG(it != patterns_.end(), "removing an unknown pattern");
+  const auto first = comparisons_.begin() + it->first;
+  comparisons_.erase(first, first + it->count);
+  // The later patterns' comparisons moved down by the removed count.
+  for (auto later = std::next(it); later != patterns_.end(); ++later) {
+    later->first -= it->count;
+  }
   patterns_.erase(it);
 }
-
-std::size_t Pathfinder::pattern_count() const { return patterns_.size(); }
 
 void Pathfinder::install_dynamic(const FlowKey& flow, std::uint32_t target) {
   dynamic_.insert(flow.packed(), target);
@@ -69,7 +78,8 @@ Pathfinder::Result Pathfinder::classify(std::span<const std::byte> header,
   // order; the cost is every comparison evaluated until the match completes.
   for (const Installed& p : patterns_) {
     bool failed = false;
-    for (const Comparison& c : p.pattern.comparisons) {
+    for (std::uint32_t i = p.first; i < p.first + p.count; ++i) {
+      const Comparison& c = comparisons_[i];
       ++r.comparisons;
       if ((read_le64(header, c.offset) & c.mask) != (c.value & c.mask)) {
         failed = true;
@@ -78,7 +88,7 @@ Pathfinder::Result Pathfinder::classify(std::span<const std::byte> header,
     }
     if (!failed) {
       r.matched = true;
-      r.target = p.pattern.target;
+      r.target = p.target;
       break;
     }
   }

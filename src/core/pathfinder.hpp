@@ -71,7 +71,7 @@ class Pathfinder {
   };
 
   /// Installs a pattern; earlier installations have higher priority.
-  PatternId add_pattern(Pattern pattern);
+  PatternId add_pattern(const Pattern& pattern);
 
   /// Removes an installed pattern.
   void remove_pattern(PatternId id);
@@ -87,7 +87,7 @@ class Pathfinder {
   Result classify(std::span<const std::byte> header, const FlowKey& flow,
                   std::uint64_t fragments);
 
-  [[nodiscard]] std::size_t pattern_count() const;
+  [[nodiscard]] std::size_t pattern_count() const { return patterns_.size(); }
   [[nodiscard]] std::uint64_t classifications() const { return classifications_; }
   [[nodiscard]] std::uint64_t dynamic_hits() const { return dynamic_hits_; }
 
@@ -97,12 +97,17 @@ class Pathfinder {
  private:
   static std::uint64_t read_le64(std::span<const std::byte> header, std::uint32_t offset);
 
+  /// An installed pattern: its comparisons are comparisons_[first, first + count).
   struct Installed {
-    Pattern pattern;
     PatternId id;
-    bool active;
+    std::uint32_t target;
+    std::uint32_t first;
+    std::uint32_t count;
   };
-  std::vector<Installed> patterns_;
+  std::vector<Installed> patterns_;  ///< in priority order
+  /// Every installed pattern's comparisons back to back, in priority order,
+  /// so a classification walks one contiguous array.
+  std::vector<Comparison> comparisons_;
   util::U64FlatMap<std::uint32_t> dynamic_;
   PatternId next_id_ = 1;
   std::uint64_t classifications_ = 0;

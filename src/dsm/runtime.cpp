@@ -80,32 +80,34 @@ DsmRuntime::DsmRuntime(DsmSystem& system, std::uint32_t self)
   }
 }
 
+template <void (DsmRuntime::*Fn)(DsmRuntime::Ctx&, const atm::Frame&)>
+nic::NicBoard::Handler DsmRuntime::bound_handler() {
+  // The member function is a template argument, so the closure captures
+  // only `this` and fits std::function's small buffer: no heap block per
+  // handler. (Capturing the member pointer too takes 24 bytes, past it.)
+  // cni-lint: allow(hot-path-alloc): handler registration at setup, never
+  // on the per-message path.
+  return nic::NicBoard::Handler(
+      [this](Ctx& ctx, const atm::Frame& f) { (this->*Fn)(ctx, f); });
+}
+
 void DsmRuntime::install_handlers() {
   auto& board = node_.board();
   const std::uint64_t code = sys_.params().handler_code_bytes;
-  // h returns the board's owning Handler type directly, so the one
-  // std::function conversion per handler happens here and the call sites
-  // below move the finished Handler into the board's table.
-  auto h = [this](void (DsmRuntime::*fn)(Ctx&, const atm::Frame&)) {
-    // cni-lint: allow(hot-path-alloc): handler registration at setup — ten
-    // conversions per node per run, never on the per-message path.
-    return nic::NicBoard::Handler(
-        [this, fn](Ctx& ctx, const atm::Frame& f) { (this->*fn)(ctx, f); });
-  };
-  board.install_handler(kDsmLockReq, h(&DsmRuntime::on_lock_req), code);
-  board.install_handler(kDsmLockFwd, h(&DsmRuntime::on_lock_fwd), code);
-  board.install_handler(kDsmLockGrant, h(&DsmRuntime::on_lock_grant), code);
-  board.install_handler(kDsmLockRel, h(&DsmRuntime::on_lock_rel), code);
-  board.install_handler(kDsmBarArrive, h(&DsmRuntime::on_bar_arrive), code);
-  board.install_handler(kDsmBarRelease, h(&DsmRuntime::on_bar_release), code);
-  board.install_handler(kDsmColUp, h(&DsmRuntime::on_col_up), code);
-  board.install_handler(kDsmColDown, h(&DsmRuntime::on_col_down), code);
-  board.install_handler(kDsmRedUp, h(&DsmRuntime::on_red_up), code);
-  board.install_handler(kDsmRedDown, h(&DsmRuntime::on_red_down), code);
-  board.install_handler(kDsmPageReq, h(&DsmRuntime::on_page_req), code);
-  board.install_handler(kDsmPageReply, h(&DsmRuntime::on_page_reply), code);
-  board.install_handler(kDsmDiffReq, h(&DsmRuntime::on_diff_req), code);
-  board.install_handler(kDsmDiffReply, h(&DsmRuntime::on_diff_reply), code);
+  board.install_handler(kDsmLockReq, bound_handler<&DsmRuntime::on_lock_req>(), code);
+  board.install_handler(kDsmLockFwd, bound_handler<&DsmRuntime::on_lock_fwd>(), code);
+  board.install_handler(kDsmLockGrant, bound_handler<&DsmRuntime::on_lock_grant>(), code);
+  board.install_handler(kDsmLockRel, bound_handler<&DsmRuntime::on_lock_rel>(), code);
+  board.install_handler(kDsmBarArrive, bound_handler<&DsmRuntime::on_bar_arrive>(), code);
+  board.install_handler(kDsmBarRelease, bound_handler<&DsmRuntime::on_bar_release>(), code);
+  board.install_handler(kDsmColUp, bound_handler<&DsmRuntime::on_col_up>(), code);
+  board.install_handler(kDsmColDown, bound_handler<&DsmRuntime::on_col_down>(), code);
+  board.install_handler(kDsmRedUp, bound_handler<&DsmRuntime::on_red_up>(), code);
+  board.install_handler(kDsmRedDown, bound_handler<&DsmRuntime::on_red_down>(), code);
+  board.install_handler(kDsmPageReq, bound_handler<&DsmRuntime::on_page_req>(), code);
+  board.install_handler(kDsmPageReply, bound_handler<&DsmRuntime::on_page_reply>(), code);
+  board.install_handler(kDsmDiffReq, bound_handler<&DsmRuntime::on_diff_req>(), code);
+  board.install_handler(kDsmDiffReply, bound_handler<&DsmRuntime::on_diff_reply>(), code);
 }
 
 // ---------------------------------------------------------------------------

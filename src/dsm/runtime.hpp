@@ -118,6 +118,9 @@ class DsmRuntime {
 
   /// Installs the protocol handlers on this node's board.
   void install_handlers();
+  /// A board handler that calls `Fn` on this runtime.
+  template <void (DsmRuntime::*Fn)(Ctx&, const atm::Frame&)>
+  nic::NicBoard::Handler bound_handler();
 
   // -- protocol handlers (run on the NIC for CNI, on the host for standard) --
   void on_lock_req(Ctx& ctx, const atm::Frame& f);

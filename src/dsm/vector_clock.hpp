@@ -1,6 +1,8 @@
 // Vector timestamps for the lazy release consistency protocol.
 #pragma once
 
+#include <sys/mman.h>
+
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
@@ -192,6 +194,12 @@ class VectorClock {
     return std::memcmp(entries(), o.entries(), std::size_t{n_} * 4) == 0;
   }
 
+  /// True iff `v` views the shared zero block: the view of a clock with no
+  /// storage, every entry zero.
+  [[nodiscard]] static bool views_zero_block(ClockView v) {
+    return v.bytes().data() == reinterpret_cast<const std::byte*>(zeros());
+  }
+
   /// This clock's entries in wire form; valid until the clock's next
   /// mutation. (A view of a clock with no storage reads the zero block, and
   /// keeps reading zeros after the clock allocates.)
@@ -199,9 +207,21 @@ class VectorClock {
   operator ClockView() const { return {bytes(), n_}; }
 
  private:
-  /// What a clock with no storage reads: zero-initialized and const, so it
-  /// needs no dynamic initializer and any thread may read it.
-  alignas(64) static inline const std::uint32_t kZeros[kMaxEntries]{};
+  /// What a clock with no storage reads: kMaxEntries zeros in an anonymous
+  /// read-only mapping, made at first use (thread-safe). Its untouched pages
+  /// read as the kernel's shared zero page, so reading it adds nothing to
+  /// the resident set (a const array would sit in the binary's read-only
+  /// data, whose file pages fault in with their neighbours), and a stray
+  /// write still faults.
+  static const std::uint32_t* zeros() {
+    static const std::uint32_t* const block = [] {
+      void* p = ::mmap(nullptr, kMaxEntries * sizeof(std::uint32_t), PROT_READ,
+                       MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+      CNI_CHECK_MSG(p != MAP_FAILED, "mmap of the zero clock block failed");
+      return static_cast<const std::uint32_t*>(p);
+    }();
+    return block;
+  }
 
   static std::uint32_t checked_size(std::size_t n) {
     CNI_CHECK_LE(n, kMaxEntries);
@@ -213,11 +233,11 @@ class VectorClock {
   /// first that differs. (checked_size bounds `o` to the block's length.)
   static bool all_zero(ClockView o) {
     const std::span<const std::byte> b = o.bytes();
-    const auto* zeros = reinterpret_cast<const std::byte*>(kZeros);
-    return b.empty() || b.data() == zeros || std::memcmp(b.data(), zeros, b.size()) == 0;
+    const auto* z = reinterpret_cast<const std::byte*>(zeros());
+    return b.empty() || b.data() == z || std::memcmp(b.data(), z, b.size()) == 0;
   }
 
-  [[nodiscard]] const std::uint32_t* entries() const { return v_ ? v_.get() : kZeros; }
+  [[nodiscard]] const std::uint32_t* entries() const { return v_ ? v_.get() : zeros(); }
   [[nodiscard]] const std::byte* bytes() const {
     return reinterpret_cast<const std::byte*>(entries());
   }

@@ -67,7 +67,15 @@ class ByteWriter {
   void clock(ClockView vc) {
     CNI_CHECK_LE(vc.size(), UINT32_MAX);
     u32(static_cast<std::uint32_t>(vc.size()));
-    append(vc.bytes());
+    // A clock with no storage views the shared zero block: write its zeros
+    // without reading them. (Copying from the block's page-aligned mapping
+    // runs several times slower when the destination lies a few words past
+    // a 64-byte boundary, as a frame's clock does.)
+    if (VectorClock::views_zero_block(vc)) {
+      zeros(vc.bytes().size());
+    } else {
+      append(vc.bytes());
+    }
   }
 
   /// Already-encoded bytes, as they are (no length prefix).
@@ -89,13 +97,22 @@ class ByteWriter {
  private:
   static constexpr std::size_t kInitialBytes = 256;
 
+  // n == 0 also keeps memcpy and memset off a never-allocated buffer.
   void raw(const void* p, std::size_t n) {
-    if (n == 0) return;  // also keeps memcpy off a never-allocated buffer
+    if (n != 0) std::memcpy(extend(n), p, n);
+  }
+  void zeros(std::size_t n) {
+    if (n != 0) std::memset(extend(n), 0, n);
+  }
+
+  /// Grows the payload by n > 0 bytes and returns where they go.
+  std::byte* extend(std::size_t n) {
     if (size_ + n > buf_.capacity()) grow(size_ + n);
     std::byte* dst = buf_.data();
     CNI_CHECK(dst != nullptr);  // grow() guarantees a backing block
-    std::memcpy(dst + size_, p, n);
+    dst += size_;
     size_ += n;
+    return dst;
   }
 
   void grow(std::size_t need) {

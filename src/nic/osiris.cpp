@@ -21,9 +21,16 @@ OsirisBoard::OsirisBoard(sim::Engine& engine, atm::Fabric& fabric, HostSystem& h
 }
 
 void OsirisBoard::install_handler(MsgType type, Handler handler, std::uint64_t code_bytes) {
-  (void)code_bytes;  // the CNI override accounts handler memory; the base keeps the map
-  CNI_CHECK_MSG(handlers_.find(type) == nullptr, "handler type already installed");
-  handlers_.insert(type, std::move(handler));
+  (void)code_bytes;  // the CNI override accounts handler memory; the base keeps the table
+  CNI_CHECK_GE(type, kTypeHandlerBase);
+  CNI_CHECK_MSG(handler != nullptr, "installing an empty handler");
+  const std::size_t slot = std::size_t{type} - kTypeHandlerBase;
+  if (slot >= handlers_.size()) {
+    handlers_.reserve(slot + 1);  // exactly: the table is sized by its highest type
+    handlers_.resize(slot + 1);
+  }
+  CNI_CHECK_MSG(handlers_[slot] == nullptr, "handler type already installed");
+  handlers_[slot] = std::move(handler);
 }
 
 void OsirisBoard::bind_channel(MsgType type, sim::SimChannel<atm::Frame>* channel) {
@@ -38,7 +45,9 @@ sim::SimDuration OsirisBoard::sar_time(std::uint64_t bytes) const {
 }
 
 NicBoard::Handler* OsirisBoard::find_handler(MsgType type) {
-  return handlers_.find(type);
+  const std::size_t slot = std::size_t{type} - kTypeHandlerBase;  // wraps below the range
+  if (slot >= handlers_.size() || handlers_[slot] == nullptr) return nullptr;
+  return &handlers_[slot];
 }
 
 sim::SimChannel<atm::Frame>* OsirisBoard::find_channel(MsgType type) {

@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstdint>
+#include <vector>
 
 #include "atm/fabric.hpp"
 #include "nic/board.hpp"
@@ -30,6 +31,10 @@ class OsirisBoard : public NicBoard {
 
   std::uint32_t next_seq() override { return seq_++; }
 
+  /// The handler installed for `type`, or nullptr (an app type, or a
+  /// handler type nothing installed).
+  [[nodiscard]] Handler* find_handler(MsgType type);
+
  protected:
   /// Frame arrival from the fabric (last bit on board at engine.now()).
   virtual void on_frame(atm::Frame frame) = 0;
@@ -37,7 +42,6 @@ class OsirisBoard : public NicBoard {
   /// SAR time for a payload of `bytes` on a 33 MHz NIC processor.
   [[nodiscard]] sim::SimDuration sar_time(std::uint64_t bytes) const;
 
-  [[nodiscard]] Handler* find_handler(MsgType type);
   [[nodiscard]] sim::SimChannel<atm::Frame>* find_channel(MsgType type);
 
   /// Schedules delivery of an app frame into its bound channel at time `t`.
@@ -69,10 +73,12 @@ class OsirisBoard : public NicBoard {
   obs::NodeObs* obs_ = nullptr;
 
  private:
-  // Flat maps: demultiplexing runs once per received frame, and the maps
-  // only grow at setup (install/bind), so find_handler's returned pointers
-  // stay stable for the whole simulation.
-  util::U64FlatMap<Handler> handlers_;
+  // Demultiplexing runs once per received frame. Handlers sit in a table
+  // indexed by type - kTypeHandlerBase (an empty Handler: none installed),
+  // sized to the highest type installed. Both tables only grow at setup
+  // (install/bind), so find_handler's returned pointers, which ride in
+  // dispatch events, stay stable for the whole simulation.
+  std::vector<Handler> handlers_;
   util::U64FlatMap<sim::SimChannel<atm::Frame>*> channels_;
   std::uint32_t seq_ = 1;
 };

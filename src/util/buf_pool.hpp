@@ -7,10 +7,12 @@
 // across transmit, Message Cache binding and delivery instead of being
 // memcpy'd at every layer boundary.
 //
-// Blocks of up to 64 KiB are rounded up to a power-of-two size class and
-// recycled through a cache that belongs to the allocating thread and that
-// no other thread touches, so the steady-state frame send/receive loop
-// performs no heap allocation. Three rules, and no cross-thread protocol:
+// Blocks of up to 64 KiB are rounded up to a size class (64 B, then four
+// classes per octave, so above 64 B a block exceeds its request by less
+// than a quarter) and recycled through a cache that belongs to the
+// allocating thread and that no other thread touches, so the steady-state
+// frame send/receive loop performs no heap allocation. Three rules, and no
+// cross-thread protocol:
 //
 //   * a block whose last reference drops on the thread that allocated it
 //     goes onto that thread's list for its size class;
@@ -63,11 +65,13 @@ struct alignas(std::max_align_t) BufCtrl {
 /// engine without the heap fallback (see sim/inline_fn.hpp).
 class Buf {
  public:
-  /// Size classes: powers of two, 64 B .. 64 KiB. Larger requests get
-  /// exact heap blocks that are never cached.
+  /// Size classes: 64 B, then quarter octaves up to 64 KiB (80, 96, 112,
+  /// 128, 160, ..., 65,536), so above 64 B a block exceeds its request by
+  /// less than a quarter (DESIGN.md §10). Larger requests get exact heap
+  /// blocks that are never cached.
   static constexpr std::size_t kMinClassBytes = 64;
   static constexpr std::size_t kMaxClassBytes = 64 * 1024;
-  static constexpr std::uint32_t kClassCount = 11;  // log2(64K/64) + 1
+  static constexpr std::uint32_t kClassCount = 41;  // 64 B, then 4 per octave x 10
   static constexpr std::uint32_t kUnpooledClass = 0xFFFFFFFF;
 
   /// Allocates a buffer of logical size `n` (contents uninitialized).
@@ -80,12 +84,25 @@ class Buf {
     return b;
   }
 
-  /// Maps a byte count to its size class (kUnpooledClass when too large).
-  [[nodiscard]] static std::uint32_t class_of(std::size_t n) noexcept {
+  /// Maps a byte count to the smallest size class that holds it
+  /// (kUnpooledClass when too large).
+  [[nodiscard]] static constexpr std::uint32_t class_of(std::size_t n) noexcept {
     if (n > kMaxClassBytes) return kUnpooledClass;
-    const std::size_t want = n < kMinClassBytes ? kMinClassBytes : n;
-    return static_cast<std::uint32_t>(
-        std::bit_width(want - 1) - (std::bit_width(kMinClassBytes) - 1));
+    if (n <= kMinClassBytes) return 0;
+    // n - 1 lies in the octave [2^(w-1), 2^w); the two bits below its
+    // leading one pick the quarter, so n fits that quarter's upper bound.
+    const std::size_t m = n - 1;
+    const auto w = static_cast<unsigned>(std::bit_width(m));
+    const auto quarter = static_cast<std::uint32_t>((m >> (w - 3)) & 3);
+    return (w - 7) * 4 + quarter + 1;
+  }
+
+  /// Data bytes of a block in size class `sc` (< kClassCount).
+  [[nodiscard]] static constexpr std::size_t class_bytes(std::uint32_t sc) noexcept {
+    if (sc == 0) return kMinClassBytes;
+    const std::uint32_t octave = (sc - 1) / 4;
+    const std::uint32_t quarter = (sc - 1) % 4;
+    return std::size_t{5 + quarter} << (octave + 4);
   }
 
   Buf() noexcept = default;
@@ -225,7 +242,7 @@ inline Buf Buf::alloc(std::size_t n) {
   if (c != nullptr) {
     cache->free[sc] = c->next;
   } else {
-    const std::size_t cap = sc == kUnpooledClass ? n : kMinClassBytes << sc;
+    const std::size_t cap = sc == kUnpooledClass ? n : class_bytes(sc);
     c = static_cast<BufCtrl*>(::operator new(sizeof(BufCtrl) + cap));
     c->size_class = sc;
     c->capacity = cap;

@@ -7,6 +7,12 @@
 // entries in one flat power-of-two array with linear probing, so the common
 // hit is a single cache line. Erase uses backward-shift deletion, so there
 // are no tombstones and probe sequences never degrade over time.
+//
+// A map allocates nothing until its first insert, and a lookup in an empty
+// map returns before it hashes: most nodes of a large cluster never fill
+// their page tables, buffer map or PATHFINDER dynamic table. An insert may
+// rehash, which moves every entry, so a pointer into the map is stable only
+// while nothing is inserted.
 #pragma once
 
 #include <cstddef>
@@ -20,13 +26,14 @@ namespace cni::util {
 template <typename V>
 class U64FlatMap {
  public:
-  U64FlatMap() { rehash(kMinCapacity); }
+  U64FlatMap() = default;
 
   [[nodiscard]] std::size_t size() const { return size_; }
   [[nodiscard]] bool empty() const { return size_ == 0; }
 
   /// Pointer to the value for `key`, or nullptr if absent.
   [[nodiscard]] V* find(std::uint64_t key) {
+    if (size_ == 0) return nullptr;  // also: a map with no slots has no home()
     std::size_t i = home(key);
     while (slots_[i].used) {
       if (slots_[i].key == key) return &slots_[i].val;
@@ -42,7 +49,9 @@ class U64FlatMap {
   /// Inserts `val` under `key`; overwrites an existing entry. Returns a
   /// reference to the stored value.
   V& insert(std::uint64_t key, V val) {
-    if ((size_ + 1) * 4 >= slots_.size() * 3) rehash(slots_.size() * 2);
+    if ((size_ + 1) * 4 >= slots_.size() * 3) {
+      rehash(slots_.empty() ? kMinCapacity : slots_.size() * 2);
+    }
     std::size_t i = home(key);
     while (slots_[i].used) {
       if (slots_[i].key == key) {
@@ -59,6 +68,7 @@ class U64FlatMap {
   /// Removes `key` if present (backward-shift: no tombstones). Returns true
   /// iff an entry was removed.
   bool erase(std::uint64_t key) {
+    if (size_ == 0) return false;
     std::size_t i = home(key);
     while (slots_[i].used) {
       if (slots_[i].key == key) {
@@ -95,8 +105,10 @@ class U64FlatMap {
 
   /// Fibonacci hashing: one multiply, and the golden-ratio stride spreads
   /// the sequential page numbers these tables hold evenly, so probe
-  /// sequences stay short without an avalanche finalizer.
+  /// sequences stay short without an avalanche finalizer. Only a map with
+  /// slots may call it: shift_ stays 64 until the first rehash.
   [[nodiscard]] std::size_t home(std::uint64_t key) const {
+    CNI_DCHECK(shift_ < 64);
     return static_cast<std::size_t>((key * 0x9e3779b97f4a7c15ULL) >> shift_);
   }
 

@@ -1,7 +1,8 @@
-// util::Buf and its per-thread block cache: refcount lifecycle, size-class
-// reuse, cross-thread release, thread teardown and the Cluster purge. Heap
-// traffic is observed directly: this binary replaces the global operator
-// new/delete with counting versions (heap_calls.hpp).
+// util::Buf and its per-thread block cache: size classes, refcount
+// lifecycle, size-class reuse, cross-thread release, thread teardown and the
+// Cluster purge; and util::U64FlatMap's lazy allocation. Heap traffic is
+// observed directly: this binary replaces the global operator new/delete
+// with counting versions (heap_calls.hpp).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -21,27 +22,63 @@
 #include "dsm/system.hpp"
 #include "heap_calls.hpp"
 #include "util/buf_pool.hpp"
+#include "util/flat_map.hpp"
 
 namespace cni::util {
 namespace {
 
 using test_support::HeapCalls;
 
-TEST(BufPool, ClassOfMapsPowersOfTwo) {
+TEST(BufPool, ClassOfMapsQuarterOctaves) {
   EXPECT_EQ(Buf::class_of(1), 0u);
   EXPECT_EQ(Buf::class_of(64), 0u);
-  EXPECT_EQ(Buf::class_of(65), 1u);
-  EXPECT_EQ(Buf::class_of(128), 1u);
-  EXPECT_EQ(Buf::class_of(129), 2u);
+  EXPECT_EQ(Buf::class_of(65), 1u);  // 80 B
+  EXPECT_EQ(Buf::class_of(80), 1u);
+  EXPECT_EQ(Buf::class_of(81), 2u);  // 96 B
+  EXPECT_EQ(Buf::class_of(128), 4u);
+  EXPECT_EQ(Buf::class_of(129), 5u);  // 160 B: the next octave's first quarter
+  EXPECT_EQ(Buf::class_bytes(0), 64u);
+  EXPECT_EQ(Buf::class_bytes(1), 80u);
+  EXPECT_EQ(Buf::class_bytes(4), 128u);
+  EXPECT_EQ(Buf::class_bytes(5), 160u);
+  // A 1,024-node barrier frame (24 + 4 + 4,096 + 4 bytes) and a 4,096-node one.
+  EXPECT_EQ(Buf::class_bytes(Buf::class_of(4128)), 5120u);
+  EXPECT_EQ(Buf::class_bytes(Buf::class_of(16416)), 20480u);
   EXPECT_EQ(Buf::class_of(64 * 1024), Buf::kClassCount - 1);
+  EXPECT_EQ(Buf::class_bytes(Buf::kClassCount - 1), Buf::kMaxClassBytes);
   EXPECT_EQ(Buf::class_of(64 * 1024 + 1), Buf::kUnpooledClass);
+}
+
+TEST(BufPool, EveryRequestGetsTheSmallestClassThatFits) {
+  // Exhaustive over the pooled range: the class holds the request, the
+  // class below it does not, and above 64 B a block exceeds its request by
+  // less than a quarter.
+  std::uint32_t prev = 0;
+  for (std::size_t n = 1; n <= Buf::kMaxClassBytes; ++n) {
+    const std::uint32_t sc = Buf::class_of(n);
+    ASSERT_LT(sc, Buf::kClassCount) << n;
+    ASSERT_GE(sc, prev) << n;
+    const std::size_t cap = Buf::class_bytes(sc);
+    ASSERT_GE(cap, n) << n;
+    if (sc > 0) {
+      ASSERT_LT(Buf::class_bytes(sc - 1), n) << n;
+    }
+    if (n > Buf::kMinClassBytes) {
+      ASSERT_LT(4 * (cap - n), n) << n;
+    }
+    prev = sc;
+  }
+  EXPECT_EQ(prev, Buf::kClassCount - 1);
+  for (const std::size_t n : {1u, 65u, 100u, 4128u, 16416u, 65536u}) {
+    EXPECT_EQ(Buf::alloc(n).capacity(), Buf::class_bytes(Buf::class_of(n))) << n;
+  }
 }
 
 TEST(BufPool, RefcountLifecycle) {
   Buf a = Buf::alloc(100);
   EXPECT_TRUE(static_cast<bool>(a));
   EXPECT_EQ(a.size(), 100u);
-  EXPECT_GE(a.capacity(), 128u);
+  EXPECT_EQ(a.capacity(), 112u);  // rounded up to its size class
   EXPECT_EQ(a.ref_count(), 1u);
   EXPECT_TRUE(a.unique());
 
@@ -84,11 +121,11 @@ TEST(BufPool, SetSizeWithinCapacity) {
 }
 
 TEST(BufPool, SameClassAllocReusesFreedBlock) {
-  Buf a = Buf::alloc(100);  // class 1 (128 B)
+  Buf a = Buf::alloc(100);  // class 3 (112 B)
   const std::byte* p = a.data();
   const HeapCalls calls;
-  a.reset();                // onto this thread's class-1 list
-  Buf b = Buf::alloc(120);  // same class: the list hands the block back
+  a.reset();                // onto this thread's class-3 list
+  Buf b = Buf::alloc(110);  // same class: the list hands the block back
   EXPECT_EQ(b.data(), p);
   EXPECT_EQ(calls.news(), 0u);
   EXPECT_EQ(calls.deletes(), 0u);
@@ -190,7 +227,7 @@ TEST(BufPool, FirstWriteToAFreshPageMakesNoHeapCall) {
 }
 
 TEST(BufPool, CrossThreadReleaseFreesToTheHeap) {
-  Buf sent = Buf::alloc(300);  // class 3 (512 B)
+  Buf sent = Buf::alloc(300);  // class 9 (320 B)
   std::memset(sent.data(), 0x42, 300);
   Buf kept = Buf::alloc(300);
 
@@ -260,7 +297,7 @@ TEST(BufPool, ThreadLocalBufOutlivesTheThreadCache) {
 }
 
 TEST(BufPool, ClusterTeardownReturnsCachedBlocksToTheHeap) {
-  { Buf warm = Buf::alloc(4096); }  // leaves a class-6 block cached
+  { Buf warm = Buf::alloc(4096); }  // leaves a 4 KiB block cached
   {
     const HeapCalls calls;
     Buf again = Buf::alloc(4096);
@@ -273,6 +310,24 @@ TEST(BufPool, ClusterTeardownReturnsCachedBlocksToTheHeap) {
   const HeapCalls calls;
   Buf after = Buf::alloc(4096);  // the purge emptied the list
   EXPECT_EQ(calls.news(), 1u);
+}
+
+TEST(U64FlatMap, MakesNoHeapCallBeforeItsFirstInsert) {
+  // Most nodes of a large cluster never fill their page tables, buffer map
+  // or PATHFINDER dynamic table: a map holds no slots until it is used.
+  const HeapCalls calls;
+  {
+    U64FlatMap<std::uint64_t> m;
+    EXPECT_EQ(m.find(7), nullptr);
+    EXPECT_FALSE(m.erase(7));
+    m.clear();
+    m.for_each([](std::uint64_t, std::uint64_t) { ADD_FAILURE() << "an entry"; });
+    EXPECT_EQ(calls.news(), 0u);
+    m.insert(7, 70);  // the first insert allocates the slots, once
+    EXPECT_EQ(calls.news(), 1u);
+    EXPECT_EQ(*m.find(7), 70u);
+  }
+  EXPECT_EQ(calls.deletes(), 1u);
 }
 
 TEST(BufPool, FourThreadCrossReleaseStress) {

@@ -15,32 +15,65 @@ namespace {
 
 TEST(DualPortMemory, AllocFreeCoalesce) {
   DualPortMemory mem(1024);
-  auto a = mem.alloc(256, "a");
-  auto b = mem.alloc(256, "b");
-  auto c = mem.alloc(512, "c");
+  auto a = mem.alloc(256);
+  auto b = mem.alloc(256);
+  auto c = mem.alloc(512);
   ASSERT_TRUE(a && b && c);
   EXPECT_EQ(mem.used(), 1024u);
-  EXPECT_FALSE(mem.alloc(1, "overflow").has_value());
+  EXPECT_FALSE(mem.alloc(1).has_value());
   mem.free(*a);
   mem.free(*b);
   // Freed neighbours coalesce into one 512-byte hole.
-  EXPECT_TRUE(mem.alloc(512, "d").has_value());
+  EXPECT_TRUE(mem.alloc(512).has_value());
+}
+
+TEST(DualPortMemory, FreeCoalescesEitherSideAndHolesDoNotAdd) {
+  DualPortMemory mem(1024);
+  const auto a = mem.alloc(256);
+  const auto b = mem.alloc(256);
+  const auto c = mem.alloc(256);
+  ASSERT_TRUE(a && b && c);
+  EXPECT_EQ(*b, 256u);  // each split leaves the tail free after the block
+  mem.free(*a);
+  mem.free(*c);  // merges into the free tail on its right
+  // 768 bytes are free, but in two holes: a 512-byte request fits only the
+  // merged tail, and a larger one fits neither.
+  EXPECT_EQ(mem.free_bytes(), 768u);
+  EXPECT_FALSE(mem.alloc(768).has_value());
+  const auto d = mem.alloc(512);
+  ASSERT_TRUE(d.has_value());
+  EXPECT_EQ(*d, 512u);
+  mem.free(*d);
+  mem.free(*b);  // merges with the holes on both sides: one hole again
+  EXPECT_EQ(mem.allocation_count(), 0u);
+  const auto all = mem.alloc(1024);
+  ASSERT_TRUE(all.has_value());
+  EXPECT_EQ(*all, 0u);
+}
+
+TEST(DualPortMemoryDeathTest, FreeingAnUnallocatedOffsetAborts) {
+  DualPortMemory mem(1024);
+  const auto a = mem.alloc(256);
+  ASSERT_TRUE(a.has_value());
+  EXPECT_DEATH(mem.free(*a + 1), "not allocated");
+  mem.free(*a);
+  EXPECT_DEATH(mem.free(*a), "not allocated");
 }
 
 TEST(DualPortMemory, FirstFitReusesEarliestHole) {
   DualPortMemory mem(1024);
-  auto a = mem.alloc(128, "a");
-  mem.alloc(128, "b");
+  auto a = mem.alloc(128);
+  mem.alloc(128);
   mem.free(*a);
-  auto c = mem.alloc(64, "c");
+  auto c = mem.alloc(64);
   ASSERT_TRUE(c.has_value());
   EXPECT_EQ(*c, *a);  // reused the first hole
 }
 
 TEST(DualPortMemory, AllocationCount) {
   DualPortMemory mem(1024);
-  auto a = mem.alloc(100, "a");
-  mem.alloc(100, "b");
+  auto a = mem.alloc(100);
+  mem.alloc(100);
   EXPECT_EQ(mem.allocation_count(), 2u);
   mem.free(*a);
   EXPECT_EQ(mem.allocation_count(), 1u);
@@ -165,9 +198,8 @@ TEST(AihRegion, NoVirtualMemoryMeansWholeHandlerMustFit) {
   EXPECT_FALSE(aih.install(1, 16 * 1024).has_value());
 }
 
-// Regression for the segment table's move to util::U64FlatMap: drive it
-// through growth and interleaved erases so the open-addressed probe and
-// backward-shift paths run, and verify the accounting never drifts.
+// Drive the segment table through growth and interleaved erases, and
+// verify the accounting never drifts.
 TEST(AihRegion, ManyHandlersSurviveChurn) {
   DualPortMemory mem(1024 * 1024);
   AihRegion aih(mem);

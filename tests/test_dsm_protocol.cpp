@@ -402,7 +402,10 @@ TEST(Cluster, IdleNodesCommitNoPerNodeTables) {
   if (CNI_MEMORY_SANITIZER) GTEST_SKIP() << "sanitizer shadow memory swamps the bound";
   // The fig_barrier_scaling shapes, one cluster alive at a time. Until a node
   // touches memory, its L1 tags (like its L2 tags), TLB/RTLB entries and ADC
-  // descriptor rings (≈ 23 KB a node) must not exist. A barrier-only program
+  // descriptor rings (≈ 23 KB a node) must not exist, nor may its page
+  // tables, buffer map or PATHFINDER dynamic table hold slots; its handler,
+  // pattern and segment tables hold only what it installed, and a barrier
+  // frame's buffer exceeds the frame by under a quarter. A barrier-only program
   // closes no interval, so every clock it holds stays all zeros: the
   // runtimes' own two, the host-mode manager's N arrival clocks and the
   // tree's subtree floors. An all-zero clock holds no entries, so a build
@@ -415,20 +418,24 @@ TEST(Cluster, IdleNodesCommitNoPerNodeTables) {
     cluster::CollectiveMode mode;
     std::uint32_t barriers;  ///< 0: measure the build alone
     std::uint64_t bound_mb;
+    std::uint64_t heap_bound;  ///< heap bytes per node after the build; 0: unchecked
   };
-  // Measured growth in the comments; dense N-entry clocks exceed each bound.
+  // Measured growth in the comments (MiB, and heap bytes per node), then
+  // the same with power-of-two frame buffers and board tables sized before
+  // use (which exceeds each bound), then with dense N-entry clocks.
   const Shape shapes[] = {
       {"1,024-node Clos build", 1024, atm::TopologyKind::kClos,
-       cluster::CollectiveMode::kNic, 0, 20},  // 16 MB; dense: 24
+       cluster::CollectiveMode::kNic, 0, 13, 11'500},  // 10.4, 10,082; 15.3, 15,046; 24
       {"4,096-node banyan build", 4096, atm::TopologyKind::kBanyan,
-       cluster::CollectiveMode::kNic, 0, 80},  // 55 MB; dense: 190
+       cluster::CollectiveMode::kNic, 0, 42, 0},  // 33.6; 52.5; 190
       {"two host-mode barriers", 4096, atm::TopologyKind::kBanyan,
-       cluster::CollectiveMode::kHost, 2, 250},  // 168 MB; dense: 369
+       cluster::CollectiveMode::kHost, 2, 150, 0},  // 140.7; 160.0; 369
       {"two NIC-tree barriers", 4096, atm::TopologyKind::kBanyan,
-       cluster::CollectiveMode::kNic, 2, 250},  // 168 MB; dense: 437
+       cluster::CollectiveMode::kNic, 2, 150, 0},  // 140.7; 160.0; 437
   };
   for (const Shape& s : shapes) {
     const std::uint64_t before = test_support::resident_bytes();
+    const std::size_t heap_before = mallinfo2().uordblks;
     std::uint64_t after = 0;
     {
       cluster::SimParams params = make_params(BoardKind::kCni, s.nodes);
@@ -440,6 +447,11 @@ TEST(Cluster, IdleNodesCommitNoPerNodeTables) {
       DsmSystem sys(cl, dp);
       if (s.barriers == 0) {
         after = test_support::resident_bytes();
+        // The heap the boards, runtimes and fabric hold, in chunk bytes.
+        const std::size_t heap = mallinfo2().uordblks - heap_before;
+        if (s.heap_bound != 0) {
+          EXPECT_LE(heap / s.nodes, s.heap_bound) << s.what << ": heap bytes per node";
+        }
       } else {
         cl.run([&](std::size_t i, sim::SimThread& t) {
           DsmContext ctx(sys, i, t);

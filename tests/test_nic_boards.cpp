@@ -3,10 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <iterator>
+#include <vector>
 
 #include "apps/runner.hpp"
 #include "cluster/cluster.hpp"
 #include "core/cni_board.hpp"
+#include "nic/osiris.hpp"
 #include "nic/wire.hpp"
 #include "sim/channel.hpp"
 
@@ -190,6 +193,52 @@ TEST(Boards, HandlerReplyRoundTrip) {
     }
   });
   EXPECT_TRUE(got_reply);
+}
+
+TEST(Boards, EveryInstalledHandlerTypeDispatches) {
+  // Handlers sit in a table indexed by type - kTypeHandlerBase. Installing
+  // out of order grows the table past earlier entries; each installed type
+  // must still reach its own handler, and nothing else may find one.
+  const nic::MsgType kTypes[] = {kProto, nic::kTypeHandlerBase, nic::kTypeHandlerBase + 13,
+                                 nic::kTypeHandlerBase + 50};
+  for (BoardKind kind : {BoardKind::kCni, BoardKind::kStandard}) {
+    cluster::Cluster cl(make_params(kind, 2));
+    auto& board = dynamic_cast<nic::OsirisBoard&>(cl.node(1).board());
+    EXPECT_EQ(board.find_handler(nic::kTypeHandlerBase), nullptr);  // an empty table
+    std::vector<nic::MsgType> seen;
+    for (const nic::MsgType type : kTypes) {
+      board.install_handler(
+          type,
+          [&seen, type](nic::NicBoard::RxContext&, const atm::Frame& f) {
+            EXPECT_EQ(f.header<nic::MsgHeader>().type, type);
+            seen.push_back(type);
+          },
+          4096);
+    }
+    for (const nic::MsgType type : kTypes) EXPECT_NE(board.find_handler(type), nullptr);
+    EXPECT_EQ(board.find_handler(kPing), nullptr);                        // an app type
+    EXPECT_EQ(board.find_handler(nic::kTypeHandlerBase + 1), nullptr);    // a gap
+    EXPECT_EQ(board.find_handler(nic::kTypeHandlerBase + 100), nullptr);  // past the end
+    cl.run([&](std::size_t i, sim::SimThread& t) {
+      if (i != 0) return;
+      for (const nic::MsgType type : kTypes) {
+        cl.node(0).board().send_from_host(t, make_msg(cl, 0, 1, type, 64, 0, false), {});
+        t.delay(sim::kMillisecond);
+      }
+    });
+    EXPECT_EQ(seen, std::vector<nic::MsgType>(std::begin(kTypes), std::end(kTypes)));
+  }
+}
+
+TEST(BoardsDeathTest, HandlerInstallRejectsDuplicatesAndAppTypes) {
+  const auto handler = [](nic::NicBoard::RxContext&, const atm::Frame&) {};
+  for (BoardKind kind : {BoardKind::kCni, BoardKind::kStandard}) {
+    cluster::Cluster cl(make_params(kind, 2));
+    nic::NicBoard& board = cl.node(1).board();
+    board.install_handler(kProto, handler, 4096);
+    EXPECT_DEATH(board.install_handler(kProto, handler, 4096), "already");
+    EXPECT_DEATH(board.install_handler(kPing, handler, 4096), "kTypeHandlerBase");
+  }
 }
 
 TEST(Boards, CniOneWayLatencyBeatsStandard) {

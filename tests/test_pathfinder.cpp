@@ -101,6 +101,54 @@ TEST(Pathfinder, RemovePattern) {
   EXPECT_FALSE(pf.classify(header_bytes(0x0201), FlowKey{0, 1, 1}, 1).matched);
 }
 
+TEST(Pathfinder, RemovingAMiddlePatternKeepsTheLaterOnes) {
+  // Patterns share one comparison array: removing one in the middle moves
+  // the later patterns' comparisons down, and they must keep their matches
+  // and costs.
+  Pathfinder pf;
+  pf.add_pattern(type_pattern(0x0201, 1));
+  Pattern two;
+  two.comparisons = {Comparison{0, 0xFFFF, 0x0300}, Comparison{8, 0xFFFFFFFF, 0xabcd}};
+  two.target = 2;
+  const auto middle = pf.add_pattern(two);
+  Pattern three;
+  three.comparisons = {Comparison{0, 0xFFFF, 0x0400}, Comparison{8, 0xFFFFFFFF, 0x1234},
+                       Comparison{12, 0xFFFFFFFF, 0}};
+  three.target = 3;
+  const auto third = pf.add_pattern(three);
+  pf.add_pattern(type_pattern(0x0202, 4));
+
+  auto r = pf.classify(header_bytes(0x0400, 0x1234), FlowKey{0, 1, 1}, 1);
+  EXPECT_EQ(r.target, 3u);
+  EXPECT_EQ(r.comparisons, 1u + 1u + 3u);
+  r = pf.classify(header_bytes(0x0400, 0x9999), FlowKey{0, 1, 2}, 1);  // fails at 2 of 3
+  EXPECT_FALSE(r.matched);
+  EXPECT_EQ(r.comparisons, 1u + 1u + 2u + 1u);
+
+  pf.remove_pattern(middle);
+  EXPECT_EQ(pf.pattern_count(), 3u);
+  r = pf.classify(header_bytes(0x0400, 0x1234), FlowKey{0, 1, 3}, 1);
+  EXPECT_EQ(r.target, 3u);
+  EXPECT_EQ(r.comparisons, 1u + 3u);
+  r = pf.classify(header_bytes(0x0400, 0x9999), FlowKey{0, 1, 4}, 1);
+  EXPECT_FALSE(r.matched);
+  EXPECT_EQ(r.comparisons, 1u + 2u + 1u);
+  r = pf.classify(header_bytes(0x0202), FlowKey{0, 1, 5}, 1);
+  EXPECT_EQ(r.target, 4u);
+  EXPECT_EQ(r.comparisons, 1u + 1u + 1u);
+  r = pf.classify(header_bytes(0x0300, 0xabcd), FlowKey{0, 1, 6}, 1);  // gone
+  EXPECT_FALSE(r.matched);
+  EXPECT_EQ(r.comparisons, 3u);
+
+  // The shifted pattern is still removable by its id, and one added after
+  // the removal lands last.
+  pf.remove_pattern(third);
+  pf.add_pattern(two);
+  r = pf.classify(header_bytes(0x0300, 0xabcd), FlowKey{0, 1, 7}, 1);
+  EXPECT_EQ(r.target, 2u);
+  EXPECT_EQ(r.comparisons, 1u + 1u + 2u);
+}
+
 TEST(Pathfinder, NoMatchExaminesEverything) {
   Pathfinder pf;
   pf.add_pattern(type_pattern(0x0201, 1));

@@ -256,6 +256,32 @@ TEST(U64FlatMap, MatchesReferenceMapUnderRandomChurn) {
   EXPECT_EQ(walked, ref.size());
 }
 
+TEST(U64FlatMap, NeverFilledMapAnswersEverything) {
+  // A map allocates its slots at the first insert. Until then every call
+  // must answer without hashing (its shift is still 64, which no probe may
+  // use), and a drained map must answer the same way.
+  U64FlatMap<int> m;
+  const U64FlatMap<int>& cm = m;
+  EXPECT_EQ(m.find(0), nullptr);
+  EXPECT_EQ(m.find(~std::uint64_t{0}), nullptr);
+  EXPECT_EQ(cm.find(3), nullptr);
+  EXPECT_FALSE(cm.contains(3));
+  EXPECT_FALSE(m.erase(3));
+  m.clear();
+  std::size_t walked = 0;
+  m.for_each([&walked](std::uint64_t, int) { ++walked; });
+  EXPECT_EQ(walked, 0u);
+  EXPECT_TRUE(m.empty());
+  EXPECT_EQ(m.size(), 0u);
+  m.insert(3, 30);
+  EXPECT_EQ(*m.find(3), 30);
+  EXPECT_TRUE(m.erase(3));
+  EXPECT_EQ(m.find(3), nullptr);  // drained: answered without a probe
+  EXPECT_FALSE(m.erase(3));
+  m.insert(4, 40);
+  EXPECT_EQ(*m.find(4), 40);
+}
+
 TEST(U64FlatMap, ClearResetsAndStaysUsable) {
   U64FlatMap<int> m;
   for (std::uint64_t k = 0; k < 100; ++k) m.insert(k, static_cast<int>(k));
