@@ -290,18 +290,9 @@ std::pair<apps::RunResult, apps::RunResult> run_both_boards(RunFn run, const Con
 
 // ---------------------------------------------------------------------------
 // Run-report plumbing. Every figure/table binary owns an obs::Reporter; these
-// helpers turn finished runs into ReportPoints carrying the figure numbers,
-// the legacy NodeStats accounts (for the metrics-vs-legacy diff in
-// scripts/validate_report.py) and the per-node metrics/trace snapshot.
+// helpers turn finished runs into ReportPoints carrying the figure numbers
+// and the per-node snapshot (counters, histograms, gauges, trace).
 // ---------------------------------------------------------------------------
-
-/// Copies the legacy NodeStats accounts into the point, one entry per
-/// NodeStats field, in fields() order.
-inline void fill_legacy(obs::ReportPoint& pt, const sim::NodeStats& totals) {
-  for (const sim::NodeStats::Field& f : sim::NodeStats::fields()) {
-    pt.legacy.emplace_back(f.name, totals.*f.member);
-  }
-}
 
 /// Builds one ReportPoint from a finished run. Always records elapsed
 /// simulated time and the hit ratio next to the caller's figure values.
@@ -314,7 +305,6 @@ inline obs::ReportPoint run_point(
   pt.values = std::move(values);
   pt.values.emplace_back("elapsed_ps", static_cast<double>(r.elapsed));
   pt.values.emplace_back("hit_ratio_pct", r.hit_ratio_pct);
-  fill_legacy(pt, r.totals);
   pt.snapshot = r.snapshot;
   return pt;
 }

@@ -73,7 +73,6 @@ obs::ReportPoint measure(cluster::BoardKind board, std::uint64_t bytes) {
   pt.label = std::string("bytes=") + std::to_string(bytes) + " system=" + system;
   pt.config = {{"bytes", std::to_string(bytes)}, {"system", system}};
   pt.values = {{"latency_us", sim::to_micros(arrival - send_start)}};
-  bench::fill_legacy(pt, cl.stats().total());
   pt.snapshot = cl.snapshot();
   return pt;
 }

@@ -29,6 +29,7 @@
 // (topology, nodes, mode) point is one job on the sweep pool.
 #include <cstdio>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "apps/runner.hpp"
@@ -65,8 +66,7 @@ struct ModeResult {
   std::uint64_t elapsed_cycles = 0;  ///< barrier phase, host CPU cycles
   std::uint32_t fanin = 0;
   std::uint32_t depth = 0;
-  cni::obs::Snapshot snapshot;       ///< barrier phase
-  cni::sim::NodeStats totals;        ///< barrier phase
+  cni::obs::Snapshot snapshot;  ///< barrier phase; taken only for a report file
 };
 
 struct Point {
@@ -87,11 +87,12 @@ cni::cluster::SimParams point_params(TopologyKind kind, const Mode& mode,
 }
 
 /// One phase = one fresh cluster running `rounds` episodes of `body`.
-/// Returns the cluster's simulated elapsed time.
+/// Returns the cluster's simulated elapsed time. With `out`, also records
+/// the phase's cycles and tree shape, and its snapshot if `report`.
 template <typename Body>
 cni::sim::SimTime run_phase(const cni::cluster::SimParams& params,
                             const cni::dsm::DsmParams& dp, std::uint32_t rounds,
-                            Body body, ModeResult* out) {
+                            Body body, ModeResult* out, bool report) {
   using namespace cni;
   cluster::Cluster cl(params);
   dsm::DsmSystem sys(cl, dp);
@@ -103,14 +104,13 @@ cni::sim::SimTime run_phase(const cni::cluster::SimParams& params,
     out->elapsed_cycles = cl.elapsed_cpu_cycles();
     out->fanin = sys.collective_tree().fanin;
     out->depth = sys.collective_tree().depth;
-    out->snapshot = cl.snapshot();
-    out->totals = cl.stats().total();
+    if (report) out->snapshot = cl.snapshot();
   }
   return elapsed;
 }
 
 ModeResult run_mode(TopologyKind kind, const Mode& mode, std::uint32_t nodes,
-                    std::uint32_t rounds) {
+                    std::uint32_t rounds, bool report) {
   using namespace cni;
   const cluster::SimParams params = point_params(kind, mode, nodes);
   dsm::DsmParams dp;
@@ -120,13 +120,13 @@ ModeResult run_mode(TopologyKind kind, const Mode& mode, std::uint32_t nodes,
   m.name = mode.name;
   const sim::SimTime bar = run_phase(
       params, dp, rounds,
-      [](dsm::DsmContext& ctx, std::uint32_t) { ctx.barrier(); }, &m);
+      [](dsm::DsmContext& ctx, std::uint32_t) { ctx.barrier(); }, &m, report);
   const sim::SimTime red = run_phase(
       params, dp, rounds,
       [](dsm::DsmContext& ctx, std::uint32_t r) {
         ctx.reduce_u64(dsm::ReduceOp::kSum, ctx.self() + r);
       },
-      nullptr);
+      nullptr, false);
   m.barrier_ps = bar / rounds;
   m.reduce_ps = red / rounds;
   return m;
@@ -186,6 +186,7 @@ int main(int argc, char** argv) {
                                      TopologyKind::kTorus};
   if (args.topology) kinds = {*args.topology};
 
+  const bool report = reporter.active();
   std::vector<Point> points;
   std::vector<bench::Job<ModeResult>> jobs;  // per point: one per kModes entry
   for (const TopologyKind kind : kinds) {
@@ -196,7 +197,7 @@ int main(int argc, char** argv) {
       p.name = std::string(p.topology) + "/" + std::to_string(nodes);
       points.push_back(std::move(p));
       for (const Mode& mode : kModes) {
-        jobs.push_back({nodes, [=] { return run_mode(kind, mode, nodes, rounds); }});
+        jobs.push_back({nodes, [=] { return run_mode(kind, mode, nodes, rounds, report); }});
       }
     }
   }
@@ -215,8 +216,8 @@ int main(int argc, char** argv) {
                     "NIC tree barrier lost to the centralized baseline");
     }
     if (!args.json) print_table(p);
-    if (reporter.active()) {
-      for (const ModeResult& m : p.modes) {
+    if (report) {
+      for (ModeResult& m : p.modes) {
         obs::ReportPoint pt;
         pt.label = p.name + " mode=" + m.name;
         pt.config = {{"topology", p.topology},
@@ -226,8 +227,7 @@ int main(int argc, char** argv) {
                      {"reduce_ps", static_cast<double>(m.reduce_ps)},
                      {"fanin", static_cast<double>(m.fanin)},
                      {"depth", static_cast<double>(m.depth)}};
-        bench::fill_legacy(pt, m.totals);
-        pt.snapshot = m.snapshot;
+        pt.snapshot = std::move(m.snapshot);
         reporter.add_point(std::move(pt));
       }
     }

@@ -259,19 +259,27 @@ SUITE_CONTEXT_FIELDS = ("host", "num_cpus", "date", "base_commit", "dirty", "rep
 
 def timed_run(cmd: list, env=None) -> tuple:
     """(wall seconds, peak RSS in MB, exit status, stderr tail) of one child
-    process, run with `env` (default: this process's environment). Peak RSS
-    is the child's ru_maxrss, read with os.wait4; it counts the forked
-    interpreter's pages before exec, so no binary reads below the launching
-    Python's RSS (about 16 MB)."""
-    with tempfile.TemporaryFile() as err:
+    process, run with `env` (default: this process's environment) through
+    the build's tools/cni_peak_rss launcher. Peak RSS is the child's
+    ru_maxrss, which counts the pages its process held before exec: forked
+    from this interpreter, no binary could read below its resident set
+    (about 17 MB); forked from the launcher, the floor is the launcher's
+    (about 1 MB)."""
+    launcher = BUILD / "tools" / "cni_peak_rss"
+    if not launcher.exists():
+        sys.exit(f"{launcher} is missing: build the cni_peak_rss target")
+    with tempfile.TemporaryFile() as err, tempfile.NamedTemporaryFile("r") as rss:
         start = time.perf_counter()
-        proc = subprocess.Popen(cmd, stdout=subprocess.DEVNULL, stderr=err, env=env)
-        _, status, usage = os.wait4(proc.pid, 0)
+        subprocess.run([str(launcher), rss.name, *cmd], stdout=subprocess.DEVNULL,
+                       stderr=err, env=env, check=False)
         wall = time.perf_counter() - start
-        proc.returncode = os.waitstatus_to_exitcode(status)
         err.seek(0)
         tail = err.read().decode(errors="replace")[-2000:]
-    return wall, usage.ru_maxrss / 1024.0, proc.returncode, tail
+        reading = rss.read().split()
+    if len(reading) != 2:
+        sys.exit(f"{launcher} recorded nothing for {cmd[0]}:\n{tail}")
+    peak_kb, status = (int(v) for v in reading)
+    return wall, peak_kb / 1024.0, status, tail
 
 
 def cv(samples: list) -> float:
@@ -434,8 +442,8 @@ def write_scaling() -> None:
     and how the peak grows per doubling."""
     binary = str(BUILD / "bench" / "fig_barrier_scaling")
     env = {**os.environ, "CNI_BENCH_JOBS": "1", "CNI_BENCH_FAST": "0", "CNI_TRACE": "0"}
-    # What wait4 reports for a child that maps almost nothing: the peaks
-    # below cannot read lower (see timed_run).
+    # What the launcher reports for a child that maps almost nothing: the
+    # peaks below cannot read lower (see timed_run).
     _, floor, _, _ = timed_run(["true"])
     walls = {n: [] for n in SCALING_NODE_COUNTS}
     peaks = {n: [] for n in SCALING_NODE_COUNTS}

@@ -9,10 +9,11 @@ Checks three things, stdlib only (CI runs this with no third-party deps):
    contract for schema "cni-run-report"; see src/obs/report.cpp).
 2. Consistency: per point, the "totals" section equals the per-name sum of
    the node counters it claims to aggregate.
-3. Legacy parity: every legacy NodeStats account ("legacy" section) has a
-   matching entry in "totals" with the exact same value. The obs counters
-   are bound views over the legacy fields, so any drift here means an
-   instrumentation bug, not measurement noise.
+3. Legacy parity: every account in the "legacy" section has a matching
+   entry in "totals" with the exact same value. A node's counters are its
+   sim::NodeStats fields, and the writer prints "legacy" and "totals" from
+   one sum of them, so the two sections agree by construction; schema v2
+   keeps both, and the next version bump can drop "legacy" and this check.
 
 With --trace, also validates the Chrome trace_event JSON emitted via
 --trace-out= (envelope, event phases, span durations).

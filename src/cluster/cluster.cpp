@@ -45,7 +45,6 @@ Cluster::Cluster(const SimParams& params)
       obs_(params.processors, params.obs) {
   CNI_CHECK_MSG(params.processors >= 1, "a cluster needs at least one node");
   for (std::uint32_t i = 0; i < params.processors; ++i) {
-    obs_.bind_node_stats(i, stats_.node(i));
     nodes_.push_back(std::make_unique<Node>(engine_, fabric_, params_, i, stats_.node(i),
                                             &obs_.node(i)));
   }
@@ -126,9 +125,7 @@ obs::Snapshot Cluster::snapshot() const {
     const obs::NodeObs& src = obs_.node(i);
     obs::NodeSnapshot node;
     node.node = i;
-    src.metrics().for_each_counter([&node](const std::string& name, std::uint64_t v) {
-      node.counters.push_back(obs::CounterSnapshot{name, v});
-    });
+    node.stats = stats_.node(i);
     src.metrics().for_each_histogram([&node](const std::string& name, const obs::Hist& h) {
       obs::HistSnapshot hs;
       hs.name = name;

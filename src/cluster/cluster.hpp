@@ -76,8 +76,8 @@ class Cluster {
   [[nodiscard]] std::uint32_t shards() const { return 1; }
   [[nodiscard]] EventCount epoch_stats() const { return events_; }
 
-  /// Materializes every bound counter, histogram, gauge and (when tracing)
-  /// the trace rings into a Snapshot that outlives the cluster.
+  /// Copies each node's NodeStats accounts, histograms, gauges and (when
+  /// tracing) trace ring into a Snapshot that outlives the cluster.
   [[nodiscard]] obs::Snapshot snapshot() const;
 
   /// Runs `body(node_index, thread)` on every node concurrently (in

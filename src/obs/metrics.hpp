@@ -1,23 +1,19 @@
-// Metrics registry: named counters, gauges and log-2 latency histograms.
+// Metrics registry: named gauges and log-2 latency histograms.
 //
 // Handles are resolved by name exactly once, at setup (board/runtime
-// constructors); the hot path touches a plain uint64 or a histogram bucket —
+// constructors); the hot path touches a histogram bucket or a gauge value —
 // no string lookups, no allocation after init (enforced by the hot-path
 // rules in scripts/lint_cni.py, which cover src/obs/).
 //
-// Counters come in two flavours: *bound* counters are read-only views onto
-// externally-owned fields (the legacy sim::NodeStats accounts — binding
-// instead of duplicating is what makes the migration cross-check exact by
-// construction), and *owned* counters live in the registry for components
-// with no NodeStats field.
+// Counters are not registered here: a node's counters are its
+// sim::NodeStats fields, which Cluster::snapshot copies and the run report
+// names through NodeStats::fields().
 #pragma once
 
 #include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
-
-#include "util/check.hpp"
 
 namespace cni::obs {
 
@@ -80,32 +76,11 @@ class Gauge {
   std::int64_t max_ = 0;
 };
 
-/// One node's named metrics. Registration happens at setup; each owned
+/// One node's histograms and gauges. Registration happens at setup; each
 /// value is its own allocation, so every handed-out pointer stays stable for
 /// the life of the registry, and an empty registry allocates nothing.
 class Metrics {
  public:
-  /// Makes room for `n` more counters, so a known batch of bindings
-  /// allocates once.
-  void reserve_counters(std::size_t n) { counters_.reserve(counters_.size() + n); }
-
-  /// Registers `name` as a view onto an externally-owned counter field.
-  void bind_counter(std::string name, const std::uint64_t* value) {
-    CNI_CHECK(value != nullptr);
-    counters_.push_back(CounterEntry{std::move(name), value, nullptr});
-  }
-
-  /// Returns the owned counter registered under `name`, creating it on first
-  /// use. Resolve once at setup; bump through the pointer on the hot path.
-  [[nodiscard]] std::uint64_t* counter(const std::string& name) {
-    for (CounterEntry& e : counters_) {
-      if (e.owned != nullptr && e.name == name) return e.owned;
-    }
-    std::uint64_t* owned = owned_counters_.emplace_back(std::make_unique<std::uint64_t>(0)).get();
-    counters_.push_back(CounterEntry{name, owned, owned});
-    return owned;
-  }
-
   [[nodiscard]] Hist* histogram(const std::string& name) {
     for (const auto& e : hists_) {
       if (e->name == name) return &e->hist;
@@ -118,12 +93,6 @@ class Metrics {
       if (e->name == name) return &e->gauge;
     }
     return &gauges_.emplace_back(std::make_unique<GaugeEntry>(GaugeEntry{name, Gauge{}}))->gauge;
-  }
-
-  /// fn(name, value) over every counter, in registration order.
-  template <typename Fn>
-  void for_each_counter(Fn&& fn) const {
-    for (const CounterEntry& e : counters_) fn(e.name, *e.value);
   }
 
   /// fn(name, const Hist&) in registration order.
@@ -139,11 +108,6 @@ class Metrics {
   }
 
  private:
-  struct CounterEntry {
-    std::string name;
-    const std::uint64_t* value;  ///< what for_each_counter reads
-    std::uint64_t* owned;        ///< non-null iff the registry owns the value
-  };
   struct HistEntry {
     std::string name;
     Hist hist;
@@ -153,8 +117,6 @@ class Metrics {
     Gauge gauge;
   };
 
-  std::vector<CounterEntry> counters_;
-  std::vector<std::unique_ptr<std::uint64_t>> owned_counters_;
   std::vector<std::unique_ptr<HistEntry>> hists_;
   std::vector<std::unique_ptr<GaugeEntry>> gauges_;
 };

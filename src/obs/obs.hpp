@@ -19,7 +19,6 @@
 #include "obs/options.hpp"
 #include "obs/taxonomy.hpp"
 #include "obs/trace.hpp"
-#include "sim/stats.hpp"
 #include "sim/time.hpp"
 
 namespace cni::obs {
@@ -98,11 +97,6 @@ class RunObs {
   }
   [[nodiscard]] NodeObs& node(std::uint32_t i) { return *nodes_.at(i); }
   [[nodiscard]] const NodeObs& node(std::uint32_t i) const { return *nodes_.at(i); }
-
-  /// Registers the legacy NodeStats accounts as bound counters, one view per
-  /// field. The registry reads the very fields the legacy path increments,
-  /// which is what makes `metrics totals == NodeStats` exact by construction.
-  void bind_node_stats(std::uint32_t i, const sim::NodeStats& st);
 
  private:
   Options opts_;

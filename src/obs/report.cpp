@@ -5,6 +5,7 @@
 #include <cstdio>
 
 #include "obs/critpath.hpp"
+#include "sim/stats.hpp"
 #include "util/log.hpp"
 
 namespace cni::obs {
@@ -151,19 +152,27 @@ std::string chrome_trace_json(const std::vector<ReportPoint>& points) {
 
 namespace {
 
-void append_node_json(std::string& out, const NodeSnapshot& node) {
-  append_fmt(out, "{\"node\":%u,\"counters\":{", node.node);
+/// A NodeStats as one JSON object, one key per NodeStats::fields() entry in
+/// declaration order.
+void append_stats_json(std::string& out, const sim::NodeStats& st) {
+  out += '{';
   bool first = true;
-  for (const CounterSnapshot& c : node.counters) {
+  for (const sim::NodeStats::Field& f : sim::NodeStats::fields()) {
     if (!first) out += ',';
     first = false;
     out += '"';
-    out += json_escape(c.name);
+    out += f.name;
     out += "\":";
-    append_u64(out, c.value);
+    append_u64(out, st.*f.member);
   }
-  out += "},\"histograms\":{";
-  first = true;
+  out += '}';
+}
+
+void append_node_json(std::string& out, const NodeSnapshot& node) {
+  append_fmt(out, "{\"node\":%u,\"counters\":", node.node);
+  append_stats_json(out, node.stats);
+  out += ",\"histograms\":{";
+  bool first = true;
   for (const HistSnapshot& h : node.hists) {
     if (!first) out += ',';
     first = false;
@@ -230,17 +239,13 @@ void append_point_json(std::string& out, const ReportPoint& pt) {
     out += "\":";
     append_double(out, v);
   }
-  out += "},\"legacy\":{";
-  first = true;
-  for (const auto& [k, v] : pt.legacy) {
-    if (!first) out += ',';
-    first = false;
-    out += '"';
-    out += json_escape(k);
-    out += "\":";
-    append_u64(out, v);
-  }
-  append_fmt(out, "},\"traced\":%s,\"trace_truncated\":%s,\"critpath\":",
+  // "legacy" and "totals" are the same sum over the nodes; schema v2 carries
+  // both.
+  sim::NodeStats totals;
+  for (const NodeSnapshot& node : pt.snapshot.nodes) totals.add(node.stats);
+  out += "},\"legacy\":";
+  append_stats_json(out, totals);
+  append_fmt(out, ",\"traced\":%s,\"trace_truncated\":%s,\"critpath\":",
              pt.snapshot.traced ? "true" : "false",
              point_truncated(pt) ? "true" : "false");
   out += critpath_report_fragment(extract_critical_path(pt.snapshot));
@@ -251,33 +256,9 @@ void append_point_json(std::string& out, const ReportPoint& pt) {
     first = false;
     append_node_json(out, node);
   }
-  // Totals: every counter name summed across nodes, in first-appearance
-  // order. This is the section validate_report.py diffs against "legacy".
-  std::vector<std::pair<std::string, std::uint64_t>> totals;
-  for (const NodeSnapshot& node : pt.snapshot.nodes) {
-    for (const CounterSnapshot& c : node.counters) {
-      bool found = false;
-      for (auto& [name, sum] : totals) {
-        if (name == c.name) {
-          sum += c.value;
-          found = true;
-          break;
-        }
-      }
-      if (!found) totals.emplace_back(c.name, c.value);
-    }
-  }
-  out += "],\"totals\":{";
-  first = true;
-  for (const auto& [k, v] : totals) {
-    if (!first) out += ',';
-    first = false;
-    out += '"';
-    out += json_escape(k);
-    out += "\":";
-    append_u64(out, v);
-  }
-  out += "}}";
+  out += "],\"totals\":";
+  append_stats_json(out, totals);
+  out += '}';
 }
 
 }  // namespace

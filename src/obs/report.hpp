@@ -33,11 +33,9 @@ struct ReportPoint {
   std::string label;  ///< e.g. "procs=8 system=cni"
   std::vector<std::pair<std::string, std::string>> config;  ///< point config
   std::vector<std::pair<std::string, double>> values;       ///< figure numbers
-  /// Legacy NodeStats totals, serialized through NodeStats::fields() by the
-  /// caller. Redundant with summing the snapshot's bound counters — which is
-  /// the point: validate_report.py diffs the two to prove the metrics
-  /// registry never drifts from the accounts the figures are computed from.
-  std::vector<std::pair<std::string, std::uint64_t>> legacy;
+  /// Per-node counters, histograms, gauges and trace; the report's
+  /// "totals" and "legacy" sections are both this snapshot's counters
+  /// summed over its nodes.
   Snapshot snapshot;
 };
 

@@ -64,7 +64,8 @@ struct NodeStats {
   };
   /// The full counter schema. add() and every serializer iterate this table,
   /// so adding a field here is the single step that propagates it to the
-  /// aggregates, the metrics registry and the machine-readable reports.
+  /// aggregates and the run report: a node's fields are its counters there
+  /// (obs::NodeSnapshot copies the whole struct), with no second store.
   [[nodiscard]] static const std::vector<Field>& fields();
 };
 

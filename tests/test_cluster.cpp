@@ -85,9 +85,6 @@ std::string run_fingerprint(const SimParams& params, const apps::JacobiConfig& c
   obs::ReportPoint point;
   point.label = "determinism";
   point.values.emplace_back("elapsed_cycles", static_cast<double>(r.elapsed_cycles));
-  for (const sim::NodeStats::Field& f : sim::NodeStats::fields()) {
-    point.legacy.emplace_back(f.name, r.totals.*(f.member));
-  }
   point.snapshot = r.snapshot;
   std::ostringstream out;
   out.precision(17);

@@ -325,9 +325,6 @@ std::string run_fingerprint(const cluster::SimParams& params,
   obs::ReportPoint point;
   point.label = "collective-determinism";
   point.values.emplace_back("elapsed_cycles", static_cast<double>(r.elapsed_cycles));
-  for (const sim::NodeStats::Field& f : sim::NodeStats::fields()) {
-    point.legacy.emplace_back(f.name, r.totals.*(f.member));
-  }
   point.snapshot = r.snapshot;
   point.snapshot.traced = false;
   for (obs::NodeSnapshot& node : point.snapshot.nodes) {

@@ -409,8 +409,8 @@ TEST(Cluster, IdleNodesCommitNoPerNodeTables) {
   // closes no interval, so every clock it holds stays all zeros: the
   // runtimes' own two, the host-mode manager's N arrival clocks and the
   // tree's subtree floors. An all-zero clock holds no entries, so a build
-  // commits only its boards, runtimes, fabric and metric registries, and a
-  // barrier adds what its frames and fibers hold while in flight.
+  // commits only its boards, runtimes and fabric, and a barrier adds what
+  // its frames and fibers hold while in flight.
   struct Shape {
     const char* what;
     std::uint32_t nodes;
@@ -421,17 +421,23 @@ TEST(Cluster, IdleNodesCommitNoPerNodeTables) {
     std::uint64_t heap_bound;  ///< heap bytes per node after the build; 0: unchecked
   };
   // Measured growth in the comments (MiB, and heap bytes per node), then
-  // the same with power-of-two frame buffers and board tables sized before
-  // use (which exceeds each bound), then with dense N-entry clocks.
+  // the same with every NodeStats counter bound by name into each node's
+  // metric registry (which exceeds the heap bound), then with power-of-two
+  // frame buffers and board tables sized before use (which exceeds each
+  // bound), then with dense N-entry clocks.
   const Shape shapes[] = {
+      // 8.8, 8,371; 10.4, 10,082; 15.3, 15,046; 24
       {"1,024-node Clos build", 1024, atm::TopologyKind::kClos,
-       cluster::CollectiveMode::kNic, 0, 13, 11'500},  // 10.4, 10,082; 15.3, 15,046; 24
+       cluster::CollectiveMode::kNic, 0, 13, 9'000},
+      // 27.0; 33.6; 52.5; 190
       {"4,096-node banyan build", 4096, atm::TopologyKind::kBanyan,
-       cluster::CollectiveMode::kNic, 0, 42, 0},  // 33.6; 52.5; 190
+       cluster::CollectiveMode::kNic, 0, 42, 0},
+      // 134.1; 140.7; 160.0; 369
       {"two host-mode barriers", 4096, atm::TopologyKind::kBanyan,
-       cluster::CollectiveMode::kHost, 2, 150, 0},  // 140.7; 160.0; 369
+       cluster::CollectiveMode::kHost, 2, 150, 0},
+      // 134.1; 140.7; 160.0; 437
       {"two NIC-tree barriers", 4096, atm::TopologyKind::kBanyan,
-       cluster::CollectiveMode::kNic, 2, 150, 0},  // 140.7; 160.0; 437
+       cluster::CollectiveMode::kNic, 2, 150, 0},
   };
   for (const Shape& s : shapes) {
     const std::uint64_t before = test_support::resident_bytes();

@@ -1,5 +1,5 @@
-// Observability primitives: histogram math, metrics registry, emit macros,
-// ring sizing, and the bound-counter bridge to the legacy NodeStats accounts.
+// Observability primitives: histogram math, metrics registry, emit macros
+// and ring sizing.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -10,7 +10,6 @@
 #include "dsm/context.hpp"
 #include "dsm/system.hpp"
 #include "obs/obs.hpp"
-#include "sim/stats.hpp"
 
 namespace cni::obs {
 namespace {
@@ -71,35 +70,12 @@ TEST(Gauge, TracksValueAndHighWater) {
   EXPECT_EQ(g.max(), 8);
 }
 
-TEST(Metrics, OwnedCounterResolvesToStableHandle) {
-  Metrics m;
-  std::uint64_t* a = m.counter("x");
-  std::uint64_t* b = m.counter("y");
-  EXPECT_EQ(m.counter("x"), a);  // same name, same handle
-  *a += 2;
-  *b += 5;
-  std::vector<std::pair<std::string, std::uint64_t>> seen;
-  m.for_each_counter([&](const std::string& n, std::uint64_t v) { seen.emplace_back(n, v); });
-  ASSERT_EQ(seen.size(), 2u);
-  EXPECT_EQ(seen[0], (std::pair<std::string, std::uint64_t>{"x", 2}));
-  EXPECT_EQ(seen[1], (std::pair<std::string, std::uint64_t>{"y", 5}));
-}
-
-TEST(Metrics, BoundCounterIsALiveView) {
-  Metrics m;
-  std::uint64_t external = 0;
-  m.bind_counter("ext", &external);
-  external = 41;
-  std::uint64_t read = 0;
-  m.for_each_counter([&](const std::string&, std::uint64_t v) { read = v; });
-  EXPECT_EQ(read, 41u);  // no copy was taken at bind time
-}
-
 TEST(Metrics, HistogramAndGaugeHandlesAreStable) {
   Metrics m;
   Hist* h = m.histogram("lat");
   Gauge* g = m.gauge("occ");
-  // Creating more entries must not invalidate earlier handles (deque-backed).
+  // Creating more entries must not invalidate earlier handles: each entry is
+  // its own heap allocation.
   for (int i = 0; i < 100; ++i) {
     (void)m.histogram("lat" + std::to_string(i));
     (void)m.gauge("occ" + std::to_string(i));
@@ -147,31 +123,6 @@ TEST(ObsMacros, NullHandlesAndDisabledTracingAreSafeNoOps) {
   CNI_TRACE_COUNTER(q, 1, Component::kDsm, Event::kDsmFault, 0);
   EXPECT_EQ(quiet.ring().recorded(), 0u);
   EXPECT_EQ(quiet.ring().capacity(), 1u);  // nothing to hold: one slot
-}
-
-TEST(RunObs, BindNodeStatsMirrorsTheLegacyAccountsExactly) {
-  Options opts;
-  RunObs run(2, opts);
-  sim::NodeStats st;
-  run.bind_node_stats(0, st);
-
-  st.messages_sent = 3;
-  st.mcache_tx_hits = 7;
-  st.dma_bytes = 4096;
-
-  // Every NodeStats field appears, and reads the live legacy value.
-  std::size_t entries = 0;
-  std::uint64_t messages = 0, hits = 0, dma = 0;
-  run.node(0).metrics().for_each_counter([&](const std::string& n, std::uint64_t v) {
-    ++entries;
-    if (n == "nic.messages_sent") messages = v;
-    if (n == "mcache.tx_hits") hits = v;
-    if (n == "nic.dma_bytes") dma = v;
-  });
-  EXPECT_EQ(entries, sim::NodeStats::fields().size());
-  EXPECT_EQ(messages, 3u);
-  EXPECT_EQ(hits, 7u);
-  EXPECT_EQ(dma, 4096u);
 }
 
 TEST(RunObs, ClusterRingsAreSizedOnlyWhenTracing) {

@@ -62,9 +62,6 @@ obs::ReportPoint to_point(const apps::RunResult& r) {
   pt.label = "test";
   pt.config = {{"app", "jacobi"}};
   pt.values = {{"elapsed_ps", static_cast<double>(r.elapsed)}};
-  for (const sim::NodeStats::Field& f : sim::NodeStats::fields()) {
-    pt.legacy.emplace_back(f.name, r.totals.*f.member);
-  }
   pt.snapshot = r.snapshot;
   return pt;
 }
@@ -124,16 +121,29 @@ TEST(ObsReport, ChromeTraceShapeAndMetricsTotalsMatchLegacy) {
   EXPECT_NE(trace.find("\"ph\":\"X\""), std::string::npos);  // spans
   EXPECT_NE(trace.find("dsm.fault"), std::string::npos);
 
-  // The snapshot's bound counters must agree with the legacy accounts the
-  // figures are computed from — same fields, same values.
-  for (const sim::NodeStats::Field& f : sim::NodeStats::fields()) {
-    EXPECT_EQ(r.snapshot.total_counter(f.name), r.totals.*f.member) << f.name;
-  }
-
   const std::string report = obs::run_report_json("t", {{"k", "v"}}, pts);
+  // Each node's "counters" lists every NodeStats field by name with that
+  // node's account; "legacy" and "totals" list the run's totals, the
+  // accounts the figures are computed from.
+  const auto stats_json = [](const sim::NodeStats& st) {
+    std::string out = "{";
+    for (const sim::NodeStats::Field& f : sim::NodeStats::fields()) {
+      if (out.size() > 1) out += ',';
+      out += '"' + std::string(f.name) + "\":" + std::to_string(st.*f.member);
+    }
+    return out + "}";
+  };
+  for (const obs::NodeSnapshot& node : r.snapshot.nodes) {
+    EXPECT_GT(node.stats.compute_cycles, 0u) << "node " << node.node;
+    EXPECT_NE(report.find("{\"node\":" + std::to_string(node.node) +
+                          ",\"counters\":" + stats_json(node.stats) + ","),
+              std::string::npos)
+        << "node " << node.node;
+  }
+  EXPECT_NE(report.find("\"legacy\":" + stats_json(r.totals) + ","), std::string::npos);
+  EXPECT_NE(report.find("\"totals\":" + stats_json(r.totals) + "}"), std::string::npos);
   EXPECT_NE(report.find("\"schema\":\"cni-run-report\""), std::string::npos);
   EXPECT_NE(report.find("\"version\":2"), std::string::npos);
-  EXPECT_NE(report.find("\"legacy\""), std::string::npos);
   EXPECT_NE(report.find("\"trace_truncated\":false"), std::string::npos);
   EXPECT_NE(report.find("\"critpath\":"), std::string::npos);
 }
@@ -160,12 +170,12 @@ TEST_P(ObsTraceTopology, TracingLeavesTheRunUnchangedAndExportsReproduce) {
   for (const sim::NodeStats::Field& f : sim::NodeStats::fields()) {
     EXPECT_EQ(off.totals.*f.member, on.totals.*f.member) << f.name;
   }
-  // Every metric counter as well: tracing adds records, never counts.
+  // Every node's counters as well: tracing adds records, never counts.
   ASSERT_EQ(off.snapshot.nodes.size(), on.snapshot.nodes.size());
   for (std::size_t n = 0; n < off.snapshot.nodes.size(); ++n) {
-    for (const obs::CounterSnapshot& c : off.snapshot.nodes[n].counters) {
-      EXPECT_EQ(on.snapshot.nodes[n].counter_or(c.name, ~std::uint64_t{0}), c.value)
-          << "node " << n << " " << c.name;
+    for (const sim::NodeStats::Field& f : sim::NodeStats::fields()) {
+      EXPECT_EQ(on.snapshot.nodes[n].stats.*f.member, off.snapshot.nodes[n].stats.*f.member)
+          << "node " << n << " " << f.name;
     }
   }
 
