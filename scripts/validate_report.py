@@ -149,7 +149,9 @@ def validate_metrics(report: dict, schema: dict) -> list[str]:
     return errors
 
 
-TRACE_PHASES = {"M", "X", "i", "C"}
+# Phases the report writer emits: metadata, spans (plain and causal) and
+# instants. Anything else, a counter record included, is a violation.
+TRACE_PHASES = {"M", "X", "i"}
 
 
 def validate_trace(trace: dict) -> list[str]:
@@ -169,7 +171,7 @@ def validate_trace(trace: dict) -> list[str]:
         ph = ev.get("ph")
         if ph not in TRACE_PHASES:
             errors.append(f"{where}: unexpected phase {ph!r}")
-        if ph in ("X", "i", "C"):
+        if ph in ("X", "i"):
             if "ts" not in ev or "tid" not in ev:
                 errors.append(f"{where}: {ph} event needs 'ts' and 'tid'")
         if ph == "X" and "dur" not in ev:

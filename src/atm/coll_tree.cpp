@@ -63,11 +63,8 @@ CollectiveTree make_kary_tree(std::uint32_t nodes, std::uint32_t fanin) {
 
 CollectiveTree make_collective_tree(const Topology& topo, std::uint32_t nodes,
                                     sim::SimDuration per_hop,
-                                    sim::SimDuration per_child,
-                                    std::uint32_t fanin_override) {
-  if (fanin_override != 0 || nodes <= 2) {
-    return make_kary_tree(nodes, fanin_override != 0 ? fanin_override : 1);
-  }
+                                    sim::SimDuration per_child) {
+  if (nodes <= 2) return make_kary_tree(nodes, 1);
   static constexpr std::uint32_t kCandidates[] = {2, 4, 8, 16, 32};
   CollectiveTree best;
   sim::SimDuration best_cost = 0;

@@ -1,6 +1,6 @@
 // Topology-aware combining trees for NIC-resident collectives.
 //
-// A CollectiveTree is the static reduction/broadcast shape the DSM layer
+// A CollectiveTree is the static barrier/reduce shape the DSM layer
 // installs once per run: node v sends its combined contribution to
 // parent[v], the root turns around, and releases flow back down children[].
 // The shape is a contiguous-range k-ary tree — the root owns [0, N), the
@@ -54,18 +54,15 @@ struct CollectiveTree {
 [[nodiscard]] CollectiveTree make_kary_tree(std::uint32_t nodes, std::uint32_t fanin);
 
 /// Picks the fan-in from the topology's distances (candidates 2, 4, 8, 16,
-/// 32, capped below `nodes`) and returns the winning tree. `fanin_override`
-/// != 0 skips the search and builds that exact fan-in — the A/B knob the
-/// identity tests use.
+/// 32, capped below `nodes`) and returns the winning tree.
 [[nodiscard]] CollectiveTree make_collective_tree(const Topology& topo,
                                                   std::uint32_t nodes,
                                                   sim::SimDuration per_hop,
-                                                  sim::SimDuration per_child,
-                                                  std::uint32_t fanin_override = 0);
+                                                  sim::SimDuration per_child);
 
 /// Flat star rooted at `root`: every other node is a direct child. The
-/// host-mode reduce/broadcast shape (one centralized manager, like the seed
-/// barrier protocol).
+/// host-mode reduce shape (one centralized manager, like the seed barrier
+/// protocol).
 [[nodiscard]] CollectiveTree make_star_tree(std::uint32_t nodes, std::uint32_t root);
 
 }  // namespace cni::atm

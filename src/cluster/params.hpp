@@ -18,7 +18,7 @@ enum class BoardKind {
   kStandard,  ///< baseline: no ADC, no Message Cache, no AIH
 };
 
-/// Where DSM collective operations (barrier, reduce, broadcast) execute.
+/// Where DSM collective operations (barrier, reduce) execute.
 enum class CollectiveMode : std::uint8_t {
   kHost,  ///< centralized host manager on node 0 (the seed protocol)
   kNic,   ///< NIC-resident combining tree: AIH handlers combine and forward

@@ -37,6 +37,9 @@ std::optional<AdcChannel> AdcChannel::open(DualPortMemory& board_mem,
                                            std::uint32_t channel_id,
                                            mem::VAddr region_base, std::uint64_t region_len,
                                            std::uint32_t slots) {
+  // The paper's transmit/receive/free triplet occupies board memory whether
+  // or not the receive and free queues are used, so all three are charged
+  // and every later board-memory offset stays where the triplet puts it.
   const std::uint64_t bytes = 3 * DescriptorRing::footprint_bytes(slots);
   auto offset = board_mem.alloc(bytes);
   if (!offset.has_value()) return std::nullopt;
@@ -49,9 +52,7 @@ AdcChannel::AdcChannel(std::uint32_t id, mem::VAddr region_base, std::uint64_t r
       region_base_(region_base),
       region_len_(region_len),
       board_offset_(board_offset),
-      tx_(slots),
-      rx_(slots),
-      free_(slots) {}
+      tx_(slots) {}
 
 bool AdcChannel::enqueue_tx(const AdcDescriptor& d) {
   if (!verify(d.buffer_va, d.length)) {
@@ -59,14 +60,6 @@ bool AdcChannel::enqueue_tx(const AdcDescriptor& d) {
     return false;
   }
   return tx_.push(d);
-}
-
-bool AdcChannel::post_receive_buffer(const AdcDescriptor& d) {
-  if (!verify(d.buffer_va, d.length)) {
-    ++protection_rejects_;
-    return false;
-  }
-  return free_.push(d);
 }
 
 }  // namespace cni::core

@@ -6,7 +6,10 @@
 // buffer is *placed* in a queue — never on the send/receive fast path — and
 // queue manipulation is lock-free, relying only on the atomicity of loads
 // and stores (single-producer/single-consumer rings), so no gang scheduling
-// of network access is ever needed.
+// of network access is ever needed. Only the transmit queue is simulated:
+// arriving messages reach the host through the board's handler and channel
+// dispatch, so nothing posts to the receive or free queue. Their board
+// memory is still charged.
 #pragma once
 
 #include <cstdint>
@@ -69,14 +72,14 @@ class DescriptorRing {
   std::uint32_t tail_ = 0;  // written by consumer only
 };
 
-/// The transmit/receive/free queue triplet forming one device channel, with
-/// the protection domain it was opened with.
+/// One device channel: its transmit queue, with the protection domain it was
+/// opened with.
 class AdcChannel {
  public:
   /// Opens a channel whose application may only reference buffers inside
-  /// [region_base, region_base + region_len). Queue memory is carved from
-  /// the board's dual-ported memory; opening fails (returns nullopt from
-  /// Open) if the board is out of memory.
+  /// [region_base, region_base + region_len). The whole queue triplet is
+  /// carved from the board's dual-ported memory; opening fails (returns
+  /// nullopt) if the board is out of memory.
   static std::optional<AdcChannel> open(DualPortMemory& board_mem, std::uint32_t channel_id,
                                         mem::VAddr region_base, std::uint64_t region_len,
                                         std::uint32_t slots);
@@ -99,19 +102,7 @@ class AdcChannel {
   /// Board side: take the next transmit descriptor.
   std::optional<AdcDescriptor> dequeue_tx() { return tx_.pop(); }
 
-  /// Application -> board: post a receive buffer (goes on the free queue).
-  bool post_receive_buffer(const AdcDescriptor& d);
-
-  /// Board side: claim a posted buffer for an arriving message.
-  std::optional<AdcDescriptor> claim_receive_buffer() { return free_.pop(); }
-
-  /// Board -> application: completed receive descriptors.
-  bool complete_receive(const AdcDescriptor& d) { return rx_.push(d); }
-  std::optional<AdcDescriptor> poll_receive() { return rx_.pop(); }
-
   [[nodiscard]] const DescriptorRing& tx_ring() const { return tx_; }
-  [[nodiscard]] const DescriptorRing& rx_ring() const { return rx_; }
-  [[nodiscard]] const DescriptorRing& free_ring() const { return free_; }
 
   [[nodiscard]] std::uint64_t protection_rejects() const { return protection_rejects_; }
 
@@ -124,8 +115,6 @@ class AdcChannel {
   std::uint64_t region_len_;
   std::uint64_t board_offset_;  ///< where the triplet lives in dual-port memory
   DescriptorRing tx_;
-  DescriptorRing rx_;
-  DescriptorRing free_;
   std::uint64_t protection_rejects_ = 0;
 };
 

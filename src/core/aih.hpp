@@ -38,8 +38,8 @@ class AihRegion {
     CNI_CHECK_MSG(!resident(handler_id), "handler id already has a segment");
     auto offset = mem_.alloc(code_bytes);
     // Exhaustion is a clean refusal: no segment is recorded and the
-    // residency accounting is untouched, so the caller can diagnose (or
-    // evict and retry) against consistent numbers.
+    // residency accounting is untouched, so the caller diagnoses against
+    // consistent numbers.
     if (!offset.has_value()) return std::nullopt;
     const Segment seg{*offset, code_bytes};
     segments_.push_back(Installed{handler_id, seg});
@@ -47,17 +47,9 @@ class AihRegion {
     return seg;
   }
 
-  /// Removes a handler's code from the board.
-  void remove(std::uint32_t handler_id) {
-    const auto it = find(handler_id);
-    CNI_CHECK_MSG(it != segments_.end(), "removing an uninstalled handler");
-    mem_.free(it->seg.board_offset);
-    resident_bytes_ -= it->seg.code_bytes;
-    segments_.erase(it);
-  }
-
   [[nodiscard]] bool resident(std::uint32_t handler_id) const {
-    return find(handler_id) != segments_.end();
+    return std::any_of(segments_.begin(), segments_.end(),
+                       [handler_id](const Installed& i) { return i.handler_id == handler_id; });
   }
 
   [[nodiscard]] std::uint64_t resident_bytes() const { return resident_bytes_; }
@@ -71,14 +63,9 @@ class AihRegion {
     Segment seg;
   };
 
-  /// Installs and removes happen at setup, a handful per board, so the
-  /// segments sit in one array searched in order.
-  [[nodiscard]] std::vector<Installed>::const_iterator find(std::uint32_t id) const {
-    return std::find_if(segments_.begin(), segments_.end(),
-                        [id](const Installed& i) { return i.handler_id == id; });
-  }
-
   DualPortMemory& mem_;
+  /// Installs happen at setup, a handful per board, so the segments sit in
+  /// one array searched in order.
   std::vector<Installed> segments_;
   std::uint64_t resident_bytes_ = 0;
 };

@@ -254,24 +254,22 @@ void CniBoard::on_frame(atm::Frame frame) {
   sim::SimTime cursor = rx_proc_.occupy(
       arrival, nic_clock_.cycles(params_.per_frame_rx_cycles) + sar_time(bytes));
 
-  // PATHFINDER classification: full pattern walk on the first fragment, the
-  // dynamic pattern for the rest (one comparison per cell).
+  // PATHFINDER classification: full pattern walk on the first fragment, one
+  // comparison for each of the rest.
   const nic::MsgHeader hdr = frame.header<nic::MsgHeader>();
   const bool traced = frame.trace != 0;
   [[maybe_unused]] std::uint64_t rx_parent = 0;
   if (traced) {
     rx_parent = trace_fabric_arrival(arrival, hdr.src_node, hdr.seq, frame.fab);
   }
-  const FlowKey flow{hdr.src_node, frame.vci, hdr.seq};
   const std::uint64_t fragments = fabric_.cells().cells_for(bytes);
-  const Pathfinder::Result cls = pathfinder_.classify(frame.bytes(), flow, fragments);
+  const Pathfinder::Result cls = pathfinder_.classify(frame.bytes(), fragments);
   CNI_CHECK_MSG(cls.matched, "PATHFINDER found no pattern for an arriving frame");
   cursor = rx_proc_.occupy(
       cursor,
       nic_clock_.cycles(cls.comparisons * params_.pathfinder_cycles_per_comparison));
   CNI_TRACE_INSTANT(obs_, cursor, obs::Component::kPathfinder,
-                    obs::Event::kPathfinderClassify, cls.comparisons,
-                    cls.via_dynamic ? 1 : 0);
+                    obs::Event::kPathfinderClassify, cls.comparisons, 0);
   CNI_TRACE_SPAN(obs_, arrival, cursor, obs::Component::kNic, obs::Event::kRxFrame,
                  bytes, hdr.type);
 

@@ -90,21 +90,4 @@ bool MessageCache::snoop_write(mem::VAddr va, std::uint64_t len) {
   return updated;
 }
 
-void MessageCache::invalidate_page(mem::VAddr va) {
-  const mem::PageNum p = geo_.page_of(va);
-  if (const std::uint32_t* idx = map_.find(p); idx != nullptr) {
-    buffers_[*idx].valid = false;
-    buffers_[*idx].referenced = false;
-    map_.erase(p);
-  }
-}
-
-void MessageCache::invalidate_all() {
-  for (Buffer& b : buffers_) {
-    b.valid = false;
-    b.referenced = false;
-  }
-  map_.clear();
-}
-
 }  // namespace cni::core

@@ -58,12 +58,6 @@ class MessageCache {
   /// bound buffer if present. Returns true if a buffer absorbed the write.
   bool snoop_write(mem::VAddr va, std::uint64_t len);
 
-  /// Drops the binding for the page containing `va`, if any.
-  void invalidate_page(mem::VAddr va);
-
-  /// Drops every binding.
-  void invalidate_all();
-
   // Counters (mirrored into NodeStats by the board).
   [[nodiscard]] std::uint64_t tx_lookups() const { return tx_lookups_; }
   [[nodiscard]] std::uint64_t tx_hits() const { return tx_hits_; }

@@ -28,7 +28,6 @@ class DsmContext {
   std::uint64_t reduce_u64(ReduceOp op, std::uint64_t value) {
     return rt_.reduce(op, value);
   }
-  std::uint64_t broadcast_u64(std::uint64_t value) { return rt_.broadcast(value); }
 
   // ---- Shared access ----
   template <typename T>

@@ -60,12 +60,6 @@ class RunBuilder {
 
 }  // namespace
 
-std::uint64_t Diff::payload_bytes() const {
-  ByteCounter c;
-  serialize_to(c);
-  return c.count();
-}
-
 Diff Diff::deserialize(ByteReader& r) {
   // skip() validates every count before anything is allocated, and finds
   // where the record ends.

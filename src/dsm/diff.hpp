@@ -47,14 +47,9 @@ struct Diff {
     return arena.span().subspan(r.arena_off, r.len);
   }
 
-  /// Exact serialized size — computed by replaying serialize_to against a
-  /// ByteCounter, so it cannot drift from the writer's framing.
-  [[nodiscard]] std::uint64_t payload_bytes() const;
   [[nodiscard]] bool empty() const { return runs.empty(); }
 
-  /// One serializer for both the real writer and the byte counter.
-  template <class W>
-  void serialize_to(W& w) const {
+  void serialize(ByteWriter& w) const {
     w.u32(writer);
     w.clock(vc);
     w.u32(static_cast<std::uint32_t>(runs.size()));
@@ -63,8 +58,6 @@ struct Diff {
       w.bytes(run_bytes(r));
     }
   }
-
-  void serialize(ByteWriter& w) const { serialize_to(w); }
 
   /// Reads a diff back. When the reader is backed by a util::Buf (a received
   /// frame payload), the clock and the runs alias that buffer directly — no

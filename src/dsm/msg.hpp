@@ -30,18 +30,16 @@ inline constexpr nic::MsgType kDsmDiffReply = nic::kTypeHandlerBase + 9;  ///< r
 // DsmSystem's CollectiveTree, no host involvement at interior nodes.
 inline constexpr nic::MsgType kDsmColUp = nic::kTypeHandlerBase + 10;    ///< barrier up-sweep (+ subtree intervals)
 inline constexpr nic::MsgType kDsmColDown = nic::kTypeHandlerBase + 11;  ///< barrier down-sweep (+ unseen intervals)
-inline constexpr nic::MsgType kDsmRedUp = nic::kTypeHandlerBase + 12;    ///< reduce/broadcast up-sweep (u64 payload)
-inline constexpr nic::MsgType kDsmRedDown = nic::kTypeHandlerBase + 13;  ///< reduce/broadcast result fan-out
+inline constexpr nic::MsgType kDsmRedUp = nic::kTypeHandlerBase + 12;    ///< reduce up-sweep (op + u64 payload)
+inline constexpr nic::MsgType kDsmRedDown = nic::kTypeHandlerBase + 13;  ///< reduce result fan-out
 
-/// Combining operator of the small-payload reduce collective. All four are
-/// associative and commutative over u64 (kRoot keeps the tree root's own
-/// contribution — the broadcast), so the fold result is independent of
-/// arrival order.
+/// Combining operator of the small-payload reduce collective. All three are
+/// associative and commutative over u64, so the fold result is independent
+/// of arrival order.
 enum class ReduceOp : std::uint8_t {
   kSum = 0,
   kMin = 1,
   kMax = 2,
-  kRoot = 3,  ///< broadcast: every node receives the tree root's value
 };
 
 /// CPU/NIC cycle costs of the protocol software (identical *counts* in both
@@ -58,12 +56,10 @@ struct DsmParams {
   std::uint32_t twin_word_cycles = 2;            ///< twin copy, per 8 bytes (host)
   std::uint64_t handler_code_bytes = 16 * 1024;  ///< AIH object-code footprint
   /// Where barriers run: kHost = the seed's centralized manager on node 0,
-  /// kNic = the NIC-resident combining tree (reduce/broadcast always use the
-  /// DsmSystem's tree; host mode just makes that tree a star at node 0).
+  /// kNic = the NIC-resident combining tree, its fan-in derived from the
+  /// topology's distances (atm::make_collective_tree). Reduce always uses
+  /// the DsmSystem's tree; host mode just makes that tree a star at node 0.
   cluster::CollectiveMode collective = cluster::default_collective();
-  /// Fan-in override for the NIC tree; 0 = derive from the topology's
-  /// distances (atm::make_collective_tree).
-  std::uint32_t collective_fanin = 0;
 };
 
 }  // namespace cni::dsm

@@ -895,10 +895,6 @@ std::uint64_t DsmRuntime::reduce(ReduceOp op, std::uint64_t value) {
   return red_result_;
 }
 
-std::uint64_t DsmRuntime::broadcast(std::uint64_t value) {
-  return reduce(ReduceOp::kRoot, value);
-}
-
 void DsmRuntime::on_red_up(Ctx& ctx, const atm::Frame& f) {
   const nic::MsgHeader hdr = f.header<nic::MsgHeader>();
   ByteReader r = body_reader(f);
@@ -907,13 +903,9 @@ void DsmRuntime::on_red_up(Ctx& ctx, const atm::Frame& f) {
   ctx.charge(sys_.params().handler_base_cycles);
   CNI_CHECK_MSG(hdr.aux == red_.epoch + 1, "collective reduce epoch mismatch");
 
-  // Fold. kRoot keeps this node's own contribution, so at the tree root the
-  // surviving value is the root's — the broadcast source; the other ops are
-  // commutative and associative, so arrival order cannot change the fold.
-  if (op == ReduceOp::kRoot) {
-    if (hdr.src_node == self_) red_.value = v;
-    red_.have = red_.have || hdr.src_node == self_;
-  } else if (!red_.have) {
+  // Fold. Every op is commutative and associative, so arrival order cannot
+  // change the result.
+  if (!red_.have) {
     red_.value = v;
     red_.have = true;
   } else if (op == ReduceOp::kSum) {

@@ -60,9 +60,6 @@ class DsmRuntime {
   /// contributes `value` and receives the fold. Not a memory-consistency
   /// point (no interval redistribution) — a pure data collective.
   std::uint64_t reduce(ReduceOp op, std::uint64_t value);
-  /// Broadcast from the tree root (node 0): every node receives the root's
-  /// `value`; other nodes' contributions are ignored.
-  std::uint64_t broadcast(std::uint64_t value);
 
   /// Fast-path shared access: validates protection (faulting and fetching as
   /// needed), charges the cache-model timing, and returns a pointer to the

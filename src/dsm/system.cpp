@@ -12,7 +12,7 @@ atm::CollectiveTree build_collective_tree(cluster::Cluster& cluster,
   const auto nodes = static_cast<std::uint32_t>(cluster.size());
   if (params.collective == cluster::CollectiveMode::kHost) {
     // Host mode: barriers keep the seed's centralized manager protocol;
-    // reduce/broadcast run the same tree machinery over a star at node 0.
+    // reduce runs the same tree machinery over a star at node 0.
     return atm::make_star_tree(nodes, 0);
   }
   // The combine step runs on the 33 MHz network processor. A tree edge adds
@@ -31,7 +31,7 @@ atm::CollectiveTree build_collective_tree(cluster::Cluster& cluster,
                                               params.handler_base_cycles);
   const sim::SimDuration per_child = nic.cycles(cluster.params().nic.per_frame_rx_cycles);
   return atm::make_collective_tree(cluster.fabric().topology(), nodes, per_hop,
-                                   per_child, params.collective_fanin);
+                                   per_child);
 }
 
 }  // namespace

@@ -11,10 +11,8 @@
 // payload to atm::Frame::adopt with zero copies. ByteReader is a
 // non-owning view; when constructed over a Buf it can hand out sub-views
 // that share the backing buffer by refcount (zero-copy deserialization).
-// ByteCounter mirrors the writer's framing arithmetic without writing, so
-// size accounting (Diff::payload_bytes) is derived from the one true
-// serializer and cannot drift. Clocks are written from and read as
-// ClockViews: one memcpy out, and read in place where they arrive.
+// Clocks are written from and read as ClockViews: one memcpy out, and read
+// in place where they arrive.
 #pragma once
 
 #include <algorithm>
@@ -125,21 +123,6 @@ class ByteWriter {
 
   util::Buf buf_;
   std::size_t size_ = 0;
-};
-
-/// Counts the bytes ByteWriter would emit, via the identical interface.
-/// Serializers templated over the writer type get size accounting for free
-/// (see Diff::payload_bytes) with no second framing constant to drift.
-class ByteCounter {
- public:
-  void u32(std::uint32_t) { n_ += 4; }
-  void u64(std::uint64_t) { n_ += 8; }
-  void bytes(std::span<const std::byte> b) { n_ += 4 + b.size(); }
-  void clock(ClockView vc) { n_ += 4 + vc.bytes().size(); }
-  [[nodiscard]] std::uint64_t count() const { return n_; }
-
- private:
-  std::uint64_t n_ = 0;
 };
 
 class ByteReader {

@@ -23,19 +23,9 @@ std::optional<PageNum> PageTable::vpn_of(PageNum ppn) const {
   return *vpn;
 }
 
-std::optional<VAddr> PageTable::reverse(PAddr pa) const {
-  auto vpn = vpn_of(geo_.page_of(pa));
-  if (!vpn.has_value()) return std::nullopt;
-  return geo_.base_of(*vpn) | geo_.offset_of(pa);
-}
-
 Tlb::Tlb(std::size_t entries, std::uint32_t miss_penalty_cycles)
     : size_(entries), miss_penalty_(miss_penalty_cycles) {
   CNI_CHECK(entries > 0);
-}
-
-void Tlb::invalidate_all() {
-  for (auto& e : entries_) e.valid = false;
 }
 
 }  // namespace cni::mem

@@ -30,11 +30,9 @@ class PageTable {
   /// Translates a full virtual address (allocating on first touch).
   PAddr translate(VAddr va);
 
-  /// Reverse lookup: the vpn mapped to `ppn`, if any.
+  /// Reverse lookup: the vpn mapped to `ppn`, if any. The snoop path
+  /// resolves bus addresses through it.
   [[nodiscard]] std::optional<PageNum> vpn_of(PageNum ppn) const;
-
-  /// Reverse-translates a physical address to its virtual address, if mapped.
-  [[nodiscard]] std::optional<VAddr> reverse(PAddr pa) const;
 
   [[nodiscard]] std::size_t mapped_pages() const { return va_to_pa_.size(); }
 
@@ -50,7 +48,8 @@ class PageTable {
 /// A direct-mapped translation cache (used for both the board TLB and RTLB).
 /// Data-less: it consults the page table on miss and records the cost. Its
 /// entry array is allocated at the first lookup; until then every entry is
-/// invalid, so invalidation has nothing to do.
+/// invalid. Pages are never unmapped, so no translation goes stale and
+/// nothing invalidates an entry.
 class Tlb {
  public:
   Tlb(std::size_t entries, std::uint32_t miss_penalty_cycles);
@@ -76,14 +75,6 @@ class Tlb {
     }
     return v;
   }
-
-  void invalidate(PageNum key) {
-    if (entries_.empty()) return;
-    Entry& e = entries_[key % size_];
-    if (e.valid && e.key == key) e.valid = false;
-  }
-
-  void invalidate_all();
 
   [[nodiscard]] std::uint64_t lookups() const { return lookups_; }
   [[nodiscard]] std::uint64_t hits() const { return hits_; }

@@ -183,8 +183,8 @@ class NicBoard {
 
   [[nodiscard]] virtual const NicParams& params() const = 0;
 
-  /// Next per-sender sequence number (stamped into MsgHeader::seq; the
-  /// PATHFINDER's dynamic patterns key on it).
+  /// Next per-sender sequence number (stamped into MsgHeader::seq; causal
+  /// trace tokens key on it).
   virtual std::uint32_t next_seq() = 0;
 
  protected:

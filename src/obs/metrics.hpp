@@ -67,7 +67,6 @@ class Gauge {
     value_ = v;
     if (v > max_) max_ = v;
   }
-  void add(std::int64_t d) { set(value_ + d); }
   [[nodiscard]] std::int64_t value() const { return value_; }
   [[nodiscard]] std::int64_t max() const { return max_; }
 

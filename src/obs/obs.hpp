@@ -34,7 +34,6 @@ class NodeObs {
 
   [[nodiscard]] bool tracing() const { return tracing_; }
   [[nodiscard]] std::uint32_t node() const { return node_; }
-  [[nodiscard]] TraceRing& ring() { return ring_; }
   [[nodiscard]] const TraceRing& ring() const { return ring_; }
   [[nodiscard]] Metrics& metrics() { return metrics_; }
   [[nodiscard]] const Metrics& metrics() const { return metrics_; }
@@ -47,9 +46,6 @@ class NodeObs {
   void span(sim::SimTime t0, sim::SimTime t1, Component c, Event e, std::uint64_t a0,
             std::uint64_t a1) {
     record(t0, t1 >= t0 ? t1 - t0 : 0, c, e, Kind::kSpan, a0, a1);
-  }
-  void counter(sim::SimTime t, Component c, Event e, std::uint64_t value) {
-    record(t, 0, c, e, Kind::kCounter, value, 0);
   }
   /// Causal-tree edge: a span whose arg slots carry (self, parent) tokens.
   void causal(sim::SimTime t0, sim::SimTime t1, Stage stage, std::uint64_t self,
@@ -126,14 +122,6 @@ class RunObs {
     ::cni::obs::NodeObs* cni_obs_o_ = (ctx_);                                     \
     if (cni_obs_o_ != nullptr && cni_obs_o_->tracing()) {                         \
       cni_obs_o_->span((t0), (t1), (comp), (evt), (a0), (a1));                    \
-    }                                                                             \
-  } while (0)
-
-#define CNI_TRACE_COUNTER(ctx_, t, comp, evt, value)                              \
-  do {                                                                            \
-    ::cni::obs::NodeObs* cni_obs_o_ = (ctx_);                                     \
-    if (cni_obs_o_ != nullptr && cni_obs_o_->tracing()) {                         \
-      cni_obs_o_->counter((t), (comp), (evt), (value));                           \
     }                                                                             \
   } while (0)
 

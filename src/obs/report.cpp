@@ -118,7 +118,6 @@ std::string chrome_trace_json(const std::vector<ReportPoint>& points) {
         out += "\",\"ph\":\"";
         switch (r.kind) {
           case Kind::kSpan: out += 'X'; break;
-          case Kind::kCounter: out += 'C'; break;
           case Kind::kInstant: out += 'i'; break;
           case Kind::kCausal: out += 'X'; break;  // complete span; tokens in args
         }
@@ -130,17 +129,11 @@ std::string chrome_trace_json(const std::vector<ReportPoint>& points) {
         }
         append_fmt(out, ",\"pid\":%zu,\"tid\":%u", pi, node.node);
         if (r.kind == Kind::kInstant) out += ",\"s\":\"t\"";
-        if (r.kind == Kind::kCounter) {
-          out += ",\"args\":{\"value\":";
-          append_u64(out, r.arg0);
-          out += "}}";
-        } else {
-          out += ",\"args\":{\"arg0\":";
-          append_u64(out, r.arg0);
-          out += ",\"arg1\":";
-          append_u64(out, r.arg1);
-          out += "}}";
-        }
+        out += ",\"args\":{\"arg0\":";
+        append_u64(out, r.arg0);
+        out += ",\"arg1\":";
+        append_u64(out, r.arg1);
+        out += "}}";
       }
     }
   }

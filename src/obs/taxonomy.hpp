@@ -33,7 +33,7 @@ enum class Event : std::uint8_t {
   // ADC. arg0 = descriptor bytes, arg1 = tx-ring occupancy after enqueue.
   kAdcEnqueueTx = 5,
   kAdcTxWait = 6,  ///< span: descriptor enqueue -> transmit processor pickup
-  // PATHFINDER. arg0 = comparisons, arg1 = 1 if resolved via dynamic pattern.
+  // PATHFINDER. arg0 = comparisons, arg1 = 0 (no per-flow binding table).
   kPathfinderClassify = 7,
   // DMA. arg0 = bytes, arg1 = 0 read (host->board) / 1 write (board->host).
   kDmaTransfer = 8,
@@ -75,7 +75,6 @@ inline constexpr std::uint32_t kEventCount = 32;
 enum class Kind : std::uint8_t {
   kInstant = 0,  ///< ph "i": a point in simulated time
   kSpan = 1,     ///< ph "X": a complete event with a duration
-  kCounter = 2,  ///< ph "C": a sampled counter value (arg0)
   kCausal = 3,   ///< ph "X" + parent link: a causal-tree edge (obs/causal.hpp)
 };
 

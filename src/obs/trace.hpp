@@ -18,8 +18,7 @@
 
 namespace cni::obs {
 
-/// One trace record, 40 bytes. `dur` is zero for instants and counters; for
-/// counters `arg0` carries the sampled value.
+/// One trace record, 40 bytes. `dur` is zero for instants.
 struct TraceRecord {
   sim::SimTime time = 0;     ///< event (or span start) time, ps
   sim::SimDuration dur = 0;  ///< span duration, ps

@@ -85,26 +85,4 @@ class SimChannel {
   WaitQueue ready_;
 };
 
-/// Counting semaphore in simulated time.
-class SimSemaphore {
- public:
-  explicit SimSemaphore(std::int64_t initial = 0) : count_(initial) {}
-
-  void release(std::int64_t n = 1) {
-    count_ += n;
-    for (std::int64_t i = 0; i < n; ++i) avail_.notify_one();
-  }
-
-  void acquire(SimThread& self) {
-    avail_.wait(self, [this] { return count_ > 0; });
-    --count_;
-  }
-
-  [[nodiscard]] std::int64_t count() const { return count_; }
-
- private:
-  std::int64_t count_;
-  WaitQueue avail_;
-};
-
 }  // namespace cni::sim

@@ -4,12 +4,13 @@
 // for the same instant fire in the order they were scheduled — this is what
 // makes the whole simulation bit-reproducible run to run.
 //
-// The pending set is an index-tracked 8-ary min-heap: a slot table maps every
-// live EventId to its heap position, so cancel() removes the event in
-// O(log n) instead of leaving a tombstone, empty() is exact, and the wider
-// fan-out keeps sift paths short and cache-friendly. Callbacks are InlineFn,
-// so the schedule/fire cycle performs no heap allocation for the small
-// captures every hot path uses.
+// The pending set is an 8-ary min-heap of (time, sequence, slot) entries;
+// each callback waits in a slot table beside it, so a sift moves 20 bytes per
+// level instead of the callback. Events are never withdrawn once scheduled:
+// step() only ever pops the root, and the wider fan-out keeps sift paths
+// short and cache-friendly. Callbacks are InlineFn, so the schedule/fire
+// cycle performs no heap allocation for the small captures every hot path
+// uses.
 #pragma once
 
 #include <cstddef>
@@ -52,10 +53,6 @@ struct CacheAlignedAlloc {
 
 }  // namespace detail
 
-/// Identifies one scheduled event: a slot index plus a generation counter,
-/// so ids of fired or cancelled events go stale instead of being reused.
-using EventId = std::uint64_t;
-
 class Engine {
  public:
   using Callback = InlineFn;
@@ -67,10 +64,10 @@ class Engine {
   [[nodiscard]] SimTime now() const { return now_; }
 
   /// Schedules `cb` at absolute time `t` (must not be in the past).
-  EventId schedule_at(SimTime t, Callback cb);
+  void schedule_at(SimTime t, Callback cb);
 
   /// Schedules `cb` at now() + dt.
-  EventId schedule_after(SimDuration dt, Callback cb) { return schedule_at(now_ + dt, std::move(cb)); }
+  void schedule_after(SimDuration dt, Callback cb) { schedule_at(now_ + dt, std::move(cb)); }
 
   /// Schedules a network delivery at absolute time `t`. Deliveries draw their
   /// tie-break sequence from a separate biased counter, so a delivery and a
@@ -79,19 +76,11 @@ class Engine {
   /// the transfer. The fabric inserts deliveries in the canonical
   /// (head, src, seq) order, so among deliveries the biased sequence does not
   /// depend on the window schedule either (DESIGN.md §12).
-  EventId schedule_delivery(SimTime t, Callback cb);
-
-  /// Cancels a pending event, removing it from the heap immediately.
-  /// Cancelling an already-fired, already-cancelled or unknown event is a
-  /// harmless no-op. Returns true iff a pending event was removed.
-  bool cancel(EventId id);
+  void schedule_delivery(SimTime t, Callback cb);
 
   /// Runs events until the queue is empty. Rethrows any exception raised by a
   /// callback (e.g. a failed check inside a simulated thread).
   void run();
-
-  /// Runs events with time <= deadline; events beyond it stay queued.
-  void run_until(SimTime deadline);
 
   /// Runs events with time strictly < bound; events at or beyond it stay
   /// queued and now() is left at the last executed event. This is the run
@@ -109,16 +98,14 @@ class Engine {
   /// Executes the single next event. Returns false if the queue was empty.
   bool step();
 
-  /// Exact: true iff no live (uncancelled, unfired) event is pending.
+  /// True iff no event is pending.
   [[nodiscard]] bool empty() const { return heap_t_.size() <= kPad; }
   [[nodiscard]] std::size_t pending() const {
     return heap_t_.empty() ? 0 : heap_t_.size() - kPad;
   }
   [[nodiscard]] std::uint64_t events_executed() const { return executed_; }
-  [[nodiscard]] std::uint64_t events_cancelled() const { return cancelled_; }
 
  private:
-  static constexpr std::uint32_t kNpos = 0xffffffffu;
   // The heap arrays carry a 7-element pad so the root sits at index 7 and
   // every 8-child group starts at a multiple of 8 — with the 64-byte-aligned
   // time array, a whole child group is one cache line.
@@ -129,26 +116,10 @@ class Engine {
   // wins on the memory-bound large-heap drain.
   static constexpr std::uint32_t kFanout = 8;
 
-  struct Slot {
-    Callback cb;
-    std::uint32_t gen = 0;  // bumped on fire/cancel to invalidate old ids
-  };
-
-  static EventId make_id(std::uint32_t slot, std::uint32_t gen) {
-    return (static_cast<EventId>(slot) << 32) | gen;
-  }
-
-  /// Frees a slot after its event fired or was cancelled; the generation
-  /// bump makes any outstanding EventId for it stale.
-  void release_slot(std::uint32_t s);
-
-  EventId schedule_with_seq(SimTime t, std::uint64_t seq, Callback cb);
-
-  /// Removes heap_[i], refilling the hole from the back and re-sifting.
-  void remove_at(std::uint32_t i);
+  void schedule_with_seq(SimTime t, std::uint64_t seq, Callback cb);
 
   void sift_up(std::uint32_t i);
-  bool sift_down(std::uint32_t i);  // returns true if the node moved
+  void sift_down(std::uint32_t i);
 
   /// Delivery sequences live in the top half of the sequence space: a local
   /// event (seq_ counter, starts at 0) can never collide with or sort after a
@@ -159,7 +130,6 @@ class Engine {
   std::uint64_t seq_ = 0;
   std::uint64_t delivery_seq_ = 0;
   std::uint64_t executed_ = 0;
-  std::uint64_t cancelled_ = 0;
   // The heap, struct-of-arrays: node i is (heap_t_[i], heap_seq_[i],
   // heap_slot_[i]), ordered by (time, insertion sequence). Splitting the
   // arrays keeps the min-of-children scan — the hot loop of every sift —
@@ -167,10 +137,7 @@ class Engine {
   std::vector<SimTime, detail::CacheAlignedAlloc<SimTime>> heap_t_;
   std::vector<std::uint64_t, detail::CacheAlignedAlloc<std::uint64_t>> heap_seq_;
   std::vector<std::uint32_t> heap_slot_;
-  std::vector<Slot> slots_;
-  // Heap position per slot (kNpos when not pending), kept out of Slot so the
-  // position writes every sift performs stay in one dense array.
-  std::vector<std::uint32_t> pos_;
+  std::vector<Callback> slots_;  ///< the callback of each pending event, by slot
   std::vector<std::uint32_t> free_slots_;
 };
 

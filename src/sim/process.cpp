@@ -24,15 +24,13 @@ namespace cni::sim {
 namespace {
 
 /// The fiber whose body is executing on this OS thread (engine running:
-/// nullptr). Set by resume_from_engine before control transfers, so the
+/// nullptr); one slot per OS thread, so parallel sweep jobs each track their
+/// own. Set by resume_from_engine before control transfers, so the
 /// trampoline reads it directly instead of reassembling `this` from the two
-/// unsigned halves makecontext can pass — one less indirect dance on entry,
-/// and SimThread::current() gets a one-load implementation.
+/// unsigned halves makecontext can pass.
 thread_local SimThread* t_current = nullptr;
 
 }  // namespace
-
-SimThread* SimThread::current() { return t_current; }
 
 // MAP_NORESERVE: the stack is address space, not a commit charge — 4096
 // fibers reserve 2 GB but commit only the pages they touch.

@@ -77,11 +77,6 @@ class SimThread {
   [[nodiscard]] const std::string& name() const { return name_; }
   [[nodiscard]] Engine& engine() { return engine_; }
 
-  /// The SimThread whose body is executing on the calling OS thread, or
-  /// nullptr when the engine (or no simulation) is running. One slot per OS
-  /// thread: parallel sweep jobs each track their own.
-  [[nodiscard]] static SimThread* current();
-
  private:
   enum class State {
     kIdle,      // created, waiting for the engine to hand over control

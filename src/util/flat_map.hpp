@@ -10,7 +10,7 @@
 //
 // A map allocates nothing until its first insert, and a lookup in an empty
 // map returns before it hashes: most nodes of a large cluster never fill
-// their page tables, buffer map or PATHFINDER dynamic table. An insert may
+// their page tables, buffer map or channel map. An insert may
 // rehash, which moves every entry, so a pointer into the map is stable only
 // while nothing is inserted.
 #pragma once
@@ -79,11 +79,6 @@ class U64FlatMap {
       i = (i + 1) & mask_;
     }
     return false;
-  }
-
-  void clear() {
-    for (Slot& s : slots_) s.used = false;
-    size_ = 0;
   }
 
   /// Calls fn(key, value) for every entry, in unspecified order.

@@ -20,11 +20,7 @@ constexpr T ceil_div(T a, T b) {
   return (a + b - 1) / b;
 }
 
-/// Rounds `v` down to a multiple of `align` (align must be a power of two).
-constexpr std::uint64_t align_down(std::uint64_t v, std::uint64_t align) {
-  return v & ~(align - 1);
-}
-
+/// Rounds `v` up to a multiple of `align` (align must be a power of two).
 constexpr std::uint64_t align_up(std::uint64_t v, std::uint64_t align) {
   return (v + align - 1) & ~(align - 1);
 }

@@ -314,13 +314,12 @@ TEST(BufPool, ClusterTeardownReturnsCachedBlocksToTheHeap) {
 
 TEST(U64FlatMap, MakesNoHeapCallBeforeItsFirstInsert) {
   // Most nodes of a large cluster never fill their page tables, buffer map
-  // or PATHFINDER dynamic table: a map holds no slots until it is used.
+  // or channel map: a map holds no slots until it is used.
   const HeapCalls calls;
   {
     U64FlatMap<std::uint64_t> m;
     EXPECT_EQ(m.find(7), nullptr);
     EXPECT_FALSE(m.erase(7));
-    m.clear();
     m.for_each([](std::uint64_t, std::uint64_t) { ADD_FAILURE() << "an entry"; });
     EXPECT_EQ(calls.news(), 0u);
     m.insert(7, 70);  // the first insert allocates the slots, once

@@ -234,25 +234,23 @@ TEST(NicCollective, MatchesHostBarrierSemantics) {
   EXPECT_EQ(host, ((1u * 3 + 2) * 3 + 3) * 3 + 4);  // chained writer updates
 }
 
-TEST(NicCollective, ReduceAndBroadcastBothModes) {
+TEST(NicCollective, ReduceBothModes) {
   for (const CollectiveMode mode : {CollectiveMode::kHost, CollectiveMode::kNic}) {
     dsm::DsmParams dp;
     dp.collective = mode;
     constexpr std::uint32_t kProcs = 6;
     Fixture f(kProcs, dp);
-    std::vector<std::uint64_t> sums(kProcs), mins(kProcs), maxs(kProcs), roots(kProcs);
+    std::vector<std::uint64_t> sums(kProcs), mins(kProcs), maxs(kProcs);
     f.run([&](dsm::DsmContext& ctx) {
       const std::uint64_t mine = 10 + ctx.self();
       sums[ctx.self()] = ctx.reduce_u64(dsm::ReduceOp::kSum, mine);
       mins[ctx.self()] = ctx.reduce_u64(dsm::ReduceOp::kMin, mine);
       maxs[ctx.self()] = ctx.reduce_u64(dsm::ReduceOp::kMax, mine);
-      roots[ctx.self()] = ctx.broadcast_u64(777 + ctx.self());
     });
     for (std::uint32_t i = 0; i < kProcs; ++i) {
       EXPECT_EQ(sums[i], (10u + 15u) * kProcs / 2) << "mode " << collective_name(mode);
       EXPECT_EQ(mins[i], 10u);
       EXPECT_EQ(maxs[i], 10u + kProcs - 1);
-      EXPECT_EQ(roots[i], 777u) << "broadcast carries the tree root's value";
     }
   }
 }
@@ -290,18 +288,45 @@ TEST(NicCollective, HostModeTreeIsAStarAndNicModeIsNot) {
   EXPECT_LE(nic.sys.collective_tree().fanin, 4u);
 }
 
-TEST(NicCollective, FaninOverrideShapesTheTree) {
-  dsm::DsmParams dp = nic_params();
-  dp.collective_fanin = 1;  // degenerate chain
-  Fixture chain(5, dp);
-  EXPECT_EQ(chain.sys.collective_tree().depth, 4u);
-  std::uint64_t sum = 0;
-  chain.run([&](dsm::DsmContext& ctx) {
-    const std::uint64_t r = ctx.reduce_u64(dsm::ReduceOp::kSum, 1);
-    if (ctx.self() == 4) sum = r;  // the deepest leaf
-    ctx.barrier();                 // and the chain barrier still releases
+TEST(NicCollective, DeepDerivedTreeReducesAndReleases) {
+  // The fan-in is always derived from the topology. On a 128-port banyan the
+  // derived NIC tree is three levels deep (fan-in 8), so a reduce and a
+  // barrier cross two levels of interior combiners on the way up and down.
+  constexpr std::uint32_t kProcs = 128;
+  cluster::SimParams params = apps::make_params(BoardKind::kCni, kProcs);
+  params.fabric.topology = atm::TopologyKind::kBanyan;
+  params.fabric.switch_ports = kProcs;
+  cluster::Cluster cl(params);
+  dsm::DsmSystem sys(cl, nic_params());
+  const atm::CollectiveTree& tree = sys.collective_tree();
+  ASSERT_NO_FATAL_FAILURE(check_tree(tree));
+  EXPECT_EQ(tree.fanin, 8u);
+  EXPECT_EQ(tree.depth, 3u);
+  std::uint32_t deepest = 0;
+  std::uint32_t deepest_level = 0;
+  for (std::uint32_t v = 0; v < kProcs; ++v) {
+    std::uint32_t level = 0;
+    for (std::uint32_t at = v; tree.parent[at] != at; at = tree.parent[at]) ++level;
+    if (level > deepest_level) {
+      deepest = v;
+      deepest_level = level;
+    }
+  }
+  ASSERT_EQ(deepest_level, tree.depth);
+
+  std::vector<std::uint64_t> sums(kProcs, 0);
+  std::vector<int> released(kProcs, 0);
+  cl.run([&](std::size_t i, sim::SimThread& t) {
+    dsm::DsmContext ctx(sys, i, t);
+    sums[i] = ctx.reduce_u64(dsm::ReduceOp::kSum, i + 1);
+    ctx.barrier();
+    released[i] = 1;
   });
-  EXPECT_EQ(sum, 5u);
+  EXPECT_EQ(sums[deepest], kProcs * (kProcs + 1) / 2) << "deepest leaf " << deepest;
+  for (std::uint32_t i = 0; i < kProcs; ++i) {
+    EXPECT_EQ(sums[i], kProcs * (kProcs + 1) / 2) << "node " << i;
+    EXPECT_EQ(released[i], 1) << "node " << i << " never left the barrier";
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -402,15 +402,14 @@ TEST(Cluster, IdleNodesCommitNoPerNodeTables) {
   if (CNI_MEMORY_SANITIZER) GTEST_SKIP() << "sanitizer shadow memory swamps the bound";
   // The fig_barrier_scaling shapes, one cluster alive at a time. Until a node
   // touches memory, its L1 tags (like its L2 tags), TLB/RTLB entries and ADC
-  // descriptor rings (≈ 23 KB a node) must not exist, nor may its page
-  // tables, buffer map or PATHFINDER dynamic table hold slots; its handler,
-  // pattern and segment tables hold only what it installed, and a barrier
-  // frame's buffer exceeds the frame by under a quarter. A barrier-only program
-  // closes no interval, so every clock it holds stays all zeros: the
-  // runtimes' own two, the host-mode manager's N arrival clocks and the
-  // tree's subtree floors. An all-zero clock holds no entries, so a build
-  // commits only its boards, runtimes and fabric, and a barrier adds what
-  // its frames and fibers hold while in flight.
+  // transmit ring must not exist, nor may its page tables or buffer map
+  // hold slots; its handler, pattern and segment tables hold only what it
+  // installed, and a barrier frame's buffer exceeds the frame by under a
+  // quarter. A barrier-only program closes no interval, so every clock it
+  // holds stays all zeros: the runtimes' own two, the host-mode manager's N
+  // arrival clocks and the tree's subtree floors. An all-zero clock holds no
+  // entries, so a build commits only its boards, runtimes and fabric, and a
+  // barrier adds what its frames and fibers hold while in flight.
   struct Shape {
     const char* what;
     std::uint32_t nodes;

@@ -46,7 +46,10 @@ TEST(PageTable, TranslateIsStableAndReversible) {
   const PAddr pa2 = pt.translate(0x7000'0456);
   EXPECT_EQ(pa1 & ~0xFFFull, pa2 & ~0xFFFull);  // same page, same frame
   EXPECT_EQ(pa1 & 0xFFFu, 0x123u);              // offset preserved
-  EXPECT_EQ(pt.reverse(pa1), std::optional<VAddr>(0x7000'0123));
+  // The reverse map takes the frame back to its virtual page.
+  const PageGeometry geo(4096);
+  EXPECT_EQ(pt.vpn_of(geo.page_of(pa1)), std::optional<PageNum>(geo.page_of(0x7000'0123)));
+  EXPECT_EQ(pt.frame_of(geo.page_of(0x7000'0123)), geo.page_of(pa1));
   EXPECT_EQ(pt.mapped_pages(), 1u);
 }
 
@@ -59,16 +62,16 @@ TEST(PageTable, DistinctPagesDistinctFrames) {
 
 TEST(PageTable, ReverseOfUnmappedIsEmpty) {
   PageTable pt{PageGeometry(4096)};
-  EXPECT_FALSE(pt.reverse(0xdead000).has_value());
+  EXPECT_FALSE(pt.vpn_of(0xdead).has_value());
+  const PageNum mapped = pt.frame_of(0x7);
+  EXPECT_FALSE(pt.vpn_of(mapped + 1).has_value());
 }
 
 TEST(Tlb, HitAfterMiss) {
   PageTable pt{PageGeometry(4096)};
   Tlb tlb(16, 20);
-  // Before the first lookup the TLB holds no entries, so invalidation is a
-  // no-op, and the first lookup misses.
-  tlb.invalidate(5);
-  tlb.invalidate_all();
+  // Before the first lookup the TLB holds no entries, so the first lookup
+  // misses.
   EXPECT_EQ(tlb.lookups(), 0u);
   auto resolve = [&](PageNum vpn) { return std::optional<PageNum>(pt.frame_of(vpn)); };
   std::uint64_t cycles = 0;
@@ -81,18 +84,6 @@ TEST(Tlb, HitAfterMiss) {
   EXPECT_EQ(cycles, 0u);  // hit: free
   EXPECT_EQ(tlb.hits(), 1u);
   EXPECT_EQ(tlb.lookups(), 2u);
-}
-
-TEST(Tlb, InvalidateForcesMiss) {
-  PageTable pt{PageGeometry(4096)};
-  Tlb tlb(16, 20);
-  auto resolve = [&](PageNum vpn) { return std::optional<PageNum>(pt.frame_of(vpn)); };
-  std::uint64_t cycles = 0;
-  tlb.lookup(5, resolve, &cycles);
-  tlb.invalidate(5);
-  cycles = 0;
-  tlb.lookup(5, resolve, &cycles);
-  EXPECT_EQ(cycles, 20u);
 }
 
 TEST(Tlb, ConflictingKeysEvict) {

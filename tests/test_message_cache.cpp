@@ -85,23 +85,6 @@ TEST(MessageCache, SnoopRefreshesReferenceBit) {
   EXPECT_FALSE(mc.contains(0x3000, 1));  // the unreferenced one went
 }
 
-TEST(MessageCache, InvalidatePage) {
-  MessageCache mc = make_cache(4);
-  mc.insert(0x10000, kPage);
-  mc.invalidate_page(0x10000);
-  EXPECT_FALSE(mc.contains(0x10000, 1));
-  EXPECT_EQ(mc.bound_count(), 0u);
-  // Idempotent on missing pages.
-  mc.invalidate_page(0x10000);
-}
-
-TEST(MessageCache, InvalidateAll) {
-  MessageCache mc = make_cache(4);
-  for (int i = 0; i < 4; ++i) mc.insert(0x10000 + static_cast<std::uint64_t>(i) * kPage, 1);
-  mc.invalidate_all();
-  EXPECT_EQ(mc.bound_count(), 0u);
-}
-
 TEST(MessageCache, ReinsertExistingIsRefresh) {
   MessageCache mc = make_cache(2);
   mc.insert(0x1000, 1);

@@ -64,9 +64,12 @@ TEST(Hist, PercentilesUseNearestRankClampedToMax) {
 TEST(Gauge, TracksValueAndHighWater) {
   Gauge g;
   g.set(5);
-  g.add(3);
-  g.add(-6);
+  g.set(8);
+  g.set(2);
   EXPECT_EQ(g.value(), 2);
+  EXPECT_EQ(g.max(), 8);
+  g.set(-3);
+  EXPECT_EQ(g.value(), -3);
   EXPECT_EQ(g.max(), 8);
 }
 
@@ -93,7 +96,7 @@ TEST(NodeObs, RecordsAllThreeKinds) {
   obs.instant(100, Component::kMCache, Event::kMCacheLookupHit, 1, 2);
   obs.span(200, 250, Component::kAdc, Event::kAdcTxWait, 3, 4);
   obs.span(300, 290, Component::kAdc, Event::kAdcTxWait, 0, 0);  // clamps, never underflows
-  obs.counter(400, Component::kAdc, Event::kAdcEnqueueTx, 9);
+  obs.causal(400, 460, Stage::kRx, 9, 8);
 
   std::vector<TraceRecord> rs;
   obs.ring().for_each([&](const TraceRecord& r) { rs.push_back(r); });
@@ -104,8 +107,11 @@ TEST(NodeObs, RecordsAllThreeKinds) {
   EXPECT_EQ(rs[1].kind, Kind::kSpan);
   EXPECT_EQ(rs[1].dur, 50u);
   EXPECT_EQ(rs[2].dur, 0u);
-  EXPECT_EQ(rs[3].kind, Kind::kCounter);
-  EXPECT_EQ(rs[3].arg0, 9u);
+  EXPECT_EQ(rs[3].kind, Kind::kCausal);
+  EXPECT_EQ(rs[3].event, causal_event(Stage::kRx));
+  EXPECT_EQ(rs[3].dur, 60u);
+  EXPECT_EQ(rs[3].arg0, 9u);  // this span's token
+  EXPECT_EQ(rs[3].arg1, 8u);  // its parent's
 }
 
 TEST(ObsMacros, NullHandlesAndDisabledTracingAreSafeNoOps) {
@@ -120,7 +126,7 @@ TEST(ObsMacros, NullHandlesAndDisabledTracingAreSafeNoOps) {
   NodeObs* q = &quiet;
   CNI_TRACE_INSTANT(q, 1, Component::kDsm, Event::kDsmFault, 0, 0);
   CNI_TRACE_SPAN(q, 1, 2, Component::kDsm, Event::kDsmFault, 0, 0);
-  CNI_TRACE_COUNTER(q, 1, Component::kDsm, Event::kDsmFault, 0);
+  CNI_TRACE_CAUSAL(q, 1, 2, Stage::kRx, 1, 0);
   EXPECT_EQ(quiet.ring().recorded(), 0u);
   EXPECT_EQ(quiet.ring().capacity(), 1u);  // nothing to hold: one slot
 }

@@ -65,70 +65,6 @@ TEST(Engine, EventsMayScheduleEvents) {
   EXPECT_EQ(e.now(), 2u);
 }
 
-TEST(Engine, CancelSuppressesEvent) {
-  Engine e;
-  bool fired = false;
-  const EventId id = e.schedule_at(10, [&] { fired = true; });
-  e.cancel(id);
-  e.run();
-  EXPECT_FALSE(fired);
-}
-
-TEST(Engine, CancellingLastPendingEventEmptiesQueue) {
-  // Regression: with tombstone-based cancellation, empty() stayed false and
-  // run() had to pop the dead entry. Indexed cancellation removes it at once.
-  Engine e;
-  const EventId id = e.schedule_at(10, [] {});
-  EXPECT_FALSE(e.empty());
-  EXPECT_TRUE(e.cancel(id));
-  EXPECT_TRUE(e.empty());
-  EXPECT_EQ(e.pending(), 0u);
-  e.run();  // returns immediately: nothing is pending
-  EXPECT_EQ(e.events_executed(), 0u);
-  EXPECT_EQ(e.now(), 0u);  // time never advanced
-  EXPECT_EQ(e.events_cancelled(), 1u);
-}
-
-TEST(Engine, CancelReportsWhetherAnEventWasRemoved) {
-  Engine e;
-  const EventId id = e.schedule_at(10, [] {});
-  EXPECT_TRUE(e.cancel(id));
-  EXPECT_FALSE(e.cancel(id));  // double cancel: harmless no-op
-  bool fired = false;
-  const EventId fired_id = e.schedule_at(20, [&] { fired = true; });
-  e.run();
-  EXPECT_TRUE(fired);
-  EXPECT_FALSE(e.cancel(fired_id));  // already fired
-  EXPECT_FALSE(e.cancel(0xdeadbeefdeadbeefULL));  // never existed
-}
-
-TEST(Engine, StaleIdDoesNotCancelASlotReusingEvent) {
-  // The slot of a fired event is recycled for the next schedule; the stale
-  // id must not reach the new occupant (generations keep them distinct).
-  Engine e;
-  const EventId old_id = e.schedule_at(1, [] {});
-  e.run();
-  bool fired = false;
-  e.schedule_at(2, [&] { fired = true; });  // reuses the freed slot
-  EXPECT_FALSE(e.cancel(old_id));
-  e.run();
-  EXPECT_TRUE(fired);
-}
-
-TEST(Engine, CancelInTheMiddlePreservesFiringOrder) {
-  Engine e;
-  std::vector<int> order;
-  std::vector<EventId> ids;
-  for (int i = 0; i < 16; ++i) {
-    ids.push_back(e.schedule_at(static_cast<SimTime>(i), [&order, i] { order.push_back(i); }));
-  }
-  for (int i = 1; i < 16; i += 2) e.cancel(ids[static_cast<std::size_t>(i)]);
-  e.run();
-  EXPECT_EQ(order, (std::vector<int>{0, 2, 4, 6, 8, 10, 12, 14}));
-  EXPECT_EQ(e.events_cancelled(), 8u);
-  EXPECT_EQ(e.events_executed(), 8u);
-}
-
 TEST(InlineFn, RunsHeapFallbackCallablesAndDestroysThem) {
   // A capture that is not trivially copyable takes the heap path; the
   // callable must still run and its captured state must be destroyed.
@@ -145,27 +81,89 @@ TEST(InlineFn, RunsHeapFallbackCallablesAndDestroysThem) {
   EXPECT_EQ(counter.use_count(), 1);
 }
 
-TEST(InlineFn, DestroysHeapCallableOnCancelToo) {
+TEST(InlineFn, DestroysPendingHeapCallableWithTheEngine) {
+  // A callback that never fires is destroyed with the engine's slot table.
   auto counter = std::make_shared<int>(0);
-  Engine e;
-  std::shared_ptr<int> keep = counter;
-  const EventId id = e.schedule_at(1, [keep] { ++*keep; });
-  EXPECT_TRUE(e.cancel(id));
-  EXPECT_EQ(counter.use_count(), 2);  // `keep` + our handle; engine's copy gone
-  e.run();
+  {
+    Engine e;
+    std::shared_ptr<int> keep = counter;
+    e.schedule_at(1, [keep] { ++*keep; });
+    EXPECT_EQ(counter.use_count(), 3);  // counter + keep + the engine's copy
+  }
   EXPECT_EQ(*counter, 0);
+  EXPECT_EQ(counter.use_count(), 1);
 }
 
-TEST(Engine, RunUntilLeavesLaterEvents) {
+// ---------------------------------------------------------------------------
+// The run loop's primitives (Cluster::run drives every simulation through
+// next_time and run_before; DESIGN.md §12)
+
+TEST(Engine, RunBeforeFiresOnlyEventsBelowTheBound) {
   Engine e;
-  int fired = 0;
-  e.schedule_at(10, [&] { ++fired; });
-  e.schedule_at(30, [&] { ++fired; });
-  e.run_until(20);
-  EXPECT_EQ(fired, 1);
-  EXPECT_EQ(e.now(), 20u);
+  std::vector<SimTime> fired;
+  for (const SimTime t : {SimTime{10}, SimTime{20}, SimTime{30}, SimTime{40}}) {
+    e.schedule_at(t, [&e, &fired] { fired.push_back(e.now()); });
+  }
+  e.run_before(30);
+  EXPECT_EQ(fired, (std::vector<SimTime>{10, 20}));
+  EXPECT_EQ(e.pending(), 2u);  // the event at the bound and the later one
+  EXPECT_EQ(e.next_time(), 30u);
+  e.run_before(30);  // nothing below the bound is left: no event fires
+  EXPECT_EQ(fired.size(), 2u);
   e.run();
-  EXPECT_EQ(fired, 2);
+  EXPECT_EQ(fired, (std::vector<SimTime>{10, 20, 30, 40}));
+}
+
+TEST(Engine, RunBeforeLeavesNowAtTheLastFiredEvent) {
+  Engine e;
+  e.schedule_at(10, [] {});
+  e.schedule_at(50, [] {});
+  e.run_before(40);
+  EXPECT_EQ(e.now(), 10u);  // not advanced to the bound
+  Engine idle;
+  idle.run_before(100);
+  EXPECT_EQ(idle.now(), 0u);
+}
+
+TEST(Engine, SchedulingAtTheBoundAfterRunBeforeIsNotInThePast) {
+  // The run loop routes the fabric's transfers after a window [E, E') and
+  // schedules their deliveries at t >= E'. now() stayed below E', so neither
+  // a local event nor a delivery at E' trips the past check.
+  Engine e;
+  std::vector<int> order;
+  e.schedule_at(10, [&] { order.push_back(1); });
+  e.schedule_at(30, [&] { order.push_back(2); });
+  e.run_before(30);
+  e.schedule_delivery(30, [&] { order.push_back(4); });
+  e.schedule_at(30, [&] { order.push_back(3); });
+  e.run();
+  // At one instant, local events fire before deliveries.
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4}));
+  EXPECT_EQ(e.now(), 30u);
+}
+
+TEST(Engine, NextTimeIsTheEarliestPendingEvent) {
+  Engine e;
+  EXPECT_EQ(e.next_time(), kNever);  // nothing pending
+  int fired = 0;
+  e.schedule_at(50, [&fired] { ++fired; });
+  e.schedule_at(20, [&e, &fired] {
+    ++fired;
+    // A callback that schedules at its own instant: the new event is the
+    // earliest pending one while the callback still runs.
+    e.schedule_after(0, [&fired] { ++fired; });
+    EXPECT_EQ(e.next_time(), 20u);
+  });
+  EXPECT_EQ(e.next_time(), 20u);
+  EXPECT_TRUE(e.step());
+  EXPECT_EQ(e.next_time(), 20u);  // the event the callback added
+  EXPECT_TRUE(e.step());
+  EXPECT_EQ(e.now(), 20u);
+  EXPECT_EQ(e.next_time(), 50u);
+  e.run();
+  EXPECT_EQ(fired, 3);
+  EXPECT_EQ(e.next_time(), kNever);
+  EXPECT_FALSE(e.step());
 }
 
 TEST(Engine, SchedulingInPastAborts) {

@@ -247,26 +247,5 @@ TEST(SimChannel, FifoOrder) {
   EXPECT_EQ(got, (std::vector<int>{1, 2, 3}));
 }
 
-TEST(SimSemaphore, LimitsConcurrency) {
-  Engine e;
-  SimSemaphore sem(1);
-  int inside = 0;
-  int max_inside = 0;
-  std::vector<std::unique_ptr<SimThread>> ts;
-  for (int i = 0; i < 4; ++i) {
-    ts.push_back(std::make_unique<SimThread>(e, "t", [&](SimThread& self) {
-      sem.acquire(self);
-      ++inside;
-      max_inside = std::max(max_inside, inside);
-      self.delay(100);
-      --inside;
-      sem.release();
-    }));
-  }
-  e.run();
-  EXPECT_EQ(max_inside, 1);
-  EXPECT_EQ(e.now(), 400u);  // fully serialized
-}
-
 }  // namespace
 }  // namespace cni::sim

